@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional
-from xml.sax.saxutils import escape
 
 from .diagnostics import ERROR, Diagnostic
 
@@ -200,7 +199,9 @@ def validate_document(doc: Document) -> list[Diagnostic]:
 # output for equal documents (feature keys in sorted order)
 
 def _quote(value: str) -> str:
-    return '"' + escape(value, {'"': "&quot;"}) + '"'
+    escaped = (value.replace("&", "&amp;").replace("<", "&lt;")
+               .replace(">", "&gt;").replace('"', "&quot;"))
+    return '"' + escaped + '"'
 
 
 def _node_markup(node: DSyntNode, depth: int, lines: list[str]) -> None:

@@ -2,14 +2,13 @@
 
 Texts are lowercased, whitespace-split, stripped of edge punctuation and
 stemmed before scoring, so inflectional variation does not count as an
-edit. The edit-distance inner loop has a compiled backend (built from
-``_editdist.pyx``) selected at import time; the pure-Python fallback
-computes identical values.
+edit. Word-level edit distance is Hyyrö's form of Myers' bit-vector
+algorithm over Python ints: O(n·m/w) word operations for w-bit machine
+words, with one Python-level step per token of the shorter text.
 """
 
 from __future__ import annotations
 
-import array
 import json
 import math
 import string
@@ -19,13 +18,6 @@ from statistics import mean, pstdev
 from typing import Sequence
 
 from .porter import stem
-
-try:
-    from ._editdist import levenshtein_ids as _native_levenshtein
-except ImportError:  # extension not built; pure Python path
-    _native_levenshtein = None
-
-BACKEND = "compiled" if _native_levenshtein is not None else "pure-python"
 
 _STRIP_CHARS = string.punctuation + "‘’“”–—…"
 
@@ -46,28 +38,39 @@ def tokenize_and_stem(text: str, use_stemming: bool = True) -> list[str]:
     return [stem(t) for t in toks]
 
 
-def _levenshtein_py(a: Sequence, b: Sequence) -> int:
-    if not a:
-        return len(b)
+def levenshtein(a: Sequence, b: Sequence) -> int:
+    """Minimum insert/delete/substitute edits between two token sequences.
+
+    Tokens must be hashable. Each token of the longer sequence gets one bit;
+    ``vp``/``vn`` hold the +1/-1 vertical deltas of the DP column for the
+    current token of the shorter one and ``dist`` its last cell (Hyyrö
+    2001's form of Myers 1999).
+    """
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, y in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
-        prev = cur
-    return prev[len(b)]
-
-
-def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Minimum insert/delete/substitute edits between two token sequences."""
-    if _native_levenshtein is None:
-        return _levenshtein_py(a, b)
-    ids: dict = {}
-    encoded_a = array.array("i", [ids.setdefault(t, len(ids)) for t in a])
-    encoded_b = array.array("i", [ids.setdefault(t, len(ids)) for t in b])
-    return _native_levenshtein(encoded_a, encoded_b)
+    masks: dict = {}
+    bit = 1
+    for tok in a:
+        masks[tok] = masks.get(tok, 0) | bit
+        bit <<= 1
+    full, high = bit - 1, bit >> 1
+    vp, vn, dist = full, 0, len(a)
+    for tok in b:
+        eq = masks.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & high:
+            dist += 1
+        elif hn & high:
+            dist -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(xv | hp)) & full
+        vn = hp & xv
+    return dist
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:

@@ -88,8 +88,8 @@ def test_serialize_empty_document():
 
 
 def test_serialize_escapes_attribute_values():
-    doc = d.Document((_verb('say "hi"'),))
-    assert "&quot;" in d.serialize(doc)
+    doc = d.Document((_verb('say "hi" & <go>'),))
+    assert 'lexeme="say &quot;hi&quot; &amp; &lt;go&gt;"' in d.serialize(doc)
 
 
 def test_serialize_fox_document_matches_frozen_fixture(fox_graph):
