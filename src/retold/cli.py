@@ -90,9 +90,7 @@ def cmd_generate(args, out, err) -> int:
     return 0
 
 
-def cmd_eval(args, out, err) -> int:
-    pair = metrics.EvalPair(_read_file(args.candidate), _read_file(args.reference),
-                            label=Path(args.candidate).stem)
+def _score(pair: metrics.EvalPair, args, out) -> None:
     try:
         report = metrics.corpus_report([pair], use_stemming=not args.no_stem)
     except ValueError as exc:
@@ -102,6 +100,11 @@ def cmd_eval(args, out, err) -> int:
     print(f"bleu: {row.bleu:.4f}", file=out)
     if args.json:
         Path(args.json).write_text(metrics.report_to_json(report) + "\n", encoding="utf-8")
+
+
+def cmd_eval(args, out, err) -> int:
+    _score(metrics.EvalPair(_read_file(args.candidate), _read_file(args.reference),
+                            label=Path(args.candidate).stem), args, out)
     return 0
 
 
@@ -111,13 +114,8 @@ def cmd_pipeline(args, out, err) -> int:
     text = realize.realize_document(styled)
     print(text, file=out)
     pair = metrics.EvalPair(text, _read_file(args.reference), label=graph.id)
-    report = metrics.corpus_report([pair], use_stemming=not args.no_stem)
-    row = report.rows[0]
     print(file=out)
-    print(f"levenshtein: {row.levenshtein}", file=out)
-    print(f"bleu: {row.bleu:.4f}", file=out)
-    if args.json:
-        Path(args.json).write_text(metrics.report_to_json(report) + "\n", encoding="utf-8")
+    _score(pair, args, out)
     return 0
 
 

@@ -33,7 +33,8 @@ PUNCT_MARKS = {"period": ".", "exclaim": "!", "question": "?"}
 
 CONTRACTIBLE = {("did", "not"): "didn't",
                 ("could", "not"): "couldn't",
-                ("was", "not"): "wasn't"}
+                ("was", "not"): "wasn't",
+                ("were", "not"): "weren't"}
 
 
 class RealizationError(Exception):
@@ -52,7 +53,8 @@ def _words(text: str) -> list[Token]:
 
 
 def apply_contractions(tokens: list[Token]) -> list[Token]:
-    """Rewrite "did not" / "could not" / "was not" into their contractions."""
+    """Rewrite each CONTRACTIBLE pair ("did not", "were not", ...) into its
+    contraction."""
     out: list[Token] = []
     i = 0
     while i < len(tokens):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Container, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .lexicon import ADJECTIVE, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
@@ -159,9 +159,6 @@ class StoryGraph:
             if e.id == entity_id:
                 return e
         raise KeyError(entity_id)
-
-    def has_entity(self, entity_id: str) -> bool:
-        return any(e.id == entity_id for e in self.entities)
 
 
 def timeline_propositions(g: StoryGraph) -> list[Proposition]:
@@ -570,32 +567,92 @@ def serialize_story(g: StoryGraph) -> str:
 # ---------------------------------------------------------------------------
 # validation
 
-def _iter_propositions(g: StoryGraph):
-    """Yield (proposition, ancestor_ids) over the whole nesting graph.
+def proposition_errors(p: Proposition, entity_ids: Container[str],
+                       lexicon: Lexicon) -> list[str]:
+    """Every reason the transform cannot realize ``p`` itself, as messages.
 
-    A node already on its own ancestor chain is yielded once more (so the
-    caller can report the cycle) but not descended into again.
+    The one realizability rule: :func:`validate_story` reports each message
+    and ``transform.build_clause`` refuses a proposition with any. Nested
+    propositions are not descended into; each is checked on its own.
     """
+    out: list[str] = []
+    if not lexicon.has(p.frame.predicate_lemma, VERB):
+        out.append(f"predicate {p.frame.predicate_lemma!r} is not a known verb")
+    relations: dict[str, str] = {}
+    frame = None
+    if not lexicon.has_frame(p.frame.frame_id):
+        out.append(f"unknown frame {p.frame.frame_id!r}")
+    else:
+        frame = lexicon.frame(p.frame.frame_id)
+        relations = dict(frame.all_roles())
+        bound = p.frame.roles()
+        if len(bound) != len(set(bound)):
+            out.append("role bound twice")
+        for role, _ in frame.mandatory_roles:
+            if role not in bound:
+                out.append(f"mandatory role {role} unbound")
 
-    def walk(p: Proposition, chain: tuple[int, ...]):
-        yield p, chain
-        if id(p) in chain:
-            return
-        children = [a for _, a in p.frame.bindings if isinstance(a, Proposition)]
-        children += [a.target for a in p.attachments if isinstance(a.target, Proposition)]
-        for child in children:
-            yield from walk(child, chain + (id(p),))
+    def check_ref(arg: Argument) -> None:
+        if isinstance(arg, EntityRef) and arg.entity_id not in entity_ids:
+            out.append(f"unknown entity {arg.entity_id!r}")
+        elif isinstance(arg, Property) and not lexicon.has(arg.adjective, ADJECTIVE):
+            out.append(f"property {arg.adjective!r} is not a known adjective")
 
-    for ts in g.timeline:
-        for p in ts.propositions:
-            yield from walk(p, ())
+    for role, arg in p.frame.bindings:
+        check_ref(arg)
+        if frame is None:
+            continue
+        rel = relations.get(role)
+        if rel is None:
+            out.append(f"unknown role {role} for frame {p.frame.frame_id!r}")
+        elif rel == "ATTR":
+            if not isinstance(arg, Property):
+                out.append(f"role {role} expects an adjective property")
+        elif isinstance(arg, Property) and rel in ("I", "II", "III"):
+            out.append("property argument outside a copular slot")
+        elif isinstance(arg, Proposition) and rel not in ("II", "III"):
+            out.append(f"role {role} cannot nest a proposition")
+        elif isinstance(arg, Proposition) and frame.complement_kind is None:
+            out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
+
+    # a complement attachment realizes as the II argument of the clause
+    ii_taken = any(relations.get(role) == "II" for role in p.frame.roles())
+    for a in p.attachments:
+        if a.relation in CLAUSE_RELATIONS:
+            if not isinstance(a.target, Proposition):
+                out.append(f"{a.relation} attachment must nest a proposition")
+            if a.preposition:
+                out.append(f"{a.relation} attachment does not take a preposition")
+            if a.relation == COMPLEMENT:
+                if ii_taken:
+                    out.append("complement attachment needs a free II slot")
+                ii_taken = True
+        elif a.relation == PREPOSITIONAL:
+            if not a.preposition:
+                out.append("prepositional attachment needs a preposition")
+            elif not lexicon.has(a.preposition, PREPOSITION):
+                out.append(f"unknown preposition {a.preposition!r}")
+            if not isinstance(a.target, (EntityRef, Text)):
+                out.append("prepositional attachment target must be entity or "
+                           "noun-phrase valued")
+            else:
+                check_ref(a.target)
+        else:
+            out.append(f"unknown attachment relation {a.relation!r}")
+    for lemma, pos in p.adverbs:
+        if pos not in (PRE_VERB, POST_VERB):
+            out.append(f"bad adverb position {pos!r}")
+    if p.polarity not in (AFFIRMATIVE, NEGATED):
+        out.append(f"bad polarity {p.polarity!r}")
+    return out
 
 
 def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Diagnostic]:
     """Cross-reference checks over a structurally well-formed graph.
 
-    Empty result means every invariant holds. Structural problems that the
-    parser already rejects (bad syntax) cannot appear here.
+    Empty result means every invariant holds, and then the transform and
+    the realizer accept the story. Structural problems that the parser
+    already rejects (bad syntax) cannot appear here.
     """
     lex = lexicon or default_lexicon()
     out: list[Diagnostic] = []
@@ -628,63 +685,30 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
         if not ts.propositions:
             err(f"t{ts.index}", "timespan has no propositions")
 
-    def check_ref(arg: Argument, location: str) -> None:
-        if isinstance(arg, EntityRef) and not g.has_entity(arg.entity_id):
-            err(location, f"unknown entity {arg.entity_id!r}")
-        elif isinstance(arg, Property) and not lex.has(arg.adjective, ADJECTIVE):
-            err(location, f"property {arg.adjective!r} is not a known adjective")
-
+    # depth-first, each distinct proposition once: a proposition reused
+    # through `ref` is not checked again, so the cost stays linear in the
+    # file; one met again on its own path is a nesting cycle
     seen_ids: dict[str, int] = {}
-    for p, chain in _iter_propositions(g):
-        if id(p) in chain:
+    done: set[int] = set()
+    on_path: set[int] = set()
+
+    def visit(p: Proposition) -> None:
+        if id(p) in on_path:
             err(p.id, "proposition nesting cycle")
-            continue
+            return
+        if id(p) in done:
+            return
+        done.add(id(p))
         if seen_ids.setdefault(p.id, id(p)) != id(p):
             err(p.id, "duplicate proposition id")
-        if not lex.has(p.frame.predicate_lemma, VERB):
-            err(p.id, f"predicate {p.frame.predicate_lemma!r} is not a known verb")
-        if not lex.has_frame(p.frame.frame_id):
-            err(p.id, f"unknown frame {p.frame.frame_id!r}")
-        else:
-            frame = lex.frame(p.frame.frame_id)
-            known = {role for role, _ in frame.all_roles()}
-            bound = p.frame.roles()
-            if len(bound) != len(set(bound)):
-                err(p.id, "role bound twice")
-            for role, _ in frame.mandatory_roles:
-                if role not in bound:
-                    err(p.id, f"mandatory role {role} unbound")
-            for role in bound:
-                if role not in known:
-                    err(p.id, f"unknown role {role} for frame {p.frame.frame_id!r}")
-        for role, arg in p.frame.bindings:
-            check_ref(arg, p.id)
-        for a in p.attachments:
-            if a.relation in CLAUSE_RELATIONS:
-                if not isinstance(a.target, Proposition):
-                    err(p.id, f"{a.relation} attachment must nest a proposition")
-                if a.preposition:
-                    err(p.id, f"{a.relation} attachment does not take a preposition")
-            elif a.relation == PREPOSITIONAL:
-                if not a.preposition:
-                    err(p.id, "prepositional attachment needs a preposition")
-                elif not lex.has(a.preposition, PREPOSITION):
-                    err(p.id, f"unknown preposition {a.preposition!r}")
-                if not isinstance(a.target, (EntityRef, Text)):
-                    err(p.id, "prepositional attachment target must be entity or "
-                              "noun-phrase valued")
-                else:
-                    check_ref(a.target, p.id)
-            else:
-                err(p.id, f"unknown attachment relation {a.relation!r}")
-        for lemma, pos in p.adverbs:
-            if pos not in (PRE_VERB, POST_VERB):
-                err(p.id, f"bad adverb position {pos!r}")
-        if p.polarity not in (AFFIRMATIVE, NEGATED):
-            err(p.id, f"bad polarity {p.polarity!r}")
+        for message in proposition_errors(p, seen_entities, lex):
+            err(p.id, message)
+        on_path.add(id(p))
+        for child in [a for _, a in p.frame.bindings] + [a.target for a in p.attachments]:
+            if isinstance(child, Proposition):
+                visit(child)
+        on_path.discard(id(p))
 
-    deduped: list[Diagnostic] = []
-    for d in out:
-        if d not in deduped:
-            deduped.append(d)
-    return deduped
+    for p in timeline_propositions(g):
+        visit(p)
+    return list(dict.fromkeys(out))

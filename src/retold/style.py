@@ -29,27 +29,17 @@ from .lexicon import (
     VERB,
     Lexicon,
     default_lexicon,
+    inflect,
     split_onset,
     split_onset_of,
     synonym,
 )
+from .realize import ACCUSATIVE, CONTRACTIBLE, MODAL_LEMMAS
 from .transform import enable_contractions, pronominalize_sentences
 
-PARAM_NAMES = frozenset({
-    "softener_hedges", "emphasizer_hedges", "filled_pauses", "stuttering",
-    "exclamation", "expletives", "tag_question", "initial_interjection",
-    "lexical_variation", "negation_paraphrase", "restatement",
-    "contractions", "pronominalization",
-})
-
-# application order; pronominalization runs first because it tracks
-# mentions across the whole document
-PARAM_ORDER = (
-    "pronominalization", "lexical_variation", "negation_paraphrase",
-    "restatement", "contractions", "softener_hedges", "emphasizer_hedges",
-    "filled_pauses", "initial_interjection", "expletives", "stuttering",
-    "tag_question", "exclamation",
-)
+# the one document-level parameter: it counts mentions across the whole
+# document, so it runs before every per-sentence transform
+PRONOMINALIZATION = "pronominalization"
 
 SOFTENER_CLAUSAL = ("I think that", "it seems that", "it seems to me that")
 SOFTENER_CLAUSAL_PAST = {
@@ -63,8 +53,6 @@ FILLED_PAUSES = ("I mean", "err", "mmhm", "like", "you know")
 EXPLETIVES = ("damn",)
 INTERJECTIONS = ("well", "ok", "oh")
 EXTERNAL_TAGS = ("okay", "alright", "you see")
-
-NEGATIVE_AUX = {"did": "didn't", "was": "wasn't", "were": "weren't", "could": "couldn't"}
 
 
 class VoiceError(Exception):
@@ -100,22 +88,6 @@ class StyleDecision:
     payload: str
 
 
-BUILTIN_VOICES = {
-    "NEUTRAL": VoiceModel("NEUTRAL", {}),
-    "FORMAL": VoiceModel("FORMAL", {"contractions": 1.0, "pronominalization": 1.0}),
-    "SHY": VoiceModel("SHY", {
-        "softener_hedges": 0.4, "stuttering": 0.3, "filled_pauses": 0.3,
-        "initial_interjection": 0.2, "pronominalization": 1.0, "contractions": 1.0,
-    }),
-    "LAID-BACK": VoiceModel("LAID-BACK", {
-        "emphasizer_hedges": 0.3, "tag_question": 0.4, "expletives": 0.2,
-        "initial_interjection": 0.3, "lexical_variation": 0.4,
-        "negation_paraphrase": 0.5, "restatement": 0.3, "exclamation": 0.2,
-        "pronominalization": 1.0, "contractions": 1.0,
-    }),
-}
-
-
 def parse_voice(text: str) -> VoiceModel:
     """Voice file: a `voice <name>` line, then `param: value` lines."""
     name = None
@@ -130,7 +102,7 @@ def parse_voice(text: str) -> VoiceModel:
                 raise VoiceError(f"line {lineno}: expected 'voice <name>'")
             name = m.group(1)
             continue
-        m = re.fullmatch(r"([a-z_]+)\s*:\s*([0-9.]+)", line)
+        m = re.fullmatch(r"([a-z_]+)\s*:\s*(\d+\.?\d*|\.\d+)", line)
         if not m:
             raise VoiceError(f"line {lineno}: expected 'param: value'")
         params[m.group(1)] = float(m.group(2))
@@ -165,10 +137,12 @@ def _marker_node(lexeme: str) -> d.DSyntNode:
 
 
 # --- individual transforms --------------------------------------------------
-# each returns (new_sentence, site_path, payload) or None when inapplicable
+# each takes (sentence, rng, lexicon, memo), where memo is a dict private to
+# the sentence for one apply_voice call, and returns
+# (new_sentence, site_path, payload) or None when inapplicable
 
 
-def _softener(sent, rng, lex):
+def _softener(sent, rng, lex, memo):
     choice = rng.choice(SOFTENER_CLAUSAL + SOFTENER_ADVERBIAL)
     if choice in SOFTENER_CLAUSAL_PAST:
         new = _prepend(sent, _marker_node(SOFTENER_CLAUSAL_PAST[choice]))
@@ -178,26 +152,26 @@ def _softener(sent, rng, lex):
     return new, (len(new.children) - 1,), choice
 
 
-def _emphasizer(sent, rng, lex):
+def _emphasizer(sent, rng, lex, memo):
     choice = rng.choice(EMPHASIZERS)
     adv = d.DSyntNode(choice, d.ADVERB, d.ATTR, {"position": "pre"})
     new = _append_child(sent, adv)
     return new, (len(new.children) - 1,), choice
 
 
-def _filled_pause(sent, rng, lex):
+def _filled_pause(sent, rng, lex, memo):
     choice = rng.choice(FILLED_PAUSES)
     new = _prepend(sent, _marker_node(choice + "..."))
     return new, (0,), choice
 
 
-def _interjection(sent, rng, lex):
+def _interjection(sent, rng, lex, memo):
     choice = rng.choice(INTERJECTIONS)
     new = _prepend(sent, _marker_node(choice + ","))
     return new, (0,), choice
 
 
-def _expletive(sent, rng, lex):
+def _expletive(sent, rng, lex, memo):
     choice = rng.choice(EXPLETIVES)
     adv = d.DSyntNode(choice, d.ADVERB, d.ATTR, {"position": "pre"})
     new = _append_child(sent, adv)
@@ -225,11 +199,11 @@ def apply_stuttering(sentence: d.DSyntNode, rng: random.Random,
                      lexicon: Optional[Lexicon] = None) -> d.DSyntNode:
     """Duplicate the onset of one content word: "tr-trellis". Vowel-initial
     lemmas are never picked."""
-    result = _stutter(sentence, rng, lexicon or default_lexicon())
+    result = _stutter(sentence, rng, lexicon or default_lexicon(), {})
     return sentence if result is None else result[0]
 
 
-def _stutter(sent, rng, lex):
+def _stutter(sent, rng, lex, memo):
     sites = _stutter_sites(sent, lex)
     if not sites:
         return None
@@ -252,9 +226,6 @@ def _subject_tag_pronoun(sent) -> str:
 
 
 def _aux_for(sent, lex) -> str:
-    from .realize import MODAL_LEMMAS
-    from .lexicon import inflect
-
     number = "sg"
     subject = sent.child(d.I)
     if subject is not None:
@@ -264,7 +235,7 @@ def _aux_for(sent, lex) -> str:
     return "did"
 
 
-def _tag_question(sent, rng, lex):
+def _tag_question(sent, rng, lex, memo):
     if sent.feature("punct", "period") != "period":
         return None
     if rng.random() < 0.5:
@@ -274,19 +245,19 @@ def _tag_question(sent, rng, lex):
         if sent.feature("polarity") == "neg":
             tag = f"{aux} {_subject_tag_pronoun(sent)}"
         else:
-            tag = f"{NEGATIVE_AUX.get(aux, aux)} {_subject_tag_pronoun(sent)}"
+            tag = f"{CONTRACTIBLE.get((aux, 'not'), aux)} {_subject_tag_pronoun(sent)}"
     node = d.DSyntNode(tag, d.FUNCTION_WORD, d.APPEND, {"position": "post"})
     new = _append_child(sent, node).with_feature("punct", "question")
     return new, (len(sent.children),), tag + "?"
 
 
-def _exclamation(sent, rng, lex):
+def _exclamation(sent, rng, lex, memo):
     if sent.feature("punct", "period") != "period":
         return None
     return sent.with_feature("punct", "exclaim"), (), "!"
 
 
-def _lexical_variation(sent, rng, lex):
+def _lexical_variation(sent, rng, lex, memo):
     pos_of = {d.VERB: VERB, d.COMMON_NOUN: NOUN, d.ADJECTIVE: ADJECTIVE}
     sites = []
     for path, node in d.walk(sent):
@@ -305,9 +276,10 @@ def _lexical_variation(sent, rng, lex):
     return new, path, f"{node.lexeme}->{sub}"
 
 
-def _negation_paraphrase(sent, rng, lex):
-    """Rewrite "did not V ..." as affirmative "failed to V' ...". Returns
-    (tree, site, payload, (original lemma, direct object node or None))."""
+def _negation_paraphrase(sent, rng, lex, memo):
+    """Rewrite "did not V ..." as affirmative "failed to V' ...", leaving
+    (original lemma, direct object node or None) in the memo for the
+    restatement that may follow."""
     if sent.feature("polarity") != "neg" or not lex.has(sent.lexeme, VERB):
         return None
     if sent.lexeme in ("be", "can", "do", "fail"):
@@ -331,32 +303,31 @@ def _negation_paraphrase(sent, rng, lex):
     feats["sem_neg"] = "on"
     new = replace(sent, lexeme="fail", features=feats,
                   children=tuple(kept) + (infinitive,))
-    site = (len(kept),)
-    return new, site, f"fail to {sub}", (sent.lexeme, direct_object)
+    memo["paraphrased"] = (sent.lexeme, direct_object)
+    return new, (len(kept),), f"fail to {sub}"
 
 
 def apply_negation_paraphrase(sentence: d.DSyntNode, rng: random.Random,
                               lexicon: Optional[Lexicon] = None) -> d.DSyntNode:
-    result = _negation_paraphrase(sentence, rng, lexicon or default_lexicon())
+    result = _negation_paraphrase(sentence, rng, lexicon or default_lexicon(), {})
     return sentence if result is None else result[0]
 
 
 def _object_pronoun(obj: d.DSyntNode) -> str:
-    acc = {"he": "him", "she": "her", "it": "it", "they": "them"}
     if obj.cls == d.FUNCTION_WORD:
-        return acc.get(obj.lexeme, "it")
+        return ACCUSATIVE.get(obj.lexeme, "it")
     pron = obj.feature("pron")
     if pron:
-        return acc[pron]
+        return ACCUSATIVE[pron]
     return "them" if obj.feature("number") == "pl" else "it"
 
 
-def _restatement(sent, info):
+def _restatement(sent, rng, lex, memo):
     """Append ", did not V it" after a paraphrased clause, restating the
     original negated verb with a pronominal object."""
-    if info is None:
+    if "paraphrased" not in memo:
         return None
-    orig_lemma, obj = info
+    orig_lemma, obj = memo["paraphrased"]
     children = ()
     if obj is not None:
         children = (d.DSyntNode(_object_pronoun(obj), d.FUNCTION_WORD, d.II,
@@ -373,23 +344,57 @@ def _restatement(sent, info):
     return new, (insert_at,), f"did not {orig_lemma}"
 
 
+def _contractions(sent, rng, lex, memo):
+    new = enable_contractions(sent)
+    return None if new == sent else (new, (), "on")
+
+
+# (parameter, transform, is a marker insertion), in application order after
+# the document-level PRONOMINALIZATION pass; the order fixes each
+# sentence's random draws, so outputs depend on it
+_SENTENCE_TRANSFORMS = (
+    ("lexical_variation", _lexical_variation, False),
+    ("negation_paraphrase", _negation_paraphrase, False),
+    ("restatement", _restatement, False),
+    ("contractions", _contractions, False),
+    ("softener_hedges", _softener, True),
+    ("emphasizer_hedges", _emphasizer, True),
+    ("filled_pauses", _filled_pause, True),
+    ("initial_interjection", _interjection, True),
+    ("expletives", _expletive, True),
+    ("stuttering", _stutter, False),
+    ("tag_question", _tag_question, True),
+    ("exclamation", _exclamation, True),
+)
+
+PARAM_NAMES = frozenset({PRONOMINALIZATION}
+                        | {name for name, _, _ in _SENTENCE_TRANSFORMS})
+
+_MARKERS = {name: fn for name, fn, marker in _SENTENCE_TRANSFORMS if marker}
+
+BUILTIN_VOICES = {
+    "NEUTRAL": VoiceModel("NEUTRAL", {}),
+    "FORMAL": VoiceModel("FORMAL", {"contractions": 1.0, "pronominalization": 1.0}),
+    "SHY": VoiceModel("SHY", {
+        "softener_hedges": 0.4, "stuttering": 0.3, "filled_pauses": 0.3,
+        "initial_interjection": 0.2, "pronominalization": 1.0, "contractions": 1.0,
+    }),
+    "LAID-BACK": VoiceModel("LAID-BACK", {
+        "emphasizer_hedges": 0.3, "tag_question": 0.4, "expletives": 0.2,
+        "initial_interjection": 0.3, "lexical_variation": 0.4,
+        "negation_paraphrase": 0.5, "restatement": 0.3, "exclamation": 0.2,
+        "pronominalization": 1.0, "contractions": 1.0,
+    }),
+}
+
+
 def insert_marker(sentence: d.DSyntNode, param: str, rng: random.Random,
                   lexicon: Optional[Lexicon] = None) -> d.DSyntNode:
     """Apply one marker-insertion parameter unconditionally; inapplicable
     sites (e.g. a tag on a non-period sentence) return the input."""
-    lex = lexicon or default_lexicon()
-    fns = {
-        "softener_hedges": _softener,
-        "emphasizer_hedges": _emphasizer,
-        "filled_pauses": _filled_pause,
-        "initial_interjection": _interjection,
-        "expletives": _expletive,
-        "tag_question": _tag_question,
-        "exclamation": _exclamation,
-    }
-    if param not in fns:
+    if param not in _MARKERS:
         raise VoiceError(f"{param!r} is not a marker-insertion parameter")
-    result = fns[param](sentence, rng, lex)
+    result = _MARKERS[param](sentence, rng, lexicon or default_lexicon(), {})
     return sentence if result is None else result[0]
 
 
@@ -407,65 +412,28 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     sentences = list(doc.sentences)
     n = len(sentences)
     rngs = [random.Random(f"{seed}:{i}") for i in range(n)]
+    memos: list[dict] = [{} for _ in range(n)]
     decisions: list[StyleDecision] = []
-    paraphrase_info: dict[int, tuple] = {}
 
-    def fires(param: str, i: int) -> bool:
+    a = model.activation(PRONOMINALIZATION)
+    if a > 0.0:
+        sentences, sites = pronominalize_sentences(
+            sentences, [rngs[i].random() < a for i in range(n)])
+        for i, sentence_sites in enumerate(sites):
+            for path, pron in sentence_sites:
+                decisions.append(StyleDecision(i, PRONOMINALIZATION, _path_str(path), pron))
+
+    for param, transform, _ in _SENTENCE_TRANSFORMS:
         a = model.activation(param)
         if a <= 0.0:
-            return False
-        return rngs[i].random() < a
-
-    for param in PARAM_ORDER:
-        if param == "pronominalization":
-            if model.activation(param) <= 0.0:
-                continue
-            mask = [fires(param, i) for i in range(n)]
-            sentences, sites = pronominalize_sentences(sentences, mask)
-            for i, sentence_sites in enumerate(sites):
-                for path, pron in sentence_sites:
-                    decisions.append(StyleDecision(i, param, _path_str(path), pron))
             continue
         for i in range(n):
-            if not fires(param, i):
+            if rngs[i].random() >= a:
                 continue
-            if param == "contractions":
-                new = enable_contractions(sentences[i])
-                if new != sentences[i]:
-                    sentences[i] = new
-                    decisions.append(StyleDecision(i, param, "root", "on"))
-                continue
-            if param == "lexical_variation":
-                result = _lexical_variation(sentences[i], rngs[i], lex)
-            elif param == "negation_paraphrase":
-                result = _negation_paraphrase(sentences[i], rngs[i], lex)
-                if result is not None:
-                    paraphrase_info[i] = result[3]
-                    result = result[:3]
-            elif param == "restatement":
-                result = _restatement(sentences[i], paraphrase_info.get(i))
-            elif param == "softener_hedges":
-                result = _softener(sentences[i], rngs[i], lex)
-            elif param == "emphasizer_hedges":
-                result = _emphasizer(sentences[i], rngs[i], lex)
-            elif param == "filled_pauses":
-                result = _filled_pause(sentences[i], rngs[i], lex)
-            elif param == "initial_interjection":
-                result = _interjection(sentences[i], rngs[i], lex)
-            elif param == "expletives":
-                result = _expletive(sentences[i], rngs[i], lex)
-            elif param == "stuttering":
-                result = _stutter(sentences[i], rngs[i], lex)
-            elif param == "tag_question":
-                result = _tag_question(sentences[i], rngs[i], lex)
-            elif param == "exclamation":
-                result = _exclamation(sentences[i], rngs[i], lex)
-            else:
-                raise VoiceError(f"unhandled parameter {param!r}")
+            result = transform(sentences[i], rngs[i], lex, memos[i])
             if result is None:
                 continue
-            new, site, payload = result
-            sentences[i] = new
+            sentences[i], site, payload = result
             decisions.append(StyleDecision(i, param, _path_str(site), payload))
 
     final = []

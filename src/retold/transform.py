@@ -19,15 +19,7 @@ from typing import Optional
 
 from . import dsynt as d
 from . import story as s
-from .lexicon import (
-    FINITE,
-    INFINITIVE,
-    PREPOSITION,
-    FrameDef,
-    Lexicon,
-    LexiconError,
-    default_lexicon,
-)
+from .lexicon import INFINITIVE, FrameDef, Lexicon, LexiconError, default_lexicon
 
 FULL_NP = "full_np"
 PRONOMINALIZE = "pronominalize_after_first"
@@ -55,6 +47,10 @@ class DiscourseContext:
     lexicon: Lexicon
     opts: TransformOptions = NEUTRAL
     mentions: dict[str, int] = field(default_factory=dict)
+    entities: dict[str, s.Entity] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.entities = {e.id: e for e in self.graph.entities}
 
 
 def default_pronoun(e: s.Entity) -> str:
@@ -95,12 +91,10 @@ def realize_entity_np(e: s.Entity, ctx: DiscourseContext,
 
 def _np_for_target(arg, ctx: DiscourseContext) -> d.DSyntNode:
     if isinstance(arg, s.EntityRef):
-        return realize_entity_np(ctx.graph.entity(arg.entity_id), ctx)
+        return realize_entity_np(ctx.entities[arg.entity_id], ctx)
     if isinstance(arg, s.Text):
         return d.DSyntNode(arg.value, d.COMMON_NOUN, features={"article": "none"})
-    if isinstance(arg, s.Property):
-        return d.DSyntNode(arg.adjective, d.ADJECTIVE)
-    raise TransformError(f"cannot realize {type(arg).__name__} as a noun phrase")
+    return d.DSyntNode(arg.adjective, d.ADJECTIVE)
 
 
 def _subject_binding(p: s.Proposition, frame: FrameDef):
@@ -114,46 +108,32 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
 
     ``finite`` distinguishes tensed clauses from to-infinitives; infinitive
     complements drop their (controlled) subject, so their re-bound agent is
-    expressed only through the matrix clause.
+    expressed only through the matrix clause. A proposition that
+    :func:`story.proposition_errors` faults raises TransformError with the
+    first message.
     """
-    try:
-        frame = ctx.lexicon.frame(p.frame.frame_id)
-    except LexiconError as exc:
-        raise TransformError(str(exc), p.id) from exc
+    problems = s.proposition_errors(p, ctx.entities, ctx.lexicon)
+    if problems:
+        raise TransformError(problems[0], p.id)
+    frame = ctx.lexicon.frame(p.frame.frame_id)
 
     feats = {"polarity": "neg" if p.polarity == s.NEGATED else "aff"}
     if finite:
         feats["tense"] = "past"
     root = d.DSyntNode(p.frame.predicate_lemma, d.VERB, features=feats)
 
-    bound_roles = set()
     for role, rel in frame.all_roles():
         arg = p.frame.binding(role)
-        if arg is None:
-            if (role, rel) in frame.mandatory_roles:
-                raise TransformError(f"mandatory role {role} unbound", p.id)
-            continue
-        bound_roles.add(role)
-        if rel == "I" and skip_subject:
+        if arg is None or (rel == "I" and skip_subject):
             continue
         if rel in d.ARGUMENT_RELATIONS:
-            root = d.attach(root, _argument_node(arg, p, frame, ctx), rel)
+            root = d.attach(root, _argument_node(arg, frame, ctx), rel)
         elif rel == "ATTR":
-            if not isinstance(arg, s.Property):
-                raise TransformError(f"role {role} expects an adjective property", p.id)
             root = d.attach(root, d.DSyntNode(arg.adjective, d.ADJECTIVE), d.ATTR)
-        elif rel.startswith("prep:"):
+        else:  # prep:<word>
             word = rel.split(":", 1)[1]
-            if isinstance(arg, s.Proposition):
-                raise TransformError(f"role {role} cannot nest a proposition", p.id)
             pp = d.attach(d.DSyntNode(word, d.PREPOSITION), _np_for_target(arg, ctx), d.APPEND)
             root = d.attach(root, pp, d.APPEND)
-        else:
-            raise TransformError(f"role {role} has unsupported relation {rel!r}", p.id)
-
-    for role in p.frame.roles():
-        if role not in bound_roles:
-            raise TransformError(f"unknown role {role} for frame {p.frame.frame_id!r}", p.id)
 
     for lemma, pos in p.adverbs:
         adv = d.DSyntNode(lemma, d.ADVERB,
@@ -164,16 +144,11 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
     return root
 
 
-def _argument_node(arg, p: s.Proposition, frame: FrameDef, ctx: DiscourseContext) -> d.DSyntNode:
+def _argument_node(arg, frame: FrameDef, ctx: DiscourseContext) -> d.DSyntNode:
     if isinstance(arg, s.Proposition):
         if frame.complement_kind == INFINITIVE:
             return build_clause(arg, ctx, finite=False, skip_subject=True)
-        if frame.complement_kind == FINITE:
-            return build_clause(arg, ctx, finite=True)
-        raise TransformError(
-            f"frame {frame.frame_id!r} does not take a propositional argument", p.id)
-    if isinstance(arg, s.Property):
-        raise TransformError("property argument outside a copular slot", p.id)
+        return build_clause(arg, ctx, finite=True)
     return _np_for_target(arg, ctx)
 
 
@@ -186,9 +161,7 @@ def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext
     while i < len(atts):
         a = atts[i]
         if a.relation == s.PREPOSITIONAL:
-            word = a.preposition or ""
-            if not ctx.lexicon.has(word, PREPOSITION):
-                raise TransformError(f"unknown preposition {word!r}", p.id)
+            word = a.preposition
             pp = d.DSyntNode(word, d.PREPOSITION)
             pp = d.attach(pp, _np_for_target(a.target, ctx), d.APPEND)
             while (i + 1 < len(atts) and atts[i + 1].relation == s.PREPOSITIONAL
@@ -196,10 +169,8 @@ def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext
                 i += 1
                 pp = d.attach(pp, _np_for_target(atts[i].target, ctx), d.APPEND)
             clause = d.attach(clause, pp, d.APPEND)
-        elif a.relation in s.CLAUSE_RELATIONS:
+        else:  # a clause relation
             target = a.target
-            if not isinstance(target, s.Proposition):
-                raise TransformError(f"{a.relation} attachment must nest a proposition", p.id)
             if a.relation == s.PURPOSE:
                 skip = (ctx.opts.referring_expression == PRONOMINALIZE
                         and _corefer(_subject_binding(p, ctx.lexicon.frame(p.frame.frame_id)),
@@ -208,8 +179,6 @@ def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext
             else:
                 sub = build_clause(target, ctx, finite=True)
             clause = attach_discourse(clause, a.relation, sub)
-        else:
-            raise TransformError(f"unsupported attachment relation {a.relation!r}", p.id)
         i += 1
     return clause
 

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from retold.cli import run
 from conftest import FIXTURES, fixture_text
 
@@ -139,3 +141,18 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
     assert code == 0
     assert "<document>" in out
     assert target.read_text().startswith("The group of grapes")
+
+
+@pytest.mark.parametrize("content, argv, code", [
+    ('story x "X"\n\nentities\n  fox character fox\n\n'
+     'timeline\n  0:\n    obtain obtain(Agent=fox, Theme=@ripe)\n',
+     ["generate", "{input}"], 1),
+    ("voice X\nexclamation: 1.2.3\n", ["generate", FOX, "--voice", "{input}"], 2),
+    (" \n", ["pipeline", FOX, "--reference", "{input}"], 2),
+], ids=["property-argument-story", "bad-voice-value", "blank-reference"])
+def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):
+    path = tmp_path / "input"
+    path.write_text(content)
+    got, out, err = invoke(*(a.format(input=path) for a in argv))
+    assert got == code
+    assert len([line for line in err.splitlines() if line.startswith("retold:")]) == 1

@@ -1,0 +1,147 @@
+"""One realizability rule: a story that validates clean always generates, and
+every proposition the transform refuses is one validation reports."""
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from retold import story as st
+from retold import style
+from retold import transform as tr
+from retold.diagnostics import ERROR
+from retold.realize import realize_document
+
+from conftest import random_story
+
+HEADER = '''story demo "Demo"
+
+entities
+  fox character fox
+  grapes object group group_of=grape
+
+timeline
+  0:
+'''
+
+# encodings the transform refuses, each with the message both sides give
+REFUSED = [
+    ("obtain obtain(Agent=fox, Theme=@ripe) id=p",
+     "property argument outside a copular slot"),
+    ("jump jump(Agent=@ripe) id=p",
+     "property argument outside a copular slot"),
+    ("obtain obtain(Agent=fox) id=p\n      role Theme:\n        jump jump(Agent=fox)",
+     "frame 'obtain' does not take a propositional argument"),
+    ("be_ripe be(Theme=grapes, Attribute=fox) id=p",
+     "role Attribute expects an adjective property"),
+    ("say say(Agent=fox, Topic=grapes) id=p\n      role Addressee:\n"
+     "        jump jump(Agent=fox)",
+     "role Addressee cannot nest a proposition"),
+    ("obtain obtain(Agent=fox, Theme=grapes) id=p\n      complement:\n"
+     "        jump jump(Agent=fox)",
+     "complement attachment needs a free II slot"),
+    ("plan plan() id=p\n      role Agent:\n        jump jump(Agent=fox)\n"
+     "      role Topic:\n        jump jump(Agent=fox)",
+     "role Agent cannot nest a proposition"),
+    ("jump jump(Agent=fox, Agent=fox) id=p", "role bound twice"),
+]
+
+
+@pytest.mark.parametrize("encoding, message", REFUSED)
+def test_validate_and_transform_report_the_same_message(encoding, message):
+    g = st.parse_story(HEADER + "    " + encoding + "\n")
+    assert [(d.severity, d.location, d.message) for d in st.validate_story(g)] == [
+        (ERROR, "p", message)]
+    with pytest.raises(tr.TransformError) as exc:
+        tr.transform_story(g)
+    assert exc.value.proposition_id == "p"
+    assert str(exc.value) == f"p: {message}"
+
+
+def test_validate_checks_each_distinct_proposition_once(monkeypatch):
+    # every timespan reuses the previous one twice, so expanding each `ref`
+    # would visit about 2**32 propositions
+    text = HEADER + "    jump jump(Agent=fox) id=s0\n"
+    for k in range(1, 31):
+        text += (f"  {k}:\n    jump jump(Agent=fox) id=s{k}\n"
+                 f"      purpose:\n        ref s{k - 1}\n"
+                 f"      cause:\n        ref s{k - 1}\n")
+    g = st.parse_story(text)
+    checked = []
+    check = st.proposition_errors
+    monkeypatch.setattr(st, "proposition_errors",
+                        lambda p, *args: checked.append(p.id) or check(p, *args))
+    assert st.validate_story(g) == []
+    assert sorted(checked) == sorted(f"s{k}" for k in range(31))
+
+
+def _propositions(g):
+    out = []
+
+    def walk(p):
+        out.append(p)
+        for child in [a for _, a in p.frame.bindings] + [a.target for a in p.attachments]:
+            if isinstance(child, st.Proposition):
+                walk(child)
+
+    for p in st.timeline_propositions(g):
+        walk(p)
+    return out
+
+
+def _swap(p, old, new):
+    """``p`` with the proposition ``old`` replaced by ``new`` wherever it nests."""
+    if p is old:
+        return new
+    bindings = tuple((role, _swap(a, old, new) if isinstance(a, st.Proposition) else a)
+                     for role, a in p.frame.bindings)
+    attachments = tuple(replace(a, target=_swap(a.target, old, new))
+                        if isinstance(a.target, st.Proposition) else a
+                        for a in p.attachments)
+    return replace(p, frame=replace(p.frame, bindings=bindings), attachments=attachments)
+
+
+def _mutated(g, rng):
+    """``g`` with one field of one proposition changed: a role binding
+    replaced by a property, a literal, an entity or a nested proposition, or
+    an added complement or prepositional attachment."""
+    entity_ids = [e.id for e in g.entities]
+    nested = st.Proposition("mutant", st.FrameInstance(
+        "jump", "jump", (("Agent", st.EntityRef(entity_ids[0])),)))
+    arguments = [st.Property(rng.choice(["ripe", "hungry", "able"])),
+                 st.Text("dignity"), st.EntityRef(rng.choice(entity_ids)), nested]
+    target = rng.choice(_propositions(g))
+    kind = rng.choice(["binding", "binding", "complement", "prep"])
+    if kind == "binding" and target.frame.bindings:
+        bindings = list(target.frame.bindings)
+        i = rng.randrange(len(bindings))
+        bindings[i] = (bindings[i][0], rng.choice(arguments))
+        new = replace(target, frame=replace(target.frame, bindings=tuple(bindings)))
+    elif kind == "complement":
+        new = replace(target, attachments=target.attachments
+                      + (st.Attachment(st.COMPLEMENT, nested),))
+    else:
+        new = replace(target, attachments=target.attachments
+                      + (st.Attachment(st.PREPOSITIONAL, rng.choice(arguments), "with"),))
+    spans = tuple(replace(ts, propositions=tuple(_swap(p, target, new)
+                                                 for p in ts.propositions))
+                  for ts in g.timeline)
+    return replace(g, timeline=spans)
+
+
+@settings(derandomize=True, deadline=None)
+@given(story_seed=hst.integers(0, 10**6), mutation_seed=hst.integers(0, 10**6))
+def test_clean_validation_implies_generation(story_seed, mutation_seed):
+    g = _mutated(random_story(random.Random(story_seed)), random.Random(mutation_seed))
+    errors = [d for d in st.validate_story(g) if d.severity == ERROR]
+    try:
+        doc = tr.transform_story(g)
+    except tr.TransformError as exc:
+        assert exc.proposition_id in {d.location for d in errors}
+        return
+    if not errors:
+        for model in style.BUILTIN_VOICES.values():
+            styled, _ = style.apply_voice(doc, model, story_seed)
+            assert realize_document(styled)

@@ -434,6 +434,22 @@ def test_tag_question_on_copular_clause():
     pytest.fail("auxiliary tag never chosen for the copular clause")
 
 
+def test_negated_plural_copula_contracts_to_werent():
+    wolves = st.Entity("wolves", st.CHARACTER, "wolf", number="pl")
+
+    def hungry(pid, entity_id, **kw):
+        return _prop(pid, "be_hungry", "be", [("Theme", st.EntityRef(entity_id)),
+                                              ("Attribute", st.Property("hungry"))], **kw)
+
+    g = _story([FOX, wolves], hungry("p0", "fox", polarity=st.NEGATED),
+               hungry("p1", "wolves", polarity=st.NEGATED))
+    styled, _ = style.apply_voice(tr.transform_story(g), style.BUILTIN_VOICES["FORMAL"], 0)
+    assert realize_document(styled) == "The fox wasn't hungry. The wolves weren't hungry."
+    affirmative = tr.transform_story(_story([wolves], hungry("p", "wolves"))).sentences[0]
+    tagged = style.insert_marker(affirmative, "tag_question", random.Random(0))
+    assert realize_sentence(tagged) == "The wolves were hungry, weren't they?"
+
+
 def test_tag_question_on_modal_clause_uses_couldnt():
     g = _story([FOX, GRAPES],
                _prop("p", "be_able", "be",
