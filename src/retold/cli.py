@@ -109,11 +109,14 @@ def cmd_eval(args, out, err) -> int:
 
 
 def cmd_pipeline(args, out, err) -> int:
+    reference = _read_file(args.reference)
+    if not reference.strip():
+        raise _CliError(f"{args.reference}: reference text is empty", 2)
     graph = _validated_story(args.story, err)
     styled, _ = _generate(graph, "NEUTRAL", args.seed)
     text = realize.realize_document(styled)
     print(text, file=out)
-    pair = metrics.EvalPair(text, _read_file(args.reference), label=graph.id)
+    pair = metrics.EvalPair(text, reference, label=graph.id)
     print(file=out)
     _score(pair, args, out)
     return 0

@@ -5,11 +5,17 @@ governor under a labelled relation: I/II/III for arguments, ATTR for
 modifiers, APPEND for adjuncts and function-word structure. Grammatical
 features ride along as a small string map. Trees are immutable values;
 ``attach`` returns a new parent.
+
+Rewrites are copy-on-write: they share every unchanged subtree with their
+input, and a node with nothing changed at or under it comes back as the
+same object (see :meth:`DSyntNode.with_children`). So a ``features`` map
+may be shared by several trees and must never be mutated in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .diagnostics import ERROR, Diagnostic
@@ -84,13 +90,25 @@ class DSyntNode:
         return self.features.get(key, default)
 
     def with_feature(self, key: str, value: str) -> "DSyntNode":
+        if self.features.get(key) == value:
+            return self
         feats = dict(self.features)
         feats[key] = value
-        return replace(self, features=feats)
+        return DSyntNode(self.lexeme, self.cls, self.relation, feats, self.children)
 
     def without_feature(self, key: str) -> "DSyntNode":
+        if key not in self.features:
+            return self
         feats = {k: v for k, v in self.features.items() if k != key}
-        return replace(self, features=feats)
+        return DSyntNode(self.lexeme, self.cls, self.relation, feats, self.children)
+
+    def with_children(self, children: tuple["DSyntNode", ...]) -> "DSyntNode":
+        """This node over ``children``: ``self`` itself when every child is
+        the object already in place, else a new node sharing the rest."""
+        old = self.children
+        if len(children) == len(old) and all(map(operator.is_, children, old)):
+            return self
+        return DSyntNode(self.lexeme, self.cls, self.relation, self.features, children)
 
     def child(self, relation: str) -> Optional["DSyntNode"]:
         for c in self.children:
@@ -116,7 +134,9 @@ def attach(parent: DSyntNode, child: DSyntNode, relation: str) -> DSyntNode:
         raise ClassError(f"relation {relation} not allowed under {parent.cls}")
     if relation in ARGUMENT_RELATIONS and parent.child(relation) is not None:
         raise RelationConflictError(f"second {relation} child under {parent.lexeme!r}")
-    return replace(parent, children=parent.children + (replace(child, relation=relation),))
+    child = DSyntNode(child.lexeme, child.cls, relation, child.features, child.children)
+    return DSyntNode(parent.lexeme, parent.cls, parent.relation, parent.features,
+                     parent.children + (child,))
 
 
 def walk(node: DSyntNode, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], DSyntNode]]:
@@ -138,7 +158,7 @@ def replace_at(root: DSyntNode, path: tuple[int, ...], new: DSyntNode) -> DSyntN
         return new
     i = path[0]
     children = root.children[:i] + (replace_at(root.children[i], path[1:], new),) + root.children[i + 1:]
-    return replace(root, children=children)
+    return root.with_children(children)
 
 
 def validate_tree(root: DSyntNode) -> list[Diagnostic]:

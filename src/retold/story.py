@@ -567,6 +567,15 @@ def serialize_story(g: StoryGraph) -> str:
 # ---------------------------------------------------------------------------
 # validation
 
+# The most propositions a timeline may expand to, counting a proposition
+# reused through `ref` once per use, as the transform and the realizer build
+# it. A chain whose every step reuses the one before twice doubles at each
+# step, so a short file could otherwise ask for exponential work. 50,000 is
+# twelve times the 4,160 of a story at 100x fixture size and keeps
+# generation to a few seconds.
+MAX_EXPANDED_PROPOSITIONS = 50_000
+
+
 def proposition_errors(p: Proposition, entity_ids: Container[str],
                        lexicon: Lexicon) -> list[str]:
     """Every reason the transform cannot realize ``p`` itself, as messages.
@@ -651,7 +660,8 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
     """Cross-reference checks over a structurally well-formed graph.
 
     Empty result means every invariant holds, and then the transform and
-    the realizer accept the story. Structural problems that the parser
+    the realizer accept the story, at a cost bounded by
+    :data:`MAX_EXPANDED_PROPOSITIONS`. Structural problems that the parser
     already rejects (bad syntax) cannot appear here.
     """
     lex = lexicon or default_lexicon()
@@ -687,28 +697,33 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
 
     # depth-first, each distinct proposition once: a proposition reused
     # through `ref` is not checked again, so the cost stays linear in the
-    # file; one met again on its own path is a nesting cycle
+    # file; one met again on its own path is a nesting cycle. Each visit
+    # returns the proposition's expanded size, memoized in `expanded`.
     seen_ids: dict[str, int] = {}
-    done: set[int] = set()
+    expanded: dict[int, int] = {}
     on_path: set[int] = set()
 
-    def visit(p: Proposition) -> None:
+    def visit(p: Proposition) -> int:
         if id(p) in on_path:
             err(p.id, "proposition nesting cycle")
-            return
-        if id(p) in done:
-            return
-        done.add(id(p))
+            return 0
+        if id(p) in expanded:
+            return expanded[id(p)]
         if seen_ids.setdefault(p.id, id(p)) != id(p):
             err(p.id, "duplicate proposition id")
         for message in proposition_errors(p, seen_entities, lex):
             err(p.id, message)
         on_path.add(id(p))
+        size = 1
         for child in [a for _, a in p.frame.bindings] + [a.target for a in p.attachments]:
             if isinstance(child, Proposition):
-                visit(child)
+                size += visit(child)
         on_path.discard(id(p))
+        expanded[id(p)] = size
+        return size
 
-    for p in timeline_propositions(g):
-        visit(p)
+    total = sum(visit(p) for p in timeline_propositions(g))
+    if total > MAX_EXPANDED_PROPOSITIONS:
+        err("timeline", f"expands to {total} propositions through ref reuse, "
+                        f"more than {MAX_EXPANDED_PROPOSITIONS}")
     return list(dict.fromkeys(out))

@@ -125,11 +125,11 @@ def _path_str(path: tuple[int, ...]) -> str:
 
 
 def _prepend(root: d.DSyntNode, marker: d.DSyntNode) -> d.DSyntNode:
-    return replace(root, children=(marker,) + root.children)
+    return root.with_children((marker,) + root.children)
 
 
 def _append_child(root: d.DSyntNode, child: d.DSyntNode) -> d.DSyntNode:
-    return replace(root, children=root.children + (child,))
+    return root.with_children(root.children + (child,))
 
 
 def _marker_node(lexeme: str) -> d.DSyntNode:
@@ -272,7 +272,8 @@ def _lexical_variation(sent, rng, lex, memo):
     sub = synonym(lex.lookup(node.lexeme, pos), "casual", rng)
     if sub is None:
         return None
-    new = d.replace_at(sent, path, replace(node, lexeme=sub))
+    new = d.replace_at(sent, path, d.DSyntNode(sub, node.cls, node.relation,
+                                               node.features, node.children))
     return new, path, f"{node.lexeme}->{sub}"
 
 
@@ -301,8 +302,7 @@ def _negation_paraphrase(sent, rng, lex, memo):
     feats = dict(sent.features)
     feats["polarity"] = "aff"
     feats["sem_neg"] = "on"
-    new = replace(sent, lexeme="fail", features=feats,
-                  children=tuple(kept) + (infinitive,))
+    new = d.DSyntNode("fail", sent.cls, sent.relation, feats, tuple(kept) + (infinitive,))
     memo["paraphrased"] = (sent.lexeme, direct_object)
     return new, (len(kept),), f"fail to {sub}"
 
@@ -339,14 +339,14 @@ def _restatement(sent, rng, lex, memo):
         if c.relation == d.APPEND and c.cls == d.FUNCTION_WORD:
             insert_at = i
             break
-    new = replace(sent, children=sent.children[:insert_at] + (restate,)
-                  + sent.children[insert_at:])
+    new = sent.with_children(sent.children[:insert_at] + (restate,)
+                             + sent.children[insert_at:])
     return new, (insert_at,), f"did not {orig_lemma}"
 
 
 def _contractions(sent, rng, lex, memo):
     new = enable_contractions(sent)
-    return None if new == sent else (new, (), "on")
+    return None if new is sent else (new, (), "on")
 
 
 # (parameter, transform, is a marker insertion), in application order after
@@ -408,6 +408,8 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     Reproducible: equal (doc, model, seed) triples give equal outputs and
     decision lists. The all-zero model is the identity.
     """
+    if not any(float(a) > 0.0 for a in model.params.values()):
+        return doc, []
     lex = lexicon or default_lexicon()
     sentences = list(doc.sentences)
     n = len(sentences)

@@ -14,7 +14,7 @@ realizer only executes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import dsynt as d
@@ -243,12 +243,15 @@ def drop_coreferent_purpose_subject(sentence: d.DSyntNode
                                     ) -> tuple[d.DSyntNode, list[tuple[int, ...]]]:
     """Remove the subject of an "in order" clause when it restates the
     matrix subject, yielding "in order to VP". Returns the new sentence and
-    the paths of the embedded clauses whose subject was dropped."""
+    the paths of the embedded clauses whose subject was dropped; with
+    nothing dropped, the sentence itself comes back."""
     dropped: list[tuple[int, ...]] = []
 
     def rewrite(node: d.DSyntNode, path: tuple[int, ...]) -> d.DSyntNode:
-        node = replace(node, children=tuple(rewrite(c, path + (i,))
-                                            for i, c in enumerate(node.children)))
+        if not node.children:
+            return node
+        node = node.with_children(tuple(rewrite(c, path + (i,))
+                                        for i, c in enumerate(node.children)))
         if node.cls != d.VERB:
             return node
         matrix_subject = node.child(d.I)
@@ -259,15 +262,13 @@ def drop_coreferent_purpose_subject(sentence: d.DSyntNode
             if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
                     and c.children[0].cls == d.VERB):
                 emb = c.children[0]
-                emb_subject = emb.child(d.I)
-                if (emb_subject is not None
-                        and coref_head(emb_subject) == coref_head(matrix_subject)):
-                    emb = replace(emb, children=tuple(x for x in emb.children
-                                                      if x is not emb_subject))
-                    c = replace(c, children=(emb,) + c.children[1:])
+                k = next((k for k, x in enumerate(emb.children) if x.relation == d.I), None)
+                if k is not None and coref_head(emb.children[k]) == coref_head(matrix_subject):
+                    emb = emb.with_children(emb.children[:k] + emb.children[k + 1:])
+                    c = c.with_children((emb,) + c.children[1:])
                     dropped.append(path + (i, 0))
             new_children.append(c)
-        return replace(node, children=tuple(new_children))
+        return node.with_children(tuple(new_children))
 
     return rewrite(sentence, ()), dropped
 
@@ -280,7 +281,8 @@ def pronominalize_sentences(sentences: list[d.DSyntNode],
     Mentions are counted across the whole document whether or not a given
     sentence's gate fired; rewrites (and purpose-subject drops) happen only
     in fired sentences. Character noun phrases carry their pronoun in the
-    ``pron`` feature, so the pass needs no story graph.
+    ``pron`` feature, so the pass needs no story graph. A sentence with no
+    rewrite comes back as the same object.
     """
     if fire is None:
         fire = [True] * len(sentences)
@@ -292,40 +294,46 @@ def pronominalize_sentences(sentences: list[d.DSyntNode],
         if hot:
             sentence, dropped = drop_coreferent_purpose_subject(sentence)
             sites.extend((path, "subject-drop") for path in dropped)
-        replacements: list[tuple[tuple[int, ...], str]] = []
-        for path, node in d.walk(sentence):
-            pron = node.feature("pron")
-            if node.cls != d.COMMON_NOUN or pron is None:
-                continue
-            key = (node.lexeme, pron)
-            counts[key] = counts.get(key, 0) + 1
-            if counts[key] > 1 and hot:
-                replacements.append((path, pron))
-        # replace bottom-up so earlier paths stay valid
-        for path, pron in reversed(replacements):
-            old = d.node_at(sentence, path)
-            new = d.DSyntNode(pron, d.FUNCTION_WORD, old.relation,
-                              {"number": old.feature("number", "sg")})
-            sentence = d.replace_at(sentence, path, new)
-        sites.extend(replacements)
-        out_sentences.append(sentence)
+
+        # pre-order: a mention is counted, and its site recorded, before
+        # its descendants; the pronoun goes in on the way back up
+        def visit(node: d.DSyntNode, path: tuple[int, ...]) -> d.DSyntNode:
+            pron = node.features.get("pron")
+            site = False
+            if pron is not None and node.cls == d.COMMON_NOUN:
+                key = (node.lexeme, pron)
+                counts[key] = counts.get(key, 0) + 1
+                if counts[key] > 1 and hot:
+                    sites.append((path, pron))
+                    site = True
+            if node.children:
+                node = node.with_children(tuple(visit(c, path + (i,))
+                                                for i, c in enumerate(node.children)))
+            if site:
+                return d.DSyntNode(pron, d.FUNCTION_WORD, node.relation,
+                                   {"number": node.feature("number", "sg")})
+            return node
+
+        out_sentences.append(visit(sentence, ()))
         out_sites.append(sites)
     return out_sentences, out_sites
 
 
 def rewrite_unable_to_modal(node: d.DSyntNode) -> d.DSyntNode:
     """Collapse negated "be able to VP" into modal "can" (realized
-    "could not VP", contracted to "couldn't VP")."""
-    node = replace(node, children=tuple(rewrite_unable_to_modal(c) for c in node.children))
+    "could not VP", contracted to "couldn't VP"). A tree with no such
+    clause comes back as the same object."""
+    if not node.children:
+        return node
+    node = node.with_children(tuple(rewrite_unable_to_modal(c) for c in node.children))
     if (node.cls == d.VERB and node.lexeme == "be"
             and node.feature("polarity") == "neg"):
-        able = [c for c in node.children
-                if c.relation == d.ATTR and c.cls == d.ADJECTIVE and c.lexeme == "able"]
-        inf = [c for c in node.children
-               if c.relation == d.II and c.cls == d.VERB and "tense" not in c.features]
-        if able and inf:
-            children = tuple(c for c in node.children if c is not able[0])
-            return replace(node, lexeme="can", children=children)
+        able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR
+                     and c.cls == d.ADJECTIVE and c.lexeme == "able"), None)
+        if able is not None and any(c.relation == d.II and c.cls == d.VERB
+                                    and "tense" not in c.features for c in node.children):
+            children = node.children[:able] + node.children[able + 1:]
+            return d.DSyntNode("can", node.cls, node.relation, node.features, children)
     return node
 
 

@@ -36,6 +36,19 @@ def lion_graph():
     return parse_story(fixture_text("lion_and_boar.story"))
 
 
+def ref_chain_story(levels: int) -> str:
+    """Story text of ``levels + 1`` timespans, each reusing the one before
+    twice (as its purpose and as its cause), so that expanding every ``ref``
+    gives 2**(levels + 2) - levels - 3 propositions."""
+    text = ('story chain "Chain"\n\nentities\n  fox character fox\n\n'
+            'timeline\n  0:\n    jump jump(Agent=fox) id=s0\n')
+    for k in range(1, levels + 1):
+        text += (f"  {k}:\n    jump jump(Agent=fox) id=s{k}\n"
+                 f"      purpose:\n        ref s{k - 1}\n"
+                 f"      cause:\n        ref s{k - 1}\n")
+    return text
+
+
 def random_story(rng: random.Random) -> st.StoryGraph:
     """A random but always-valid story over the shipped lexicon."""
     entities = []

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from retold.cli import run
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, ref_chain_story
 
 FOX = str(FIXTURES / "fox_and_grapes.story")
 LION = str(FIXTURES / "lion_and_boar.story")
@@ -149,10 +149,13 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
      ["generate", "{input}"], 1),
     ("voice X\nexclamation: 1.2.3\n", ["generate", FOX, "--voice", "{input}"], 2),
     (" \n", ["pipeline", FOX, "--reference", "{input}"], 2),
-], ids=["property-argument-story", "bad-voice-value", "blank-reference"])
+    (ref_chain_story(30), ["generate", "{input}"], 1),
+], ids=["property-argument-story", "bad-voice-value", "blank-reference",
+        "ref-expansion-over-budget"])
 def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):
     path = tmp_path / "input"
     path.write_text(content)
     got, out, err = invoke(*(a.format(input=path) for a in argv))
     assert got == code
     assert len([line for line in err.splitlines() if line.startswith("retold:")]) == 1
+    assert out == ""

@@ -14,7 +14,7 @@ from retold import transform as tr
 from retold.diagnostics import ERROR
 from retold.realize import realize_document
 
-from conftest import random_story
+from conftest import random_story, ref_chain_story
 
 HEADER = '''story demo "Demo"
 
@@ -62,19 +62,28 @@ def test_validate_and_transform_report_the_same_message(encoding, message):
 
 def test_validate_checks_each_distinct_proposition_once(monkeypatch):
     # every timespan reuses the previous one twice, so expanding each `ref`
-    # would visit about 2**32 propositions
-    text = HEADER + "    jump jump(Agent=fox) id=s0\n"
-    for k in range(1, 31):
-        text += (f"  {k}:\n    jump jump(Agent=fox) id=s{k}\n"
-                 f"      purpose:\n        ref s{k - 1}\n"
-                 f"      cause:\n        ref s{k - 1}\n")
-    g = st.parse_story(text)
+    # would visit about 2**32 propositions; validation visits each once and
+    # refuses the expansion
+    g = st.parse_story(ref_chain_story(30))
     checked = []
     check = st.proposition_errors
     monkeypatch.setattr(st, "proposition_errors",
                         lambda p, *args: checked.append(p.id) or check(p, *args))
-    assert st.validate_story(g) == []
+    diagnostics = [(d.severity, d.location, d.message) for d in st.validate_story(g)]
+    assert diagnostics == [(ERROR, "timeline", f"expands to {2 ** 32 - 33} propositions "
+                            f"through ref reuse, more than {st.MAX_EXPANDED_PROPOSITIONS}")]
     assert sorted(checked) == sorted(f"s{k}" for k in range(31))
+
+
+@pytest.mark.parametrize("levels, expanded", [(13, 32_752), (14, 65_519)])
+def test_expansion_budget_counts_every_use_of_a_ref(levels, expanded):
+    diagnostics = st.validate_story(st.parse_story(ref_chain_story(levels)))
+    if expanded <= st.MAX_EXPANDED_PROPOSITIONS:
+        assert diagnostics == []
+    else:
+        assert [d.message for d in diagnostics] == [
+            f"expands to {expanded} propositions through ref reuse, "
+            f"more than {st.MAX_EXPANDED_PROPOSITIONS}"]
 
 
 def _propositions(g):

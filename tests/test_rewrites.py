@@ -1,0 +1,180 @@
+"""Copy-on-write tree rewrites: the same trees and sites as rebuilding every
+node, and the input's own nodes wherever nothing changed."""
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from retold import dsynt as d
+from retold import transform as tr
+
+from conftest import random_story
+
+
+# --- the full-rebuild passes, kept as the reference ----------------------------
+
+def rebuild_drop_coreferent_purpose_subject(sentence):
+    dropped = []
+
+    def rewrite(node, path):
+        node = replace(node, children=tuple(rewrite(c, path + (i,))
+                                            for i, c in enumerate(node.children)))
+        if node.cls != d.VERB:
+            return node
+        matrix_subject = node.child(d.I)
+        if matrix_subject is None:
+            return node
+        new_children = []
+        for i, c in enumerate(node.children):
+            if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
+                    and c.children[0].cls == d.VERB):
+                emb = c.children[0]
+                emb_subject = emb.child(d.I)
+                if (emb_subject is not None
+                        and tr.coref_head(emb_subject) == tr.coref_head(matrix_subject)):
+                    emb = replace(emb, children=tuple(x for x in emb.children
+                                                      if x is not emb_subject))
+                    c = replace(c, children=(emb,) + c.children[1:])
+                    dropped.append(path + (i, 0))
+            new_children.append(c)
+        return replace(node, children=tuple(new_children))
+
+    return rewrite(sentence, ()), dropped
+
+
+def rebuild_pronominalize_sentences(sentences, fire):
+    counts = {}
+    out_sentences, out_sites = [], []
+    for sentence, hot in zip(sentences, fire):
+        sites = []
+        if hot:
+            sentence, dropped = rebuild_drop_coreferent_purpose_subject(sentence)
+            sites.extend((path, "subject-drop") for path in dropped)
+        replacements = []
+        for path, node in d.walk(sentence):
+            pron = node.feature("pron")
+            if node.cls != d.COMMON_NOUN or pron is None:
+                continue
+            key = (node.lexeme, pron)
+            counts[key] = counts.get(key, 0) + 1
+            if counts[key] > 1 and hot:
+                replacements.append((path, pron))
+        for path, pron in reversed(replacements):
+            old = d.node_at(sentence, path)
+            new = d.DSyntNode(pron, d.FUNCTION_WORD, old.relation,
+                              {"number": old.feature("number", "sg")})
+            sentence = d.replace_at(sentence, path, new)
+        sites.extend(replacements)
+        out_sentences.append(sentence)
+        out_sites.append(sites)
+    return out_sentences, out_sites
+
+
+def rebuild_rewrite_unable_to_modal(node):
+    node = replace(node, children=tuple(rebuild_rewrite_unable_to_modal(c)
+                                        for c in node.children))
+    if (node.cls == d.VERB and node.lexeme == "be"
+            and node.feature("polarity") == "neg"):
+        able = [c for c in node.children
+                if c.relation == d.ATTR and c.cls == d.ADJECTIVE and c.lexeme == "able"]
+        inf = [c for c in node.children
+               if c.relation == d.II and c.cls == d.VERB and "tense" not in c.features]
+        if able and inf:
+            children = tuple(c for c in node.children if c is not able[0])
+            return replace(node, lexeme="can", children=children)
+    return node
+
+
+def rebuild_enable_contractions(sentence):
+    return rebuild_rewrite_unable_to_modal(sentence).with_feature("contract", "on")
+
+
+@settings(derandomize=True, deadline=None)
+@given(story_seed=hst.integers(0, 10**6), data=hst.data())
+def test_rewrites_match_rebuilding_every_node(story_seed, data):
+    sentences = list(tr.transform_story(random_story(random.Random(story_seed))).sentences)
+    fire = data.draw(hst.lists(hst.booleans(), min_size=len(sentences),
+                               max_size=len(sentences)))
+    got = tr.pronominalize_sentences(sentences, fire)
+    assert got == rebuild_pronominalize_sentences(sentences, fire)
+    for sentence in sentences + got[0]:
+        assert tr.enable_contractions(sentence) == rebuild_enable_contractions(sentence)
+
+
+# --- sharing: counted in node objects, not timed ---------------------------------
+
+def _fresh_paths(new, old):
+    """Paths of the nodes in ``new`` that are not objects of ``old``."""
+    old_ids = {id(node) for _, node in d.walk(old)}
+    return {path for path, node in d.walk(new) if id(node) not in old_ids}
+
+
+def _prefixes(paths):
+    return {path[:k] for path in paths for k in range(len(path) + 1)}
+
+
+@pytest.fixture(scope="module")
+def fixture_sentences(fox_graph, lion_graph):
+    return [s for g in (fox_graph, lion_graph) for s in tr.transform_story(g).sentences]
+
+
+def test_with_children_keeps_the_node_unless_a_child_changed(fixture_sentences):
+    for n in fixture_sentences:
+        assert n.with_children(n.children) is n
+        assert n.with_children(tuple(list(n.children))) is n
+        last = n.children[-1].with_feature("stutter", "1")
+        swapped = n.with_children(n.children[:-1] + (last,))
+        assert swapped is not n and swapped == d.DSyntNode(
+            n.lexeme, n.cls, n.relation, n.features, swapped.children)
+        assert all(a is b for a, b in zip(swapped.children[:-1], n.children))
+
+
+def test_rewrite_unable_to_modal_returns_a_sentence_without_one(fixture_sentences):
+    untouched = [s for s in fixture_sentences
+                 if not any(n.lexeme == "able" for _, n in d.walk(s))]
+    assert len(untouched) == len(fixture_sentences) - 1
+    for s in untouched:
+        assert tr.rewrite_unable_to_modal(s) is s
+        assert _fresh_paths(tr.enable_contractions(s), s) == {()}
+    [able] = [s for s in fixture_sentences if s not in untouched]
+    path = next(p for p, n in d.walk(able) if n.lexeme == "be")
+    assert _fresh_paths(tr.rewrite_unable_to_modal(able), able) == _prefixes([path])
+
+
+def test_drop_coreferent_purpose_subject_rebuilds_only_the_path_to_a_drop(fixture_sentences):
+    drops = 0
+    for s in fixture_sentences:
+        new, dropped = tr.drop_coreferent_purpose_subject(s)
+        if not dropped:
+            assert new is s
+        assert _fresh_paths(new, s) == _prefixes(dropped)
+        drops += len(dropped)
+    assert drops > 0
+
+
+def test_pronominalization_rebuilds_only_the_paths_to_its_sites(fixture_sentences):
+    new, sites = tr.pronominalize_sentences(fixture_sentences)
+    assert sum(map(len, sites)) > 0
+    for before, after, at in zip(fixture_sentences, new, sites):
+        if not at:
+            assert after is before
+        assert _fresh_paths(after, before) == _prefixes(p for p, _ in at)
+
+
+def test_a_mention_inside_a_replaced_mention_is_still_counted():
+    def np(lemma, pron):
+        return d.DSyntNode(lemma, d.COMMON_NOUN,
+                           features={"article": "def", "number": "sg", "pron": pron})
+
+    def clause(subject):
+        return d.attach(d.DSyntNode("jump", d.VERB, features={"tense": "past"}), subject, d.I)
+
+    of_crow = d.attach(d.DSyntNode("of", d.PREPOSITION), np("crow", "she"), d.APPEND)
+    sentences = [clause(np("fox", "he")), clause(d.attach(np("fox", "he"), of_crow, d.APPEND)),
+                 clause(np("crow", "she"))]
+    got = tr.pronominalize_sentences(sentences)
+    assert got == rebuild_pronominalize_sentences(sentences, [True] * 3)
+    assert got[1] == [[], [((0,), "he")], [((0,), "she")]]
