@@ -14,15 +14,15 @@ from .metrics import EvalPair, EvalReport, bleu, corpus_report, levenshtein, tok
 from .realize import realize_document, realize_sentence
 from .story import StoryGraph, parse_story, serialize_story, validate_story
 from .style import BUILTIN_VOICES, VoiceModel, apply_voice, load_voice
-from .transform import NEUTRAL, TransformOptions, transform_story
+from .transform import transform_story
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_VOICES", "Document", "DSyntNode", "EvalPair", "EvalReport",
-    "Lexicon", "NEUTRAL", "StoryGraph", "TransformOptions", "VoiceModel",
-    "apply_voice", "bleu", "corpus_report", "default_lexicon", "levenshtein",
-    "load_voice", "parse_story", "realize_document", "realize_sentence",
-    "serialize", "serialize_story", "tokenize_and_stem", "transform_story",
+    "Lexicon", "StoryGraph", "VoiceModel", "apply_voice", "bleu",
+    "corpus_report", "default_lexicon", "levenshtein", "load_voice",
+    "parse_story", "realize_document", "realize_sentence", "serialize",
+    "serialize_story", "tokenize_and_stem", "transform_story",
     "validate_story", "validate_tree",
 ]

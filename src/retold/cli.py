@@ -33,6 +33,8 @@ def _read_file(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}", 2) from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not UTF-8 text (byte {exc.start})", 2) from exc
 
 
 def _load_story(path: str) -> story.StoryGraph:

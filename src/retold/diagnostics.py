@@ -16,7 +16,3 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.location}: {self.message}"
-
-
-def errors(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    return [d for d in diagnostics if d.severity == ERROR]

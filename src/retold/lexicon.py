@@ -128,10 +128,6 @@ class Lexicon:
         return frame_id in self._frames
 
     @property
-    def frames(self) -> dict[str, FrameDef]:
-        return dict(self._frames)
-
-    @property
     def entries(self) -> list[LexemeEntry]:
         return list(self._entries.values())
 

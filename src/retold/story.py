@@ -136,6 +136,19 @@ class Proposition:
     adverbs: tuple[tuple[str, str], ...] = ()  # (lemma, pre_verb|post_verb)
     attachments: tuple[Attachment, ...] = ()
 
+    def __repr__(self) -> str:
+        # A nested proposition shows as "ref <id>", as serialize_story
+        # writes a reuse; the dataclass repr would expand a proposition
+        # reused through ref again at every use.
+        def short(arg) -> str:
+            return f"ref {arg.id}" if isinstance(arg, Proposition) else repr(arg)
+        f = self.frame
+        bindings = ", ".join(f"({role!r}, {short(arg)})" for role, arg in f.bindings)
+        attachments = ", ".join(f"Attachment({a.relation!r}, {short(a.target)}, {a.preposition!r})"
+                                for a in self.attachments)
+        return (f"Proposition({self.id!r}, FrameInstance({f.predicate_lemma!r}, {f.frame_id!r}, "
+                f"({bindings})), {self.polarity!r}, {self.adverbs!r}, ({attachments}))")
+
 
 Argument = Union[EntityRef, Property, Text, Proposition]
 

@@ -116,7 +116,11 @@ def load_voice(name_or_path: str) -> VoiceModel:
         return BUILTIN_VOICES[name_or_path]
     p = Path(name_or_path)
     if p.exists():
-        return parse_voice(p.read_text(encoding="utf-8"))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise VoiceError(f"{name_or_path}: not UTF-8 text (byte {exc.start})") from exc
+        return parse_voice(text)
     raise VoiceError(f"no built-in voice or voice file {name_or_path!r}")
 
 
@@ -305,12 +309,6 @@ def _negation_paraphrase(sent, rng, lex, memo):
     new = d.DSyntNode("fail", sent.cls, sent.relation, feats, tuple(kept) + (infinitive,))
     memo["paraphrased"] = (sent.lexeme, direct_object)
     return new, (len(kept),), f"fail to {sub}"
-
-
-def apply_negation_paraphrase(sentence: d.DSyntNode, rng: random.Random,
-                              lexicon: Optional[Lexicon] = None) -> d.DSyntNode:
-    result = _negation_paraphrase(sentence, rng, lexicon or default_lexicon(), {})
-    return sentence if result is None else result[0]
 
 
 def _object_pronoun(obj: d.DSyntNode) -> str:

@@ -7,31 +7,19 @@ singular head), discourse attachments become subordinate structure
 ("in order" / "because" function words governing embedded clauses), and
 prepositional adjuncts hang off the clause in source order.
 
-Referring-expression and contraction decisions are made here (or by the
-style engine, which reuses the passes at the bottom of this module); the
-realizer only executes them.
+Every mention is a full noun phrase and nothing is contracted:
+referring-expression and contraction choices are made only by the style
+engine, through the passes at the bottom of this module; the realizer
+only executes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import dsynt as d
 from . import story as s
 from .lexicon import INFINITIVE, FrameDef, Lexicon, LexiconError, default_lexicon
-
-FULL_NP = "full_np"
-PRONOMINALIZE = "pronominalize_after_first"
-
-
-@dataclass(frozen=True)
-class TransformOptions:
-    referring_expression: str = FULL_NP
-    contractions: bool = False
-
-
-NEUTRAL = TransformOptions()
 
 
 class TransformError(Exception):
@@ -41,43 +29,22 @@ class TransformError(Exception):
         super().__init__(where + message)
 
 
-@dataclass
-class DiscourseContext:
-    graph: s.StoryGraph
+class DiscourseContext(NamedTuple):
+    """All a clause build reads; no per-document state."""
     lexicon: Lexicon
-    opts: TransformOptions = NEUTRAL
-    mentions: dict[str, int] = field(default_factory=dict)
-    entities: dict[str, s.Entity] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.entities = {e.id: e for e in self.graph.entities}
+    entities: dict[str, s.Entity]
 
 
-def default_pronoun(e: s.Entity) -> str:
-    if e.pronoun:
-        return e.pronoun
-    if e.number == "pl":
-        return "they"
-    return "he" if e.kind == s.CHARACTER else "it"
-
-
-def realize_entity_np(e: s.Entity, ctx: DiscourseContext,
-                      opts: Optional[TransformOptions] = None) -> d.DSyntNode:
-    """Definite noun phrase for an entity mention.
+def realize_entity_np(e: s.Entity) -> d.DSyntNode:
+    """Definite noun phrase for an entity mention, never a pronoun.
 
     Collectives realize as head + "of" + plural member noun with singular
-    agreement on the head. Under pronominalize_after_first, character
-    mentions after the document-first one become a bare pronoun node.
+    agreement on the head. A character noun carries its pronoun in the
+    ``pron`` feature, for :func:`pronominalize_sentences`.
     """
-    opts = opts or ctx.opts
-    ctx.mentions[e.id] = ctx.mentions.get(e.id, 0) + 1
-    pron = default_pronoun(e)
-    if (opts.referring_expression == PRONOMINALIZE and e.kind == s.CHARACTER
-            and ctx.mentions[e.id] > 1):
-        return d.DSyntNode(pron, d.FUNCTION_WORD, features={"number": e.number})
     feats = {"article": "def", "number": e.number}
     if e.kind == s.CHARACTER:
-        feats["pron"] = pron
+        feats["pron"] = e.pronoun or ("they" if e.number == "pl" else "he")
     node = d.DSyntNode(e.head_lemma, d.COMMON_NOUN, features=feats)
     for adj in e.fixed_modifiers:
         node = d.attach(node, d.DSyntNode(adj, d.ADJECTIVE), d.ATTR)
@@ -91,15 +58,10 @@ def realize_entity_np(e: s.Entity, ctx: DiscourseContext,
 
 def _np_for_target(arg, ctx: DiscourseContext) -> d.DSyntNode:
     if isinstance(arg, s.EntityRef):
-        return realize_entity_np(ctx.entities[arg.entity_id], ctx)
+        return realize_entity_np(ctx.entities[arg.entity_id])
     if isinstance(arg, s.Text):
         return d.DSyntNode(arg.value, d.COMMON_NOUN, features={"article": "none"})
     return d.DSyntNode(arg.adjective, d.ADJECTIVE)
-
-
-def _subject_binding(p: s.Proposition, frame: FrameDef):
-    role = frame.subject_role()
-    return p.frame.binding(role) if role else None
 
 
 def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
@@ -169,22 +131,11 @@ def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext
                 i += 1
                 pp = d.attach(pp, _np_for_target(atts[i].target, ctx), d.APPEND)
             clause = d.attach(clause, pp, d.APPEND)
-        else:  # a clause relation
-            target = a.target
-            if a.relation == s.PURPOSE:
-                skip = (ctx.opts.referring_expression == PRONOMINALIZE
-                        and _corefer(_subject_binding(p, ctx.lexicon.frame(p.frame.frame_id)),
-                                     _subject_binding(target, ctx.lexicon.frame(target.frame.frame_id))))
-                sub = build_clause(target, ctx, finite=False, skip_subject=skip)
-            else:
-                sub = build_clause(target, ctx, finite=True)
+        else:  # a clause relation; a purpose clause is a to-infinitive
+            sub = build_clause(a.target, ctx, finite=a.relation != s.PURPOSE)
             clause = attach_discourse(clause, a.relation, sub)
         i += 1
     return clause
-
-
-def _corefer(a, b) -> bool:
-    return isinstance(a, s.EntityRef) and isinstance(b, s.EntityRef) and a == b
 
 
 def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DSyntNode:
@@ -210,20 +161,16 @@ def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DS
     raise TransformError(f"unsupported discourse relation {relation!r}")
 
 
-def transform_story(g: s.StoryGraph, opts: TransformOptions = NEUTRAL,
-                    lexicon: Optional[Lexicon] = None) -> d.Document:
+def transform_story(g: s.StoryGraph, lexicon: Optional[Lexicon] = None) -> d.Document:
     """One sentence root per top-level proposition, in timeline order."""
-    ctx = DiscourseContext(g, lexicon or default_lexicon(), opts)
+    ctx = DiscourseContext(lexicon or default_lexicon(), {e.id: e for e in g.entities})
     sentences = []
     for p in s.timeline_propositions(g):
         try:
             clause = build_clause(p, ctx)
         except (d.TreeError, LexiconError) as exc:
             raise TransformError(str(exc), p.id) from exc
-        clause = clause.with_feature("punct", "period")
-        if opts.contractions:
-            clause = enable_contractions(clause)
-        sentences.append(clause)
+        sentences.append(clause.with_feature("punct", "period"))
     return d.Document(tuple(sentences))
 
 

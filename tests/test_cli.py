@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -9,6 +10,9 @@ FOX = str(FIXTURES / "fox_and_grapes.story")
 LION = str(FIXTURES / "lion_and_boar.story")
 GOLDEN = str(FIXTURES / "fox_and_grapes.golden.txt")
 REFERENCE = str(FIXTURES / "fox_and_grapes.reference.txt")
+FOX_BYTES = (FIXTURES / "fox_and_grapes.story").read_bytes()
+# the fox fixture with one byte replaced by one that is never valid UTF-8
+NOT_UTF8_STORY = FOX_BYTES[:60] + b"\xff" + FOX_BYTES[61:]
 
 
 def invoke(*argv):
@@ -150,12 +154,55 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
     ("voice X\nexclamation: 1.2.3\n", ["generate", FOX, "--voice", "{input}"], 2),
     (" \n", ["pipeline", FOX, "--reference", "{input}"], 2),
     (ref_chain_story(30), ["generate", "{input}"], 1),
+    (NOT_UTF8_STORY, ["generate", "{input}"], 2),
+    (b"voice X\nexclamation: 1.0 # \xe9\n", ["generate", FOX, "--voice", "{input}"], 2),
 ], ids=["property-argument-story", "bad-voice-value", "blank-reference",
-        "ref-expansion-over-budget"])
+        "ref-expansion-over-budget", "story-not-utf8", "voice-not-utf8"])
 def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):
     path = tmp_path / "input"
-    path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     got, out, err = invoke(*(a.format(input=path) for a in argv))
     assert got == code
     assert len([line for line in err.splitlines() if line.startswith("retold:")]) == 1
     assert out == ""
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """One random edit of a story file: a line deleted, duplicated or
+    dedented, or one character or one raw byte replaced."""
+    lines = data.split(b"\n")
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        lines[i] = lines[i][2:] if lines[i].startswith(b"  ") else lines[i].lstrip()
+    elif kind == 3:
+        text = data.decode("utf-8")
+        k = rng.randrange(len(text))
+        return (text[:k] + rng.choice("()=:@,\"# \tx0é\u2019") + text[k + 1:]).encode("utf-8")
+    else:
+        k = rng.randrange(len(data))
+        return data[:k] + bytes([rng.randrange(256)]) + data[k + 1:]
+    return b"\n".join(lines)
+
+
+def test_mutated_stories_never_escape_the_error_contract(tmp_path):
+    rng = random.Random(20261018)
+    sources = [FOX_BYTES, (FIXTURES / "lion_and_boar.story").read_bytes()]
+    path = tmp_path / "mutant.story"
+    for n in range(200):
+        path.write_bytes(_mutate(rng.choice(sources), rng))
+        for argv in (["validate", str(path)],
+                     ["generate", str(path), "--voice", "LAID-BACK"],
+                     ["pipeline", str(path), "--reference", REFERENCE]):
+            code, out, err = invoke(*argv)
+            assert code in (0, 1, 2), (n, argv[0], code)
+            if code == 2:
+                messages = [line for line in err.splitlines() if line.startswith("retold:")]
+                assert len(messages) == 1, (n, argv[0], err)

@@ -5,7 +5,7 @@ import pytest
 from retold import story as st
 from retold.diagnostics import ERROR
 
-from conftest import random_story
+from conftest import random_story, ref_chain_story
 
 MINIMAL = '''
 story demo "Demo"
@@ -282,3 +282,15 @@ def test_parser_rejects_bad_timespan_header():
     with pytest.raises(st.StorySyntaxError):
         st.parse_story('story x "X"\n\nentities\n  fox character fox\n\n'
                        'timeline\n  first:\n    jump jump(Agent=fox)\n')
+
+
+def test_repr_shows_a_nested_proposition_by_its_id():
+    # every timespan reuses the one before twice, so a repr that expanded
+    # each ref would hold about 2**33 propositions
+    g = st.parse_story(ref_chain_story(31))
+    text = repr(g)
+    assert len(text) < 20_000
+    assert "Attachment('purpose', ref s30, None)" in text
+    nested = st.Proposition("p", st.FrameInstance("see", "see", (
+        ("Experiencer", st.EntityRef("fox")), ("Stimulus", g.timeline[1].propositions[0]))))
+    assert "('Stimulus', ref s1)" in repr(nested)

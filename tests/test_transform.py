@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -6,8 +7,9 @@ import pytest
 from retold import dsynt as d
 from retold import story as st
 from retold import transform as tr
-from retold.lexicon import INFINITIVE, default_lexicon
-from retold.realize import realize_document, realize_sentence
+from retold.lexicon import INFINITIVE
+from retold.realize import realize_sentence
+from retold.style import BUILTIN_VOICES, apply_voice
 
 from conftest import random_story
 
@@ -30,6 +32,12 @@ def one_sentence(g):
     doc = tr.transform_story(g)
     assert len(doc.sentences) == len(st.timeline_propositions(g))
     return doc.sentences[0]
+
+
+def formal(g):
+    """The FORMAL telling, the voice that pronominalizes and contracts."""
+    styled, _ = apply_voice(tr.transform_story(g), BUILTIN_VOICES["FORMAL"], 0)
+    return styled
 
 
 def test_intransitive_clause_shape():
@@ -70,17 +78,6 @@ def test_fixed_modifiers_become_prenominal_adjectives():
     assert realize_sentence(one_sentence(g)) == "The hungry fox jumped."
 
 
-def test_realize_entity_np_pronominalizes_after_first_mention():
-    ctx = tr.DiscourseContext(graph([FOX], prop("p", "jump", "jump",
-                                                [("Agent", st.EntityRef("fox"))])),
-                              default_lexicon(),
-                              tr.TransformOptions(referring_expression=tr.PRONOMINALIZE))
-    first = tr.realize_entity_np(FOX, ctx)
-    second = tr.realize_entity_np(FOX, ctx)
-    assert first.cls == d.COMMON_NOUN and first.feature("pron") == "he"
-    assert second.cls == d.FUNCTION_WORD and second.lexeme == "he"
-
-
 def test_purpose_clause_restates_subject_in_full_np_mode():
     g = graph([FOX, GRAPES],
               prop("p", "jump", "jump", [("Agent", st.EntityRef("fox"))],
@@ -99,8 +96,7 @@ def test_purpose_clause_drops_coreferent_subject_when_pronominalizing():
                                               prop("q", "obtain", "obtain",
                                                    [("Agent", st.EntityRef("fox")),
                                                     ("Theme", st.EntityRef("grapes"))])),)))
-    doc = tr.transform_story(g, tr.TransformOptions(referring_expression=tr.PRONOMINALIZE))
-    assert realize_sentence(doc.sentences[0]) == "The fox jumped in order to obtain the group of grapes."
+    assert realize_sentence(formal(g).sentences[0]) == "The fox jumped in order to obtain the group of grapes."
 
 
 def test_adjunct_order_and_coalescing():
@@ -281,13 +277,13 @@ def test_content_preservation_on_random_stories(lexicon):
             assert got == _expected_lemma_multiset(g, p, lexicon), f"seed {seed} {p.id}"
 
 
-def test_opts_route_matches_formal_voice(fox_graph, lion_graph):
-    from retold.style import BUILTIN_VOICES, apply_voice
-    opts = tr.TransformOptions(referring_expression=tr.PRONOMINALIZE, contractions=True)
-    for g in (fox_graph, lion_graph):
-        via_opts = realize_document(tr.transform_story(g, opts))
-        styled, _ = apply_voice(tr.transform_story(g), BUILTIN_VOICES["FORMAL"], 0)
-        assert via_opts == realize_document(styled)
+def test_each_sentence_is_transformed_on_its_own():
+    for seed in range(100):
+        g = random_story(random.Random(seed))
+        doc = tr.transform_story(g)
+        for p, sentence in zip(st.timeline_propositions(g), doc.sentences):
+            alone = dataclasses.replace(g, timeline=(st.Timespan(0, (p,)),))
+            assert tr.transform_story(alone).sentences == (sentence,), f"seed {seed} {p.id}"
 
 
 def test_entity_pronoun_override():
@@ -296,8 +292,7 @@ def test_entity_pronoun_override():
               prop("p0", "see", "see", [("Experiencer", st.EntityRef("vixen")),
                                         ("Stimulus", st.EntityRef("grapes"))]),
               prop("p1", "jump", "jump", [("Agent", st.EntityRef("vixen"))]))
-    doc = tr.transform_story(g, tr.TransformOptions(referring_expression=tr.PRONOMINALIZE))
-    assert realize_sentence(doc.sentences[1]) == "She jumped."
+    assert realize_sentence(formal(g).sentences[1]) == "She jumped."
 
 
 def test_plural_character_pronoun():
@@ -305,8 +300,7 @@ def test_plural_character_pronoun():
     g = graph([wolves],
               prop("p0", "quarrel", "quarrel", [("Agent", st.EntityRef("wolves"))]),
               prop("p1", "sober", "sober", [("Agent", st.EntityRef("wolves"))]))
-    doc = tr.transform_story(g, tr.TransformOptions(referring_expression=tr.PRONOMINALIZE))
-    assert realize_sentence(doc.sentences[1]) == "They sobered."
+    assert realize_sentence(formal(g).sentences[1]) == "They sobered."
 
 
 def test_attach_discourse_normalizes_clause_tense():
