@@ -702,7 +702,9 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
                 out.append(Diagnostic(WARNING, e.id, f"modifier {adj!r} is not a known adjective"))
 
     indices = [ts.index for ts in g.timeline]
-    if indices != list(range(len(indices))):
+    if not indices:
+        err("timeline", "timeline has no timespans")
+    elif indices != list(range(len(indices))):
         err("timeline", f"non-contiguous timeline indices {indices}")
     for ts in g.timeline:
         if not ts.propositions:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from retold.cli import run
+from retold.style import BUILTIN_VOICES
 from conftest import FIXTURES, fixture_text, ref_chain_story
 
 FOX = str(FIXTURES / "fox_and_grapes.story")
@@ -198,11 +199,75 @@ def test_mutated_stories_never_escape_the_error_contract(tmp_path):
     path = tmp_path / "mutant.story"
     for n in range(200):
         path.write_bytes(_mutate(rng.choice(sources), rng))
+        valid = False
         for argv in (["validate", str(path)],
-                     ["generate", str(path), "--voice", "LAID-BACK"],
+                     *(["generate", str(path), "--voice", v] for v in BUILTIN_VOICES),
                      ["pipeline", str(path), "--reference", REFERENCE]):
             code, out, err = invoke(*argv)
             assert code in (0, 1, 2), (n, argv[0], code)
             if code == 2:
                 messages = [line for line in err.splitlines() if line.startswith("retold:")]
                 assert len(messages) == 1, (n, argv[0], err)
+            if argv[0] == "validate":
+                valid = code == 0
+            elif valid:
+                # validate said ok, so every later command must succeed
+                assert code == 0, (n, argv, err)
+                assert out.strip(), (n, argv)
+
+
+def test_story_with_no_timespans_fails_validation(tmp_path):
+    # an indented header reads as a line of the `original` block, which
+    # leaves the timeline empty
+    path = tmp_path / "indented.story"
+    path.write_bytes(FOX_BYTES.replace(b"\ntimeline\n", b"\n timeline\n", 1))
+    code, out, err = invoke("validate", str(path))
+    assert code == 1
+    assert out == "error: timeline: timeline has no timespans\n"
+    for argv in (["generate", str(path)], ["pipeline", str(path), "--reference", REFERENCE]):
+        code, out, err = invoke(*argv)
+        assert code == 1, argv
+        assert out == "", argv
+        assert "timeline has no timespans" in err
+
+
+def _voice_file(rng: random.Random) -> bytes:
+    """A built-in voice written out as a voice file, with one random edit:
+    a line dropped, duplicated or garbled, a value out of range, or an
+    unknown parameter."""
+    model = rng.choice(list(BUILTIN_VOICES.values()))
+    lines = [f"voice {model.name}"] + [f"{k}: {v}" for k, v in model.params.items()]
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2:
+        k = rng.randrange(len(lines[i]))
+        lines[i] = lines[i][:k] + rng.choice(":.# x-09é\t") + lines[i][k + 1:]
+    elif kind == 3 and i > 0:
+        value = rng.choice(["1.5", "2", "10", "1.0001", "-0.5", "1e3", ".5.", ""])
+        lines[i] = lines[i].split(":")[0] + ": " + value
+    else:
+        lines.insert(i + 1, f"{rng.choice(['loudness', 'Exclamation', 'stutter'])}: 0.5")
+    return "\n".join(lines).encode("utf-8") + b"\n"
+
+
+def test_mutated_voice_files_never_escape_the_error_contract(tmp_path):
+    rng = random.Random(20261019)
+    path = tmp_path / "mutant.voice"
+    codes = set()
+    for n in range(200):
+        path.write_bytes(_voice_file(rng))
+        code, out, err = invoke("generate", FOX, "--voice", str(path))
+        codes.add(code)
+        assert code in (0, 2), (n, code, err)
+        if code == 2:
+            messages = [line for line in err.splitlines() if line.startswith("retold:")]
+            assert len(messages) == 1, (n, err)
+            assert "Traceback" not in err
+            assert out == ""
+        else:
+            assert out.strip(), n
+    assert codes == {0, 2}

@@ -2,9 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from retold import metrics
 from conftest import fixture_text
@@ -87,6 +90,22 @@ def test_levenshtein_metric_axioms():
         assert metrics.levenshtein(a, c) <= dab + metrics.levenshtein(b, c)
 
 
+def slice_ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(tokens=hst.lists(hst.sampled_from(WORDS), max_size=12), n=hst.integers(1, 4))
+def test_ngrams_match_slice_definition(tokens, n):
+    assert metrics._ngrams(tokens, n) == slice_ngrams(tokens, n)
+
+
+def test_ngrams_of_short_and_empty_lists_are_empty():
+    for n in range(1, 5):
+        assert metrics._ngrams([], n) == Counter()
+        assert metrics._ngrams(WORDS[:n - 1], n) == Counter()
+
+
 def test_bleu_identity_and_bounds():
     tokens = metrics.tokenize_and_stem(fixture_text("fox_and_grapes.golden.txt"))
     assert metrics.bleu(tokens, tokens) == pytest.approx(1.0)
@@ -157,12 +176,6 @@ def test_corpus_report_rejects_empty_input():
 def test_score_pair_rejects_empty_text():
     with pytest.raises(ValueError):
         metrics.score_pair(metrics.EvalPair("", "reference", "x"))
-
-
-def test_compare_scores_matches_textbook_t_test():
-    t, p = metrics.compare_scores([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    assert t == pytest.approx(-3.6742, abs=1e-3)
-    assert p == pytest.approx(0.0214, abs=1e-3)
 
 
 def test_report_rendering_is_deterministic():
