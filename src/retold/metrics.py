@@ -147,16 +147,6 @@ def corpus_report(pairs: Sequence[EvalPair], use_stemming: bool = True) -> EvalR
     return EvalReport(rows, mean(levs), pstdev(levs), mean(bleus), pstdev(bleus))
 
 
-def format_report(report: EvalReport) -> str:
-    width = max([len(r.label) for r in report.rows] + [len("label")])
-    lines = [f"{'label'.ljust(width)}  {'levenshtein':>11}  {'bleu':>6}"]
-    for r in report.rows:
-        lines.append(f"{r.label.ljust(width)}  {r.levenshtein:>11d}  {r.bleu:>6.4f}")
-    lines.append(f"{'mean'.ljust(width)}  {report.levenshtein_mean:>11.2f}  {report.bleu_mean:>6.4f}")
-    lines.append(f"{'std'.ljust(width)}  {report.levenshtein_std:>11.2f}  {report.bleu_std:>6.4f}")
-    return "\n".join(lines)
-
-
 def report_to_json(report: EvalReport) -> str:
     payload = {
         "rows": [{"label": r.label, "levenshtein": r.levenshtein, "bleu": round(r.bleu, 6)}

@@ -6,12 +6,20 @@ adjuncts in attachment order, then any tag. Negation takes do-support
 ("did not obtain") except for copular "be" ("was not able") and the modal
 "can" ("could not reach"). Morphology always goes through the lexicon, so
 irregular forms live in exactly one place.
+
+Word tokens are immutable and shared: the fixed words ("the", "did",
+"not", ...) and the punctuation marks are module constants, and
+:func:`_words` hands out one cached tuple per distinct string (the 4,096
+most recently used). A list the
+realizer returns is always its own, but the tokens in it may sit in many
+other lists, so build a new ``Token`` rather than change one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from . import dsynt as d
 from .lexicon import (
@@ -28,8 +36,6 @@ from .lexicon import (
 MODAL_LEMMAS = frozenset({"can"})
 
 ACCUSATIVE = {"he": "him", "she": "her", "it": "it", "they": "them", "i": "me", "you": "you"}
-
-PUNCT_MARKS = {"period": ".", "exclaim": "!", "question": "?"}
 
 CONTRACTIBLE = {("did", "not"): "didn't",
                 ("could", "not"): "couldn't",
@@ -48,37 +54,39 @@ class Token:
     no_space_before: bool = False
 
 
-def _words(text: str) -> list[Token]:
-    return [Token(w) for w in text.replace("_", " ").split()]
+_THE, _A, _AND, _DID, _NOT, _TO, _BECAUSE, _IN, _ORDER, _FOR = map(
+    Token, ("the", "a", "and", "did", "not", "to", "because", "in", "order", "for"))
+_COMMA = Token(",", "punctuation")
+_END_MARKS = {"period": Token(".", "punctuation"),
+              "exclaim": Token("!", "punctuation"),
+              "question": Token("?", "punctuation")}
+
+
+@lru_cache(maxsize=4096)
+def _words(text: str) -> tuple[Token, ...]:
+    return tuple(Token(w) for w in text.replace("_", " ").split())
 
 
 def apply_contractions(tokens: list[Token]) -> list[Token]:
     """Rewrite each CONTRACTIBLE pair ("did not", "were not", ...) into its
     contraction."""
     out: list[Token] = []
-    i = 0
-    while i < len(tokens):
-        t = tokens[i]
-        if (i + 1 < len(tokens) and t.kind == "word" and tokens[i + 1].kind == "word"
-                and not tokens[i + 1].no_space_before
-                and (t.surface, tokens[i + 1].surface) in CONTRACTIBLE):
-            out.append(Token(CONTRACTIBLE[(t.surface, tokens[i + 1].surface)],
-                             "word", t.no_space_before))
-            i += 2
+    for t in tokens:
+        # every pair ends in "not" and starts with a word that is neither
+        # "not" nor a contraction, so pairing each "not" with the token
+        # before it is the same as pairing greedily from the left
+        if (t.surface == "not" and t.kind == "word" and not t.no_space_before and out
+                and out[-1].kind == "word" and (out[-1].surface, "not") in CONTRACTIBLE):
+            prev = out[-1]
+            out[-1] = Token(CONTRACTIBLE[(prev.surface, "not")], "word", prev.no_space_before)
         else:
             out.append(t)
-            i += 1
     return out
 
 
 def _join(tokens: list[Token]) -> str:
-    parts: list[str] = []
-    for i, t in enumerate(tokens):
-        if i == 0 or t.kind == "punctuation" or t.no_space_before:
-            parts.append(t.surface)
-        else:
-            parts.append(" " + t.surface)
-    text = "".join(parts)
+    text = "".join([t.surface if i == 0 or t.kind == "punctuation" or t.no_space_before
+                    else " " + t.surface for i, t in enumerate(tokens)])
     for i, ch in enumerate(text):
         if ch.isalpha():
             return text[:i] + ch.upper() + text[i + 1:]
@@ -91,7 +99,7 @@ class _Realizer:
 
     # -- noun phrases --------------------------------------------------------
 
-    def np_tokens(self, node: d.DSyntNode, case: str = "nom") -> list[Token]:
+    def np_tokens(self, node: d.DSyntNode, case: str = "nom") -> Sequence[Token]:
         if node.cls == d.FUNCTION_WORD:
             surface = node.lexeme if case == "nom" else ACCUSATIVE.get(node.lexeme, node.lexeme)
             return _words(surface)
@@ -102,9 +110,9 @@ class _Realizer:
         toks: list[Token] = []
         article = node.feature("article", "none")
         if article == "def":
-            toks.append(Token("the"))
+            toks.append(_THE)
         elif article == "indef":
-            toks.append(Token("a"))
+            toks.append(_A)
         for c in node.children:
             if c.relation == d.ATTR:
                 toks.extend(self._modifier_tokens(c))
@@ -114,14 +122,14 @@ class _Realizer:
                 toks.extend(self.prep_tokens(c))
         return toks
 
-    def _stuttered(self, node: d.DSyntNode, surface: str, onset: str) -> list[Token]:
+    def _stuttered(self, node: d.DSyntNode, surface: str, onset: str) -> Sequence[Token]:
         count = node.feature("stutter")
         if not count or not onset or " " in surface:
             return _words(surface)
         frags = [Token(onset + "-", no_space_before=(k > 0)) for k in range(int(count))]
         return frags + [Token(surface, no_space_before=True)]
 
-    def _noun_head(self, node: d.DSyntNode) -> list[Token]:
+    def _noun_head(self, node: d.DSyntNode) -> Sequence[Token]:
         number = node.feature("number", "sg")
         if self.lexicon.has(node.lexeme, NOUN):
             entry = self.lexicon.lookup(node.lexeme, NOUN)
@@ -130,7 +138,7 @@ class _Realizer:
         # literal noun phrase; realized verbatim
         return self._stuttered(node, node.lexeme, split_onset_of(node.lexeme)[0])
 
-    def _modifier_tokens(self, node: d.DSyntNode) -> list[Token]:
+    def _modifier_tokens(self, node: d.DSyntNode) -> Sequence[Token]:
         if node.cls == d.ADJECTIVE and node.feature("stutter"):
             if self.lexicon.has(node.lexeme, ADJ_POS):
                 onset = split_onset(self.lexicon.lookup(node.lexeme, ADJ_POS))[0]
@@ -140,13 +148,13 @@ class _Realizer:
         return _words(node.lexeme)
 
     def prep_tokens(self, node: d.DSyntNode) -> list[Token]:
-        toks = _words(node.lexeme)
+        toks = list(_words(node.lexeme))
         first = True
         for c in node.children:
             if c.relation != d.APPEND:
                 continue
             if not first:
-                toks.append(Token("and"))
+                toks.append(_AND)
             toks.extend(self.np_tokens(c, case="acc"))
             first = False
         return toks
@@ -164,25 +172,27 @@ class _Realizer:
         obj2 = obj3 = None
         appends = []
         for c in v.children:
-            if c.relation == d.I:
+            rel = c.relation
+            if rel == d.I:
                 subject = c
-            elif c.relation == d.II:
+            elif rel == d.II:
                 obj2 = c
-            elif c.relation == d.III:
+            elif rel == d.III:
                 obj3 = c
-            elif c.relation == d.ATTR and c.cls == d.ADVERB:
-                (post_advs if c.feature("position") == "post" else pre_advs).append(c)
-            elif c.relation == d.ATTR:
+            elif rel == d.ATTR and c.cls == d.ADVERB:
+                (post_advs if c.features.get("position") == "post" else pre_advs).append(c)
+            elif rel == d.ATTR:
                 attrs.append(c)
-            elif c.relation == d.APPEND and c.cls == d.FUNCTION_WORD and c.feature("position") == "pre":
-                pre_markers.append(c)
-            elif c.relation == d.APPEND and c.cls == d.FUNCTION_WORD and c.feature("position") == "post":
-                tags.append(c)
-            elif c.relation == d.APPEND:
-                appends.append(c)
+            elif rel == d.APPEND:
+                position = c.features.get("position") if c.cls == d.FUNCTION_WORD else None
+                if position == "pre":
+                    pre_markers.append(c)
+                elif position == "post":
+                    tags.append(c)
+                else:
+                    appends.append(c)
             else:
-                raise RealizationError(
-                    f"cannot linearize {c.cls} under verb via {c.relation}")
+                raise RealizationError(f"cannot linearize {c.cls} under verb via {rel}")
 
         toks: list[Token] = []
         for m in pre_markers:
@@ -206,7 +216,7 @@ class _Realizer:
         for i, ap in enumerate(appends):
             toks.extend(self._append_tokens(ap, more_follows=i + 1 < len(appends)))
         for t in tags:
-            toks.append(Token(",", "punctuation"))
+            toks.append(_COMMA)
             toks.extend(_words(t.lexeme))
         return toks
 
@@ -216,17 +226,16 @@ class _Realizer:
         if form == "bare":
             return [Token(lemma)]
         if form == "infinitive":
-            head = [Token("to"), Token(lemma)]
-            return [Token("not")] + head if negated else head
+            return [_NOT, _TO, Token(lemma)] if negated else [_TO, Token(lemma)]
         entry = self.lexicon.lookup(lemma, VERB)
         past = inflect(entry, {"tense": "past", "number": number})
         if not negated:
             return [Token(past)]
         if lemma == "be" or lemma in MODAL_LEMMAS:
-            return [Token(past), Token("not")]
-        return [Token("did"), Token("not"), Token(lemma)]
+            return [Token(past), _NOT]
+        return [_DID, _NOT, Token(lemma)]
 
-    def _complement_tokens(self, node: d.DSyntNode, governor: d.DSyntNode) -> list[Token]:
+    def _complement_tokens(self, node: d.DSyntNode, governor: d.DSyntNode) -> Sequence[Token]:
         if node.cls == d.VERB:
             if "tense" in node.features:
                 return self.clause_tokens(node, form="finite")
@@ -235,27 +244,27 @@ class _Realizer:
             return self.clause_tokens(node, include_subject=False, form="infinitive")
         return self.np_tokens(node, case="acc")
 
-    def _append_tokens(self, node: d.DSyntNode, more_follows: bool) -> list[Token]:
+    def _append_tokens(self, node: d.DSyntNode, more_follows: bool) -> Sequence[Token]:
         if node.cls == d.PREPOSITION:
             return self.prep_tokens(node)
         if node.cls == d.FUNCTION_WORD and node.lexeme == "because":
             clause = self._single_clause_child(node)
-            return [Token("because")] + self.clause_tokens(clause, form="finite")
+            return [_BECAUSE] + self.clause_tokens(clause, form="finite")
         if node.cls == d.FUNCTION_WORD and node.lexeme == "in_order":
             clause = self._single_clause_child(node)
-            toks = [Token("in"), Token("order")]
+            toks = [_IN, _ORDER]
             subject = clause.child(d.I)
             if subject is not None:
-                toks.append(Token("for"))
+                toks.append(_FOR)
                 toks.extend(self.np_tokens(subject, case="acc"))
             toks.extend(self.clause_tokens(clause, include_subject=False, form="infinitive"))
             return toks
         if node.cls == d.VERB:
             # appended restating clause: ", didn't obtain it,"
-            toks = [Token(",", "punctuation")]
+            toks = [_COMMA]
             toks.extend(self.clause_tokens(node, include_subject=False, form="finite"))
             if more_follows:
-                toks.append(Token(",", "punctuation"))
+                toks.append(_COMMA)
             return toks
         if node.cls == d.FUNCTION_WORD:
             return _words(node.lexeme)
@@ -275,7 +284,7 @@ def sentence_tokens(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> lis
     toks = _Realizer(lex).clause_tokens(root, form="finite")
     if root.feature("contract") == "on":
         toks = apply_contractions(toks)
-    toks.append(Token(PUNCT_MARKS[root.feature("punct", "period")], "punctuation"))
+    toks.append(_END_MARKS[root.feature("punct", "period")])
     return toks
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -69,10 +69,17 @@ class VoiceModel:
 
     def __post_init__(self) -> None:
         for key, value in self.params.items():
-            if key not in PARAM_NAMES:
-                raise VoiceError(f"unknown style parameter {key!r}")
-            if not 0.0 <= float(value) <= 1.0:
-                raise VoiceError(f"activation for {key} outside [0, 1]: {value}")
+            problem = _param_error(key, value)
+            if problem:
+                raise VoiceError(problem)
+
+
+def _param_error(key: str, value: float) -> Optional[str]:
+    if key not in PARAM_NAMES:
+        return f"unknown style parameter {key!r}"
+    if not 0.0 <= float(value) <= 1.0:
+        return f"activation for {key} outside [0, 1]: {value}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,11 @@ class StyleDecision:
 
 
 def parse_voice(text: str) -> VoiceModel:
-    """Voice file: a `voice <name>` line, then `param: value` lines."""
+    """Voice file: a `voice <name>` line, then `param: value` lines, each
+    parameter at most once. Errors name the line."""
     name = None
     params: dict[str, float] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -105,7 +114,14 @@ def parse_voice(text: str) -> VoiceModel:
         m = re.fullmatch(r"([a-z_]+)\s*:\s*(\d+\.?\d*|\.\d+)", line)
         if not m:
             raise VoiceError(f"line {lineno}: expected 'param: value'")
-        params[m.group(1)] = float(m.group(2))
+        key, value = m.group(1), float(m.group(2))
+        if key in set_on:
+            raise VoiceError(f"line {lineno}: {key} already set on line {set_on[key]}")
+        problem = _param_error(key, value)
+        if problem:
+            raise VoiceError(f"line {lineno}: {problem}")
+        params[key] = value
+        set_on[key] = lineno
     if name is None:
         raise VoiceError("empty voice file")
     return VoiceModel(name, params)
@@ -117,10 +133,11 @@ def load_voice(name_or_path: str) -> VoiceModel:
     p = Path(name_or_path)
     if p.exists():
         try:
-            text = p.read_text(encoding="utf-8")
+            return parse_voice(p.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise VoiceError(f"{name_or_path}: not UTF-8 text (byte {exc.start})") from exc
-        return parse_voice(text)
+        except VoiceError as exc:
+            raise VoiceError(f"{name_or_path}: {exc}") from exc
     raise VoiceError(f"no built-in voice or voice file {name_or_path!r}")
 
 
@@ -413,7 +430,8 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     n = len(sentences)
     rngs = [random.Random(f"{seed}:{i}") for i in range(n)]
     memos: list[dict] = [{} for _ in range(n)]
-    decisions: list[StyleDecision] = []
+    # (sentence index, param, site path, payload), made StyleDecisions at the end
+    applied: list[tuple[int, str, tuple[int, ...], str]] = []
 
     a = model.activation(PRONOMINALIZATION)
     if a > 0.0:
@@ -421,7 +439,7 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
             sentences, [rngs[i].random() < a for i in range(n)])
         for i, sentence_sites in enumerate(sites):
             for path, pron in sentence_sites:
-                decisions.append(StyleDecision(i, PRONOMINALIZATION, _path_str(path), pron))
+                applied.append((i, PRONOMINALIZATION, path, pron))
 
     for param, transform, _ in _SENTENCE_TRANSFORMS:
         a = model.activation(param)
@@ -434,16 +452,13 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
             if result is None:
                 continue
             sentences[i], site, payload = result
-            decisions.append(StyleDecision(i, param, _path_str(site), payload))
+            applied.append((i, param, site, payload))
 
-    final = []
-    for dec in decisions:
-        site = dec.site
-        if site != "root":
-            try:
-                d.node_at(sentences[dec.sentence_index],
-                          tuple(int(x) for x in site.split(".")))
-            except IndexError:
-                site = "root"
-        final.append(dec if site == dec.site else replace(dec, site=site))
-    return d.Document(tuple(sentences)), final
+    decisions = []
+    for i, param, site, payload in applied:
+        try:
+            d.node_at(sentences[i], site)
+        except IndexError:
+            site = ()
+        decisions.append(StyleDecision(i, param, _path_str(site), payload))
+    return d.Document(tuple(sentences)), decisions

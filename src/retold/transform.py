@@ -186,6 +186,13 @@ def coref_head(node: d.DSyntNode) -> Optional[str]:
     return None
 
 
+# the classes that may govern a clause: a VERB (its complements and
+# restatements) or a FUNCTION_WORD ("in_order", "because"). Noun phrases,
+# prepositional phrases and modifiers never hold a verb, so the clause
+# rewrites below descend only through these.
+_CLAUSE_SPINE = (d.VERB, d.FUNCTION_WORD)
+
+
 def drop_coreferent_purpose_subject(sentence: d.DSyntNode
                                     ) -> tuple[d.DSyntNode, list[tuple[int, ...]]]:
     """Remove the subject of an "in order" clause when it restates the
@@ -193,31 +200,29 @@ def drop_coreferent_purpose_subject(sentence: d.DSyntNode
     the paths of the embedded clauses whose subject was dropped; with
     nothing dropped, the sentence itself comes back."""
     dropped: list[tuple[int, ...]] = []
+    path: list[int] = []  # from the sentence root to the node being rewritten
 
-    def rewrite(node: d.DSyntNode, path: tuple[int, ...]) -> d.DSyntNode:
-        if not node.children:
-            return node
-        node = node.with_children(tuple(rewrite(c, path + (i,))
-                                        for i, c in enumerate(node.children)))
-        if node.cls != d.VERB:
-            return node
-        matrix_subject = node.child(d.I)
-        if matrix_subject is None:
-            return node
-        new_children = []
+    def rewrite(node: d.DSyntNode) -> d.DSyntNode:
+        children = list(node.children)
         for i, c in enumerate(node.children):
-            if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
-                    and c.children[0].cls == d.VERB):
-                emb = c.children[0]
-                k = next((k for k, x in enumerate(emb.children) if x.relation == d.I), None)
-                if k is not None and coref_head(emb.children[k]) == coref_head(matrix_subject):
-                    emb = emb.with_children(emb.children[:k] + emb.children[k + 1:])
-                    c = c.with_children((emb,) + c.children[1:])
-                    dropped.append(path + (i, 0))
-            new_children.append(c)
-        return node.with_children(tuple(new_children))
+            if c.children and c.cls in _CLAUSE_SPINE:
+                path.append(i)
+                children[i] = rewrite(c)
+                path.pop()
+        matrix_subject = node.child(d.I) if node.cls == d.VERB else None
+        if matrix_subject is not None:
+            for i, c in enumerate(children):
+                if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
+                        and c.children[0].cls == d.VERB):
+                    emb = c.children[0]
+                    k = next((k for k, x in enumerate(emb.children) if x.relation == d.I), None)
+                    if k is not None and coref_head(emb.children[k]) == coref_head(matrix_subject):
+                        emb = emb.with_children(emb.children[:k] + emb.children[k + 1:])
+                        children[i] = c.with_children((emb,) + c.children[1:])
+                        dropped.append((*path, i, 0))
+        return node.with_children(tuple(children))
 
-    return rewrite(sentence, ()), dropped
+    return rewrite(sentence), dropped
 
 
 def pronominalize_sentences(sentences: list[d.DSyntNode],
@@ -236,32 +241,43 @@ def pronominalize_sentences(sentences: list[d.DSyntNode],
     counts: dict[tuple[str, str], int] = {}
     out_sentences: list[d.DSyntNode] = []
     out_sites: list[list[tuple[tuple[int, ...], str]]] = []
+    path: list[int] = []  # from the sentence root to the node being visited
     for sentence, hot in zip(sentences, fire):
         sites: list[tuple[tuple[int, ...], str]] = []
         if hot:
             sentence, dropped = drop_coreferent_purpose_subject(sentence)
-            sites.extend((path, "subject-drop") for path in dropped)
+            sites.extend((p, "subject-drop") for p in dropped)
 
         # pre-order: a mention is counted, and its site recorded, before
-        # its descendants; the pronoun goes in on the way back up
-        def visit(node: d.DSyntNode, path: tuple[int, ...]) -> d.DSyntNode:
+        # its descendants; the pronoun goes in on the way back up. A leaf
+        # without a pronoun is no mention and holds none, so it is skipped.
+        def visit(node: d.DSyntNode) -> d.DSyntNode:
             pron = node.features.get("pron")
             site = False
             if pron is not None and node.cls == d.COMMON_NOUN:
                 key = (node.lexeme, pron)
                 counts[key] = counts.get(key, 0) + 1
                 if counts[key] > 1 and hot:
-                    sites.append((path, pron))
+                    sites.append((tuple(path), pron))
                     site = True
-            if node.children:
-                node = node.with_children(tuple(visit(c, path + (i,))
-                                                for i, c in enumerate(node.children)))
+            children = node.children
+            new_children = None
+            for i, c in enumerate(children):
+                if c.children or "pron" in c.features:
+                    path.append(i)
+                    new = visit(c)
+                    path.pop()
+                    if new is not c:
+                        new_children = new_children or list(children)
+                        new_children[i] = new
+            if new_children is not None:
+                node = node.with_children(tuple(new_children))
             if site:
                 return d.DSyntNode(pron, d.FUNCTION_WORD, node.relation,
                                    {"number": node.feature("number", "sg")})
             return node
 
-        out_sentences.append(visit(sentence, ()))
+        out_sentences.append(visit(sentence))
         out_sites.append(sites)
     return out_sentences, out_sites
 
@@ -270,9 +286,11 @@ def rewrite_unable_to_modal(node: d.DSyntNode) -> d.DSyntNode:
     """Collapse negated "be able to VP" into modal "can" (realized
     "could not VP", contracted to "couldn't VP"). A tree with no such
     clause comes back as the same object."""
-    if not node.children:
+    children = node.children
+    if not children:
         return node
-    node = node.with_children(tuple(rewrite_unable_to_modal(c) for c in node.children))
+    node = node.with_children(tuple(rewrite_unable_to_modal(c) if c.cls in _CLAUSE_SPINE else c
+                                    for c in children))
     if (node.cls == d.VERB and node.lexeme == "be"
             and node.feature("polarity") == "neg"):
         able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR

@@ -84,6 +84,15 @@ def test_generate_voice_file(tmp_path):
     assert out.count("!") == 8
 
 
+def test_voice_file_that_sets_a_parameter_twice_exits_2(tmp_path):
+    voice = tmp_path / "twice.voice"
+    voice.write_text("voice LOUD\nexclamation: 1.0\nexclamation: 0.0\n")
+    code, out, err = invoke("generate", FOX, "--voice", str(voice))
+    assert code == 2
+    assert out == ""
+    assert err == f"retold: {voice}: line 3: exclamation already set on line 2\n"
+
+
 def test_generate_output_file(tmp_path):
     target = tmp_path / "story.txt"
     code, out, err = invoke("generate", FOX, "--output", str(target))

@@ -181,9 +181,7 @@ def test_score_pair_rejects_empty_text():
 def test_report_rendering_is_deterministic():
     pairs = [metrics.EvalPair("a b c", "a c", "row")]
     r1, r2 = metrics.corpus_report(pairs), metrics.corpus_report(pairs)
-    assert metrics.format_report(r1) == metrics.format_report(r2)
     assert metrics.report_to_json(r1) == metrics.report_to_json(r2)
-    assert "levenshtein" in metrics.format_report(r1)
 
 
 def test_import_pulls_in_no_heavy_or_compiled_modules():

@@ -159,3 +159,18 @@ def test_unfinished_root_rejected():
     bare = d.DSyntNode("jump", d.VERB, features={"polarity": "aff"})
     with pytest.raises(rz.RealizationError):
         rz.realize_sentence(bare)
+
+
+def test_returned_token_lists_are_never_shared(fox_graph):
+    doc, _ = apply_voice(tr.transform_story(fox_graph), BUILTIN_VOICES["LAID-BACK"], 3)
+    for sentence in doc.sentences:
+        first = rz.sentence_tokens(sentence)
+        expected = list(first)
+        first.append(rz.Token("extra"))
+        first[0] = rz.Token("mutated")
+        del first[1:3]
+        assert rz.sentence_tokens(sentence) == expected
+
+
+def test_word_token_cache_is_bounded():
+    assert rz._words.cache_info().maxsize == 4096

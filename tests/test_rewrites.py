@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 
 from retold import dsynt as d
 from retold import transform as tr
+from retold.style import PARAM_NAMES, VoiceModel, apply_voice
 
 from conftest import random_story
 
@@ -178,3 +179,20 @@ def test_a_mention_inside_a_replaced_mention_is_still_counted():
     got = tr.pronominalize_sentences(sentences)
     assert got == rebuild_pronominalize_sentences(sentences, [True] * 3)
     assert got[1] == [[], [((0,), "he")], [((0,), "she")]]
+
+
+# --- the clause spine: what the spine-only walks may skip ------------------------
+
+NON_CLAUSE_CLASSES = (d.COMMON_NOUN, d.PREPOSITION, d.ADJECTIVE, d.ADVERB)
+
+
+@settings(derandomize=True, deadline=None)
+@given(story_seed=hst.integers(0, 10**6), voice_seed=hst.integers(0, 10**6))
+def test_no_verb_below_a_noun_preposition_or_modifier(story_seed, voice_seed):
+    doc = tr.transform_story(random_story(random.Random(story_seed)))
+    maxed = VoiceModel("maxed", {p: 1.0 for p in PARAM_NAMES})
+    for sentences in (doc.sentences, apply_voice(doc, maxed, voice_seed)[0].sentences):
+        for sentence in sentences:
+            for _, node in d.walk(sentence):
+                if node.cls in NON_CLAUSE_CLASSES:
+                    assert all(c.cls != d.VERB for _, c in d.walk(node)), node

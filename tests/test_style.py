@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -489,3 +490,56 @@ def test_parse_voice_errors():
         style.parse_voice("stuttering: 0.5\n")  # missing header
     with pytest.raises(style.VoiceError):
         style.parse_voice("voice X\nstuttering at full blast\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("voice X\nexclamation: 1.0\n\nexclamation: 0.0\n",
+     "line 4: exclamation already set on line 2"),
+    ("voice X\n# loud\nloudness: 0.5\n", "line 3: unknown style parameter 'loudness'"),
+    ("voice X\nstuttering: 0.5\nexclamation: 1.5\n",
+     "line 3: activation for exclamation outside [0, 1]: 1.5"),
+])
+def test_parse_voice_errors_name_the_line(text, message):
+    with pytest.raises(style.VoiceError) as info:
+        style.parse_voice(text)
+    assert str(info.value) == message
+
+
+def test_load_voice_errors_name_the_file(tmp_path):
+    path = tmp_path / "twice.voice"
+    path.write_text("voice X\nexclamation: 1.0\nexclamation: 0.0\n")
+    with pytest.raises(style.VoiceError) as info:
+        style.load_voice(str(path))
+    assert str(info.value) == f"{path}: line 3: exclamation already set on line 2"
+    path.write_text("")
+    with pytest.raises(style.VoiceError) as info:
+        style.load_voice(str(path))
+    assert str(info.value) == f"{path}: empty voice file"
+
+
+# sha256 of the newline-joined reprs of apply_voice's decisions at seed 0,
+# and their count; recorded from the pipeline before decision sites were
+# kept as tuples, so that the site bookkeeping keeps every site and payload
+GOLDEN_DECISIONS = {
+    ("fox_and_grapes", "FORMAL"):
+        (17, "fe904822445e80a8227e5a74e89562d8c26d4cd02ecdcf7870c781de1d1f97ac"),
+    ("fox_and_grapes", "SHY"):
+        (27, "76ced6ef09b1e5e0ee5c1e93a1647a0dfb277069f4cde7075a6eb0dcb4076b59"),
+    ("fox_and_grapes", "LAID-BACK"):
+        (28, "fc2c6ea8426e6307ea357e916a3102b90fdcc8e9506df823a5cc964f8bb7bd8c"),
+    ("lion_and_boar", "FORMAL"):
+        (38, "00ad2b924e7b55ff242367e674387567376bb2cd98c9ef12dd48e0548ea50601"),
+    ("lion_and_boar", "SHY"):
+        (55, "0bfb2e5b75f7aba82fc2d98c67f0a6eec0831bc95a0444e551b379ca1ae25c0c"),
+    ("lion_and_boar", "LAID-BACK"):
+        (59, "b9726cfeec376d1a8d6e137a340e77fdf6ba682213e7049af06c8d79ed03aba6"),
+}
+
+
+@pytest.mark.parametrize("fable,voice", sorted(GOLDEN_DECISIONS))
+def test_decision_lists_match_golden(fable, voice, fox_graph, lion_graph):
+    graph = fox_graph if fable == "fox_and_grapes" else lion_graph
+    doc = tr.transform_story(graph)
+    _, decisions = style.apply_voice(doc, style.BUILTIN_VOICES[voice], 0)
+    digest = hashlib.sha256("\n".join(map(repr, decisions)).encode()).hexdigest()
+    assert (len(decisions), digest) == GOLDEN_DECISIONS[(fable, voice)]
