@@ -8,8 +8,11 @@ features ride along as a small string map. Trees are immutable values;
 
 Rewrites are copy-on-write: they share every unchanged subtree with their
 input, and a node with nothing changed at or under it comes back as the
-same object (see :meth:`DSyntNode.with_children`). So a ``features`` map
-may be shared by several trees and must never be mutated in place.
+same object (see :meth:`DSyntNode.with_children`). The transform goes
+further and builds each repeated phrase once per story, so one node may sit
+at several positions, in one tree or in several: a path names a position,
+not a node. So neither a node nor its ``features`` map may ever be mutated
+in place.
 """
 
 from __future__ import annotations
@@ -102,6 +105,11 @@ class DSyntNode:
         feats = {k: v for k, v in self.features.items() if k != key}
         return DSyntNode(self.lexeme, self.cls, self.relation, feats, self.children)
 
+    def with_relation(self, relation: str) -> "DSyntNode":
+        if self.relation == relation:
+            return self
+        return DSyntNode(self.lexeme, self.cls, relation, self.features, self.children)
+
     def with_children(self, children: tuple["DSyntNode", ...]) -> "DSyntNode":
         """This node over ``children``: ``self`` itself when every child is
         the object already in place, else a new node sharing the rest."""
@@ -124,7 +132,8 @@ class Document:
 
 def attach(parent: DSyntNode, child: DSyntNode, relation: str) -> DSyntNode:
     """Append ``child`` to ``parent`` under ``relation``; returns the new
-    parent, leaving both inputs untouched."""
+    parent, leaving both inputs untouched. A child that already carries
+    ``relation`` goes in as the same object."""
     if relation not in RELATIONS or relation == ROOT:
         raise TreeError(f"bad child relation {relation!r}")
     allowed = ALLOWED_CHILD_RELATIONS.get(parent.cls)
@@ -134,9 +143,8 @@ def attach(parent: DSyntNode, child: DSyntNode, relation: str) -> DSyntNode:
         raise ClassError(f"relation {relation} not allowed under {parent.cls}")
     if relation in ARGUMENT_RELATIONS and parent.child(relation) is not None:
         raise RelationConflictError(f"second {relation} child under {parent.lexeme!r}")
-    child = DSyntNode(child.lexeme, child.cls, relation, child.features, child.children)
     return DSyntNode(parent.lexeme, parent.cls, parent.relation, parent.features,
-                     parent.children + (child,))
+                     parent.children + (child.with_relation(relation),))
 
 
 def walk(node: DSyntNode, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], DSyntNode]]:

@@ -175,6 +175,9 @@ def regular_plural(lemma: str) -> str:
     return lemma + "s"
 
 
+_INFLECTION_FEATURES = frozenset({"tense", "number"})
+
+
 def inflect(entry: LexemeEntry, features: Optional[Mapping[str, str]] = None) -> str:
     """Surface form of ``entry`` under a grammatical feature set.
 
@@ -182,11 +185,12 @@ def inflect(entry: LexemeEntry, features: Optional[Mapping[str, str]] = None) ->
     (plus ``number`` for the handful of number-sensitive pasts such as
     was/were); nouns accept ``number``; anything else must be featureless.
     """
-    feats = dict(features or {})
-    tense = feats.pop("tense", None)
-    number = feats.pop("number", None)
-    if feats:
-        raise FeatureMismatchError(f"unsupported inflection features {sorted(feats)}")
+    features = features or {}
+    if not features.keys() <= _INFLECTION_FEATURES:
+        extra = sorted(features.keys() - _INFLECTION_FEATURES)
+        raise FeatureMismatchError(f"unsupported inflection features {extra}")
+    tense = features.get("tense")
+    number = features.get("number")
 
     if entry.pos == VERB:
         if number not in (None, "sg", "pl"):

@@ -13,6 +13,14 @@ Word tokens are immutable and shared: the fixed words ("the", "did",
 most recently used). A list the
 realizer returns is always its own, but the tokens in it may sit in many
 other lists, so build a new ``Token`` rather than change one.
+
+A story's trees share equal subtrees (see :mod:`retold.transform`), so
+:func:`realize_document` runs one realizer over the whole document, and it
+realizes each noun phrase and prepositional phrase object once: its memo
+maps ``id(node)`` to the node and the phrase's token tuple, and callers only
+extend their own lists from that tuple. The entry keeps the node alive, so
+no other node can be given its id while the memo lives; the memo is dropped
+with the realizer when the call returns.
 """
 
 from __future__ import annotations
@@ -96,6 +104,8 @@ def _join(tokens: list[Token]) -> str:
 class _Realizer:
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
+        # id(node) -> (node, its tokens), for noun and prepositional phrases
+        self._phrases: dict[int, tuple[d.DSyntNode, tuple[Token, ...]]] = {}
 
     # -- noun phrases --------------------------------------------------------
 
@@ -107,6 +117,17 @@ class _Realizer:
             return _words(node.lexeme)
         if node.cls != d.COMMON_NOUN:
             raise RealizationError(f"cannot realize {node.cls} as a noun phrase")
+        return self._phrase(node, self._noun_phrase)
+
+    def _phrase(self, node: d.DSyntNode, build) -> tuple[Token, ...]:
+        """``build(node)``, computed once per node object; the entry holds
+        the node, so its id is not reused while the realizer lives."""
+        hit = self._phrases.get(id(node))
+        if hit is None:
+            hit = self._phrases[id(node)] = (node, tuple(build(node)))
+        return hit[1]
+
+    def _noun_phrase(self, node: d.DSyntNode) -> list[Token]:
         toks: list[Token] = []
         article = node.feature("article", "none")
         if article == "def":
@@ -123,31 +144,37 @@ class _Realizer:
         return toks
 
     def _stuttered(self, node: d.DSyntNode, surface: str, onset: str) -> Sequence[Token]:
-        count = node.feature("stutter")
-        if not count or not onset or " " in surface:
+        """``surface`` with the ``stutter`` count of ``onset`` fragments
+        before it; called only for a node that has the feature."""
+        if not onset or " " in surface:
             return _words(surface)
-        frags = [Token(onset + "-", no_space_before=(k > 0)) for k in range(int(count))]
+        frags = [Token(onset + "-", no_space_before=(k > 0))
+                 for k in range(int(node.features["stutter"]))]
         return frags + [Token(surface, no_space_before=True)]
 
+    def _onset(self, lemma: str, pos: str) -> str:
+        if self.lexicon.has(lemma, pos):
+            return split_onset(self.lexicon.lookup(lemma, pos))[0]
+        return split_onset_of(lemma)[0]
+
     def _noun_head(self, node: d.DSyntNode) -> Sequence[Token]:
-        number = node.feature("number", "sg")
-        if self.lexicon.has(node.lexeme, NOUN):
-            entry = self.lexicon.lookup(node.lexeme, NOUN)
-            return self._stuttered(node, inflect(entry, {"number": number}),
-                                   split_onset(entry)[0])
-        # literal noun phrase; realized verbatim
-        return self._stuttered(node, node.lexeme, split_onset_of(node.lexeme)[0])
+        surface = node.lexeme  # a literal noun phrase is realized verbatim
+        if self.lexicon.has(surface, NOUN):
+            surface = inflect(self.lexicon.lookup(surface, NOUN),
+                              {"number": node.feature("number", "sg")})
+        if not node.feature("stutter"):
+            return _words(surface)
+        return self._stuttered(node, surface, self._onset(node.lexeme, NOUN))
 
     def _modifier_tokens(self, node: d.DSyntNode) -> Sequence[Token]:
         if node.cls == d.ADJECTIVE and node.feature("stutter"):
-            if self.lexicon.has(node.lexeme, ADJ_POS):
-                onset = split_onset(self.lexicon.lookup(node.lexeme, ADJ_POS))[0]
-            else:
-                onset = split_onset_of(node.lexeme)[0]
-            return self._stuttered(node, node.lexeme, onset)
+            return self._stuttered(node, node.lexeme, self._onset(node.lexeme, ADJ_POS))
         return _words(node.lexeme)
 
-    def prep_tokens(self, node: d.DSyntNode) -> list[Token]:
+    def prep_tokens(self, node: d.DSyntNode) -> tuple[Token, ...]:
+        return self._phrase(node, self._prepositional_phrase)
+
+    def _prepositional_phrase(self, node: d.DSyntNode) -> list[Token]:
         toks = list(_words(node.lexeme))
         first = True
         for c in node.children:
@@ -276,16 +303,18 @@ class _Realizer:
                 return c
         raise RealizationError(f"{node.lexeme!r} governs no clause")
 
+    def sentence_tokens(self, root: d.DSyntNode) -> list[Token]:
+        if "tense" not in root.features:
+            raise RealizationError("sentence root must be finite")
+        toks = self.clause_tokens(root, form="finite")
+        if root.feature("contract") == "on":
+            toks = apply_contractions(toks)
+        toks.append(_END_MARKS[root.feature("punct", "period")])
+        return toks
+
 
 def sentence_tokens(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> list[Token]:
-    lex = lexicon or default_lexicon()
-    if "tense" not in root.features:
-        raise RealizationError("sentence root must be finite")
-    toks = _Realizer(lex).clause_tokens(root, form="finite")
-    if root.feature("contract") == "on":
-        toks = apply_contractions(toks)
-    toks.append(_END_MARKS[root.feature("punct", "period")])
-    return toks
+    return _Realizer(lexicon or default_lexicon()).sentence_tokens(root)
 
 
 def realize_sentence(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> str:
@@ -293,5 +322,7 @@ def realize_sentence(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> st
 
 
 def realize_document(doc: d.Document, lexicon: Optional[Lexicon] = None) -> str:
-    lex = lexicon or default_lexicon()
-    return " ".join(realize_sentence(sentence, lex) for sentence in doc.sentences)
+    """The sentences' texts joined by single spaces, each shared phrase
+    realized once."""
+    realizer = _Realizer(lexicon or default_lexicon())
+    return " ".join(_join(realizer.sentence_tokens(sentence)) for sentence in doc.sentences)

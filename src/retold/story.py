@@ -56,6 +56,9 @@ CLAUSE_RELATIONS = (PURPOSE, CAUSE, COMPLEMENT)
 
 PRONOUNS = frozenset({"he", "she", "it", "they"})
 
+# the top-level sections of a story file, each a header line of its own
+SECTIONS = ("entities", "original", "timeline")
+
 
 class StoryError(Exception):
     def __init__(self, message: str, line: Optional[int] = None):
@@ -245,7 +248,7 @@ class _Parser:
             if line.indent != 0:
                 raise StorySyntaxError(f"unexpected indented line {line.text!r}", line.lineno)
             name = line.text.split()[0]
-            if name not in ("entities", "original", "timeline") or line.text != name:
+            if name not in SECTIONS or line.text != name:
                 raise StorySyntaxError(f"unknown section {line.text!r}", line.lineno)
             if name in sections:
                 raise StorySyntaxError(f"duplicate section {name!r}", line.lineno)
@@ -700,6 +703,12 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
         for adj in e.fixed_modifiers:
             if not lex.has(adj, ADJECTIVE):
                 out.append(Diagnostic(WARNING, e.id, f"modifier {adj!r} is not a known adjective"))
+
+    # an indented section header is read as a line of the `original` block
+    for line in (g.original_text or "").splitlines():
+        if line in SECTIONS:
+            out.append(Diagnostic(WARNING, "original", f"line {line!r} is a section name; "
+                                                       "is its header indented?"))
 
     indices = [ts.index for ts in g.timeline]
     if not indices:

@@ -11,6 +11,13 @@ Every mention is a full noun phrase and nothing is contracted:
 referring-expression and contraction choices are made only by the style
 engine, through the passes at the bottom of this module; the realizer
 only executes them.
+
+A fable names the same few characters and objects in almost every
+sentence, so equal subtrees are built once and shared: each
+:func:`transform_story` call keeps one memo of noun phrases,
+prepositional phrases and clauses, and drops it on return. Nothing is kept
+per document or between calls. The passes below share every subtree they
+leave unchanged, and make each pronoun node once per call.
 """
 
 from __future__ import annotations
@@ -30,12 +37,26 @@ class TransformError(Exception):
 
 
 class DiscourseContext(NamedTuple):
-    """All a clause build reads; no per-document state."""
+    """All a clause build reads, and the memo of one :func:`transform_story`
+    call. The memo is made with the context and dropped with it when the
+    call returns, so no state outlives the call and none is kept per
+    document.
+
+    Equal subtrees are built once and then shared: ``nps`` holds one noun
+    phrase per (argument, relation), ``pps`` one prepositional phrase per
+    (preposition, targets), and ``clauses`` one clause per (proposition
+    object, finite, skip_subject), so a clause reused through ``ref`` is
+    built, and checked by :func:`story.proposition_errors`, once. A clause
+    entry holds its proposition as well as its id, so the id stays taken.
+    """
     lexicon: Lexicon
     entities: dict[str, s.Entity]
+    nps: dict[tuple, d.DSyntNode]
+    pps: dict[tuple, d.DSyntNode]
+    clauses: dict[tuple[int, bool, bool], tuple[s.Proposition, d.DSyntNode]]
 
 
-def realize_entity_np(e: s.Entity) -> d.DSyntNode:
+def realize_entity_np(e: s.Entity, relation: str) -> d.DSyntNode:
     """Definite noun phrase for an entity mention, never a pronoun.
 
     Collectives realize as head + "of" + plural member noun with singular
@@ -45,23 +66,41 @@ def realize_entity_np(e: s.Entity) -> d.DSyntNode:
     feats = {"article": "def", "number": e.number}
     if e.kind == s.CHARACTER:
         feats["pron"] = e.pronoun or ("they" if e.number == "pl" else "he")
-    node = d.DSyntNode(e.head_lemma, d.COMMON_NOUN, features=feats)
+    node = d.DSyntNode(e.head_lemma, d.COMMON_NOUN, relation, feats)
     for adj in e.fixed_modifiers:
-        node = d.attach(node, d.DSyntNode(adj, d.ADJECTIVE), d.ATTR)
+        node = d.attach(node, d.DSyntNode(adj, d.ADJECTIVE, d.ATTR), d.ATTR)
     if e.group_of:
-        member = d.DSyntNode(e.group_of, d.COMMON_NOUN,
-                             features={"article": "none", "number": "pl"})
-        of = d.attach(d.DSyntNode("of", d.PREPOSITION), member, d.APPEND)
+        member = d.DSyntNode(e.group_of, d.COMMON_NOUN, d.APPEND,
+                             {"article": "none", "number": "pl"})
+        of = d.attach(d.DSyntNode("of", d.PREPOSITION, d.APPEND), member, d.APPEND)
         node = d.attach(node, of, d.APPEND)
     return node
 
 
-def _np_for_target(arg, ctx: DiscourseContext) -> d.DSyntNode:
-    if isinstance(arg, s.EntityRef):
-        return realize_entity_np(ctx.entities[arg.entity_id])
-    if isinstance(arg, s.Text):
-        return d.DSyntNode(arg.value, d.COMMON_NOUN, features={"article": "none"})
-    return d.DSyntNode(arg.adjective, d.ADJECTIVE)
+def _np_for_target(arg, relation: str, ctx: DiscourseContext) -> d.DSyntNode:
+    key = (arg, relation)
+    node = ctx.nps.get(key)
+    if node is None:
+        if isinstance(arg, s.EntityRef):
+            node = realize_entity_np(ctx.entities[arg.entity_id], relation)
+        elif isinstance(arg, s.Text):
+            node = d.DSyntNode(arg.value, d.COMMON_NOUN, relation, {"article": "none"})
+        else:
+            node = d.DSyntNode(arg.adjective, d.ADJECTIVE, relation)
+        ctx.nps[key] = node
+    return node
+
+
+def _prepositional_phrase(word: str, targets: tuple, ctx: DiscourseContext) -> d.DSyntNode:
+    """``word`` over its targets, coordinated: "with dignity and unconcern"."""
+    key = (word, targets)
+    pp = ctx.pps.get(key)
+    if pp is None:
+        pp = d.DSyntNode(word, d.PREPOSITION, d.APPEND)
+        for arg in targets:
+            pp = d.attach(pp, _np_for_target(arg, d.APPEND, ctx), d.APPEND)
+        ctx.pps[key] = pp
+    return pp
 
 
 def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
@@ -74,6 +113,10 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
     :func:`story.proposition_errors` faults raises TransformError with the
     first message.
     """
+    key = (id(p), finite, skip_subject)
+    hit = ctx.clauses.get(key)
+    if hit is not None:
+        return hit[1]
     problems = s.proposition_errors(p, ctx.entities, ctx.lexicon)
     if problems:
         raise TransformError(problems[0], p.id)
@@ -89,29 +132,29 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
         if arg is None or (rel == "I" and skip_subject):
             continue
         if rel in d.ARGUMENT_RELATIONS:
-            root = d.attach(root, _argument_node(arg, frame, ctx), rel)
+            root = d.attach(root, _argument_node(arg, rel, frame, ctx), rel)
         elif rel == "ATTR":
-            root = d.attach(root, d.DSyntNode(arg.adjective, d.ADJECTIVE), d.ATTR)
+            root = d.attach(root, _np_for_target(arg, d.ATTR, ctx), d.ATTR)
         else:  # prep:<word>
-            word = rel.split(":", 1)[1]
-            pp = d.attach(d.DSyntNode(word, d.PREPOSITION), _np_for_target(arg, ctx), d.APPEND)
-            root = d.attach(root, pp, d.APPEND)
+            root = d.attach(root, _prepositional_phrase(rel.split(":", 1)[1], (arg,), ctx),
+                            d.APPEND)
 
     for lemma, pos in p.adverbs:
-        adv = d.DSyntNode(lemma, d.ADVERB,
-                          features={"position": "pre" if pos == s.PRE_VERB else "post"})
+        adv = d.DSyntNode(lemma, d.ADVERB, d.ATTR,
+                          {"position": "pre" if pos == s.PRE_VERB else "post"})
         root = d.attach(root, adv, d.ATTR)
 
     root = attach_adjuncts(root, p, ctx)
+    ctx.clauses[key] = (p, root)
     return root
 
 
-def _argument_node(arg, frame: FrameDef, ctx: DiscourseContext) -> d.DSyntNode:
+def _argument_node(arg, relation: str, frame: FrameDef, ctx: DiscourseContext) -> d.DSyntNode:
     if isinstance(arg, s.Proposition):
         if frame.complement_kind == INFINITIVE:
             return build_clause(arg, ctx, finite=False, skip_subject=True)
         return build_clause(arg, ctx, finite=True)
-    return _np_for_target(arg, ctx)
+    return _np_for_target(arg, relation, ctx)
 
 
 def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext) -> d.DSyntNode:
@@ -124,13 +167,12 @@ def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext
         a = atts[i]
         if a.relation == s.PREPOSITIONAL:
             word = a.preposition
-            pp = d.DSyntNode(word, d.PREPOSITION)
-            pp = d.attach(pp, _np_for_target(a.target, ctx), d.APPEND)
+            targets = [a.target]
             while (i + 1 < len(atts) and atts[i + 1].relation == s.PREPOSITIONAL
                    and atts[i + 1].preposition == word):
                 i += 1
-                pp = d.attach(pp, _np_for_target(atts[i].target, ctx), d.APPEND)
-            clause = d.attach(clause, pp, d.APPEND)
+                targets.append(atts[i].target)
+            clause = d.attach(clause, _prepositional_phrase(word, tuple(targets), ctx), d.APPEND)
         else:  # a clause relation; a purpose clause is a to-infinitive
             sub = build_clause(a.target, ctx, finite=a.relation != s.PURPOSE)
             clause = attach_discourse(clause, a.relation, sub)
@@ -147,12 +189,12 @@ def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DS
     """
     if relation == s.PURPOSE:
         sub = sub.without_feature("tense")
-        wrapper = d.attach(d.DSyntNode("in_order", d.FUNCTION_WORD), sub, d.APPEND)
+        wrapper = d.attach(d.DSyntNode("in_order", d.FUNCTION_WORD, d.APPEND), sub, d.APPEND)
         return d.attach(main, wrapper, d.APPEND)
     if relation == s.CAUSE:
         if "tense" not in sub.features:
             sub = sub.with_feature("tense", "past")
-        wrapper = d.attach(d.DSyntNode("because", d.FUNCTION_WORD), sub, d.APPEND)
+        wrapper = d.attach(d.DSyntNode("because", d.FUNCTION_WORD, d.APPEND), sub, d.APPEND)
         return d.attach(main, wrapper, d.APPEND)
     if relation == s.COMPLEMENT:
         if "tense" not in sub.features:
@@ -162,8 +204,14 @@ def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DS
 
 
 def transform_story(g: s.StoryGraph, lexicon: Optional[Lexicon] = None) -> d.Document:
-    """One sentence root per top-level proposition, in timeline order."""
-    ctx = DiscourseContext(lexicon or default_lexicon(), {e.id: e for e in g.entities})
+    """One sentence root per top-level proposition, in timeline order.
+
+    Equal subtrees within the story are one object (see
+    :class:`DiscourseContext`); the memo that makes them so lives only as
+    long as this call.
+    """
+    ctx = DiscourseContext(lexicon or default_lexicon(), {e.id: e for e in g.entities},
+                           {}, {}, {})
     sentences = []
     for p in s.timeline_propositions(g):
         try:
@@ -234,11 +282,13 @@ def pronominalize_sentences(sentences: list[d.DSyntNode],
     sentence's gate fired; rewrites (and purpose-subject drops) happen only
     in fired sentences. Character noun phrases carry their pronoun in the
     ``pron`` feature, so the pass needs no story graph. A sentence with no
-    rewrite comes back as the same object.
+    rewrite comes back as the same object, and every pronoun with the same
+    relation and number is one node, made once per call.
     """
     if fire is None:
         fire = [True] * len(sentences)
     counts: dict[tuple[str, str], int] = {}
+    pronouns: dict[tuple[str, str, str], d.DSyntNode] = {}
     out_sentences: list[d.DSyntNode] = []
     out_sites: list[list[tuple[tuple[int, ...], str]]] = []
     path: list[int] = []  # from the sentence root to the node being visited
@@ -273,8 +323,10 @@ def pronominalize_sentences(sentences: list[d.DSyntNode],
             if new_children is not None:
                 node = node.with_children(tuple(new_children))
             if site:
-                return d.DSyntNode(pron, d.FUNCTION_WORD, node.relation,
-                                   {"number": node.feature("number", "sg")})
+                key = (pron, node.relation, node.feature("number", "sg"))
+                if key not in pronouns:
+                    pronouns[key] = d.DSyntNode(pron, d.FUNCTION_WORD, key[1], {"number": key[2]})
+                return pronouns[key]
             return node
 
         out_sentences.append(visit(sentence))

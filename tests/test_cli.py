@@ -227,12 +227,14 @@ def test_mutated_stories_never_escape_the_error_contract(tmp_path):
 
 def test_story_with_no_timespans_fails_validation(tmp_path):
     # an indented header reads as a line of the `original` block, which
-    # leaves the timeline empty
+    # leaves the timeline empty; the validator names the swallowed header
     path = tmp_path / "indented.story"
     path.write_bytes(FOX_BYTES.replace(b"\ntimeline\n", b"\n timeline\n", 1))
     code, out, err = invoke("validate", str(path))
     assert code == 1
-    assert out == "error: timeline: timeline has no timespans\n"
+    assert out == ("warning: original: line 'timeline' is a section name; "
+                   "is its header indented?\n"
+                   "error: timeline: timeline has no timespans\n")
     for argv in (["generate", str(path)], ["pipeline", str(path), "--reference", REFERENCE]):
         code, out, err = invoke(*argv)
         assert code == 1, argv
