@@ -3,8 +3,9 @@
 Nodes pair a lexeme with a lexico-syntactic class and hang off their
 governor under a labelled relation: I/II/III for arguments, ATTR for
 modifiers, APPEND for adjuncts and function-word structure. Grammatical
-features ride along as a small string map. Trees are immutable values;
-``attach`` returns a new parent.
+features ride along as a small string map. Trees are immutable values,
+which the record base enforces (see :mod:`retold.record`); ``attach``
+returns a new parent.
 
 Rewrites are copy-on-write: they share every unchanged subtree with their
 input, and a node with nothing changed at or under it comes back as the
@@ -18,10 +19,10 @@ in place.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .diagnostics import ERROR, Diagnostic
+from .record import Record, slot_setters
 
 COMMON_NOUN = "common_noun"
 VERB = "verb"
@@ -81,13 +82,18 @@ class ClassError(TreeError):
     pass
 
 
-@dataclass(frozen=True)
-class DSyntNode:
-    lexeme: str
-    cls: str
-    relation: str = ROOT
-    features: Mapping[str, str] = field(default_factory=dict)
-    children: tuple["DSyntNode", ...] = ()
+class DSyntNode(Record):
+    __slots__ = _fields = ("lexeme", "cls", "relation", "features", "children")
+
+    def __init__(self, lexeme: str, cls: str, relation: str = ROOT,
+                 features: Optional[Mapping[str, str]] = None,
+                 children: tuple["DSyntNode", ...] = ()):
+        set_lexeme, set_cls, set_relation, set_features, set_children = _NODE_SETTERS
+        set_lexeme(self, lexeme)
+        set_cls(self, cls)
+        set_relation(self, relation)
+        set_features(self, {} if features is None else features)
+        set_children(self, children)
 
     def feature(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return self.features.get(key, default)
@@ -125,9 +131,17 @@ class DSyntNode:
         return None
 
 
-@dataclass(frozen=True)
-class Document:
-    sentences: tuple[DSyntNode, ...] = ()
+_NODE_SETTERS = slot_setters(DSyntNode)
+
+
+class Document(Record):
+    __slots__ = _fields = ("sentences",)
+
+    def __init__(self, sentences: tuple[DSyntNode, ...] = ()):
+        _DOCUMENT_SETTERS[0](self, sentences)
+
+
+_DOCUMENT_SETTERS = slot_setters(Document)
 
 
 def attach(parent: DSyntNode, child: DSyntNode, relation: str) -> DSyntNode:

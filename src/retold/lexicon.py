@@ -12,10 +12,11 @@ Both tables load from plain-text data files shipped with the package; see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Optional
+
+from .record import Record, slot_setters
 
 NOUN = "noun"
 VERB = "verb"
@@ -57,17 +58,24 @@ class FeatureMismatchError(LexiconError):
     pass
 
 
-@dataclass(frozen=True)
-class LexemeEntry:
-    lemma: str
-    pos: str
-    irregular: Mapping[str, str] = field(default_factory=dict)
-    onset_split: Optional[tuple[str, str]] = None
-    synonyms: tuple[tuple[str, str], ...] = ()  # (lemma, register)
+class LexemeEntry(Record):
+    __slots__ = _fields = ("lemma", "pos", "irregular", "onset_split", "synonyms")
+
+    def __init__(self, lemma: str, pos: str, irregular: Optional[Mapping[str, str]] = None,
+                 onset_split: Optional[tuple[str, str]] = None,
+                 synonyms: tuple[tuple[str, str], ...] = ()):  # (lemma, register)
+        set_lemma, set_pos, set_irregular, set_onset_split, set_synonyms = _ENTRY_SETTERS
+        set_lemma(self, lemma)
+        set_pos(self, pos)
+        set_irregular(self, {} if irregular is None else irregular)
+        set_onset_split(self, onset_split)
+        set_synonyms(self, synonyms)
 
 
-@dataclass(frozen=True)
-class FrameDef:
+_ENTRY_SETTERS = slot_setters(LexemeEntry)
+
+
+class FrameDef(Record):
     """Maps thematic roles of one predicate frame to syntactic relations.
 
     ``mandatory_roles`` and ``optional_roles`` are (role, relation) pairs in
@@ -77,10 +85,16 @@ class FrameDef:
     bound to an argument slot is rendered.
     """
 
-    frame_id: str
-    mandatory_roles: tuple[tuple[str, str], ...] = ()
-    optional_roles: tuple[tuple[str, str], ...] = ()
-    complement_kind: Optional[str] = None
+    __slots__ = _fields = ("frame_id", "mandatory_roles", "optional_roles", "complement_kind")
+
+    def __init__(self, frame_id: str, mandatory_roles: tuple[tuple[str, str], ...] = (),
+                 optional_roles: tuple[tuple[str, str], ...] = (),
+                 complement_kind: Optional[str] = None):
+        set_frame_id, set_mandatory, set_optional, set_complement_kind = _FRAME_SETTERS
+        set_frame_id(self, frame_id)
+        set_mandatory(self, mandatory_roles)
+        set_optional(self, optional_roles)
+        set_complement_kind(self, complement_kind)
 
     def all_roles(self) -> tuple[tuple[str, str], ...]:
         return self.mandatory_roles + self.optional_roles
@@ -90,6 +104,9 @@ class FrameDef:
             if rel == "I":
                 return role
         return None
+
+
+_FRAME_SETTERS = slot_setters(FrameDef)
 
 
 class Lexicon:

@@ -14,17 +14,16 @@ of 300-word fable tellings scores in about 1 ms once its words are cached.
 
 from __future__ import annotations
 
-import json
 import math
-import string
 from collections import Counter
-from dataclasses import dataclass
-from statistics import mean, pstdev
 from typing import Sequence
 
 from .porter import stem
+from .record import Record, slot_setters
 
-_STRIP_CHARS = string.punctuation + "‘’“”–—…"
+# string.punctuation, then typographic quotes, dashes and the ellipsis;
+# written out so that importing retold does not import `string`
+_STRIP_CHARS = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~" + "‘’“”–—…"
 
 
 def tokenize(text: str) -> list[str]:
@@ -106,27 +105,46 @@ def bleu(candidate: Sequence[str], reference: Sequence[str],
     return bp * geo
 
 
-@dataclass(frozen=True)
-class EvalPair:
-    candidate_text: str
-    reference_text: str
-    label: str = ""
+class EvalPair(Record):
+    __slots__ = _fields = ("candidate_text", "reference_text", "label")
+
+    def __init__(self, candidate_text: str, reference_text: str, label: str = ""):
+        set_candidate, set_reference, set_label = _PAIR_SETTERS
+        set_candidate(self, candidate_text)
+        set_reference(self, reference_text)
+        set_label(self, label)
 
 
-@dataclass(frozen=True)
-class EvalRow:
-    label: str
-    levenshtein: int
-    bleu: float
+_PAIR_SETTERS = slot_setters(EvalPair)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    rows: tuple[EvalRow, ...]
-    levenshtein_mean: float
-    levenshtein_std: float
-    bleu_mean: float
-    bleu_std: float
+class EvalRow(Record):
+    __slots__ = _fields = ("label", "levenshtein", "bleu")
+
+    def __init__(self, label: str, levenshtein: int, bleu: float):
+        set_label, set_levenshtein, set_bleu = _ROW_SETTERS
+        set_label(self, label)
+        set_levenshtein(self, levenshtein)
+        set_bleu(self, bleu)
+
+
+_ROW_SETTERS = slot_setters(EvalRow)
+
+
+class EvalReport(Record):
+    __slots__ = _fields = ("rows", "levenshtein_mean", "levenshtein_std", "bleu_mean", "bleu_std")
+
+    def __init__(self, rows: tuple[EvalRow, ...], levenshtein_mean: float,
+                 levenshtein_std: float, bleu_mean: float, bleu_std: float):
+        set_rows, set_lev_mean, set_lev_std, set_bleu_mean, set_bleu_std = _REPORT_SETTERS
+        set_rows(self, rows)
+        set_lev_mean(self, levenshtein_mean)
+        set_lev_std(self, levenshtein_std)
+        set_bleu_mean(self, bleu_mean)
+        set_bleu_std(self, bleu_std)
+
+
+_REPORT_SETTERS = slot_setters(EvalReport)
 
 
 def score_pair(pair: EvalPair, use_stemming: bool = True) -> EvalRow:
@@ -139,6 +157,8 @@ def score_pair(pair: EvalPair, use_stemming: bool = True) -> EvalRow:
 
 def corpus_report(pairs: Sequence[EvalPair], use_stemming: bool = True) -> EvalReport:
     """Per-pair scores plus mean and population standard deviation."""
+    from statistics import mean, pstdev  # on use, to keep it out of `import retold`
+
     if not pairs:
         raise ValueError("no pairs to score")
     rows = tuple(score_pair(p, use_stemming) for p in pairs)
@@ -148,6 +168,8 @@ def corpus_report(pairs: Sequence[EvalPair], use_stemming: bool = True) -> EvalR
 
 
 def report_to_json(report: EvalReport) -> str:
+    import json  # on use, to keep it out of `import retold`
+
     payload = {
         "rows": [{"label": r.label, "levenshtein": r.levenshtein, "bleu": round(r.bleu, 6)}
                  for r in report.rows],

@@ -19,13 +19,13 @@ A story's trees share equal subtrees (see :mod:`retold.transform`), so
 realizes each noun phrase and prepositional phrase object once: its memo
 maps ``id(node)`` to the node and the phrase's token tuple, and callers only
 extend their own lists from that tuple. The entry keeps the node alive, so
-no other node can be given its id while the memo lives; the memo is dropped
-with the realizer when the call returns.
+no other node can be given its id while the memo lives. The realizer also
+inflects each (verb lemma, number) pair's past form once. Both memos are
+dropped with the realizer when the call returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -40,6 +40,7 @@ from .lexicon import (
     split_onset,
     split_onset_of,
 )
+from .record import Record, slot_setters
 
 MODAL_LEMMAS = frozenset({"can"})
 
@@ -55,11 +56,18 @@ class RealizationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    kind: str = "word"  # word | punctuation
-    no_space_before: bool = False
+class Token(Record):
+    __slots__ = _fields = ("surface", "kind", "no_space_before")
+
+    def __init__(self, surface: str, kind: str = "word",  # word | punctuation
+                 no_space_before: bool = False):
+        set_surface, set_kind, set_no_space_before = _TOKEN_SETTERS
+        set_surface(self, surface)
+        set_kind(self, kind)
+        set_no_space_before(self, no_space_before)
+
+
+_TOKEN_SETTERS = slot_setters(Token)
 
 
 _THE, _A, _AND, _DID, _NOT, _TO, _BECAUSE, _IN, _ORDER, _FOR = map(
@@ -106,6 +114,8 @@ class _Realizer:
         self.lexicon = lexicon
         # id(node) -> (node, its tokens), for noun and prepositional phrases
         self._phrases: dict[int, tuple[d.DSyntNode, tuple[Token, ...]]] = {}
+        # (lemma, number) -> the past-tense verb token
+        self._pasts: dict[tuple[str, str], Token] = {}
 
     # -- noun phrases --------------------------------------------------------
 
@@ -254,12 +264,14 @@ class _Realizer:
             return [Token(lemma)]
         if form == "infinitive":
             return [_NOT, _TO, Token(lemma)] if negated else [_TO, Token(lemma)]
-        entry = self.lexicon.lookup(lemma, VERB)
-        past = inflect(entry, {"tense": "past", "number": number})
+        past = self._pasts.get((lemma, number))
+        if past is None:
+            past = self._pasts[(lemma, number)] = Token(
+                inflect(self.lexicon.lookup(lemma, VERB), {"tense": "past", "number": number}))
         if not negated:
-            return [Token(past)]
+            return [past]
         if lemma == "be" or lemma in MODAL_LEMMAS:
-            return [Token(past), _NOT]
+            return [past, _NOT]
         return [_DID, _NOT, Token(lemma)]
 
     def _complement_tokens(self, node: d.DSyntNode, governor: d.DSyntNode) -> Sequence[Token]:

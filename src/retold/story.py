@@ -26,16 +26,21 @@ or through the discourse lines ``purpose:``/``cause:``/``complement:``.
 A proposition may carry ``id=<pid>`` and be reused later as ``ref <pid>``
 (backward references only, which keeps the nesting graph acyclic).
 The full grammar is documented in the README.
+
+The parsed graph is immutable, which the record base enforces (see
+:mod:`retold.record`). A proposition reused through ``ref`` is one object
+at every use, so the graph is a DAG, and ``==`` and ``hash`` take time
+linear in its distinct propositions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Container, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .lexicon import ADJECTIVE, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
+from .record import Record, slot_setters
 
 CHARACTER = "character"
 OBJECT = "object"
@@ -82,37 +87,66 @@ class StoryCycleError(StoryError):
 # ---------------------------------------------------------------------------
 # data model (immutable values; share freely across threads)
 
-@dataclass(frozen=True)
-class Entity:
-    id: str
-    kind: str
-    head_lemma: str
-    group_of: Optional[str] = None
-    number: str = "sg"
-    fixed_modifiers: tuple[str, ...] = ()
-    pronoun: Optional[str] = None
+class Entity(Record):
+    __slots__ = _fields = ("id", "kind", "head_lemma", "group_of", "number",
+                           "fixed_modifiers", "pronoun")
+
+    def __init__(self, id: str, kind: str, head_lemma: str, group_of: Optional[str] = None,
+                 number: str = "sg", fixed_modifiers: tuple[str, ...] = (),
+                 pronoun: Optional[str] = None):
+        (set_id, set_kind, set_head_lemma, set_group_of, set_number, set_fixed_modifiers,
+         set_pronoun) = _ENTITY_SETTERS
+        set_id(self, id)
+        set_kind(self, kind)
+        set_head_lemma(self, head_lemma)
+        set_group_of(self, group_of)
+        set_number(self, number)
+        set_fixed_modifiers(self, fixed_modifiers)
+        set_pronoun(self, pronoun)
 
 
-@dataclass(frozen=True)
-class EntityRef:
-    entity_id: str
+_ENTITY_SETTERS = slot_setters(Entity)
 
 
-@dataclass(frozen=True)
-class Property:
-    adjective: str
+class EntityRef(Record):
+    __slots__ = _fields = ("entity_id",)
+
+    def __init__(self, entity_id: str):
+        _ENTITY_REF_SETTERS[0](self, entity_id)
 
 
-@dataclass(frozen=True)
-class Text:
-    value: str
+_ENTITY_REF_SETTERS = slot_setters(EntityRef)
 
 
-@dataclass(frozen=True)
-class FrameInstance:
-    predicate_lemma: str
-    frame_id: str
-    bindings: tuple[tuple[str, "Argument"], ...] = ()
+class Property(Record):
+    __slots__ = _fields = ("adjective",)
+
+    def __init__(self, adjective: str):
+        _PROPERTY_SETTERS[0](self, adjective)
+
+
+_PROPERTY_SETTERS = slot_setters(Property)
+
+
+class Text(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str):
+        _TEXT_SETTERS[0](self, value)
+
+
+_TEXT_SETTERS = slot_setters(Text)
+
+
+class FrameInstance(Record):
+    __slots__ = _fields = ("predicate_lemma", "frame_id", "bindings")
+
+    def __init__(self, predicate_lemma: str, frame_id: str,
+                 bindings: tuple[tuple[str, "Argument"], ...] = ()):
+        set_predicate_lemma, set_frame_id, set_bindings = _FRAME_INSTANCE_SETTERS
+        set_predicate_lemma(self, predicate_lemma)
+        set_frame_id(self, frame_id)
+        set_bindings(self, bindings)
 
     def binding(self, role: str) -> Optional["Argument"]:
         for name, arg in self.bindings:
@@ -124,24 +158,83 @@ class FrameInstance:
         return tuple(name for name, _ in self.bindings)
 
 
-@dataclass(frozen=True)
-class Attachment:
-    relation: str
-    target: Union["Proposition", EntityRef, Property, Text]
-    preposition: Optional[str] = None
+_FRAME_INSTANCE_SETTERS = slot_setters(FrameInstance)
 
 
-@dataclass(frozen=True)
-class Proposition:
-    id: str
-    frame: FrameInstance
-    polarity: str = AFFIRMATIVE
-    adverbs: tuple[tuple[str, str], ...] = ()  # (lemma, pre_verb|post_verb)
-    attachments: tuple[Attachment, ...] = ()
+class Attachment(Record):
+    __slots__ = _fields = ("relation", "target", "preposition")
+
+    def __init__(self, relation: str, target: Union["Proposition", EntityRef, Property, Text],
+                 preposition: Optional[str] = None):
+        set_relation, set_target, set_preposition = _ATTACHMENT_SETTERS
+        set_relation(self, relation)
+        set_target(self, target)
+        set_preposition(self, preposition)
+
+
+_ATTACHMENT_SETTERS = slot_setters(Attachment)
+
+
+def _same(x, y, proven: set[tuple[int, int]]) -> bool:
+    """``x == y`` for story values, comparing each pair of proposition
+    objects once: ``proven`` holds the ``(id, id)`` pairs of propositions
+    already shown equal within one top-level comparison, so a proposition
+    reused through ``ref``, as a bound argument or as an attachment target,
+    is not compared again wherever it recurs."""
+    if x is y:
+        return True
+    cls = x.__class__
+    if cls is not y.__class__:
+        return x == y
+    if cls is tuple:
+        return len(x) == len(y) and all(_same(a, b, proven) for a, b in zip(x, y))
+    if cls not in _NESTING:
+        return x == y
+    key = (id(x), id(y))
+    if key in proven:
+        return True
+    if not all(_same(getattr(x, name), getattr(y, name), proven) for name in cls._fields):
+        return False
+    if cls is Proposition:
+        proven.add(key)
+    return True
+
+
+def _eq_once_per_proposition(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _same(self, other, set())
+
+
+class Proposition(Record):
+    _fields = ("id", "frame", "polarity", "adverbs", "attachments")
+    # _hash caches the hash, computed on first use from the children's
+    # cached hashes
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, id: str, frame: FrameInstance, polarity: str = AFFIRMATIVE,
+                 adverbs: tuple[tuple[str, str], ...] = (),  # (lemma, pre_verb|post_verb)
+                 attachments: tuple[Attachment, ...] = ()):
+        set_id, set_frame, set_polarity, set_adverbs, set_attachments = _PROPOSITION_SETTERS
+        set_id(self, id)
+        set_frame(self, frame)
+        set_polarity(self, polarity)
+        set_adverbs(self, adverbs)
+        set_attachments(self, attachments)
+
+    __eq__ = _eq_once_per_proposition
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._values(self))
+            _set_proposition_hash(self, value)
+            return value
 
     def __repr__(self) -> str:
         # A nested proposition shows as "ref <id>", as serialize_story
-        # writes a reuse; the dataclass repr would expand a proposition
+        # writes a reuse; the field-by-field repr would expand a proposition
         # reused through ref again at every use.
         def short(arg) -> str:
             return f"ref {arg.id}" if isinstance(arg, Proposition) else repr(arg)
@@ -153,28 +246,50 @@ class Proposition:
                 f"({bindings})), {self.polarity!r}, {self.adverbs!r}, ({attachments}))")
 
 
+_PROPOSITION_SETTERS = slot_setters(Proposition)
+_set_proposition_hash = Proposition._hash.__set__
+
 Argument = Union[EntityRef, Property, Text, Proposition]
 
 
-@dataclass(frozen=True)
-class Timespan:
-    index: int
-    propositions: tuple[Proposition, ...]
+class Timespan(Record):
+    __slots__ = _fields = ("index", "propositions")
+
+    def __init__(self, index: int, propositions: tuple[Proposition, ...]):
+        set_index, set_propositions = _TIMESPAN_SETTERS
+        set_index(self, index)
+        set_propositions(self, propositions)
 
 
-@dataclass(frozen=True)
-class StoryGraph:
-    id: str
-    title: str
-    entities: tuple[Entity, ...]
-    timeline: tuple[Timespan, ...]
-    original_text: Optional[str] = None
+_TIMESPAN_SETTERS = slot_setters(Timespan)
+
+
+class StoryGraph(Record):
+    __slots__ = _fields = ("id", "title", "entities", "timeline", "original_text")
+
+    def __init__(self, id: str, title: str, entities: tuple[Entity, ...],
+                 timeline: tuple[Timespan, ...], original_text: Optional[str] = None):
+        set_id, set_title, set_entities, set_timeline, set_original_text = _GRAPH_SETTERS
+        set_id(self, id)
+        set_title(self, title)
+        set_entities(self, entities)
+        set_timeline(self, timeline)
+        set_original_text(self, original_text)
+
+    # one memo of proven-equal propositions across the whole timeline
+    __eq__ = _eq_once_per_proposition
+    __hash__ = Record.__hash__
 
     def entity(self, entity_id: str) -> Entity:
         for e in self.entities:
             if e.id == entity_id:
                 return e
         raise KeyError(entity_id)
+
+
+_GRAPH_SETTERS = slot_setters(StoryGraph)
+# the classes through which one proposition nests in another
+_NESTING = frozenset({StoryGraph, Timespan, Proposition, FrameInstance, Attachment})
 
 
 def timeline_propositions(g: StoryGraph) -> list[Proposition]:
@@ -192,11 +307,17 @@ _BINDING_RE = re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+
 _STORY_RE = re.compile(r'^story\s+(?P<id>[A-Za-z_]\w*)\s+"(?P<title>[^"]*)"\s*$')
 
 
-@dataclass
-class _Line:
-    indent: int
-    text: str
-    lineno: int
+class _Line(Record):
+    __slots__ = _fields = ("indent", "text", "lineno")
+
+    def __init__(self, indent: int, text: str, lineno: int):
+        set_indent, set_text, set_lineno = _LINE_SETTERS
+        set_indent(self, indent)
+        set_text(self, text)
+        set_lineno(self, lineno)
+
+
+_LINE_SETTERS = slot_setters(_Line)
 
 
 def _scan(encoded_text: str) -> list[_Line]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -35,6 +34,7 @@ from .lexicon import (
     synonym,
 )
 from .realize import ACCUSATIVE, CONTRACTIBLE, MODAL_LEMMAS
+from .record import Record, slot_setters
 from .transform import enable_contractions, pronominalize_sentences
 
 # the one document-level parameter: it counts mentions across the whole
@@ -59,19 +59,23 @@ class VoiceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class VoiceModel:
-    name: str
-    params: Mapping[str, float]
+class VoiceModel(Record):
+    __slots__ = _fields = ("name", "params")
+
+    def __init__(self, name: str, params: Mapping[str, float]):
+        for key, value in params.items():
+            problem = _param_error(key, value)
+            if problem:
+                raise VoiceError(problem)
+        set_name, set_params = _VOICE_SETTERS
+        set_name(self, name)
+        set_params(self, params)
 
     def activation(self, param: str) -> float:
         return float(self.params.get(param, 0.0))
 
-    def __post_init__(self) -> None:
-        for key, value in self.params.items():
-            problem = _param_error(key, value)
-            if problem:
-                raise VoiceError(problem)
+
+_VOICE_SETTERS = slot_setters(VoiceModel)
 
 
 def _param_error(key: str, value: float) -> Optional[str]:
@@ -82,17 +86,23 @@ def _param_error(key: str, value: float) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class StyleDecision:
+class StyleDecision(Record):
     """One applied transform. ``site`` is a dotted child path into the
     styled sentence as of application time; when a later transform
     restructures the clause so the path no longer resolves, it degrades
     to "root" so that every recorded site exists in the final output."""
 
-    sentence_index: int
-    param: str
-    site: str
-    payload: str
+    __slots__ = _fields = ("sentence_index", "param", "site", "payload")
+
+    def __init__(self, sentence_index: int, param: str, site: str, payload: str):
+        set_sentence_index, set_param, set_site, set_payload = _DECISION_SETTERS
+        set_sentence_index(self, sentence_index)
+        set_param(self, param)
+        set_site(self, site)
+        set_payload(self, payload)
+
+
+_DECISION_SETTERS = slot_setters(StyleDecision)
 
 
 def parse_voice(text: str) -> VoiceModel:

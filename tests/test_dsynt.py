@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -55,8 +54,8 @@ def test_validate_tree_accepts_purpose_sentence(fox_graph):
 
 
 def test_validate_two_subjects():
-    bad = replace(_verb(), children=(replace(_noun(), relation=d.I),
-                                     replace(_noun("lion"), relation=d.I)))
+    bad = _verb().replace(children=(_noun().replace(relation=d.I),
+                                    _noun("lion").replace(relation=d.I)))
     assert any("more than one I" in e.message for e in d.validate_tree(bad))
 
 
@@ -115,13 +114,13 @@ def test_node_paths_round_trip(fox_graph):
 def test_validate_rejects_unknown_class_and_empty_lexeme():
     weird = d.DSyntNode("x", "interjection")
     assert any("unknown class" in e.message for e in d.validate_tree(weird))
-    hollow = replace(_verb(), lexeme="")
+    hollow = _verb().replace(lexeme="")
     assert any("empty lexeme" in e.message for e in d.validate_tree(hollow))
 
 
 def test_validate_rejects_root_relation_below_root():
     inner = d.DSyntNode("fox", d.COMMON_NOUN, d.ROOT)
-    bad = replace(_verb(), children=(inner,))
+    bad = _verb().replace(children=(inner,))
     assert any("ROOT relation below" in e.message for e in d.validate_tree(bad))
 
 

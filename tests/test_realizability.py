@@ -2,7 +2,6 @@
 every proposition the transform refuses is one validation reports."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -106,10 +105,10 @@ def _swap(p, old, new):
         return new
     bindings = tuple((role, _swap(a, old, new) if isinstance(a, st.Proposition) else a)
                      for role, a in p.frame.bindings)
-    attachments = tuple(replace(a, target=_swap(a.target, old, new))
+    attachments = tuple(a.replace(target=_swap(a.target, old, new))
                         if isinstance(a.target, st.Proposition) else a
                         for a in p.attachments)
-    return replace(p, frame=replace(p.frame, bindings=bindings), attachments=attachments)
+    return p.replace(frame=p.frame.replace(bindings=bindings), attachments=attachments)
 
 
 def _mutated(g, rng):
@@ -127,17 +126,17 @@ def _mutated(g, rng):
         bindings = list(target.frame.bindings)
         i = rng.randrange(len(bindings))
         bindings[i] = (bindings[i][0], rng.choice(arguments))
-        new = replace(target, frame=replace(target.frame, bindings=tuple(bindings)))
+        new = target.replace(frame=target.frame.replace(bindings=tuple(bindings)))
     elif kind == "complement":
-        new = replace(target, attachments=target.attachments
-                      + (st.Attachment(st.COMPLEMENT, nested),))
+        new = target.replace(attachments=target.attachments
+                             + (st.Attachment(st.COMPLEMENT, nested),))
     else:
-        new = replace(target, attachments=target.attachments
-                      + (st.Attachment(st.PREPOSITIONAL, rng.choice(arguments), "with"),))
-    spans = tuple(replace(ts, propositions=tuple(_swap(p, target, new)
-                                                 for p in ts.propositions))
+        new = target.replace(attachments=target.attachments
+                             + (st.Attachment(st.PREPOSITIONAL, rng.choice(arguments), "with"),))
+    spans = tuple(ts.replace(propositions=tuple(_swap(p, target, new)
+                                                for p in ts.propositions))
                   for ts in g.timeline)
-    return replace(g, timeline=spans)
+    return g.replace(timeline=spans)
 
 
 @settings(derandomize=True, deadline=None)

@@ -2,7 +2,6 @@
 node, and the input's own nodes wherever nothing changed."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +20,8 @@ def rebuild_drop_coreferent_purpose_subject(sentence):
     dropped = []
 
     def rewrite(node, path):
-        node = replace(node, children=tuple(rewrite(c, path + (i,))
-                                            for i, c in enumerate(node.children)))
+        node = node.replace(children=tuple(rewrite(c, path + (i,))
+                                           for i, c in enumerate(node.children)))
         if node.cls != d.VERB:
             return node
         matrix_subject = node.child(d.I)
@@ -36,12 +35,12 @@ def rebuild_drop_coreferent_purpose_subject(sentence):
                 emb_subject = emb.child(d.I)
                 if (emb_subject is not None
                         and tr.coref_head(emb_subject) == tr.coref_head(matrix_subject)):
-                    emb = replace(emb, children=tuple(x for x in emb.children
-                                                      if x is not emb_subject))
-                    c = replace(c, children=(emb,) + c.children[1:])
+                    emb = emb.replace(children=tuple(x for x in emb.children
+                                                     if x is not emb_subject))
+                    c = c.replace(children=(emb,) + c.children[1:])
                     dropped.append(path + (i, 0))
             new_children.append(c)
-        return replace(node, children=tuple(new_children))
+        return node.replace(children=tuple(new_children))
 
     return rewrite(sentence, ()), dropped
 
@@ -75,8 +74,8 @@ def rebuild_pronominalize_sentences(sentences, fire):
 
 
 def rebuild_rewrite_unable_to_modal(node):
-    node = replace(node, children=tuple(rebuild_rewrite_unable_to_modal(c)
-                                        for c in node.children))
+    node = node.replace(children=tuple(rebuild_rewrite_unable_to_modal(c)
+                                       for c in node.children))
     if (node.cls == d.VERB and node.lexeme == "be"
             and node.feature("polarity") == "neg"):
         able = [c for c in node.children
@@ -85,7 +84,7 @@ def rebuild_rewrite_unable_to_modal(node):
                if c.relation == d.II and c.cls == d.VERB and "tense" not in c.features]
         if able and inf:
             children = tuple(c for c in node.children if c is not able[0])
-            return replace(node, lexeme="can", children=children)
+            return node.replace(lexeme="can", children=children)
     return node
 
 

@@ -160,3 +160,18 @@ def test_each_shared_phrase_is_realized_once_per_document(fox_graph, monkeypatch
     mentions = [id(node) for _, _, node in _positions(doc) if node.cls == d.COMMON_NOUN]
     assert sorted(realized) == sorted(set(mentions))
     assert len(realized) < len(mentions)
+
+
+def test_each_past_form_is_inflected_once_per_document(lion_graph, monkeypatch):
+    doc = tr.transform_story(lion_graph)
+    text = rz.realize_document(doc)
+    inflected = []
+    inflect = rz.inflect
+    monkeypatch.setattr(rz, "inflect", lambda entry, feats: inflected.append(
+        (entry.lemma, feats.get("tense"), feats["number"])) or inflect(entry, feats))
+    assert rz.realize_document(doc) == text
+    pasts = [key for key in inflected if key[1] == "past"]
+    assert len(pasts) == len(set(pasts)) > 1
+    finite = [node for _, _, node in _positions(doc)
+              if node.cls == d.VERB and "tense" in node.features]
+    assert len(finite) > len(pasts)

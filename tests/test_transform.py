@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -282,7 +281,7 @@ def test_each_sentence_is_transformed_on_its_own():
         g = random_story(random.Random(seed))
         doc = tr.transform_story(g)
         for p, sentence in zip(st.timeline_propositions(g), doc.sentences):
-            alone = dataclasses.replace(g, timeline=(st.Timespan(0, (p,)),))
+            alone = g.replace(timeline=(st.Timespan(0, (p,)),))
             assert tr.transform_story(alone).sentences == (sentence,), f"seed {seed} {p.id}"
 
 
