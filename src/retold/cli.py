@@ -5,7 +5,7 @@ Subcommands wire the pipeline end to end:
     retold validate <story>
     retold generate <story> [--voice V] [--seed N] [--emit-dsynts] [--output F]
     retold eval --candidate F --reference F [--no-stem] [--json F]
-    retold pipeline <story> --reference F [--json F]
+    retold pipeline <story> --reference F [--no-stem] [--json F]
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or parse errors.
 Output is byte-identical across runs for equal inputs (the seed included).
@@ -54,13 +54,6 @@ def _validated_story(path: str, out) -> story.StoryGraph:
     return graph
 
 
-def _generate(graph: story.StoryGraph, voice_name: str, seed: int
-              ) -> tuple[dsynt.Document, list[style.StyleDecision]]:
-    model = style.load_voice(voice_name)
-    doc = transform.transform_story(graph)
-    return style.apply_voice(doc, model, seed)
-
-
 def cmd_validate(args, out, err) -> int:
     graph = _load_story(args.story)
     diagnostics = story.validate_story(graph)
@@ -75,9 +68,10 @@ def cmd_validate(args, out, err) -> int:
 def cmd_generate(args, out, err) -> int:
     graph = _validated_story(args.story, err)
     try:
-        styled, _decisions = _generate(graph, args.voice, args.seed)
+        model = style.load_voice(args.voice)
     except style.VoiceError as exc:
         raise _CliError(str(exc), 2) from exc
+    styled, _decisions = style.apply_voice(transform.transform_story(graph), model, args.seed)
     text = realize.realize_document(styled)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
@@ -115,8 +109,7 @@ def cmd_pipeline(args, out, err) -> int:
     if not reference.strip():
         raise _CliError(f"{args.reference}: reference text is empty", 2)
     graph = _validated_story(args.story, err)
-    styled, _ = _generate(graph, "NEUTRAL", args.seed)
-    text = realize.realize_document(styled)
+    text = realize.realize_document(transform.transform_story(graph))
     print(text, file=out)
     pair = metrics.EvalPair(text, reference, label=graph.id)
     print(file=out)
@@ -154,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="generate neutrally and score in one step")
     p.add_argument("story")
     p.add_argument("--reference", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-stem", action="store_true")
     p.add_argument("--json", help="also write a machine-readable report")
     p.set_defaults(func=cmd_pipeline)

@@ -36,7 +36,8 @@ linear in its distinct propositions.
 from __future__ import annotations
 
 import re
-from typing import Container, Optional, Union
+from itertools import groupby
+from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .lexicon import ADJECTIVE, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
@@ -297,6 +298,18 @@ def timeline_propositions(g: StoryGraph) -> list[Proposition]:
     return [p for ts in g.timeline for p in ts.propositions]
 
 
+def attachment_groups(attachments: tuple[Attachment, ...]
+                      ) -> Iterator[tuple[Attachment, tuple[Argument, ...]]]:
+    """Each attachment in source order with its targets. A run of prepositional
+    attachments with one preposition is one phrase: it comes once, as its
+    first attachment with all the run's targets."""
+    # a clause attachment's key is a fresh object, equal to no other key
+    for _, run in groupby(attachments, lambda a: a.preposition if a.relation == PREPOSITIONAL
+                          else object()):
+        run = tuple(run)
+        yield run[0], tuple(a.target for a in run)
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -307,21 +320,13 @@ _BINDING_RE = re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+
 _STORY_RE = re.compile(r'^story\s+(?P<id>[A-Za-z_]\w*)\s+"(?P<title>[^"]*)"\s*$')
 
 
-class _Line(Record):
-    __slots__ = _fields = ("indent", "text", "lineno")
-
-    def __init__(self, indent: int, text: str, lineno: int):
-        set_indent, set_text, set_lineno = _LINE_SETTERS
-        set_indent(self, indent)
-        set_text(self, text)
-        set_lineno(self, lineno)
-
-
-_LINE_SETTERS = slot_setters(_Line)
-
-
-def _scan(encoded_text: str) -> list[_Line]:
-    out = []
+def _outline(encoded_text: str) -> list[tuple]:
+    """Reads the text once into an outline: its top-level lines, each an
+    ``(indent, text, lineno, children)`` tuple whose children are the deeper
+    lines after it, up to the next line indented as far or less. Blank and
+    comment lines are dropped. A line nested past :data:`MAX_NESTING_DEPTH`
+    is an error here, before anything recurses."""
+    open_lines = [(-1, "", 0, [])]  # a root, the last line read and its ancestors
     for lineno, raw in enumerate(encoded_text.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
@@ -329,248 +334,214 @@ def _scan(encoded_text: str) -> list[_Line]:
         indent = len(raw) - len(stripped)
         if "\t" in raw[: indent + 1]:
             raise StorySyntaxError("tabs are not allowed in indentation", lineno)
-        out.append(_Line(indent, stripped.rstrip(), lineno))
+        while open_lines[-1][0] >= indent:
+            open_lines.pop()
+        # the new line's ancestors after the root: a section, a timespan, a
+        # top-level proposition, then a slot and a proposition per level
+        if len(open_lines) > 2 * MAX_NESTING_DEPTH + 4:
+            raise StorySyntaxError(f"nested too deep: propositions nest at most "
+                                   f"{MAX_NESTING_DEPTH} levels", lineno)
+        line = (indent, stripped.rstrip(), lineno, [])
+        open_lines[-1][3].append(line)
+        open_lines.append(line)
+    return open_lines[0][3]
+
+
+def _lines_under(lines: list[tuple]) -> list[tuple]:
+    """``lines`` and every line under them, in file order."""
+    out, todo = [], lines[::-1]
+    while todo:
+        line = todo.pop()
+        out.append(line)
+        todo.extend(line[3][::-1])
     return out
 
 
+def _siblings(lines: list[tuple]) -> Iterator[tuple]:
+    """``lines`` in order, each checked to share the first one's indent."""
+    for line in lines:
+        if line[0] != lines[0][0]:
+            raise StorySyntaxError(f"unexpected indentation in {line[1]!r}", line[2])
+        yield line
+
+
 class _Parser:
-    def __init__(self, lines: list[_Line], lexicon: Lexicon):
-        self.lines = lines
-        self.pos = 0
+    def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
         self.entities: dict[str, Entity] = {}
         # proposition id registry; None marks a block still being parsed,
         # which is how a `ref` to an ancestor (a nesting cycle) is caught
         self.props: dict[str, Optional[Proposition]] = {}
 
-    def peek(self) -> Optional[_Line]:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self) -> _Line:
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
     # -- top level ----------------------------------------------------------
 
-    def parse(self) -> StoryGraph:
-        line = self.peek()
-        if line is None:
+    def parse(self, top: list[tuple]) -> StoryGraph:
+        if not top:
             raise StorySyntaxError("empty document")
-        m = _STORY_RE.match(line.text)
-        if line.indent != 0 or not m:
-            raise StorySyntaxError('expected: story <id> "<title>"', line.lineno)
-        self.take()
-        story_id, title = m.group("id"), m.group("title")
+        indent, text, lineno, children = top[0]
+        m = _STORY_RE.match(text)
+        if indent != 0 or not m:
+            raise StorySyntaxError('expected: story <id> "<title>"', lineno)
+        if children:
+            raise StorySyntaxError(f"unexpected indented line {children[0][1]!r}",
+                                   children[0][2])
 
-        sections: dict[str, list[_Line]] = {}
-        order: list[str] = []
-        while (line := self.peek()) is not None:
-            if line.indent != 0:
-                raise StorySyntaxError(f"unexpected indented line {line.text!r}", line.lineno)
-            name = line.text.split()[0]
-            if name not in SECTIONS or line.text != name:
-                raise StorySyntaxError(f"unknown section {line.text!r}", line.lineno)
+        sections: dict[str, list[tuple]] = {}
+        for _, text, lineno, body in top[1:]:
+            name = text.split()[0]
+            if name not in SECTIONS or text != name:
+                raise StorySyntaxError(f"unknown section {text!r}", lineno)
             if name in sections:
-                raise StorySyntaxError(f"duplicate section {name!r}", line.lineno)
-            self.take()
-            body: list[_Line] = []
-            while (inner := self.peek()) is not None and inner.indent > 0:
-                body.append(self.take())
+                raise StorySyntaxError(f"duplicate section {name!r}", lineno)
             sections[name] = body
-            order.append(name)
 
-        entities = tuple(self._parse_entity(l) for l in sections.get("entities", ()))
-        original = None
-        if "original" in sections:
-            original = "\n".join(l.text for l in sections["original"]) or None
+        entities = tuple(self._parse_entity(text, lineno)
+                         for _, text, lineno, _ in _lines_under(sections.get("entities", [])))
+        original = "\n".join(line[1] for line in _lines_under(sections.get("original", [])))
         timeline = self._parse_timeline(sections.get("timeline", []))
-        return StoryGraph(story_id, title, entities, timeline, original)
+        return StoryGraph(m.group("id"), m.group("title"), entities, timeline, original or None)
 
-    def _parse_entity(self, line: _Line) -> Entity:
-        parts = line.text.split()
+    def _parse_entity(self, text: str, lineno: int) -> Entity:
+        parts = text.split()
         if len(parts) < 3:
-            raise StorySyntaxError("entity line needs '<id> <kind> <head_lemma>'", line.lineno)
+            raise StorySyntaxError("entity line needs '<id> <kind> <head_lemma>'", lineno)
         eid, kind, head = parts[0], parts[1], parts[2]
         if kind not in ENTITY_KINDS:
-            raise StorySyntaxError(f"bad entity kind {kind!r}", line.lineno)
+            raise StorySyntaxError(f"bad entity kind {kind!r}", lineno)
         if eid in self.entities:
-            raise StorySyntaxError(f"duplicate entity id {eid!r}", line.lineno)
+            raise StorySyntaxError(f"duplicate entity id {eid!r}", lineno)
         group_of = None
         number = "sg"
         mods: tuple[str, ...] = ()
         pronoun = None
         for tok in parts[3:]:
             if "=" not in tok:
-                raise StorySyntaxError(f"bad entity field {tok!r}", line.lineno)
+                raise StorySyntaxError(f"bad entity field {tok!r}", lineno)
             key, value = tok.split("=", 1)
             if key == "group_of":
                 group_of = value
             elif key == "number":
                 if value not in ("sg", "pl"):
-                    raise StorySyntaxError(f"bad number {value!r}", line.lineno)
+                    raise StorySyntaxError(f"bad number {value!r}", lineno)
                 number = value
             elif key == "mod":
                 mods = tuple(m for m in value.split(",") if m)
                 if not mods:
-                    raise StorySyntaxError("empty modifier list", line.lineno)
+                    raise StorySyntaxError("empty modifier list", lineno)
             elif key == "pronoun":
                 if value not in PRONOUNS:
-                    raise StorySyntaxError(f"bad pronoun {value!r}", line.lineno)
+                    raise StorySyntaxError(f"bad pronoun {value!r}", lineno)
                 pronoun = value
             else:
-                raise StorySyntaxError(f"unknown entity field {key!r}", line.lineno)
+                raise StorySyntaxError(f"unknown entity field {key!r}", lineno)
         entity = Entity(eid, kind, head, group_of, number, mods, pronoun)
         self.entities[eid] = entity
         return entity
 
-    def _parse_timeline(self, body: list[_Line]) -> tuple[Timespan, ...]:
-        if not body:
-            return ()
-        base = body[0].indent
-        spans = []
-        i = 0
-        while i < len(body):
-            line = body[i]
-            if line.indent != base or not re.fullmatch(r"\d+:", line.text):
-                raise StorySyntaxError(f"expected timespan header '<index>:', got {line.text!r}",
-                                       line.lineno)
-            index = int(line.text[:-1])
-            i += 1
-            block: list[_Line] = []
-            while i < len(body) and body[i].indent > base:
-                block.append(body[i])
-                i += 1
-            props = self._parse_prop_block(block, f"t{index}", line.lineno)
-            spans.append(Timespan(index, tuple(props)))
-        return tuple(spans)
+    def _parse_timeline(self, spans: list[tuple]) -> tuple[Timespan, ...]:
+        out = []
+        for indent, text, lineno, lines in spans:
+            if indent != spans[0][0] or not re.fullmatch(r"\d+:", text):
+                raise StorySyntaxError(f"expected timespan header '<index>:', got {text!r}",
+                                       lineno)
+            index = int(text[:-1])
+            if not lines:
+                raise StorySyntaxError("timespan has no propositions", lineno)
+            out.append(Timespan(index, tuple(self._parse_prop(line, f"t{index}.p{n}")
+                                             for n, line in enumerate(_siblings(lines)))))
+        return tuple(out)
 
     # -- propositions ---------------------------------------------------------
 
-    def _parse_prop_block(self, block: list[_Line], prefix: str, header_line: int) -> list[Proposition]:
-        if not block:
-            raise StorySyntaxError("timespan has no propositions", header_line)
-        base = block[0].indent
-        props = []
-        i = 0
-        n = 0
-        while i < len(block):
-            if block[i].indent != base:
-                raise StorySyntaxError(f"unexpected indentation in {block[i].text!r}",
-                                       block[i].lineno)
-            prop, i = self._parse_prop(block, i, f"{prefix}.p{n}")
-            props.append(prop)
-            n += 1
-        return props
-
-    def _sub_block(self, block: list[_Line], i: int) -> tuple[list[_Line], int]:
-        base = block[i].indent
-        i += 1
-        sub = []
-        while i < len(block) and block[i].indent > base:
-            sub.append(block[i])
-            i += 1
-        return sub, i
-
-    def _parse_prop(self, block: list[_Line], i: int, auto_id: str) -> tuple[Proposition, int]:
-        line = block[i]
-        m = _PROP_RE.match(line.text)
+    def _parse_prop(self, line: tuple, auto_id: str) -> Proposition:
+        _, text, lineno, children = line
+        m = _PROP_RE.match(text)
         if not m:
-            raise StorySyntaxError(f"expected proposition, got {line.text!r}", line.lineno)
+            raise StorySyntaxError(f"expected proposition, got {text!r}", lineno)
         frame_id, predicate = m.group("frame"), m.group("pred")
         if not self.lexicon.has_frame(frame_id):
-            raise StoryReferenceError(f"unknown frame {frame_id!r}", line.lineno)
+            raise StoryReferenceError(f"unknown frame {frame_id!r}", lineno)
 
         bindings: list[tuple[str, Argument]] = []
         args = m.group("args").strip()
         if args:
-            for piece in self._split_args(args, line.lineno):
+            for piece in self._split_args(args, lineno):
                 bm = _BINDING_RE.match(piece.strip())
                 if not bm:
-                    raise StorySyntaxError(f"bad role binding {piece.strip()!r}", line.lineno)
+                    raise StorySyntaxError(f"bad role binding {piece.strip()!r}", lineno)
                 bindings.append((bm.group("role"),
-                                 self._parse_inline_arg(bm.group("arg"), line.lineno)))
+                                 self._parse_inline_arg(bm.group("arg"), lineno)))
 
         polarity = AFFIRMATIVE
         adverbs: list[tuple[str, str]] = []
         pid = auto_id
         for tok in m.group("rest").split():
             if "=" not in tok:
-                raise StorySyntaxError(f"bad proposition field {tok!r}", line.lineno)
+                raise StorySyntaxError(f"bad proposition field {tok!r}", lineno)
             key, value = tok.split("=", 1)
             if key == "polarity":
                 if value not in ("aff", "neg"):
-                    raise StorySyntaxError(f"bad polarity {value!r}", line.lineno)
+                    raise StorySyntaxError(f"bad polarity {value!r}", lineno)
                 polarity = NEGATED if value == "neg" else AFFIRMATIVE
             elif key == "adv":
                 am = re.fullmatch(r"([\w-]+)@(pre|post)", value)
                 if not am:
-                    raise StorySyntaxError(f"bad adverb {value!r}", line.lineno)
+                    raise StorySyntaxError(f"bad adverb {value!r}", lineno)
                 adverbs.append((am.group(1), PRE_VERB if am.group(2) == "pre" else POST_VERB))
             elif key == "id":
                 pid = value
             else:
-                raise StorySyntaxError(f"unknown proposition field {key!r}", line.lineno)
+                raise StorySyntaxError(f"unknown proposition field {key!r}", lineno)
 
         if pid in self.props:
-            raise StorySyntaxError(f"duplicate proposition id {pid!r}", line.lineno)
+            raise StorySyntaxError(f"duplicate proposition id {pid!r}", lineno)
         self.props[pid] = None  # open
 
         attachments: list[Attachment] = []
-        sub, i = self._sub_block(block, i)
-        j = 0
         nested_n = 0
-        while j < len(sub):
-            child = sub[j]
-            if child.indent != sub[0].indent:
-                raise StorySyntaxError(f"unexpected indentation in {child.text!r}", child.lineno)
-            head = child.text
+        for _, head, child_lineno, inner in _siblings(children):
             if head.startswith("prep "):
                 pm = re.fullmatch(r"prep\s+([\w-]+):\s*(.+)", head)
                 if not pm:
-                    raise StorySyntaxError(f"bad preposition line {head!r}", child.lineno)
+                    raise StorySyntaxError(f"bad preposition line {head!r}", child_lineno)
                 word = pm.group(1)
-                for piece in self._split_args(pm.group(2), child.lineno):
-                    target = self._parse_inline_arg(piece.strip(), child.lineno)
+                for piece in self._split_args(pm.group(2), child_lineno):
+                    target = self._parse_inline_arg(piece.strip(), child_lineno)
                     attachments.append(Attachment(PREPOSITIONAL, target, word))
-                j += 1
-            elif re.fullmatch(r"role\s+[A-Za-z_]\w*:", head):
-                role = head.split()[1][:-1]
-                inner, j = self._sub_block(sub, j)
-                nested = self._parse_nested(inner, f"{pid}.n{nested_n}", child.lineno)
+                if inner:
+                    raise StorySyntaxError(f"unexpected indentation in {inner[0][1]!r}",
+                                           inner[0][2])
+            elif re.fullmatch(r"role\s+[A-Za-z_]\w*:|purpose:|cause:|complement:", head):
+                nested = self._parse_nested(inner, f"{pid}.n{nested_n}", child_lineno)
                 nested_n += 1
-                bindings.append((role, nested))
-            elif head in ("purpose:", "cause:", "complement:"):
-                relation = head[:-1]
-                inner, j = self._sub_block(sub, j)
-                nested = self._parse_nested(inner, f"{pid}.n{nested_n}", child.lineno)
-                nested_n += 1
-                attachments.append(Attachment(relation, nested))
+                if head.startswith("role"):
+                    bindings.append((head.split()[1][:-1], nested))
+                else:
+                    attachments.append(Attachment(head[:-1], nested))
             else:
-                raise StorySyntaxError(f"unexpected line {head!r} under proposition", child.lineno)
+                raise StorySyntaxError(f"unexpected line {head!r} under proposition", child_lineno)
 
         prop = Proposition(pid, FrameInstance(predicate, frame_id, tuple(bindings)),
                            polarity, tuple(adverbs), tuple(attachments))
         self.props[pid] = prop
-        return prop, i
+        return prop
 
-    def _parse_nested(self, inner: list[_Line], auto_id: str, header_line: int) -> Proposition:
+    def _parse_nested(self, inner: list[tuple], auto_id: str, header_line: int) -> Proposition:
         if not inner:
             raise StorySyntaxError("expected an indented proposition", header_line)
-        if len(inner) == 1 and inner[0].text.startswith("ref "):
-            target = inner[0].text[4:].strip()
+        _, text, lineno, children = inner[0]
+        if len(inner) == 1 and not children and text.startswith("ref "):
+            target = text[4:].strip()
             if target not in self.props:
-                raise StoryReferenceError(f"unknown proposition id {target!r}", inner[0].lineno)
-            resolved = self.props[target]
-            if resolved is None:
-                raise StoryCycleError(f"proposition {target!r} nests inside itself",
-                                      inner[0].lineno)
-            return resolved
-        prop, end = self._parse_prop(inner, 0, auto_id)
-        if end != len(inner):
-            raise StorySyntaxError(f"unexpected line {inner[end].text!r}: "
+                raise StoryReferenceError(f"unknown proposition id {target!r}", lineno)
+            if self.props[target] is None:
+                raise StoryCycleError(f"proposition {target!r} nests inside itself", lineno)
+            return self.props[target]
+        prop = self._parse_prop(inner[0], auto_id)
+        if len(inner) > 1:
+            raise StorySyntaxError(f"unexpected line {inner[1][1]!r}: "
                                    "a nested slot holds exactly one proposition",
-                                   inner[end].lineno)
+                                   inner[1][2])
         return prop
 
     def _split_args(self, text: str, lineno: int) -> list[str]:
@@ -611,7 +582,7 @@ def parse_story(encoded_text: str, lexicon: Optional[Lexicon] = None) -> StoryGr
     :func:`validate_story` instead.
     """
     lex = lexicon or default_lexicon()
-    return _Parser(_scan(encoded_text), lex).parse()
+    return _Parser(lex).parse(_outline(encoded_text))
 
 
 # ---------------------------------------------------------------------------
@@ -653,22 +624,13 @@ class _Writer:
         for role, sub in nested:
             self.add(depth + 1, f"role {role}:")
             self.prop(sub, depth + 2)
-        i = 0
-        atts = p.attachments
-        while i < len(atts):
-            a = atts[i]
+        for a, targets in attachment_groups(p.attachments):
             if a.relation == PREPOSITIONAL:
-                targets = [a.target]
-                while (i + 1 < len(atts) and atts[i + 1].relation == PREPOSITIONAL
-                       and atts[i + 1].preposition == a.preposition):
-                    i += 1
-                    targets.append(atts[i].target)
                 joined = ", ".join(_format_arg(t) for t in targets)
                 self.add(depth + 1, f"prep {a.preposition}: {joined}")
             else:
                 self.add(depth + 1, f"{a.relation}:")
                 self.prop(a.target, depth + 2)  # type: ignore[arg-type]
-            i += 1
 
 
 def serialize_story(g: StoryGraph) -> str:
@@ -705,12 +667,19 @@ def serialize_story(g: StoryGraph) -> str:
 # validation
 
 # The most propositions a timeline may expand to, counting a proposition
-# reused through `ref` once per use, as the transform and the realizer build
-# it. A chain whose every step reuses the one before twice doubles at each
-# step, so a short file could otherwise ask for exponential work. 50,000 is
-# twelve times the 4,160 of a story at 100x fixture size and keeps
-# generation to a few seconds.
+# reused through `ref` once per use. The transform builds a reused clause
+# once, but the realized text repeats it at every use: a chain whose every
+# step reuses the one before twice doubles the text at each step, so a short
+# file could otherwise ask for exponential work. 50,000 is twelve times the
+# 4,160 of a story at 100x fixture size and keeps generation to a few
+# seconds.
 MAX_EXPANDED_PROPOSITIONS = 50_000
+
+# The most levels a proposition may nest in others, through slots written
+# out or reached through `ref`. Parsing, the transform, the realizer, `==`,
+# `hash` and `copy.deepcopy` recurse once or more per level, and Python's
+# default recursion limit gives out from about 128 levels.
+MAX_NESTING_DEPTH = 64
 
 
 def proposition_errors(p: Proposition, entity_ids: Container[str],
@@ -798,7 +767,8 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
 
     Empty result means every invariant holds, and then the transform and
     the realizer accept the story, at a cost bounded by
-    :data:`MAX_EXPANDED_PROPOSITIONS`. Structural problems that the parser
+    :data:`MAX_EXPANDED_PROPOSITIONS` and a depth bounded by
+    :data:`MAX_NESTING_DEPTH`. Structural problems that the parser
     already rejects (bad syntax) cannot appear here.
     """
     lex = lexicon or default_lexicon()
@@ -843,31 +813,39 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
     # depth-first, each distinct proposition once: a proposition reused
     # through `ref` is not checked again, so the cost stays linear in the
     # file; one met again on its own path is a nesting cycle. Each visit
-    # returns the proposition's expanded size, memoized in `expanded`.
+    # returns the proposition's expanded size and height, memoized in
+    # `expanded`, and stops below MAX_NESTING_DEPTH levels.
     seen_ids: dict[str, int] = {}
-    expanded: dict[int, int] = {}
+    expanded: dict[int, tuple[int, int]] = {}
     on_path: set[int] = set()
 
-    def visit(p: Proposition) -> int:
+    def visit(p: Proposition) -> tuple[int, int]:
         if id(p) in on_path:
             err(p.id, "proposition nesting cycle")
-            return 0
+            return 0, 0
         if id(p) in expanded:
             return expanded[id(p)]
+        if len(on_path) > MAX_NESTING_DEPTH:
+            return 1, 1  # too deep already; the top-level height shows it
         if seen_ids.setdefault(p.id, id(p)) != id(p):
             err(p.id, "duplicate proposition id")
         for message in proposition_errors(p, seen_entities, lex):
             err(p.id, message)
         on_path.add(id(p))
-        size = 1
+        size = height = 1
         for child in [a for _, a in p.frame.bindings] + [a.target for a in p.attachments]:
             if isinstance(child, Proposition):
-                size += visit(child)
+                child_size, child_height = visit(child)
+                size += child_size
+                height = max(height, child_height + 1)
         on_path.discard(id(p))
-        expanded[id(p)] = size
-        return size
+        expanded[id(p)] = size, height
+        return size, height
 
-    total = sum(visit(p) for p in timeline_propositions(g))
+    visits = [visit(p) for p in timeline_propositions(g)]
+    if max((height for _, height in visits), default=0) > MAX_NESTING_DEPTH + 1:
+        err("timeline", f"propositions nest more than {MAX_NESTING_DEPTH} levels deep")
+    total = sum(size for size, _ in visits)
     if total > MAX_EXPANDED_PROPOSITIONS:
         err("timeline", f"expands to {total} propositions through ref reuse, "
                         f"more than {MAX_EXPANDED_PROPOSITIONS}")

@@ -158,25 +158,14 @@ def _argument_node(arg, relation: str, frame: FrameDef, ctx: DiscourseContext) -
 
 
 def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext) -> d.DSyntNode:
-    """Adds attachment-derived structure in source order. Consecutive
-    prepositional attachments sharing a preposition coalesce into one
-    phrase ("with dignity and unconcern")."""
-    atts = p.attachments
-    i = 0
-    while i < len(atts):
-        a = atts[i]
+    """Adds attachment-derived structure in source order, one phrase per
+    run of prepositional attachments (see :func:`story.attachment_groups`)."""
+    for a, targets in s.attachment_groups(p.attachments):
         if a.relation == s.PREPOSITIONAL:
-            word = a.preposition
-            targets = [a.target]
-            while (i + 1 < len(atts) and atts[i + 1].relation == s.PREPOSITIONAL
-                   and atts[i + 1].preposition == word):
-                i += 1
-                targets.append(atts[i].target)
-            clause = d.attach(clause, _prepositional_phrase(word, tuple(targets), ctx), d.APPEND)
+            clause = d.attach(clause, _prepositional_phrase(a.preposition, targets, ctx), d.APPEND)
         else:  # a clause relation; a purpose clause is a to-infinitive
             sub = build_clause(a.target, ctx, finite=a.relation != s.PURPOSE)
             clause = attach_discourse(clause, a.relation, sub)
-        i += 1
     return clause
 
 

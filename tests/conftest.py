@@ -36,16 +36,28 @@ def lion_graph():
     return parse_story(fixture_text("lion_and_boar.story"))
 
 
-def ref_chain_story(levels: int) -> str:
+def ref_chain_story(levels: int, uses: int = 2) -> str:
     """Story text of ``levels + 1`` timespans, each reusing the one before
-    twice (as its purpose and as its cause), so that expanding every ``ref``
-    gives 2**(levels + 2) - levels - 3 propositions."""
+    ``uses`` times (as its purpose and, for two, as its cause). With two
+    uses, expanding every ``ref`` gives 2**(levels + 2) - levels - 3
+    propositions; with one, the propositions nest ``levels`` deep."""
     text = ('story chain "Chain"\n\nentities\n  fox character fox\n\n'
             'timeline\n  0:\n    jump jump(Agent=fox) id=s0\n')
     for k in range(1, levels + 1):
         text += (f"  {k}:\n    jump jump(Agent=fox) id=s{k}\n"
-                 f"      purpose:\n        ref s{k - 1}\n"
-                 f"      cause:\n        ref s{k - 1}\n")
+                 f"      purpose:\n        ref s{k - 1}\n")
+        if uses == 2:
+            text += f"      cause:\n        ref s{k - 1}\n"
+    return text
+
+
+def nested_story(levels: int) -> str:
+    """Story text of one proposition with ``levels`` more nested under it,
+    each in the purpose slot of the one before."""
+    text = ('story deep "Deep"\n\nentities\n  fox character fox\n\n'
+            'timeline\n  0:\n    jump jump(Agent=fox)\n')
+    for k in range(1, levels + 1):
+        text += "  " * (2 * k + 1) + "purpose:\n" + "  " * (2 * k + 2) + "jump jump(Agent=fox)\n"
     return text
 
 

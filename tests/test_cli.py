@@ -1,11 +1,13 @@
+import copy
 import io
 import random
 
 import pytest
 
+from retold import story as st
 from retold.cli import run
 from retold.style import BUILTIN_VOICES
-from conftest import FIXTURES, fixture_text, ref_chain_story
+from conftest import FIXTURES, fixture_text, nested_story, ref_chain_story
 
 FOX = str(FIXTURES / "fox_and_grapes.story")
 LION = str(FIXTURES / "lion_and_boar.story")
@@ -166,8 +168,12 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
     (ref_chain_story(30), ["generate", "{input}"], 1),
     (NOT_UTF8_STORY, ["generate", "{input}"], 2),
     (b"voice X\nexclamation: 1.0 # \xe9\n", ["generate", FOX, "--voice", "{input}"], 2),
+    (nested_story(st.MAX_NESTING_DEPTH + 1), ["generate", "{input}", "--voice", "FORMAL"], 2),
+    (ref_chain_story(st.MAX_NESTING_DEPTH + 1, uses=1), ["generate", "{input}", "--voice", "SHY"],
+     1),
 ], ids=["property-argument-story", "bad-voice-value", "blank-reference",
-        "ref-expansion-over-budget", "story-not-utf8", "voice-not-utf8"])
+        "ref-expansion-over-budget", "story-not-utf8", "voice-not-utf8",
+        "nesting-past-the-bound", "ref-nesting-past-the-bound"])
 def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):
     path = tmp_path / "input"
     if isinstance(content, bytes):
@@ -202,27 +208,75 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
     return b"\n".join(lines)
 
 
+def _check_error_contract(path, n):
+    """Every command on the story at ``path`` exits 0, 1 or 2, with one
+    ``retold:`` line for exit 2; once validate says ok, every later command
+    succeeds."""
+    valid = False
+    for argv in (["validate", str(path)],
+                 *(["generate", str(path), "--voice", v] for v in BUILTIN_VOICES),
+                 ["pipeline", str(path), "--reference", REFERENCE]):
+        code, out, err = invoke(*argv)
+        assert code in (0, 1, 2), (n, argv[0], code)
+        if code == 2:
+            messages = [line for line in err.splitlines() if line.startswith("retold:")]
+            assert len(messages) == 1, (n, argv[0], err)
+        if argv[0] == "validate":
+            valid = code == 0
+        elif valid:
+            # validate said ok, so every later command must succeed
+            assert code == 0, (n, argv, err)
+            assert out.strip(), (n, argv)
+
+
 def test_mutated_stories_never_escape_the_error_contract(tmp_path):
     rng = random.Random(20261018)
     sources = [FOX_BYTES, (FIXTURES / "lion_and_boar.story").read_bytes()]
     path = tmp_path / "mutant.story"
     for n in range(200):
         path.write_bytes(_mutate(rng.choice(sources), rng))
-        valid = False
-        for argv in (["validate", str(path)],
-                     *(["generate", str(path), "--voice", v] for v in BUILTIN_VOICES),
-                     ["pipeline", str(path), "--reference", REFERENCE]):
-            code, out, err = invoke(*argv)
-            assert code in (0, 1, 2), (n, argv[0], code)
-            if code == 2:
-                messages = [line for line in err.splitlines() if line.startswith("retold:")]
-                assert len(messages) == 1, (n, argv[0], err)
-            if argv[0] == "validate":
-                valid = code == 0
-            elif valid:
-                # validate said ok, so every later command must succeed
-                assert code == 0, (n, argv, err)
-                assert out.strip(), (n, argv)
+        _check_error_contract(path, n)
+
+
+def _shift_indent(data: bytes, rng: random.Random) -> bytes:
+    """One line of a story file, not blank, indented 1 to 4 spaces deeper
+    or shallower (down to none)."""
+    lines = data.split(b"\n")
+    i = rng.choice([k for k, line in enumerate(lines) if line.strip()])
+    shift = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    if shift > 0:
+        lines[i] = b" " * shift + lines[i]
+    else:
+        indent = len(lines[i]) - len(lines[i].lstrip(b" "))
+        lines[i] = lines[i][min(-shift, indent):]
+    return b"\n".join(lines)
+
+
+def test_reindented_stories_never_escape_the_error_contract(tmp_path):
+    rng = random.Random(20261020)
+    sources = [FOX_BYTES, (FIXTURES / "lion_and_boar.story").read_bytes()]
+    path = tmp_path / "mutant.story"
+    for n in range(200):
+        path.write_bytes(_shift_indent(rng.choice(sources), rng))
+        _check_error_contract(path, n)
+
+
+def test_story_nested_to_the_bound_validates_generates_and_copies(tmp_path):
+    path = tmp_path / "deep.story"
+    text = nested_story(st.MAX_NESTING_DEPTH)
+    path.write_text(text)
+    assert invoke("validate", str(path)) == (0, f"{path}: ok\n", "")
+    for voice in BUILTIN_VOICES:
+        code, out, err = invoke("generate", str(path), "--voice", voice, "--emit-dsynts")
+        assert code == 0, (voice, err)
+        assert out.count("<document>") == 1
+    code, out, err = invoke("pipeline", str(path), "--reference", REFERENCE)
+    assert code == 0, err
+    graph, again = st.parse_story(text), st.parse_story(text)
+    assert graph == again and hash(graph) == hash(again)
+    assert repr(graph) == repr(again)
+    assert st.parse_story(st.serialize_story(graph)) == graph
+    assert copy.deepcopy(graph) == graph
 
 
 def test_story_with_no_timespans_fails_validation(tmp_path):

@@ -46,7 +46,6 @@ SAMPLES = [
     (st.Timespan, (0, (_PROP,))),
     (st.StoryGraph, ("x", "X", (st.Entity("fox", st.CHARACTER, "fox"),),
                      (st.Timespan(0, (_PROP,)),), "Once.")),
-    (st._Line, (2, "fox character fox", 6)),
     (sty.VoiceModel, ("V", {"contractions": 1.0})),
     (sty.StyleDecision, (3, "contractions", "root", "didn't")),
 ]

@@ -5,7 +5,7 @@ import pytest
 from retold import story as st
 from retold.diagnostics import ERROR
 
-from conftest import random_story, ref_chain_story
+from conftest import nested_story, random_story, ref_chain_story
 
 MINIMAL = '''
 story demo "Demo"
@@ -294,3 +294,87 @@ def test_repr_shows_a_nested_proposition_by_its_id():
     nested = st.Proposition("p", st.FrameInstance("see", "see", (
         ("Experiencer", st.EntityRef("fox")), ("Stimulus", g.timeline[1].propositions[0]))))
     assert "('Stimulus', ref s1)" in repr(nested)
+
+
+# lines 1-5; the timeline's first line is line 6
+HEAD = 'story demo "Demo"\nentities\n  fox character fox\n  grapes object group group_of=grape\ntimeline\n'
+PROP = "    jump jump(Agent=fox)\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('story demo "Demo"\nentities\n  fox character fox\n      grapes object group\n'
+     '    vine object vine\n',
+     lambda g: [e.id for e in g.entities] == ["fox", "grapes", "vine"]),
+    ('story demo "Demo"\noriginal\n  Once a fox\n      saw grapes.\n    The end.\n',
+     lambda g: g.original_text == "Once a fox\nsaw grapes.\nThe end."),
+    (HEAD + "  0:\n      jump jump(Agent=fox)\n    walk walk(Agent=fox)\n",
+     (st.StorySyntaxError, 8)),
+    (HEAD + "  0:\n" + PROP + "      walk walk(Agent=fox)\n", (st.StorySyntaxError, 8)),
+    (HEAD + "  0:\n" + PROP + "        prep on: grapes\n      cause:\n        walk walk(Agent=fox)\n",
+     (st.StorySyntaxError, 9)),
+    (HEAD + "  0:\n" + PROP + " 1:\n" + PROP, (st.StorySyntaxError, 8)),
+    (HEAD + "  0:\n" + PROP + "   1:\n" + PROP, (st.StorySyntaxError, 8)),
+    (HEAD + "  0:\n    decide decide(Agent=fox)\n      role Topic:\n" + "    " + PROP
+     + "        walk walk(Agent=fox)\n", (st.StorySyntaxError, 10)),
+    (HEAD + "  0:\n" + PROP + "      purpose:\n" + "    " + PROP + "    " + PROP,
+     (st.StorySyntaxError, 10)),
+    (HEAD + "  0:\n" + PROP + "      prep on: grapes\n        walk walk(Agent=fox)\n",
+     (st.StorySyntaxError, 9)),
+    (HEAD + "  0:\n    jump jump(Agent=fox) id=a\n  1:\n    walk walk(Agent=fox)\n"
+     "      purpose:\n        ref a\n          jump jump(Agent=fox)\n",
+     (st.StorySyntaxError, 11)),
+    ('story demo "Demo"\n  fox character fox\nentities\n  fox character fox\n',
+     (st.StorySyntaxError, 2)),
+], ids=["deeper-line-under-entities-is-an-entity", "deeper-line-under-original-is-text",
+        "shallower-sibling-in-timespan", "deeper-line-under-proposition-is-a-child",
+        "sibling-at-another-indent-under-proposition", "shallower-timespan-header",
+        "deeper-timespan-header", "second-proposition-in-role-slot",
+        "second-proposition-in-purpose-slot", "deeper-line-under-prep",
+        "deeper-line-under-ref", "indented-line-before-first-section"])
+def test_indentation_rules(text, expected):
+    if callable(expected):
+        assert expected(st.parse_story(text))
+    else:
+        cls, line = expected
+        with pytest.raises(st.StoryError) as exc:
+            st.parse_story(text)
+        assert type(exc.value) is cls
+        assert exc.value.line == line
+
+
+def test_nesting_bound_is_a_syntax_error_at_the_first_line_too_deep():
+    st.parse_story(nested_story(st.MAX_NESTING_DEPTH))
+    # line 8 is the top-level proposition; each level adds a slot line and
+    # a proposition line
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(nested_story(st.MAX_NESTING_DEPTH + 1))
+    assert exc.value.line == 8 + 2 * (st.MAX_NESTING_DEPTH + 1)
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(nested_story(600))
+    assert exc.value.line == 8 + 2 * (st.MAX_NESTING_DEPTH + 1)
+
+
+def _chain_in_code(levels: int) -> st.StoryGraph:
+    prop = _simple_prop("p0")
+    for k in range(1, levels + 1):
+        prop = st.Proposition(f"p{k}", _simple_prop(f"p{k}").frame,
+                              attachments=(st.Attachment(st.PURPOSE, prop),))
+    return st.StoryGraph("x", "X", (st.Entity("fox", st.CHARACTER, "fox"),),
+                         (st.Timespan(0, (prop,)),))
+
+
+def test_validate_reports_nesting_past_the_bound_without_descending():
+    assert st.validate_story(_chain_in_code(st.MAX_NESTING_DEPTH)) == []
+    for levels in (st.MAX_NESTING_DEPTH + 1, 5_000):
+        diags = st.validate_story(_chain_in_code(levels))
+        assert [(d.severity, d.location, d.message) for d in diags] == [
+            (ERROR, "timeline", f"propositions nest more than {st.MAX_NESTING_DEPTH} levels deep")]
+
+
+def test_validate_counts_nesting_through_ref():
+    # each timespan reuses the one before once: the text nests one level,
+    # the graph one more per timespan
+    assert st.validate_story(st.parse_story(ref_chain_story(st.MAX_NESTING_DEPTH, uses=1))) == []
+    diags = st.validate_story(st.parse_story(ref_chain_story(st.MAX_NESTING_DEPTH + 1, uses=1)))
+    assert [d.message for d in diags] == [
+        f"propositions nest more than {st.MAX_NESTING_DEPTH} levels deep"]
