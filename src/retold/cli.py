@@ -44,14 +44,14 @@ def _load_story(path: str) -> story.StoryGraph:
         raise _CliError(f"{path}: {exc}", 2) from exc
 
 
-def _validated_story(path: str, out) -> story.StoryGraph:
+def _transformed_story(path: str, err) -> tuple[story.StoryGraph, dsynt.Document]:
     graph = _load_story(path)
-    diagnostics = story.validate_story(graph)
-    if any(d.severity == ERROR for d in diagnostics):
-        for d in diagnostics:
-            print(str(d), file=out)
-        raise _CliError(f"{path}: story is not valid", 1)
-    return graph
+    try:
+        return graph, transform.transform_story(graph)
+    except transform.TransformError as exc:
+        for d in exc.diagnostics:
+            print(str(d), file=err)
+        raise _CliError(f"{path}: story is not valid", 1) from exc
 
 
 def cmd_validate(args, out, err) -> int:
@@ -66,12 +66,12 @@ def cmd_validate(args, out, err) -> int:
 
 
 def cmd_generate(args, out, err) -> int:
-    graph = _validated_story(args.story, err)
+    _, doc = _transformed_story(args.story, err)
     try:
         model = style.load_voice(args.voice)
     except style.VoiceError as exc:
         raise _CliError(str(exc), 2) from exc
-    styled, _decisions = style.apply_voice(transform.transform_story(graph), model, args.seed)
+    styled, _decisions = style.apply_voice(doc, model, args.seed)
     text = realize.realize_document(styled)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
@@ -108,8 +108,8 @@ def cmd_pipeline(args, out, err) -> int:
     reference = _read_file(args.reference)
     if not reference.strip():
         raise _CliError(f"{args.reference}: reference text is empty", 2)
-    graph = _validated_story(args.story, err)
-    text = realize.realize_document(transform.transform_story(graph))
+    graph, doc = _transformed_story(args.story, err)
+    text = realize.realize_document(doc)
     print(text, file=out)
     pair = metrics.EvalPair(text, reference, label=graph.id)
     print(file=out)

@@ -144,6 +144,12 @@ class Lexicon:
     def has_frame(self, frame_id: str) -> bool:
         return frame_id in self._frames
 
+    def onset(self, lemma: str, pos: str) -> str:
+        """The part of ``lemma`` a stutter repeats: the entry's split if
+        (lemma, pos) is listed, else the spelling's (see :func:`split_onset`)."""
+        entry = self._entries.get((lemma, pos))
+        return (split_onset_of(lemma) if entry is None else split_onset(entry))[0]
+
     @property
     def entries(self) -> list[LexemeEntry]:
         return list(self._entries.values())

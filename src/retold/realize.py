@@ -37,8 +37,6 @@ from .lexicon import (
     Lexicon,
     default_lexicon,
     inflect,
-    split_onset,
-    split_onset_of,
 )
 from .record import Record, slot_setters
 
@@ -162,11 +160,6 @@ class _Realizer:
                  for k in range(int(node.features["stutter"]))]
         return frags + [Token(surface, no_space_before=True)]
 
-    def _onset(self, lemma: str, pos: str) -> str:
-        if self.lexicon.has(lemma, pos):
-            return split_onset(self.lexicon.lookup(lemma, pos))[0]
-        return split_onset_of(lemma)[0]
-
     def _noun_head(self, node: d.DSyntNode) -> Sequence[Token]:
         surface = node.lexeme  # a literal noun phrase is realized verbatim
         if self.lexicon.has(surface, NOUN):
@@ -174,11 +167,11 @@ class _Realizer:
                               {"number": node.feature("number", "sg")})
         if not node.feature("stutter"):
             return _words(surface)
-        return self._stuttered(node, surface, self._onset(node.lexeme, NOUN))
+        return self._stuttered(node, surface, self.lexicon.onset(node.lexeme, NOUN))
 
     def _modifier_tokens(self, node: d.DSyntNode) -> Sequence[Token]:
         if node.cls == d.ADJECTIVE and node.feature("stutter"):
-            return self._stuttered(node, node.lexeme, self._onset(node.lexeme, ADJ_POS))
+            return self._stuttered(node, node.lexeme, self.lexicon.onset(node.lexeme, ADJ_POS))
         return _words(node.lexeme)
 
     def prep_tokens(self, node: d.DSyntNode) -> tuple[Token, ...]:

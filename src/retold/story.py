@@ -686,8 +686,8 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
                        lexicon: Lexicon) -> list[str]:
     """Every reason the transform cannot realize ``p`` itself, as messages.
 
-    The one realizability rule: :func:`validate_story` reports each message
-    and ``transform.build_clause`` refuses a proposition with any. Nested
+    The one realizability rule, applied by :func:`validate_story` alone, which
+    ``transform.transform_story`` runs before it builds anything. Nested
     propositions are not descended into; each is checked on its own.
     """
     out: list[str] = []
@@ -765,8 +765,8 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
 def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Diagnostic]:
     """Cross-reference checks over a structurally well-formed graph.
 
-    Empty result means every invariant holds, and then the transform and
-    the realizer accept the story, at a cost bounded by
+    The transform runs this first and refuses a story at its first ERROR;
+    without one, the transform and the realizer accept it, at a cost bounded by
     :data:`MAX_EXPANDED_PROPOSITIONS` and a depth bounded by
     :data:`MAX_NESTING_DEPTH`. Structural problems that the parser
     already rejects (bad syntax) cannot appear here.

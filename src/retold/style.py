@@ -29,8 +29,6 @@ from .lexicon import (
     Lexicon,
     default_lexicon,
     inflect,
-    split_onset,
-    split_onset_of,
     synonym,
 )
 from .realize import ACCUSATIVE, CONTRACTIBLE, MODAL_LEMMAS
@@ -216,11 +214,7 @@ def _stutter_sites(sent, lex):
             continue
         if " " in node.lexeme or node.feature("stutter"):
             continue
-        pos = NOUN if node.cls == d.COMMON_NOUN else ADJECTIVE
-        if lex.has(node.lexeme, pos):
-            onset, _ = split_onset(lex.lookup(node.lexeme, pos))
-        else:
-            onset, _ = split_onset_of(node.lexeme)
+        onset = lex.onset(node.lexeme, NOUN if node.cls == d.COMMON_NOUN else ADJECTIVE)
         if onset:
             sites.append((path, node, onset))
     return sites

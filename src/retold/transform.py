@@ -22,21 +22,27 @@ leave unchanged, and make each pronoun node once per call.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import dsynt as d
 from . import story as s
-from .lexicon import INFINITIVE, FrameDef, Lexicon, LexiconError, default_lexicon
+from .diagnostics import ERROR
+from .lexicon import INFINITIVE, FrameDef, Lexicon, default_lexicon
 
 
 class TransformError(Exception):
-    def __init__(self, message: str, proposition_id: Optional[str] = None):
+    """A story the transform refuses. ``diagnostics`` holds all that
+    :func:`story.validate_story` reported; the message and
+    ``proposition_id`` give the first ERROR's location and message."""
+
+    def __init__(self, message: str, proposition_id: Optional[str] = None, diagnostics=()):
         self.proposition_id = proposition_id
+        self.diagnostics = diagnostics
         where = f"{proposition_id}: " if proposition_id else ""
         super().__init__(where + message)
 
 
-class DiscourseContext(NamedTuple):
+class DiscourseContext:
     """All a clause build reads, and the memo of one :func:`transform_story`
     call. The memo is made with the context and dropped with it when the
     call returns, so no state outlives the call and none is kept per
@@ -46,14 +52,17 @@ class DiscourseContext(NamedTuple):
     phrase per (argument, relation), ``pps`` one prepositional phrase per
     (preposition, targets), and ``clauses`` one clause per (proposition
     object, finite, skip_subject), so a clause reused through ``ref`` is
-    built, and checked by :func:`story.proposition_errors`, once. A clause
-    entry holds its proposition as well as its id, so the id stays taken.
+    built once. A clause entry holds its proposition as well as its id, so
+    the id stays taken.
     """
-    lexicon: Lexicon
-    entities: dict[str, s.Entity]
-    nps: dict[tuple, d.DSyntNode]
-    pps: dict[tuple, d.DSyntNode]
-    clauses: dict[tuple[int, bool, bool], tuple[s.Proposition, d.DSyntNode]]
+    __slots__ = ("lexicon", "entities", "nps", "pps", "clauses")
+
+    def __init__(self, lexicon: Lexicon, entities: dict[str, s.Entity]):
+        self.lexicon = lexicon
+        self.entities = entities
+        self.nps: dict[tuple, d.DSyntNode] = {}
+        self.pps: dict[tuple, d.DSyntNode] = {}
+        self.clauses: dict[tuple[int, bool, bool], tuple[s.Proposition, d.DSyntNode]] = {}
 
 
 def realize_entity_np(e: s.Entity, relation: str) -> d.DSyntNode:
@@ -109,17 +118,13 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
 
     ``finite`` distinguishes tensed clauses from to-infinitives; infinitive
     complements drop their (controlled) subject, so their re-bound agent is
-    expressed only through the matrix clause. A proposition that
-    :func:`story.proposition_errors` faults raises TransformError with the
-    first message.
+    expressed only through the matrix clause. ``p`` must be one that
+    :func:`story.validate_story` passed, as in :func:`transform_story`.
     """
     key = (id(p), finite, skip_subject)
     hit = ctx.clauses.get(key)
     if hit is not None:
         return hit[1]
-    problems = s.proposition_errors(p, ctx.entities, ctx.lexicon)
-    if problems:
-        raise TransformError(problems[0], p.id)
     frame = ctx.lexicon.frame(p.frame.frame_id)
 
     feats = {"polarity": "neg" if p.polarity == s.NEGATED else "aff"}
@@ -195,20 +200,20 @@ def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DS
 def transform_story(g: s.StoryGraph, lexicon: Optional[Lexicon] = None) -> d.Document:
     """One sentence root per top-level proposition, in timeline order.
 
+    :func:`story.validate_story` is the one gate: a story it reports an
+    ERROR for raises :class:`TransformError` before anything is built.
     Equal subtrees within the story are one object (see
     :class:`DiscourseContext`); the memo that makes them so lives only as
     long as this call.
     """
-    ctx = DiscourseContext(lexicon or default_lexicon(), {e.id: e for e in g.entities},
-                           {}, {}, {})
-    sentences = []
-    for p in s.timeline_propositions(g):
-        try:
-            clause = build_clause(p, ctx)
-        except (d.TreeError, LexiconError) as exc:
-            raise TransformError(str(exc), p.id) from exc
-        sentences.append(clause.with_feature("punct", "period"))
-    return d.Document(tuple(sentences))
+    lexicon = lexicon or default_lexicon()
+    diagnostics = s.validate_story(g, lexicon)
+    first = next((x for x in diagnostics if x.severity == ERROR), None)
+    if first is not None:
+        raise TransformError(first.message, first.location, diagnostics)
+    ctx = DiscourseContext(lexicon, {e.id: e for e in g.entities})
+    return d.Document(tuple(build_clause(p, ctx).with_feature("punct", "period")
+                            for p in s.timeline_propositions(g)))
 
 
 # ---------------------------------------------------------------------------

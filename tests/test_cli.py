@@ -151,6 +151,27 @@ def test_generate_on_invalid_story_exits_1(tmp_path):
     assert "unbound" in err
 
 
+@pytest.mark.parametrize("argv", [["generate", FOX], ["pipeline", FOX, "--reference", REFERENCE]])
+def test_each_command_validates_once(monkeypatch, argv):
+    calls = []
+    validate = st.validate_story
+    monkeypatch.setattr(st, "validate_story", lambda *a: calls.append(a) or validate(*a))
+    code, out, err = invoke(*argv)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_an_invalid_story_is_reported_before_a_bad_voice(tmp_path):
+    bad = tmp_path / "bad.story"
+    bad.write_text('story x "X"\n\nentities\n  fox character fox\n\n'
+                   'timeline\n  0:\n    obtain obtain(Agent=fox)\n')
+    code, out, err = invoke("generate", str(bad), "--voice", "NO_SUCH_VOICE")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: t0.p0: mandatory role Theme unbound\n"
+                   f"retold: {bad}: story is not valid\n")
+
+
 def test_generate_output_file_with_emitted_trees(tmp_path):
     target = tmp_path / "story.txt"
     code, out, err = invoke("generate", FOX, "--output", str(target), "--emit-dsynts")

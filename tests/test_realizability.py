@@ -1,7 +1,9 @@
-"""One realizability rule: a story that validates clean always generates, and
-every proposition the transform refuses is one validation reports."""
+"""One realizability rule and one gate: the transform validates the story
+itself, so it refuses a story exactly when validation reports an ERROR, and
+then with validation's first ERROR."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,27 @@ def test_validate_and_transform_report_the_same_message(encoding, message):
         tr.transform_story(g)
     assert exc.value.proposition_id == "p"
     assert str(exc.value) == f"p: {message}"
+    assert exc.value.diagnostics == st.validate_story(g)
+
+
+@pytest.mark.parametrize("text, message", [
+    (ref_chain_story(16), f"expands to {2 ** 18 - 19} propositions through ref reuse, "
+                          f"more than {st.MAX_EXPANDED_PROPOSITIONS}"),
+    (ref_chain_story(st.MAX_NESTING_DEPTH + 1, uses=1),
+     f"propositions nest more than {st.MAX_NESTING_DEPTH} levels deep"),
+], ids=["over-budget", "over-depth"])
+def test_transform_refuses_a_story_past_the_bounds_at_once(text, message):
+    # the library keeps the bounds the command line keeps: the over-budget
+    # story would otherwise realize as about 1.4 million words
+    g = st.parse_story(text)
+    assert [(d.severity, d.location, d.message) for d in st.validate_story(g)] == [
+        (ERROR, "timeline", message)]
+    start = time.perf_counter()
+    with pytest.raises(tr.TransformError) as exc:
+        tr.transform_story(g)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.proposition_id == "timeline"
+    assert str(exc.value) == f"timeline: {message}"
 
 
 def test_validate_checks_each_distinct_proposition_once(monkeypatch):
@@ -147,9 +170,11 @@ def test_clean_validation_implies_generation(story_seed, mutation_seed):
     try:
         doc = tr.transform_story(g)
     except tr.TransformError as exc:
-        assert exc.proposition_id in {d.location for d in errors}
+        assert errors
+        assert exc.proposition_id == errors[0].location
+        assert str(exc) == f"{errors[0].location}: {errors[0].message}"
         return
-    if not errors:
-        for model in style.BUILTIN_VOICES.values():
-            styled, _ = style.apply_voice(doc, model, story_seed)
-            assert realize_document(styled)
+    assert not errors
+    for model in style.BUILTIN_VOICES.values():
+        styled, _ = style.apply_voice(doc, model, story_seed)
+        assert realize_document(styled)

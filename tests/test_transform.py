@@ -207,9 +207,11 @@ def test_fixture_documents(fox_graph, lion_graph):
             assert d.validate_tree(sentence) == []
 
 
-def test_empty_timeline_gives_empty_document():
+def test_empty_timeline_is_refused():
     g = st.StoryGraph("e", "E", (FOX,), ())
-    assert tr.transform_story(g) == d.Document()
+    with pytest.raises(tr.TransformError) as exc:
+        tr.transform_story(g)
+    assert str(exc.value) == "timeline: timeline has no timespans"
 
 
 def test_transform_is_deterministic(fox_graph):
