@@ -12,6 +12,13 @@ fixed word list; insertions never change propositional content. The two
 content-adjacent transforms are lexical variation (register-tagged synonym
 swap) and negation paraphrase ("did not obtain" -> "failed to get"), which
 keeps a semantic-negation flag on the clause for content checks.
+
+Pronouns and contractions are made here and nowhere else: the
+document-level pronominalization pass and the contraction rewrites are in
+this module, and the transform builds neutral trees only. Most voices set
+both at 1.0, so one document told in several voices would repeat them in
+each. The work they share is done once per document instead (see
+:func:`apply_voice`).
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import random
 import re
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from . import dsynt as d
 from .lexicon import (
@@ -33,7 +40,6 @@ from .lexicon import (
 )
 from .realize import ACCUSATIVE, CONTRACTIBLE, MODAL_LEMMAS
 from .record import Record, slot_setters
-from .transform import enable_contractions, pronominalize_sentences
 
 # the one document-level parameter: it counts mentions across the whole
 # document, so it runs before every per-sentence transform
@@ -52,9 +58,27 @@ EXPLETIVES = ("damn",)
 INTERJECTIONS = ("well", "ok", "oh")
 EXTERNAL_TAGS = ("okay", "alright", "you see")
 
+# the lexicon's part of speech for each tree class that has lexicon entries
+_LEXICON_POS = {d.VERB: VERB, d.COMMON_NOUN: NOUN, d.ADJECTIVE: ADJECTIVE}
+
 
 class VoiceError(Exception):
     pass
+
+
+class _Activations(dict):
+    """A voice model's own copy of its parameters. It refuses changes, so
+    the checks made when the model was built keep holding, and a model
+    built from another's parameters (as by ``replace``) can share them."""
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a voice model's parameters cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Activations, (dict(self),)
 
 
 class VoiceModel(Record):
@@ -67,7 +91,7 @@ class VoiceModel(Record):
                 raise VoiceError(problem)
         set_name, set_params = _VOICE_SETTERS
         set_name(self, name)
-        set_params(self, params)
+        set_params(self, params if type(params) is _Activations else _Activations(params))
 
     def activation(self, param: str) -> float:
         return float(self.params.get(param, 0.0))
@@ -165,6 +189,147 @@ def _marker_node(lexeme: str) -> d.DSyntNode:
     return d.DSyntNode(lexeme, d.FUNCTION_WORD, d.APPEND, {"position": "pre"})
 
 
+# --- pronominalization and contractions ---------------------------------------
+# Every pass returns a sentence it leaves unchanged as the same object and
+# shares every subtree it leaves unchanged.
+
+def coref_head(node: d.DSyntNode) -> Optional[str]:
+    """Identity key for subject-coreference checks over full-NP trees."""
+    if node.cls == d.COMMON_NOUN:
+        return node.lexeme
+    if node.cls == d.FUNCTION_WORD:
+        return node.lexeme
+    return None
+
+
+# the classes that may govern a clause: a VERB (its complements and
+# restatements) or a FUNCTION_WORD ("in_order", "because"). Noun phrases,
+# prepositional phrases and modifiers never hold a verb, so the clause
+# rewrites below descend only through these.
+_CLAUSE_SPINE = (d.VERB, d.FUNCTION_WORD)
+
+
+def drop_coreferent_purpose_subject(sentence: d.DSyntNode
+                                    ) -> tuple[d.DSyntNode, list[tuple[int, ...]]]:
+    """Remove the subject of an "in order" clause when it restates the
+    matrix subject, yielding "in order to VP". Returns the new sentence and
+    the paths of the embedded clauses whose subject was dropped; with
+    nothing dropped, the sentence itself comes back."""
+    dropped: list[tuple[int, ...]] = []
+    path: list[int] = []  # from the sentence root to the node being rewritten
+
+    def rewrite(node: d.DSyntNode) -> d.DSyntNode:
+        children = list(node.children)
+        for i, c in enumerate(node.children):
+            if c.children and c.cls in _CLAUSE_SPINE:
+                path.append(i)
+                children[i] = rewrite(c)
+                path.pop()
+        matrix_subject = node.child(d.I) if node.cls == d.VERB else None
+        if matrix_subject is not None:
+            for i, c in enumerate(children):
+                if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
+                        and c.children[0].cls == d.VERB):
+                    emb = c.children[0]
+                    k = next((k for k, x in enumerate(emb.children) if x.relation == d.I), None)
+                    if k is not None and coref_head(emb.children[k]) == coref_head(matrix_subject):
+                        emb = emb.with_children(emb.children[:k] + emb.children[k + 1:])
+                        children[i] = c.with_children((emb,) + c.children[1:])
+                        dropped.append((*path, i, 0))
+        return node.with_children(tuple(children))
+
+    return rewrite(sentence), dropped
+
+
+def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
+                            fire: Optional[Sequence[bool]] = None
+                            ) -> tuple[list[d.DSyntNode], list[list[tuple[tuple[int, ...], str]]]]:
+    """Document-order pronominalization pass over built trees.
+
+    Mentions are counted across the whole document whether or not a given
+    sentence's gate fired; rewrites (and purpose-subject drops) happen only
+    in fired sentences. Character noun phrases carry their pronoun in the
+    ``pron`` feature, so the pass needs no story graph. A sentence with no
+    rewrite comes back as the same object, and every pronoun with the same
+    relation and number is one node, made once per call.
+    """
+    if fire is None:
+        fire = [True] * len(sentences)
+    elif not any(fire):
+        return list(sentences), [[] for _ in sentences]
+    counts: dict[tuple[str, str], int] = {}
+    pronouns: dict[tuple[str, str, str], d.DSyntNode] = {}
+    out_sentences: list[d.DSyntNode] = []
+    out_sites: list[list[tuple[tuple[int, ...], str]]] = []
+    path: list[int] = []  # from the sentence root to the node being visited
+    for sentence, hot in zip(sentences, fire):
+        sites: list[tuple[tuple[int, ...], str]] = []
+        if hot:
+            sentence, dropped = drop_coreferent_purpose_subject(sentence)
+            sites.extend((p, "subject-drop") for p in dropped)
+
+        # pre-order: a mention is counted, and its site recorded, before
+        # its descendants; the pronoun goes in on the way back up. A leaf
+        # without a pronoun is no mention and holds none, so it is skipped.
+        def visit(node: d.DSyntNode) -> d.DSyntNode:
+            pron = node.features.get("pron")
+            site = False
+            if pron is not None and node.cls == d.COMMON_NOUN:
+                key = (node.lexeme, pron)
+                counts[key] = counts.get(key, 0) + 1
+                if counts[key] > 1 and hot:
+                    sites.append((tuple(path), pron))
+                    site = True
+            children = node.children
+            new_children = None
+            for i, c in enumerate(children):
+                if c.children or "pron" in c.features:
+                    path.append(i)
+                    new = visit(c)
+                    path.pop()
+                    if new is not c:
+                        new_children = new_children or list(children)
+                        new_children[i] = new
+            if new_children is not None:
+                node = node.with_children(tuple(new_children))
+            if site:
+                key = (pron, node.relation, node.feature("number", "sg"))
+                if key not in pronouns:
+                    pronouns[key] = d.DSyntNode(pron, d.FUNCTION_WORD, key[1], {"number": key[2]})
+                return pronouns[key]
+            return node
+
+        out_sentences.append(visit(sentence))
+        out_sites.append(sites)
+    return out_sentences, out_sites
+
+
+def rewrite_unable_to_modal(node: d.DSyntNode) -> d.DSyntNode:
+    """Collapse negated "be able to VP" into modal "can" (realized
+    "could not VP", contracted to "couldn't VP"). A tree with no such
+    clause comes back as the same object."""
+    children = node.children
+    if not children:
+        return node
+    node = node.with_children(tuple(rewrite_unable_to_modal(c) if c.cls in _CLAUSE_SPINE else c
+                                    for c in children))
+    if (node.cls == d.VERB and node.lexeme == "be"
+            and node.feature("polarity") == "neg"):
+        able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR
+                     and c.cls == d.ADJECTIVE and c.lexeme == "able"), None)
+        if able is not None and any(c.relation == d.II and c.cls == d.VERB
+                                    and "tense" not in c.features for c in node.children):
+            children = node.children[:able] + node.children[able + 1:]
+            return d.DSyntNode("can", node.cls, node.relation, node.features, children)
+    return node
+
+
+def enable_contractions(sentence: d.DSyntNode) -> d.DSyntNode:
+    """Mark a clause for surface contraction and apply the tree rewrites
+    that only make sense in contracted register."""
+    return rewrite_unable_to_modal(sentence).with_feature("contract", "on")
+
+
 # --- individual transforms --------------------------------------------------
 # each takes (sentence, rng, lexicon, memo), where memo is a dict private to
 # the sentence for one apply_voice call, and returns
@@ -214,7 +379,7 @@ def _stutter_sites(sent, lex):
             continue
         if " " in node.lexeme or node.feature("stutter"):
             continue
-        onset = lex.onset(node.lexeme, NOUN if node.cls == d.COMMON_NOUN else ADJECTIVE)
+        onset = lex.onset(node.lexeme, _LEXICON_POS[node.cls])
         if onset:
             sites.append((path, node, onset))
     return sites
@@ -283,10 +448,9 @@ def _exclamation(sent, rng, lex, memo):
 
 
 def _lexical_variation(sent, rng, lex, memo):
-    pos_of = {d.VERB: VERB, d.COMMON_NOUN: NOUN, d.ADJECTIVE: ADJECTIVE}
     sites = []
     for path, node in d.walk(sent):
-        pos = pos_of.get(node.cls)
+        pos = _LEXICON_POS.get(node.cls)
         if pos is None or not lex.has(node.lexeme, pos):
             continue
         if any(reg == "casual" for _, reg in lex.lookup(node.lexeme, pos).synonyms):
@@ -419,6 +583,25 @@ def insert_marker(sentence: d.DSyntNode, param: str, rng: random.Random,
 
 # --- the engine ---------------------------------------------------------------
 
+class _SharedPrefix:
+    """What every voice with one pronominalization fire vector does alike
+    on one document: the pronominalized sentences with their sites, and
+    each of those sentences contracted, made when a voice first needs it.
+    Neither pass draws from the random streams, so the result depends on
+    the sentences and the fire vector alone."""
+    __slots__ = ("sentences", "sites", "_contracted")
+
+    def __init__(self, sentences: tuple[d.DSyntNode, ...], fire: tuple[bool, ...]):
+        self.sentences, self.sites = pronominalize_sentences(sentences, fire)
+        self._contracted: dict[int, Optional[tuple]] = {}
+
+    def contracted(self, i: int) -> Optional[tuple]:
+        """What the contractions transform gives for sentence ``i``."""
+        if i not in self._contracted:
+            self._contracted[i] = _contractions(self.sentences[i], None, None, None)
+        return self._contracted[i]
+
+
 def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
                 lexicon: Optional[Lexicon] = None
                 ) -> tuple[d.Document, list[StyleDecision]]:
@@ -426,24 +609,29 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
 
     Reproducible: equal (doc, model, seed) triples give equal outputs and
     decision lists. The all-zero model is the identity.
+
+    The pronominalization pass, and the contractions of the sentences it
+    leaves for that transform, are made once per ``doc`` object and fire
+    vector and kept on the document (:meth:`dsynt.Document.memo`), so
+    later voices told on it reuse them. The document keeps one such
+    prefix: a voice with another fire vector replaces it.
     """
     if not any(float(a) > 0.0 for a in model.params.values()):
         return doc, []
     lex = lexicon or default_lexicon()
-    sentences = list(doc.sentences)
-    n = len(sentences)
+    n = len(doc.sentences)
     rngs = [random.Random(f"{seed}:{i}") for i in range(n)]
     memos: list[dict] = [{} for _ in range(n)]
     # (sentence index, param, site path, payload), made StyleDecisions at the end
     applied: list[tuple[int, str, tuple[int, ...], str]] = []
 
     a = model.activation(PRONOMINALIZATION)
-    if a > 0.0:
-        sentences, sites = pronominalize_sentences(
-            sentences, [rngs[i].random() < a for i in range(n)])
-        for i, sentence_sites in enumerate(sites):
-            for path, pron in sentence_sites:
-                applied.append((i, PRONOMINALIZATION, path, pron))
+    fire = tuple(rngs[i].random() < a for i in range(n)) if a > 0.0 else (False,) * n
+    shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
+    sentences = list(shared.sentences)
+    for i, sentence_sites in enumerate(shared.sites):
+        for path, pron in sentence_sites:
+            applied.append((i, PRONOMINALIZATION, path, pron))
 
     for param, transform, _ in _SENTENCE_TRANSFORMS:
         a = model.activation(param)
@@ -452,7 +640,10 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
         for i in range(n):
             if rngs[i].random() >= a:
                 continue
-            result = transform(sentences[i], rngs[i], lex, memos[i])
+            if transform is _contractions and sentences[i] is shared.sentences[i]:
+                result = shared.contracted(i)
+            else:
+                result = transform(sentences[i], rngs[i], lex, memos[i])
             if result is None:
                 continue
             sentences[i], site, payload = result

@@ -7,17 +7,16 @@ singular head), discourse attachments become subordinate structure
 ("in order" / "because" function words governing embedded clauses), and
 prepositional adjuncts hang off the clause in source order.
 
-Every mention is a full noun phrase and nothing is contracted:
-referring-expression and contraction choices are made only by the style
-engine, through the passes at the bottom of this module; the realizer
-only executes them.
+The trees are neutral: every mention is a full noun phrase and nothing is
+contracted. Referring-expression and contraction choices are made only by
+the style engine (see :mod:`retold.style`); the realizer only executes
+them.
 
 A fable names the same few characters and objects in almost every
 sentence, so equal subtrees are built once and shared: each
 :func:`transform_story` call keeps one memo of noun phrases,
 prepositional phrases and clauses, and drops it on return. Nothing is kept
-per document or between calls. The passes below share every subtree they
-leave unchanged, and make each pronoun node once per call.
+per document or between calls.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def realize_entity_np(e: s.Entity, relation: str) -> d.DSyntNode:
 
     Collectives realize as head + "of" + plural member noun with singular
     agreement on the head. A character noun carries its pronoun in the
-    ``pron`` feature, for :func:`pronominalize_sentences`.
+    ``pron`` feature, for :func:`style.pronominalize_sentences`.
     """
     feats = {"article": "def", "number": e.number}
     if e.kind == s.CHARACTER:
@@ -215,140 +214,3 @@ def transform_story(g: s.StoryGraph, lexicon: Optional[Lexicon] = None) -> d.Doc
     return d.Document(tuple(build_clause(p, ctx).with_feature("punct", "period")
                             for p in s.timeline_propositions(g)))
 
-
-# ---------------------------------------------------------------------------
-# document passes shared with the style engine
-
-def coref_head(node: d.DSyntNode) -> Optional[str]:
-    """Identity key for subject-coreference checks over full-NP trees."""
-    if node.cls == d.COMMON_NOUN:
-        return node.lexeme
-    if node.cls == d.FUNCTION_WORD:
-        return node.lexeme
-    return None
-
-
-# the classes that may govern a clause: a VERB (its complements and
-# restatements) or a FUNCTION_WORD ("in_order", "because"). Noun phrases,
-# prepositional phrases and modifiers never hold a verb, so the clause
-# rewrites below descend only through these.
-_CLAUSE_SPINE = (d.VERB, d.FUNCTION_WORD)
-
-
-def drop_coreferent_purpose_subject(sentence: d.DSyntNode
-                                    ) -> tuple[d.DSyntNode, list[tuple[int, ...]]]:
-    """Remove the subject of an "in order" clause when it restates the
-    matrix subject, yielding "in order to VP". Returns the new sentence and
-    the paths of the embedded clauses whose subject was dropped; with
-    nothing dropped, the sentence itself comes back."""
-    dropped: list[tuple[int, ...]] = []
-    path: list[int] = []  # from the sentence root to the node being rewritten
-
-    def rewrite(node: d.DSyntNode) -> d.DSyntNode:
-        children = list(node.children)
-        for i, c in enumerate(node.children):
-            if c.children and c.cls in _CLAUSE_SPINE:
-                path.append(i)
-                children[i] = rewrite(c)
-                path.pop()
-        matrix_subject = node.child(d.I) if node.cls == d.VERB else None
-        if matrix_subject is not None:
-            for i, c in enumerate(children):
-                if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
-                        and c.children[0].cls == d.VERB):
-                    emb = c.children[0]
-                    k = next((k for k, x in enumerate(emb.children) if x.relation == d.I), None)
-                    if k is not None and coref_head(emb.children[k]) == coref_head(matrix_subject):
-                        emb = emb.with_children(emb.children[:k] + emb.children[k + 1:])
-                        children[i] = c.with_children((emb,) + c.children[1:])
-                        dropped.append((*path, i, 0))
-        return node.with_children(tuple(children))
-
-    return rewrite(sentence), dropped
-
-
-def pronominalize_sentences(sentences: list[d.DSyntNode],
-                            fire: Optional[list[bool]] = None
-                            ) -> tuple[list[d.DSyntNode], list[list[tuple[tuple[int, ...], str]]]]:
-    """Document-order pronominalization pass over built trees.
-
-    Mentions are counted across the whole document whether or not a given
-    sentence's gate fired; rewrites (and purpose-subject drops) happen only
-    in fired sentences. Character noun phrases carry their pronoun in the
-    ``pron`` feature, so the pass needs no story graph. A sentence with no
-    rewrite comes back as the same object, and every pronoun with the same
-    relation and number is one node, made once per call.
-    """
-    if fire is None:
-        fire = [True] * len(sentences)
-    counts: dict[tuple[str, str], int] = {}
-    pronouns: dict[tuple[str, str, str], d.DSyntNode] = {}
-    out_sentences: list[d.DSyntNode] = []
-    out_sites: list[list[tuple[tuple[int, ...], str]]] = []
-    path: list[int] = []  # from the sentence root to the node being visited
-    for sentence, hot in zip(sentences, fire):
-        sites: list[tuple[tuple[int, ...], str]] = []
-        if hot:
-            sentence, dropped = drop_coreferent_purpose_subject(sentence)
-            sites.extend((p, "subject-drop") for p in dropped)
-
-        # pre-order: a mention is counted, and its site recorded, before
-        # its descendants; the pronoun goes in on the way back up. A leaf
-        # without a pronoun is no mention and holds none, so it is skipped.
-        def visit(node: d.DSyntNode) -> d.DSyntNode:
-            pron = node.features.get("pron")
-            site = False
-            if pron is not None and node.cls == d.COMMON_NOUN:
-                key = (node.lexeme, pron)
-                counts[key] = counts.get(key, 0) + 1
-                if counts[key] > 1 and hot:
-                    sites.append((tuple(path), pron))
-                    site = True
-            children = node.children
-            new_children = None
-            for i, c in enumerate(children):
-                if c.children or "pron" in c.features:
-                    path.append(i)
-                    new = visit(c)
-                    path.pop()
-                    if new is not c:
-                        new_children = new_children or list(children)
-                        new_children[i] = new
-            if new_children is not None:
-                node = node.with_children(tuple(new_children))
-            if site:
-                key = (pron, node.relation, node.feature("number", "sg"))
-                if key not in pronouns:
-                    pronouns[key] = d.DSyntNode(pron, d.FUNCTION_WORD, key[1], {"number": key[2]})
-                return pronouns[key]
-            return node
-
-        out_sentences.append(visit(sentence))
-        out_sites.append(sites)
-    return out_sentences, out_sites
-
-
-def rewrite_unable_to_modal(node: d.DSyntNode) -> d.DSyntNode:
-    """Collapse negated "be able to VP" into modal "can" (realized
-    "could not VP", contracted to "couldn't VP"). A tree with no such
-    clause comes back as the same object."""
-    children = node.children
-    if not children:
-        return node
-    node = node.with_children(tuple(rewrite_unable_to_modal(c) if c.cls in _CLAUSE_SPINE else c
-                                    for c in children))
-    if (node.cls == d.VERB and node.lexeme == "be"
-            and node.feature("polarity") == "neg"):
-        able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR
-                     and c.cls == d.ADJECTIVE and c.lexeme == "able"), None)
-        if able is not None and any(c.relation == d.II and c.cls == d.VERB
-                                    and "tense" not in c.features for c in node.children):
-            children = node.children[:able] + node.children[able + 1:]
-            return d.DSyntNode("can", node.cls, node.relation, node.features, children)
-    return node
-
-
-def enable_contractions(sentence: d.DSyntNode) -> d.DSyntNode:
-    """Mark a clause for surface contraction and apply the tree rewrites
-    that only make sense in contracted register."""
-    return rewrite_unable_to_modal(sentence).with_feature("contract", "on")

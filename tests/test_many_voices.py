@@ -1,0 +1,119 @@
+"""One document told in many voices. The pronominalization pass and the
+contractions it leaves are made once per document and fire vector and kept
+on the document; telling a document in any order of voices, or twice, must
+give what a fresh document per voice gives."""
+
+import copy
+import pickle
+import random
+
+import pytest
+
+from retold import dsynt as d
+from retold import style
+from retold import transform as tr
+from retold.realize import realize_document
+
+from conftest import random_story
+
+VOICES = ("NEUTRAL", "FORMAL", "SHY", "LAID-BACK")
+# forwards, backwards, then each voice twice in a row
+ORDER = VOICES + VOICES[::-1] + tuple(v for v in VOICES for _ in range(2))
+HALF = style.parse_voice("voice HALF\npronominalization: 0.5\ncontractions: 0.7\n")
+
+
+def _telling(doc, model, seed):
+    styled, decisions = style.apply_voice(doc, model, seed)
+    return realize_document(styled), list(map(repr, decisions)), d.serialize(styled)
+
+
+def _graphs(fox_graph, lion_graph, stories=30):
+    return [fox_graph, lion_graph] + [random_story(random.Random(k)) for k in range(stories)]
+
+
+@pytest.fixture
+def pronominalize_calls(monkeypatch):
+    calls = []
+    real = style.pronominalize_sentences
+    monkeypatch.setattr(style, "pronominalize_sentences",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_any_order_of_voices_on_one_document_tells_as_fresh_ones(fox_graph, lion_graph):
+    for k, g in enumerate(_graphs(fox_graph, lion_graph)):
+        fresh = {v: _telling(tr.transform_story(g), style.BUILTIN_VOICES[v], k) for v in VOICES}
+        doc = tr.transform_story(g)
+        for v in ORDER:
+            assert _telling(doc, style.BUILTIN_VOICES[v], k) == fresh[v], (k, v)
+
+
+def test_voices_with_other_fire_vectors_replace_the_prefix(fox_graph, lion_graph,
+                                                           pronominalize_calls):
+    formal = style.BUILTIN_VOICES["FORMAL"]
+    for g in _graphs(fox_graph, lion_graph, stories=4):
+        doc = tr.transform_story(g)
+        n = len(doc.sentences)
+        fresh = {(model.name, seed): _telling(tr.transform_story(g), model, seed)
+                 for model in (HALF, formal) for seed in range(6)}
+        del pronominalize_calls[:]
+        keys = []
+        for seed in range(6):
+            for model in (HALF, formal):
+                assert _telling(doc, model, seed) == fresh[(model.name, seed)], (g.id, seed)
+                a = model.activation("pronominalization")
+                keys.append(tuple(random.Random(f"{seed}:{i}").random() < a for i in range(n)))
+        # one pass each time the fire vector differs from the one before
+        misses = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        assert len(pronominalize_calls) == misses
+        assert len(set(keys)) > 2
+
+
+def test_three_voices_pronominalize_once(fox_graph, monkeypatch, pronominalize_calls):
+    contracted = []
+    real = style.enable_contractions
+    monkeypatch.setattr(style, "enable_contractions",
+                        lambda s: contracted.append(s) or real(s))
+    doc = tr.transform_story(fox_graph)
+    counts = []
+    for v in VOICES[1:]:
+        style.apply_voice(doc, style.BUILTIN_VOICES[v], 3)
+        counts.append((len(pronominalize_calls), len(contracted)))
+    n = len(doc.sentences)
+    # FORMAL contracts every sentence; SHY reuses them all, LAID-BACK those
+    # its earlier transforms left alone
+    assert counts[0] == (1, n) and counts[1] == (1, n)
+    assert counts[2][0] == 1 and n < counts[2][1] < 2 * n
+
+
+def test_the_prefix_is_not_part_of_the_document(fox_graph, pronominalize_calls):
+    fresh = tr.transform_story(fox_graph)
+    doc = tr.transform_story(fox_graph)
+    style.apply_voice(doc, style.BUILTIN_VOICES["FORMAL"], 0)
+    assert len(pronominalize_calls) == 1
+    assert doc == fresh and repr(doc) == repr(fresh)
+    assert pickle.dumps(doc) == pickle.dumps(fresh)
+    # a node's features are a dict, so only a document without sentences hashes
+    empty = d.Document()
+    style.apply_voice(empty, style.BUILTIN_VOICES["FORMAL"], 0)
+    assert hash(empty) == hash(d.Document()) and pickle.dumps(empty) == pickle.dumps(d.Document())
+    for other in (pickle.loads(pickle.dumps(doc)), doc.replace(), copy.copy(doc),
+                  copy.deepcopy(doc)):
+        assert other == doc
+        style.apply_voice(other, style.BUILTIN_VOICES["FORMAL"], 0)
+    # each copy started empty and made its own prefix
+    assert len(pronominalize_calls) == 6
+
+
+def test_memo_holds_one_value():
+    doc = d.Document()
+    made = []
+
+    def make(value):
+        return lambda: made.append(value) or value
+
+    assert doc.memo((True,), make("a")) == "a"
+    assert doc.memo((True,), make("b")) == "a"
+    assert doc.memo((False,), make("c")) == "c"
+    assert doc.memo((True,), make("d")) == "d"
+    assert made == ["a", "c", "d"]

@@ -153,6 +153,25 @@ def test_voice_model_checks_its_parameters_when_built():
         sty.VoiceModel("v", {"contractions": 1.0}).replace(params={"contractions": -1.0})
 
 
+def test_voice_model_keeps_its_own_parameters(fox_graph):
+    params = {"contractions": 1.0}
+    model = sty.VoiceModel("X", params)
+    doc = tr.transform_story(fox_graph)
+    before = sty.apply_voice(doc, model, 0)
+    params["contractions"] = 7.0
+    params["bogus"] = 1.0
+    assert model.activation("contractions") == 1.0 and model.activation("bogus") == 0.0
+    assert sty.apply_voice(tr.transform_story(fox_graph), model, 0) == before
+    assert sty.apply_voice(doc, model, 0) == before
+    with pytest.raises(TypeError):
+        model.params["contractions"] = 7.0
+    with pytest.raises(TypeError):
+        model.params.update(bogus=1.0)
+    assert model.params == {"contractions": 1.0}
+    with pytest.raises(TypeError):
+        hash(model)
+
+
 # sha256 of the reprs as the standard library's frozen data classes printed
 # them, before the record base replaced them
 REPR_SHA256 = {

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from retold import dsynt as d
+from retold import style as sty
 from retold import transform as tr
 from retold.style import PARAM_NAMES, VoiceModel, apply_voice
 
@@ -34,7 +35,7 @@ def rebuild_drop_coreferent_purpose_subject(sentence):
                 emb = c.children[0]
                 emb_subject = emb.child(d.I)
                 if (emb_subject is not None
-                        and tr.coref_head(emb_subject) == tr.coref_head(matrix_subject)):
+                        and sty.coref_head(emb_subject) == sty.coref_head(matrix_subject)):
                     emb = emb.replace(children=tuple(x for x in emb.children
                                                      if x is not emb_subject))
                     c = c.replace(children=(emb,) + c.children[1:])
@@ -98,10 +99,10 @@ def test_rewrites_match_rebuilding_every_node(story_seed, data):
     sentences = list(tr.transform_story(random_story(random.Random(story_seed))).sentences)
     fire = data.draw(hst.lists(hst.booleans(), min_size=len(sentences),
                                max_size=len(sentences)))
-    got = tr.pronominalize_sentences(sentences, fire)
+    got = sty.pronominalize_sentences(sentences, fire)
     assert got == rebuild_pronominalize_sentences(sentences, fire)
     for sentence in sentences + got[0]:
-        assert tr.enable_contractions(sentence) == rebuild_enable_contractions(sentence)
+        assert sty.enable_contractions(sentence) == rebuild_enable_contractions(sentence)
 
 
 # --- sharing: counted in node objects, not timed ---------------------------------
@@ -137,17 +138,17 @@ def test_rewrite_unable_to_modal_returns_a_sentence_without_one(fixture_sentence
                  if not any(n.lexeme == "able" for _, n in d.walk(s))]
     assert len(untouched) == len(fixture_sentences) - 1
     for s in untouched:
-        assert tr.rewrite_unable_to_modal(s) is s
-        assert _fresh_paths(tr.enable_contractions(s), s) == {()}
+        assert sty.rewrite_unable_to_modal(s) is s
+        assert _fresh_paths(sty.enable_contractions(s), s) == {()}
     [able] = [s for s in fixture_sentences if s not in untouched]
     path = next(p for p, n in d.walk(able) if n.lexeme == "be")
-    assert _fresh_paths(tr.rewrite_unable_to_modal(able), able) == _prefixes([path])
+    assert _fresh_paths(sty.rewrite_unable_to_modal(able), able) == _prefixes([path])
 
 
 def test_drop_coreferent_purpose_subject_rebuilds_only_the_path_to_a_drop(fixture_sentences):
     drops = 0
     for s in fixture_sentences:
-        new, dropped = tr.drop_coreferent_purpose_subject(s)
+        new, dropped = sty.drop_coreferent_purpose_subject(s)
         if not dropped:
             assert new is s
         assert _fresh_paths(new, s) == _prefixes(dropped)
@@ -156,7 +157,7 @@ def test_drop_coreferent_purpose_subject_rebuilds_only_the_path_to_a_drop(fixtur
 
 
 def test_pronominalization_rebuilds_only_the_paths_to_its_sites(fixture_sentences):
-    new, sites = tr.pronominalize_sentences(fixture_sentences)
+    new, sites = sty.pronominalize_sentences(fixture_sentences)
     assert sum(map(len, sites)) > 0
     for before, after, at in zip(fixture_sentences, new, sites):
         if not at:
@@ -175,7 +176,7 @@ def test_a_mention_inside_a_replaced_mention_is_still_counted():
     of_crow = d.attach(d.DSyntNode("of", d.PREPOSITION), np("crow", "she"), d.APPEND)
     sentences = [clause(np("fox", "he")), clause(d.attach(np("fox", "he"), of_crow, d.APPEND)),
                  clause(np("crow", "she"))]
-    got = tr.pronominalize_sentences(sentences)
+    got = sty.pronominalize_sentences(sentences)
     assert got == rebuild_pronominalize_sentences(sentences, [True] * 3)
     assert got[1] == [[], [((0,), "he")], [((0,), "she")]]
 

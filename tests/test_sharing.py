@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 from retold import dsynt as d
 from retold import realize as rz
 from retold import story as st
+from retold import style as sty
 from retold import transform as tr
 from retold.style import BUILTIN_VOICES, apply_voice
 
@@ -78,7 +79,7 @@ def test_attach_keeps_a_child_that_already_has_the_relation():
 
 
 def test_one_pronoun_node_per_pronoun_relation_and_number(fox_graph):
-    sentences, sites = tr.pronominalize_sentences(list(tr.transform_story(fox_graph).sentences))
+    sentences, sites = sty.pronominalize_sentences(list(tr.transform_story(fox_graph).sentences))
     pronouns = [d.node_at(sentence, path) for sentence, at in zip(sentences, sites)
                 for path, kind in at if kind != "subject-drop"]
     by_key = {}
