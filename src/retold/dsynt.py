@@ -43,6 +43,10 @@ APPEND = "APPEND"
 RELATIONS = frozenset({ROOT, I, II, III, ATTR, APPEND})
 ARGUMENT_RELATIONS = (I, II, III)
 
+# the pronouns a character may take, in a story file and in the ``pron``
+# feature of its noun phrases
+PRONOUNS = frozenset({"he", "she", "it", "they"})
+
 # relations a child may carry, per governor class
 ALLOWED_CHILD_RELATIONS = {
     VERB: frozenset({I, II, III, ATTR, APPEND}),
@@ -66,7 +70,7 @@ FEATURE_DOMAIN: dict[str, frozenset[str]] = {
     "contract": frozenset({"on"}),
     "sem_neg": frozenset({"on"}),
     "stutter": frozenset({"1", "2"}),
-    "pron": frozenset({"he", "she", "it", "they"}),
+    "pron": PRONOUNS,
 }
 
 

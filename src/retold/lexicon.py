@@ -16,6 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Optional
 
+from .dsynt import ARGUMENT_RELATIONS, ATTR
 from .record import Record, slot_setters
 
 NOUN = "noun"
@@ -99,12 +100,6 @@ class FrameDef(Record):
     def all_roles(self) -> tuple[tuple[str, str], ...]:
         return self.mandatory_roles + self.optional_roles
 
-    def subject_role(self) -> Optional[str]:
-        for role, rel in self.all_roles():
-            if rel == "I":
-                return role
-        return None
-
 
 _FRAME_SETTERS = slot_setters(FrameDef)
 
@@ -121,7 +116,7 @@ class Lexicon:
         for f in frames:
             if f.frame_id in self._frames:
                 raise LexiconError(f"duplicate frame {f.frame_id}")
-            seen = [rel for _, rel in f.all_roles() if rel in ("I", "II", "III")]
+            seen = [rel for _, rel in f.all_roles() if rel in ARGUMENT_RELATIONS]
             if len(seen) != len(set(seen)):
                 raise LexiconError(f"frame {f.frame_id} maps two roles to one relation")
             self._frames[f.frame_id] = f
@@ -145,10 +140,17 @@ class Lexicon:
         return frame_id in self._frames
 
     def onset(self, lemma: str, pos: str) -> str:
-        """The part of ``lemma`` a stutter repeats: the entry's split if
-        (lemma, pos) is listed, else the spelling's (see :func:`split_onset`)."""
+        """The part of ``lemma`` a stutter repeats: the ``onset=`` split of
+        its (lemma, pos) entry if it has one, else the letters before the
+        first vowel ("tr" of "trellis"). It is empty for a lemma that starts
+        with a vowel or has none, and such a word is never stuttered."""
         entry = self._entries.get((lemma, pos))
-        return (split_onset_of(lemma) if entry is None else split_onset(entry))[0]
+        if entry is not None and entry.onset_split is not None:
+            return entry.onset_split[0]
+        for i, ch in enumerate(lemma):
+            if ch in VOWELS:
+                return lemma[:i]
+        return ""
 
     @property
     def entries(self) -> list[LexemeEntry]:
@@ -250,22 +252,6 @@ def synonym(entry: LexemeEntry, register: str, rng: random.Random) -> Optional[s
     return rng.choice(candidates)
 
 
-def split_onset(entry: LexemeEntry) -> tuple[str, str]:
-    """Split before the first vowel: ("tr", "ellis"). Vowel-initial lemmas
-    (and lemmas without any vowel) yield an empty onset, which callers treat
-    as "skip stuttering"."""
-    if entry.onset_split is not None:
-        return entry.onset_split
-    return split_onset_of(entry.lemma)
-
-
-def split_onset_of(lemma: str) -> tuple[str, str]:
-    for i, ch in enumerate(lemma):
-        if ch in VOWELS:
-            return (lemma[:i], lemma[i:])
-    return ("", lemma)
-
-
 # ---------------------------------------------------------------------------
 # data file loading
 
@@ -329,7 +315,7 @@ def _parse_frame_line(line: str, lineno: int) -> FrameDef:
                 raise LexiconError(f"frames line {lineno}: bad complement {value!r}")
             complement = FINITE if value == "finite" else INFINITIVE
             continue
-        if value not in ("I", "II", "III", "ATTR") and not value.startswith("prep:"):
+        if value not in (*ARGUMENT_RELATIONS, ATTR) and not value.startswith("prep:"):
             raise LexiconError(f"frames line {lineno}: bad relation {value!r}")
         bucket.append((key, value))
     return FrameDef(frame_id, tuple(mandatory), tuple(optional), complement)

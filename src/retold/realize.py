@@ -42,6 +42,10 @@ from .record import Record, slot_setters
 
 MODAL_LEMMAS = frozenset({"can"})
 
+# the verbs that carry "not" themselves when negated ("was not", "could
+# not"); every other verb takes do-support ("did not obtain")
+NOT_CARRIERS = MODAL_LEMMAS | {"be"}
+
 ACCUSATIVE = {"he": "him", "she": "her", "it": "it", "they": "them", "i": "me", "you": "you"}
 
 CONTRACTIBLE = {("did", "not"): "didn't",
@@ -263,7 +267,7 @@ class _Realizer:
                 inflect(self.lexicon.lookup(lemma, VERB), {"tense": "past", "number": number}))
         if not negated:
             return [past]
-        if lemma == "be" or lemma in MODAL_LEMMAS:
+        if lemma in NOT_CARRIERS:
             return [past, _NOT]
         return [_DID, _NOT, Token(lemma)]
 

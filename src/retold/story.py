@@ -36,10 +36,12 @@ linear in its distinct propositions.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import groupby
 from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
+from .dsynt import ARGUMENT_RELATIONS, ATTR, II, III, PRONOUNS
 from .lexicon import ADJECTIVE, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
 from .record import Record, slot_setters
 
@@ -59,8 +61,6 @@ CAUSE = "cause"
 COMPLEMENT = "complement"
 PREPOSITIONAL = "prepositional"
 CLAUSE_RELATIONS = (PURPOSE, CAUSE, COMPLEMENT)
-
-PRONOUNS = frozenset({"he", "she", "it", "they"})
 
 # the top-level sections of a story file, each a header line of its own
 SECTIONS = ("entities", "original", "timeline")
@@ -313,11 +313,14 @@ def attachment_groups(attachments: tuple[Attachment, ...]
 # ---------------------------------------------------------------------------
 # parsing
 
-_PROP_RE = re.compile(
-    r"^(?P<frame>[A-Za-z_]\w*)\s+(?P<pred>[A-Za-z_]\w*)\((?P<args>[^)]*)\)(?P<rest>.*)$"
-)
-_BINDING_RE = re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+|[\w.]+)$')
-_STORY_RE = re.compile(r'^story\s+(?P<id>[A-Za-z_]\w*)\s+"(?P<title>[^"]*)"\s*$')
+@lru_cache(maxsize=1)
+def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The header, proposition and role-binding line patterns, compiled on
+    the first parse rather than when the module is imported."""
+    return (re.compile(r'^story\s+(?P<id>[A-Za-z_]\w*)\s+"(?P<title>[^"]*)"\s*$'),
+            re.compile(r"^(?P<frame>[A-Za-z_]\w*)\s+(?P<pred>[A-Za-z_]\w*)"
+                       r"\((?P<args>[^)]*)\)(?P<rest>.*)$"),
+            re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+|[\w.]+)$'))
 
 
 def _outline(encoded_text: str) -> list[tuple]:
@@ -368,6 +371,7 @@ def _siblings(lines: list[tuple]) -> Iterator[tuple]:
 class _Parser:
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
+        self.story_re, self.prop_re, self.binding_re = _patterns()
         self.entities: dict[str, Entity] = {}
         # proposition id registry; None marks a block still being parsed,
         # which is how a `ref` to an ancestor (a nesting cycle) is caught
@@ -379,7 +383,7 @@ class _Parser:
         if not top:
             raise StorySyntaxError("empty document")
         indent, text, lineno, children = top[0]
-        m = _STORY_RE.match(text)
+        m = self.story_re.match(text)
         if indent != 0 or not m:
             raise StorySyntaxError('expected: story <id> "<title>"', lineno)
         if children:
@@ -455,7 +459,7 @@ class _Parser:
 
     def _parse_prop(self, line: tuple, auto_id: str) -> Proposition:
         _, text, lineno, children = line
-        m = _PROP_RE.match(text)
+        m = self.prop_re.match(text)
         if not m:
             raise StorySyntaxError(f"expected proposition, got {text!r}", lineno)
         frame_id, predicate = m.group("frame"), m.group("pred")
@@ -466,7 +470,7 @@ class _Parser:
         args = m.group("args").strip()
         if args:
             for piece in self._split_args(args, lineno):
-                bm = _BINDING_RE.match(piece.strip())
+                bm = self.binding_re.match(piece.strip())
                 if not bm:
                     raise StorySyntaxError(f"bad role binding {piece.strip()!r}", lineno)
                 bindings.append((bm.group("role"),
@@ -720,18 +724,18 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
         rel = relations.get(role)
         if rel is None:
             out.append(f"unknown role {role} for frame {p.frame.frame_id!r}")
-        elif rel == "ATTR":
+        elif rel == ATTR:
             if not isinstance(arg, Property):
                 out.append(f"role {role} expects an adjective property")
-        elif isinstance(arg, Property) and rel in ("I", "II", "III"):
+        elif isinstance(arg, Property) and rel in ARGUMENT_RELATIONS:
             out.append("property argument outside a copular slot")
-        elif isinstance(arg, Proposition) and rel not in ("II", "III"):
+        elif isinstance(arg, Proposition) and rel not in (II, III):
             out.append(f"role {role} cannot nest a proposition")
         elif isinstance(arg, Proposition) and frame.complement_kind is None:
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
 
     # a complement attachment realizes as the II argument of the clause
-    ii_taken = any(relations.get(role) == "II" for role in p.frame.roles())
+    ii_taken = any(relations.get(role) == II for role in p.frame.roles())
     for a in p.attachments:
         if a.relation in CLAUSE_RELATIONS:
             if not isinstance(a.target, Proposition):

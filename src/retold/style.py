@@ -4,8 +4,8 @@ A voice model maps stylistic parameters to activation strengths in [0, 1].
 For every sentence and every active parameter, the transform fires with
 probability equal to the activation, drawing from a random stream derived
 from (seed, sentence index) so sentences are independent and the whole
-application is reproducible. Every applied transform is recorded as a
-StyleDecision.
+application is reproducible. :func:`apply_voice` is the only way in, so
+every applied transform is recorded as a StyleDecision.
 
 Marker vocabulary (hedges, pauses, interjections, expletives, tags) is a
 fixed word list; insertions never change propositional content. The two
@@ -38,7 +38,7 @@ from .lexicon import (
     inflect,
     synonym,
 )
-from .realize import ACCUSATIVE, CONTRACTIBLE, MODAL_LEMMAS
+from .realize import ACCUSATIVE, CONTRACTIBLE, NOT_CARRIERS
 from .record import Record, slot_setters
 
 # the one document-level parameter: it counts mentions across the whole
@@ -175,18 +175,6 @@ def load_voice(name_or_path: str) -> VoiceModel:
 
 def _path_str(path: tuple[int, ...]) -> str:
     return ".".join(map(str, path)) if path else "root"
-
-
-def _prepend(root: d.DSyntNode, marker: d.DSyntNode) -> d.DSyntNode:
-    return root.with_children((marker,) + root.children)
-
-
-def _append_child(root: d.DSyntNode, child: d.DSyntNode) -> d.DSyntNode:
-    return root.with_children(root.children + (child,))
-
-
-def _marker_node(lexeme: str) -> d.DSyntNode:
-    return d.DSyntNode(lexeme, d.FUNCTION_WORD, d.APPEND, {"position": "pre"})
 
 
 # --- pronominalization and contractions ---------------------------------------
@@ -336,40 +324,41 @@ def enable_contractions(sentence: d.DSyntNode) -> d.DSyntNode:
 # (new_sentence, site_path, payload) or None when inapplicable
 
 
+def _adverb(sent, word):
+    """``sent`` with the pre-verbal adverb ``word`` as its last child."""
+    adverb = d.DSyntNode(word, d.ADVERB, d.ATTR, {"position": "pre"})
+    return sent.with_children(sent.children + (adverb,)), (len(sent.children),), word
+
+
+def _opener(sent, text, payload):
+    """``sent`` with ``text`` said before it, as its first child."""
+    marker = d.DSyntNode(text, d.FUNCTION_WORD, d.APPEND, {"position": "pre"})
+    return sent.with_children((marker,) + sent.children), (0,), payload
+
+
 def _softener(sent, rng, lex, memo):
     choice = rng.choice(SOFTENER_CLAUSAL + SOFTENER_ADVERBIAL)
     if choice in SOFTENER_CLAUSAL_PAST:
-        new = _prepend(sent, _marker_node(SOFTENER_CLAUSAL_PAST[choice]))
-        return new, (0,), choice
-    adv = d.DSyntNode(choice, d.ADVERB, d.ATTR, {"position": "pre"})
-    new = _append_child(sent, adv)
-    return new, (len(new.children) - 1,), choice
+        return _opener(sent, SOFTENER_CLAUSAL_PAST[choice], choice)
+    return _adverb(sent, choice)
 
 
 def _emphasizer(sent, rng, lex, memo):
-    choice = rng.choice(EMPHASIZERS)
-    adv = d.DSyntNode(choice, d.ADVERB, d.ATTR, {"position": "pre"})
-    new = _append_child(sent, adv)
-    return new, (len(new.children) - 1,), choice
+    return _adverb(sent, rng.choice(EMPHASIZERS))
 
 
 def _filled_pause(sent, rng, lex, memo):
     choice = rng.choice(FILLED_PAUSES)
-    new = _prepend(sent, _marker_node(choice + "..."))
-    return new, (0,), choice
+    return _opener(sent, choice + "...", choice)
 
 
 def _interjection(sent, rng, lex, memo):
     choice = rng.choice(INTERJECTIONS)
-    new = _prepend(sent, _marker_node(choice + ","))
-    return new, (0,), choice
+    return _opener(sent, choice + ",", choice)
 
 
 def _expletive(sent, rng, lex, memo):
-    choice = rng.choice(EXPLETIVES)
-    adv = d.DSyntNode(choice, d.ADVERB, d.ATTR, {"position": "pre"})
-    new = _append_child(sent, adv)
-    return new, (len(new.children) - 1,), choice
+    return _adverb(sent, rng.choice(EXPLETIVES))
 
 
 def _stutter_sites(sent, lex):
@@ -385,15 +374,9 @@ def _stutter_sites(sent, lex):
     return sites
 
 
-def apply_stuttering(sentence: d.DSyntNode, rng: random.Random,
-                     lexicon: Optional[Lexicon] = None) -> d.DSyntNode:
-    """Duplicate the onset of one content word: "tr-trellis". Vowel-initial
-    lemmas are never picked."""
-    result = _stutter(sentence, rng, lexicon or default_lexicon(), {})
-    return sentence if result is None else result[0]
-
-
 def _stutter(sent, rng, lex, memo):
+    """Repeat the onset of one content word: "tr-trellis". A word with no
+    onset (see :meth:`Lexicon.onset`) is never picked."""
     sites = _stutter_sites(sent, lex)
     if not sites:
         return None
@@ -403,41 +386,33 @@ def _stutter(sent, rng, lex, memo):
     return new, path, f"{onset}-" * k
 
 
-def _subject_tag_pronoun(sent) -> str:
-    subject = sent.child(d.I)
-    if subject is None:
-        return "it"
-    if subject.cls == d.FUNCTION_WORD:
-        return subject.lexeme
-    pron = subject.feature("pron")
-    if pron:
-        return pron
-    return "they" if subject.feature("number") == "pl" else "it"
-
-
-def _aux_for(sent, lex) -> str:
-    number = "sg"
-    subject = sent.child(d.I)
-    if subject is not None:
-        number = subject.feature("number", "sg")
-    if sent.lexeme == "be" or sent.lexeme in MODAL_LEMMAS:
-        return inflect(lex.lookup(sent.lexeme, VERB), {"tense": "past", "number": number})
-    return "did"
+def _pronoun(np: d.DSyntNode) -> str:
+    """The nominative pronoun that stands for the noun phrase ``np``."""
+    if np.cls == d.FUNCTION_WORD:
+        return np.lexeme
+    return np.feature("pron") or ("they" if np.feature("number") == "pl" else "it")
 
 
 def _tag_question(sent, rng, lex, memo):
+    """End the clause with an external tag ("you see?") or with the word
+    that carries its "not" (see :data:`realize.NOT_CARRIERS`), contracted
+    when the clause is affirmative, and its subject's pronoun: "wasn't it?",
+    "did he?"."""
     if sent.feature("punct", "period") != "period":
         return None
     if rng.random() < 0.5:
         tag = rng.choice(EXTERNAL_TAGS)
     else:
-        aux = _aux_for(sent, lex)
-        if sent.feature("polarity") == "neg":
-            tag = f"{aux} {_subject_tag_pronoun(sent)}"
-        else:
-            tag = f"{CONTRACTIBLE.get((aux, 'not'), aux)} {_subject_tag_pronoun(sent)}"
+        subject = sent.child(d.I)
+        aux = "did"
+        if sent.lexeme in NOT_CARRIERS:
+            number = "sg" if subject is None else subject.feature("number", "sg")
+            aux = inflect(lex.lookup(sent.lexeme, VERB), {"tense": "past", "number": number})
+        if sent.feature("polarity") != "neg":
+            aux = CONTRACTIBLE.get((aux, "not"), aux)
+        tag = f"{aux} {'it' if subject is None else _pronoun(subject)}"
     node = d.DSyntNode(tag, d.FUNCTION_WORD, d.APPEND, {"position": "post"})
-    new = _append_child(sent, node).with_feature("punct", "question")
+    new = sent.with_children(sent.children + (node,)).with_feature("punct", "question")
     return new, (len(sent.children),), tag + "?"
 
 
@@ -472,7 +447,7 @@ def _negation_paraphrase(sent, rng, lex, memo):
     restatement that may follow."""
     if sent.feature("polarity") != "neg" or not lex.has(sent.lexeme, VERB):
         return None
-    if sent.lexeme in ("be", "can", "do", "fail"):
+    if sent.lexeme in NOT_CARRIERS or sent.lexeme in ("do", "fail"):
         return None
     entry = lex.lookup(sent.lexeme, VERB)
     sub = synonym(entry, "casual", rng)
@@ -496,15 +471,6 @@ def _negation_paraphrase(sent, rng, lex, memo):
     return new, (len(kept),), f"fail to {sub}"
 
 
-def _object_pronoun(obj: d.DSyntNode) -> str:
-    if obj.cls == d.FUNCTION_WORD:
-        return ACCUSATIVE.get(obj.lexeme, "it")
-    pron = obj.feature("pron")
-    if pron:
-        return ACCUSATIVE[pron]
-    return "them" if obj.feature("number") == "pl" else "it"
-
-
 def _restatement(sent, rng, lex, memo):
     """Append ", did not V it" after a paraphrased clause, restating the
     original negated verb with a pronominal object."""
@@ -513,7 +479,7 @@ def _restatement(sent, rng, lex, memo):
     orig_lemma, obj = memo["paraphrased"]
     children = ()
     if obj is not None:
-        children = (d.DSyntNode(_object_pronoun(obj), d.FUNCTION_WORD, d.II,
+        children = (d.DSyntNode(ACCUSATIVE.get(_pronoun(obj), "it"), d.FUNCTION_WORD, d.II,
                                 {"number": obj.feature("number", "sg")}),)
     restate = d.DSyntNode(orig_lemma, d.VERB, d.APPEND,
                           {"polarity": "neg", "tense": "past"}, children)
@@ -532,28 +498,25 @@ def _contractions(sent, rng, lex, memo):
     return None if new is sent else (new, (), "on")
 
 
-# (parameter, transform, is a marker insertion), in application order after
-# the document-level PRONOMINALIZATION pass; the order fixes each
-# sentence's random draws, so outputs depend on it
+# (parameter, transform), in application order after the document-level
+# PRONOMINALIZATION pass; the order fixes each sentence's random draws, so
+# outputs depend on it. The transforms run only through apply_voice.
 _SENTENCE_TRANSFORMS = (
-    ("lexical_variation", _lexical_variation, False),
-    ("negation_paraphrase", _negation_paraphrase, False),
-    ("restatement", _restatement, False),
-    ("contractions", _contractions, False),
-    ("softener_hedges", _softener, True),
-    ("emphasizer_hedges", _emphasizer, True),
-    ("filled_pauses", _filled_pause, True),
-    ("initial_interjection", _interjection, True),
-    ("expletives", _expletive, True),
-    ("stuttering", _stutter, False),
-    ("tag_question", _tag_question, True),
-    ("exclamation", _exclamation, True),
+    ("lexical_variation", _lexical_variation),
+    ("negation_paraphrase", _negation_paraphrase),
+    ("restatement", _restatement),
+    ("contractions", _contractions),
+    ("softener_hedges", _softener),
+    ("emphasizer_hedges", _emphasizer),
+    ("filled_pauses", _filled_pause),
+    ("initial_interjection", _interjection),
+    ("expletives", _expletive),
+    ("stuttering", _stutter),
+    ("tag_question", _tag_question),
+    ("exclamation", _exclamation),
 )
 
-PARAM_NAMES = frozenset({PRONOMINALIZATION}
-                        | {name for name, _, _ in _SENTENCE_TRANSFORMS})
-
-_MARKERS = {name: fn for name, fn, marker in _SENTENCE_TRANSFORMS if marker}
+PARAM_NAMES = frozenset({PRONOMINALIZATION} | {name for name, _ in _SENTENCE_TRANSFORMS})
 
 BUILTIN_VOICES = {
     "NEUTRAL": VoiceModel("NEUTRAL", {}),
@@ -569,16 +532,6 @@ BUILTIN_VOICES = {
         "pronominalization": 1.0, "contractions": 1.0,
     }),
 }
-
-
-def insert_marker(sentence: d.DSyntNode, param: str, rng: random.Random,
-                  lexicon: Optional[Lexicon] = None) -> d.DSyntNode:
-    """Apply one marker-insertion parameter unconditionally; inapplicable
-    sites (e.g. a tag on a non-period sentence) return the input."""
-    if param not in _MARKERS:
-        raise VoiceError(f"{param!r} is not a marker-insertion parameter")
-    result = _MARKERS[param](sentence, rng, lexicon or default_lexicon(), {})
-    return sentence if result is None else result[0]
 
 
 # --- the engine ---------------------------------------------------------------
@@ -633,7 +586,7 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
         for path, pron in sentence_sites:
             applied.append((i, PRONOMINALIZATION, path, pron))
 
-    for param, transform, _ in _SENTENCE_TRANSFORMS:
+    for param, transform in _SENTENCE_TRANSFORMS:
         a = model.activation(param)
         if a <= 0.0:
             continue

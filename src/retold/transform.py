@@ -133,11 +133,11 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
 
     for role, rel in frame.all_roles():
         arg = p.frame.binding(role)
-        if arg is None or (rel == "I" and skip_subject):
+        if arg is None or (rel == d.I and skip_subject):
             continue
         if rel in d.ARGUMENT_RELATIONS:
             root = d.attach(root, _argument_node(arg, rel, frame, ctx), rel)
-        elif rel == "ATTR":
+        elif rel == d.ATTR:
             root = d.attach(root, _np_for_target(arg, d.ATTR, ctx), d.ATTR)
         else:  # prep:<word>
             root = d.attach(root, _prepositional_phrase(rel.split(":", 1)[1], (arg,), ctx),

@@ -113,19 +113,20 @@ def test_synonym_never_returns_own_lemma(lexicon):
     ("air", ("", "air")),
 ])
 def test_split_onset(lexicon, lemma, expected):
-    pos = lx.NOUN
-    assert lx.split_onset(lexicon.lookup(lemma, pos)) == expected
+    onset = lexicon.onset(lemma, lx.NOUN)
+    assert (onset, lemma[len(onset):]) == expected
 
 
 def test_split_onset_override_wins():
     entry = lx.LexemeEntry("trellis", lx.NOUN, onset_split=("tre", "llis"))
-    assert lx.split_onset(entry) == ("tre", "llis")
+    one_entry = lx.Lexicon([entry], [])
+    assert one_entry.onset("trellis", lx.NOUN) == "tre"
+    assert one_entry.onset("trellis", lx.ADJECTIVE) == "tr"  # not listed: the spelling's
 
 
 def test_split_onset_concatenation(lexicon):
     for entry in lexicon.entries:
-        onset, rest = lx.split_onset(entry)
-        assert onset + rest == entry.lemma
+        assert entry.lemma.startswith(lexicon.onset(entry.lemma, entry.pos))
 
 
 def test_frames_loaded(lexicon):
@@ -184,10 +185,3 @@ def test_loader_rejects_duplicates():
         lx.load_lexicon("fox noun\nfox noun\n", "")
     with pytest.raises(lx.LexiconError):
         lx.load_lexicon("", "frame jump : Agent=I\nframe jump : Agent=I\n")
-
-
-def test_subject_role_lookup():
-    frame = lx.FrameDef("f", (("Theme", "II"),))
-    assert frame.subject_role() is None
-    frame2 = lx.FrameDef("g", (("Agent", "I"), ("Theme", "II")))
-    assert frame2.subject_role() == "Agent"

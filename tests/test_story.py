@@ -1,11 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from retold import story as st
 from retold.diagnostics import ERROR
 
-from conftest import nested_story, random_story, ref_chain_story
+from conftest import FIXTURES, nested_story, random_story, ref_chain_story
 
 MINIMAL = '''
 story demo "Demo"
@@ -378,3 +382,31 @@ def test_validate_counts_nesting_through_ref():
     diags = st.validate_story(st.parse_story(ref_chain_story(st.MAX_NESTING_DEPTH + 1, uses=1)))
     assert [d.message for d in diags] == [
         f"propositions nest more than {st.MAX_NESTING_DEPTH} levels deep"]
+
+
+# Counts the calls to re.compile made from retold's modules, first while
+# `import retold` runs, then while one story is parsed.
+_COMPILE_PROBE = """
+import re, sys
+calls = []
+real_compile = re.compile
+def counting_compile(*args, **kwargs):
+    if sys._getframe(1).f_globals.get("__name__", "").startswith("retold"):
+        calls.append(args[0])
+    return real_compile(*args, **kwargs)
+re.compile = counting_compile
+import retold
+print(len(calls))
+retold.parse_story(open(sys.argv[1], encoding="utf-8").read())
+print(len(calls))
+"""
+
+
+def test_import_compiles_no_pattern():
+    # the story patterns are compiled on the first parse, not at import
+    src = str(Path(st.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    story = str(FIXTURES / "fox_and_grapes.story")
+    out = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, story], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["0", "3"]

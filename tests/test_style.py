@@ -9,7 +9,7 @@ from retold import story as st
 from retold import style
 from retold import transform as tr
 from retold.metrics import tokenize_and_stem
-from retold.realize import realize_document, realize_sentence
+from retold.realize import CONTRACTIBLE, realize_document, realize_sentence, sentence_tokens
 
 from conftest import random_story
 
@@ -303,20 +303,19 @@ def test_every_decision_site_resolves_in_the_styled_output():
             d.node_at(sentence, _site_path(dec.site))  # must not raise
 
 
-def test_insert_marker_rejects_non_marker_params(fox_doc):
-    with pytest.raises(style.VoiceError):
-        style.insert_marker(fox_doc.sentences[0], "lexical_variation", random.Random(0))
-
-
 def test_insert_marker_skips_inapplicable_sites(fox_doc):
-    questioned = fox_doc.sentences[0].with_feature("punct", "question")
-    out = style.insert_marker(questioned, "tag_question", random.Random(0))
-    assert out == questioned
+    questioned = d.Document((fox_doc.sentences[0].with_feature("punct", "question"),))
+    for param in ("tag_question", "exclamation"):
+        for seed in range(8):
+            out = style.apply_voice(questioned, style.VoiceModel(param, {param: 1.0}), seed)
+            assert out == (questioned, []), (param, seed)
 
 
 def test_apply_stuttering_public_op(fox_doc):
-    out = style.apply_stuttering(fox_doc.sentences[1], random.Random(5))
-    assert any(node.feature("stutter") for _, node in d.walk(out))
+    one = d.Document((fox_doc.sentences[1],))
+    styled, decisions = style.apply_voice(one, style.VoiceModel("s", {"stuttering": 1.0}), 5)
+    assert [dec.param for dec in decisions] == ["stuttering"]
+    assert any(node.feature("stutter") for _, node in d.walk(styled.sentences[0]))
 
 
 def _site_path(site):
@@ -363,7 +362,7 @@ def test_content_superset_after_styling(fox_doc, lexicon):
 
 def test_attested_retelling_vocabulary_is_reachable(lexicon):
     # the shipped stylistic retellings only use devices this engine has
-    from retold.lexicon import NOUN, VERB, split_onset
+    from retold.lexicon import NOUN, VERB
     from conftest import fixture_text
 
     shy = fixture_text("fox_and_grapes.shy.txt")
@@ -374,7 +373,7 @@ def test_attested_retelling_vocabulary_is_reachable(lexicon):
     assert "it seems that" in style.SOFTENER_CLAUSAL
     assert "Err..." in shy and "err" in style.FILLED_PAUSES
     assert "tr-tr-trellis" in shy
-    assert split_onset(lexicon.lookup("trellis", NOUN))[0] == "tr"
+    assert lexicon.onset("trellis", NOUN) == "tr"
 
     assert "didn't it?" in laidback
     assert "damn" in laidback and "damn" in style.EXPLETIVES
@@ -446,9 +445,14 @@ def test_negated_plural_copula_contracts_to_werent():
                hungry("p1", "wolves", polarity=st.NEGATED))
     styled, _ = style.apply_voice(tr.transform_story(g), style.BUILTIN_VOICES["FORMAL"], 0)
     assert realize_document(styled) == "The fox wasn't hungry. The wolves weren't hungry."
-    affirmative = tr.transform_story(_story([wolves], hungry("p", "wolves"))).sentences[0]
-    tagged = style.insert_marker(affirmative, "tag_question", random.Random(0))
-    assert realize_sentence(tagged) == "The wolves were hungry, weren't they?"
+    affirmative = tr.transform_story(_story([wolves], hungry("p", "wolves")))
+    model = style.VoiceModel("probe", {"tag_question": 1.0})
+    for seed in range(40):
+        styled, decisions = style.apply_voice(affirmative, model, seed)
+        if decisions[0].payload == "weren't they?":
+            assert realize_document(styled) == "The wolves were hungry, weren't they?"
+            return
+    pytest.fail("auxiliary tag never chosen for the plural copular clause")
 
 
 def test_tag_question_on_modal_clause_uses_couldnt():
@@ -470,6 +474,43 @@ def test_tag_question_on_modal_clause_uses_couldnt():
             assert text == "The fox couldn't reach the group of grapes, could he?"
             return
     pytest.fail("modal auxiliary tag never chosen")
+
+
+def test_tag_auxiliary_is_the_word_the_realizer_negates(fox_graph, lion_graph):
+    # a tag's auxiliary is the word the realizer puts before "not" when the
+    # tagged clause is negated, contracted when the clause is affirmative
+    voices = [style.VoiceModel("tags", {"tag_question": 1.0}),
+              style.VoiceModel("contracted", {"contractions": 1.0, "tag_question": 1.0})]
+    wolves = st.Entity("wolves", st.CHARACTER, "wolf", number="pl")
+    hungry = [_prop(f"p{n}", "be_hungry", "be", [("Theme", st.EntityRef("wolves")),
+                                                 ("Attribute", st.Property("hungry"))],
+                    polarity=polarity) for n, polarity in enumerate((st.AFFIRMATIVE, st.NEGATED))]
+    # random stories seldom have a plural subject, so the plural copula gets its own story
+    graphs = ([fox_graph, lion_graph, _story([wolves], *hungry)]
+              + [random_story(random.Random(k)) for k in range(30)])
+    untagged = set()
+    auxiliaries = set()
+    for k, g in enumerate(graphs):
+        doc = tr.transform_story(g)
+        untagged |= {(k, i) for i in range(len(doc.sentences))}
+        for model in voices:
+            for seed in range(6):
+                styled, decisions = style.apply_voice(doc, model, seed)
+                for dec in decisions:
+                    tag = dec.payload[:-1]
+                    if dec.param != "tag_question" or tag in style.EXTERNAL_TAGS:
+                        continue
+                    clause = styled.sentences[dec.sentence_index]
+                    negated = clause.without_feature("contract").with_feature("polarity", "neg")
+                    words = [t.surface for t in sentence_tokens(negated)]
+                    aux = words[words.index("not") - 1]
+                    if clause.feature("polarity") != "neg":
+                        aux = CONTRACTIBLE[(aux, "not")]
+                    assert tag.split()[0] == aux, (k, seed, tag, words)
+                    auxiliaries.add(aux)
+                    untagged.discard((k, dec.sentence_index))
+    assert not untagged
+    assert {"were", "weren't", "could", "did", "didn't"} <= auxiliaries
 
 
 def test_restatement_without_object():

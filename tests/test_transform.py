@@ -247,8 +247,9 @@ def _expected_lemma_multiset(g, p, lexicon):
             elif isinstance(arg, st.Proposition):
                 walk_prop(arg)
                 if frame.complement_kind == INFINITIVE:
-                    subj_role = lexicon.frame(arg.frame.frame_id).subject_role()
-                    subj = arg.frame.binding(subj_role) if subj_role else None
+                    subjects = [role for role, rel in lexicon.frame(arg.frame.frame_id).all_roles()
+                                if rel == d.I]
+                    subj = arg.frame.binding(subjects[0]) if subjects else None
                     if isinstance(subj, st.EntityRef):
                         e = g.entity(subj.entity_id)
                         counts[e.head_lemma] -= 1
