@@ -7,6 +7,13 @@ story is then told in the four built-in voices and in one voice with every
 parameter at 1.0, at voice seeds 0-3, and each telling adds its text, its
 decision reprs and its serialized trees. When a change is meant to alter
 the output, recompute the digest and say why in the change log.
+
+A second digest tells the same stories in voices that test how activations
+draw from each sentence's random stream: every parameter alone at 1.0 and
+alone at 0.5, and two mixed voices in which parameters at 1.0 come before a
+fractional one, one of them with a fractional pronominalization. A draw
+against an activation of 1.0 always fires, so its value cannot show in the
+output; only the draws after it can, and these voices make them.
 """
 
 import hashlib
@@ -25,8 +32,19 @@ PINNED_SHA256 = "2ccebbbbe7bd92f283e8e3dc63e1833849ab323e3ddba79227f636d05793ee7
 EVERYTHING = style.VoiceModel("EVERYTHING", {p: 1.0 for p in sorted(style.PARAM_NAMES)})
 VOICES = [style.BUILTIN_VOICES[v] for v in ("NEUTRAL", "FORMAL", "SHY", "LAID-BACK")] + [EVERYTHING]
 
+DRAW_PINNED_SHA256 = "c81a7b126fe90308694340413086a204189cbde5306d13835fe6287ebdae384c"
 
-def _digest(graphs) -> str:
+DRAW_VOICES = (
+    [style.VoiceModel(f"{p}@{a}", {p: a}) for a in (1.0, 0.5) for p in sorted(style.PARAM_NAMES)]
+    + [style.VoiceModel("WHOLE-THEN-HALF", {
+        "pronominalization": 1.0, "contractions": 1.0, "restatement": 1.0,
+        "lexical_variation": 1.0, "expletives": 0.5, "exclamation": 0.5}),
+       style.VoiceModel("HALF-PRONOUNS", {
+           "pronominalization": 0.5, "negation_paraphrase": 1.0, "restatement": 1.0,
+           "contractions": 1.0, "emphasizer_hedges": 0.5, "tag_question": 1.0})])
+
+
+def _digest(graphs, voices) -> str:
     h = hashlib.sha256()
 
     def add(text: str) -> None:
@@ -37,7 +55,7 @@ def _digest(graphs) -> str:
         add("\n".join(map(repr, validate_story(g))))
         add(serialize_story(g))
         doc = transform_story(g)
-        for model in VOICES:
+        for model in voices:
             for seed in range(4):
                 styled, decisions = style.apply_voice(doc, model, seed)
                 add(realize_document(styled))
@@ -46,6 +64,13 @@ def _digest(graphs) -> str:
     return h.hexdigest()
 
 
+def _graphs(fox_graph, lion_graph):
+    return [fox_graph, lion_graph] + [random_story(random.Random(k)) for k in range(40)]
+
+
 def test_output_is_pinned(fox_graph, lion_graph):
-    graphs = [fox_graph, lion_graph] + [random_story(random.Random(k)) for k in range(40)]
-    assert _digest(graphs) == PINNED_SHA256
+    assert _digest(_graphs(fox_graph, lion_graph), VOICES) == PINNED_SHA256
+
+
+def test_draws_are_pinned(fox_graph, lion_graph):
+    assert _digest(_graphs(fox_graph, lion_graph), DRAW_VOICES) == DRAW_PINNED_SHA256
