@@ -140,29 +140,15 @@ _NODE_SETTERS = slot_setters(DSyntNode)
 
 class Document(Record):
     _fields = ("sentences",)
-    # _memo holds the one (key, value) pair of :meth:`memo`. It is no
-    # field, so ==, hash, repr and pickle ignore it, and a copy made by
-    # pickle or ``replace`` starts without it.
+    # the style engine keeps in the memo the work that every voice told on
+    # this document shares (see :func:`style.apply_voice`)
     __slots__ = _fields + ("_memo",)
 
     def __init__(self, sentences: tuple[DSyntNode, ...] = ()):
         _DOCUMENT_SETTERS[0](self, sentences)
 
-    def memo(self, key, make):
-        """The value ``make()`` gives, kept with this document and returned
-        again while calls pass a key equal to ``key``. The document holds
-        one value: a call with another key makes a new one and drops the
-        old. The style engine keeps here the work that every voice told
-        on this document shares (see :func:`style.apply_voice`)."""
-        held = getattr(self, "_memo", None)
-        if held is None or held[0] != key:
-            held = (key, make())
-            _set_document_memo(self, held)
-        return held[1]
-
 
 _DOCUMENT_SETTERS = slot_setters(Document)
-_set_document_memo = Document._memo.__set__
 
 
 def attach(parent: DSyntNode, child: DSyntNode, relation: str) -> DSyntNode:

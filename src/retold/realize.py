@@ -58,6 +58,13 @@ class RealizationError(Exception):
     pass
 
 
+def past_form(lexicon: Lexicon, lemma: str, number: str) -> str:
+    """The past tense of the verb ``lemma`` that agrees with a subject of
+    ``number`` ("was", "were", "ate"): the realizer's finite verb, and the
+    auxiliary of the style engine's tag question."""
+    return inflect(lexicon.lookup(lemma, VERB), {"tense": "past", "number": number})
+
+
 class Token(Record):
     __slots__ = _fields = ("surface", "kind", "no_space_before")
 
@@ -263,8 +270,7 @@ class _Realizer:
             return [_NOT, _TO, Token(lemma)] if negated else [_TO, Token(lemma)]
         past = self._pasts.get((lemma, number))
         if past is None:
-            past = self._pasts[(lemma, number)] = Token(
-                inflect(self.lexicon.lookup(lemma, VERB), {"tense": "past", "number": number}))
+            past = self._pasts[(lemma, number)] = Token(past_form(self.lexicon, lemma, number))
         if not negated:
             return [past]
         if lemma in NOT_CARRIERS:

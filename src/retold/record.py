@@ -11,6 +11,11 @@ with equal fields), a ``hash`` over the fields and the repr
 ``Name(field=value, ...)``, plus :meth:`Record.replace` for a copy with
 some fields changed.
 
+A record class that also declares a ``_memo`` slot can keep one derived
+value with each record (see :meth:`Record.memo`). The slot is no field, so
+``==``, ``hash``, ``repr`` and pickle ignore it, and a copy made by pickle
+or ``replace`` starts without it.
+
 The package does not build on the standard library's data classes:
 importing their module pulls in ``inspect`` and ``ast``, and creating each
 such class costs about a millisecond at import, against a few microseconds
@@ -50,6 +55,17 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def memo(self, key, make):
+        """The value ``make()`` gives, kept with this record and returned
+        again while calls pass a key equal to ``key``. The record holds one
+        value: a call with another key makes a new one and drops the old.
+        Only a class that declares a ``_memo`` slot has one."""
+        held = getattr(self, "_memo", None)
+        if held is None or held[0] != key:
+            held = (key, make())
+            object.__setattr__(self, "_memo", held)
+        return held[1]
 
     def replace(self, **changes):
         """A new record of this class with ``changes`` (field name to

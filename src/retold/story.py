@@ -266,7 +266,9 @@ _TIMESPAN_SETTERS = slot_setters(Timespan)
 
 
 class StoryGraph(Record):
-    __slots__ = _fields = ("id", "title", "entities", "timeline", "original_text")
+    _fields = ("id", "title", "entities", "timeline", "original_text")
+    # the memo keeps :func:`validate_story`'s diagnostics
+    __slots__ = _fields + ("_memo",)
 
     def __init__(self, id: str, title: str, entities: tuple[Entity, ...],
                  timeline: tuple[Timespan, ...], original_text: Optional[str] = None):
@@ -774,8 +776,17 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
     :data:`MAX_EXPANDED_PROPOSITIONS` and a depth bounded by
     :data:`MAX_NESTING_DEPTH`. Structural problems that the parser
     already rejects (bad syntax) cannot appear here.
+
+    The diagnostics are kept with the graph, for the lexicon object they
+    were found with (see :meth:`record.Record.memo`), so validating a graph
+    again, as the transform does, costs a copy. Each call returns a list of
+    its own.
     """
     lex = lexicon or default_lexicon()
+    return list(g.memo(lex, lambda: _diagnostics(g, lex)))
+
+
+def _diagnostics(g: StoryGraph, lex: Lexicon) -> tuple[Diagnostic, ...]:
     out: list[Diagnostic] = []
 
     def err(location: str, message: str) -> None:
@@ -853,4 +864,4 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
     if total > MAX_EXPANDED_PROPOSITIONS:
         err("timeline", f"expands to {total} propositions through ref reuse, "
                         f"more than {MAX_EXPANDED_PROPOSITIONS}")
-    return list(dict.fromkeys(out))
+    return tuple(dict.fromkeys(out))

@@ -23,9 +23,9 @@ each. The work they share is done once per document instead (see
 
 from __future__ import annotations
 
-import random
 import re
 from pathlib import Path
+from random import Random
 from typing import Mapping, Optional, Sequence
 
 from . import dsynt as d
@@ -35,10 +35,9 @@ from .lexicon import (
     VERB,
     Lexicon,
     default_lexicon,
-    inflect,
     synonym,
 )
-from .realize import ACCUSATIVE, CONTRACTIBLE, NOT_CARRIERS
+from .realize import ACCUSATIVE, CONTRACTIBLE, NOT_CARRIERS, past_form
 from .record import Record, slot_setters
 
 # the one document-level parameter: it counts mentions across the whole
@@ -395,9 +394,10 @@ def _pronoun(np: d.DSyntNode) -> str:
 
 def _tag_question(sent, rng, lex, memo):
     """End the clause with an external tag ("you see?") or with the word
-    that carries its "not" (see :data:`realize.NOT_CARRIERS`), contracted
-    when the clause is affirmative, and its subject's pronoun: "wasn't it?",
-    "did he?"."""
+    that carries its "not" (see :data:`realize.NOT_CARRIERS`) in the
+    realizer's past form (:func:`realize.past_form`), contracted when the
+    clause is affirmative, and its subject's pronoun: "wasn't it?", "did
+    he?"."""
     if sent.feature("punct", "period") != "period":
         return None
     if rng.random() < 0.5:
@@ -407,7 +407,7 @@ def _tag_question(sent, rng, lex, memo):
         aux = "did"
         if sent.lexeme in NOT_CARRIERS:
             number = "sg" if subject is None else subject.feature("number", "sg")
-            aux = inflect(lex.lookup(sent.lexeme, VERB), {"tense": "past", "number": number})
+            aux = past_form(lex, sent.lexeme, number)
         if sent.feature("polarity") != "neg":
             aux = CONTRACTIBLE.get((aux, "not"), aux)
         tag = f"{aux} {'it' if subject is None else _pronoun(subject)}"
@@ -536,23 +536,108 @@ BUILTIN_VOICES = {
 
 # --- the engine ---------------------------------------------------------------
 
+class _Streams:
+    """The random streams of one :func:`apply_voice` call, one per
+    sentence: ``random.Random(f"{seed}:{i}")`` for sentence ``i``. A stream
+    is made at the first draw whose value can matter, or when a transform
+    takes it. A gate against an activation of 1.0 fires whatever it draws,
+    so until then its draw is only counted, and the counted draws are made
+    on the new stream before its first use. So every value drawn is the one
+    an eagerly made stream would give, and a voice whose activations are
+    all 0 or 1 and whose transforms take no stream (FORMAL) makes none."""
+    __slots__ = ("_seed", "_rngs", "_owed", "_all_made")
+
+    def __init__(self, seed: int, n: int):
+        self._seed = seed
+        self._rngs: list[Optional[Random]] = [None] * n
+        self._owed = [0] * n  # draws counted and not yet made, per stream
+        self._all_made = n == 0  # every stream made, and none owes a draw
+
+    def take(self, i: int) -> Random:
+        """Sentence ``i``'s stream, made if need be, with its counted
+        draws made."""
+        rng = self._rngs[i]
+        if rng is None:
+            rng = self._rngs[i] = Random(f"{self._seed}:{i}")
+        if self._owed[i]:
+            for _ in range(self._owed[i]):
+                rng.random()
+            self._owed[i] = 0
+        return rng
+
+    def gate(self, activation: float) -> list[bool]:
+        """Whether a transform at ``activation`` fires in each sentence:
+        one draw from each stream."""
+        rngs = self._rngs
+        if activation >= 1.0:
+            if self._all_made:
+                for rng in rngs:
+                    rng.random()
+            else:
+                self._owed = [k + 1 for k in self._owed]
+            return [True] * len(rngs)
+        if not self._all_made:
+            rngs = [self.take(i) for i in range(len(rngs))]
+            self._all_made = True
+        return [rng.random() < activation for rng in rngs]
+
+
+def _resolves(sentence: d.DSyntNode, path: tuple[int, ...]) -> bool:
+    try:
+        d.node_at(sentence, path)
+    except IndexError:
+        return False
+    return True
+
+
 class _SharedPrefix:
     """What every voice with one pronominalization fire vector does alike
-    on one document: the pronominalized sentences with their sites, and
-    each of those sentences contracted, made when a voice first needs it.
-    Neither pass draws from the random streams, so the result depends on
-    the sentences and the fire vector alone."""
-    __slots__ = ("sentences", "sites", "_contracted")
+    on one document: the pronominalized sentences with their sites, each of
+    those sentences contracted, and the pronominalization decisions. Only
+    the pronominalization pass is made at once; the rest is made when a
+    voice first needs it. Nothing here draws from the random streams, so
+    the result depends on the sentences and the fire vector alone."""
+    __slots__ = ("sentences", "sites", "_contracted", "_decisions")
 
     def __init__(self, sentences: tuple[d.DSyntNode, ...], fire: tuple[bool, ...]):
         self.sentences, self.sites = pronominalize_sentences(sentences, fire)
         self._contracted: dict[int, Optional[tuple]] = {}
+        # (i, id of a tree made here) -> sentence i's decisions in that tree
+        self._decisions: dict[tuple[int, int], tuple[StyleDecision, ...]] = {}
 
     def contracted(self, i: int) -> Optional[tuple]:
         """What the contractions transform gives for sentence ``i``."""
         if i not in self._contracted:
             self._contracted[i] = _contractions(self.sentences[i], None, None, None)
         return self._contracted[i]
+
+    def decisions(self, i: int, sentence: d.DSyntNode) -> tuple[StyleDecision, ...]:
+        """Sentence ``i``'s pronominalization decisions when a voice leaves
+        it as ``sentence``; a site that does not resolve there degrades to
+        "root". Those of the two trees made here are made once and kept
+        (the prefix keeps the trees alive, so their ids stay theirs); any
+        other tree has its sites resolved again."""
+        sites = self.sites[i]
+        if not sites:
+            return ()
+        key = (i, id(sentence))
+        made = self._decisions.get(key)
+        if made is None:
+            made = tuple(x if _resolves(sentence, path) else x.replace(site="root")
+                         for x, (path, _) in zip(self._records(i), sites))
+            contracted = self._contracted.get(i)
+            if contracted is not None and sentence is contracted[0]:
+                self._decisions[key] = made
+        return made
+
+    def _records(self, i: int) -> tuple[StyleDecision, ...]:
+        """Sentence ``i``'s decisions in the tree the pass made, where every
+        site resolves."""
+        key = (i, id(self.sentences[i]))
+        if key not in self._decisions:
+            self._decisions[key] = tuple(StyleDecision(i, PRONOMINALIZATION, _path_str(path), pron)
+                                         for path, pron in self.sites[i])
+        return self._decisions[key]
 
 
 def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
@@ -563,50 +648,48 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     Reproducible: equal (doc, model, seed) triples give equal outputs and
     decision lists. The all-zero model is the identity.
 
-    The pronominalization pass, and the contractions of the sentences it
-    leaves for that transform, are made once per ``doc`` object and fire
-    vector and kept on the document (:meth:`dsynt.Document.memo`), so
-    later voices told on it reuse them. The document keeps one such
-    prefix: a voice with another fire vector replaces it.
+    The pronominalization pass, the contractions of the sentences it
+    leaves for that transform and the pronominalization decisions are made
+    once per ``doc`` object and fire vector and kept on the document
+    (:meth:`record.Record.memo`), so later voices told on it reuse them.
+    The document keeps one such prefix: a voice with another fire vector
+    replaces it. Each sentence's random stream is made only when a draw
+    needs it (see :class:`_Streams`).
     """
     if not any(float(a) > 0.0 for a in model.params.values()):
         return doc, []
     lex = lexicon or default_lexicon()
     n = len(doc.sentences)
-    rngs = [random.Random(f"{seed}:{i}") for i in range(n)]
+    streams = _Streams(seed, n)
     memos: list[dict] = [{} for _ in range(n)]
     # (sentence index, param, site path, payload), made StyleDecisions at the end
     applied: list[tuple[int, str, tuple[int, ...], str]] = []
 
     a = model.activation(PRONOMINALIZATION)
-    fire = tuple(rngs[i].random() < a for i in range(n)) if a > 0.0 else (False,) * n
+    fire = tuple(streams.gate(a)) if a > 0.0 else (False,) * n
     shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
     sentences = list(shared.sentences)
-    for i, sentence_sites in enumerate(shared.sites):
-        for path, pron in sentence_sites:
-            applied.append((i, PRONOMINALIZATION, path, pron))
 
     for param, transform in _SENTENCE_TRANSFORMS:
         a = model.activation(param)
         if a <= 0.0:
             continue
-        for i in range(n):
-            if rngs[i].random() >= a:
+        for i, hot in enumerate(streams.gate(a)):
+            if not hot:
                 continue
             if transform is _contractions and sentences[i] is shared.sentences[i]:
                 result = shared.contracted(i)
             else:
-                result = transform(sentences[i], rngs[i], lex, memos[i])
+                result = transform(sentences[i], streams.take(i), lex, memos[i])
             if result is None:
                 continue
             sentences[i], site, payload = result
             applied.append((i, param, site, payload))
 
-    decisions = []
+    # the pronominalization pass runs first, so its decisions come first
+    decisions = [x for i, sentence in enumerate(sentences) for x in shared.decisions(i, sentence)]
     for i, param, site, payload in applied:
-        try:
-            d.node_at(sentences[i], site)
-        except IndexError:
+        if not _resolves(sentences[i], site):
             site = ()
         decisions.append(StyleDecision(i, param, _path_str(site), payload))
     return d.Document(tuple(sentences)), decisions

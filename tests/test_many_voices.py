@@ -1,7 +1,8 @@
-"""One document told in many voices. The pronominalization pass and the
-contractions it leaves are made once per document and fire vector and kept
-on the document; telling a document in any order of voices, or twice, must
-give what a fresh document per voice gives."""
+"""One document told in many voices. The pronominalization pass, the
+contractions it leaves and its decisions are made once per document and
+fire vector and kept on the document; telling a document in any order of
+voices, or twice, must give what a fresh document per voice gives. Each
+sentence's random stream is made only when a draw needs it."""
 
 import copy
 import pickle
@@ -117,3 +118,48 @@ def test_memo_holds_one_value():
     assert doc.memo((False,), make("c")) == "c"
     assert doc.memo((True,), make("d")) == "d"
     assert made == ["a", "c", "d"]
+
+
+@pytest.fixture
+def streams_made(monkeypatch):
+    """The seed of each random stream the style engine makes, in order."""
+    seeds = []
+
+    class Counting(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(style, "Random", Counting)
+    return seeds
+
+
+def test_a_voice_makes_only_the_streams_it_draws_from(fox_graph, lion_graph, streams_made):
+    for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
+        doc = tr.transform_story(g)
+        n = len(doc.sentences)
+        for v in VOICES:
+            del streams_made[:]
+            style.apply_voice(doc, style.BUILTIN_VOICES[v], k)
+            # NEUTRAL and FORMAL have no activation strictly between 0 and 1,
+            # and FORMAL's transforms draw nothing
+            expected = [] if v in ("NEUTRAL", "FORMAL") else [f"{k}:{i}" for i in range(n)]
+            assert streams_made == expected, (g.id, v)
+
+
+def test_sentences_left_as_the_prefix_made_them_share_its_decisions(fox_graph, lion_graph):
+    shared = 0
+    for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
+        doc = tr.transform_story(g)
+        formal, formal_decisions = style.apply_voice(doc, style.BUILTIN_VOICES["FORMAL"], k)
+        shy, shy_decisions = style.apply_voice(doc, style.BUILTIN_VOICES["SHY"], k)
+        for i, (a, b) in enumerate(zip(formal.sentences, shy.sentences)):
+            mine = [x for x in formal_decisions
+                    if x.sentence_index == i and x.param == style.PRONOMINALIZATION]
+            theirs = [x for x in shy_decisions
+                      if x.sentence_index == i and x.param == style.PRONOMINALIZATION]
+            if a is b:
+                assert len(theirs) == len(mine)
+                assert all(x is y for x, y in zip(mine, theirs)), (g.id, i)
+                shared += len(mine)
+    assert shared > 0

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 from retold import story as st
 from retold.diagnostics import ERROR
+from retold.lexicon import Lexicon, default_lexicon
+from retold.transform import transform_story
 
 from conftest import FIXTURES, nested_story, random_story, ref_chain_story
 
@@ -410,3 +413,63 @@ def test_import_compiles_no_pattern():
     out = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, story], env=env,
                          capture_output=True, text=True, check=True).stdout.split()
     assert out == ["0", "3"]
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The id of each proposition ``proposition_errors`` checks, in order."""
+    ids = []
+    check = st.proposition_errors
+    monkeypatch.setattr(st, "proposition_errors",
+                        lambda p, *args: ids.append(p.id) or check(p, *args))
+    return ids
+
+
+def _fresh_fox():
+    return st.parse_story((FIXTURES / "fox_and_grapes.story").read_text(encoding="utf-8"))
+
+
+def test_validate_returns_a_fresh_list_each_call(checked):
+    g = st.parse_story(MINIMAL.replace("fox character fox", "fox character zorblax"))
+    first = st.validate_story(g)
+    assert first and all(x.severity == ERROR for x in first)
+    first.clear()
+    second = st.validate_story(g)
+    assert second and second is not first
+    second.append("not a diagnostic")
+    assert st.validate_story(g) == second[:-1]
+    assert len(checked) == 1
+
+
+def test_validate_keeps_its_diagnostics_per_lexicon_object(checked):
+    g = _fresh_fox()
+    assert st.validate_story(g) == []
+    distinct = len(checked)
+    assert distinct > 0
+    assert st.validate_story(g, default_lexicon()) == []
+    assert len(checked) == distinct
+    # an equal lexicon that is another object is asked again
+    assert st.validate_story(g, default_lexicon.__wrapped__()) == []
+    assert len(checked) == 2 * distinct
+    assert any(x.severity == ERROR for x in st.validate_story(g, Lexicon([], [])))
+    assert st.validate_story(g) == []
+    assert len(checked) == 4 * distinct
+
+
+def test_the_diagnostics_memo_is_not_part_of_the_graph(checked):
+    g, fresh = _fresh_fox(), _fresh_fox()
+    st.validate_story(g)
+    distinct = len(checked)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert pickle.dumps(g) == pickle.dumps(fresh)
+    for copy in (pickle.loads(pickle.dumps(g)), g.replace(), g.replace(title="Another")):
+        assert st.validate_story(copy) == []
+    # each copy started without the diagnostics and found its own
+    assert len(checked) == 4 * distinct
+
+
+def test_validate_then_transform_checks_each_proposition_once(checked):
+    g = st.parse_story(ref_chain_story(6))
+    assert st.validate_story(g) == []
+    transform_story(g)
+    assert sorted(checked) == sorted(f"s{k}" for k in range(7))
