@@ -29,8 +29,10 @@ class _CliError(Exception):
 
 
 def _read_file(path: str) -> str:
+    """The text of ``path`` less one leading byte-order mark. It is decoded
+    as "utf-8", not "utf-8-sig", so a bad byte's offset counts the mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}", 2) from exc
     except UnicodeDecodeError as exc:
@@ -78,11 +80,9 @@ def cmd_generate(args, out, err) -> int:
     else:
         print(text, file=out)
     if args.emit_dsynts:
-        if args.output:
-            print(dsynt.serialize(styled), end="", file=out)
-        else:
+        if not args.output:
             print(file=out)
-            print(dsynt.serialize(styled), end="", file=out)
+        print(dsynt.serialize(styled), end="", file=out)
     return 0
 
 

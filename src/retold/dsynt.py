@@ -223,7 +223,7 @@ def validate_tree(root: DSyntNode) -> list[Diagnostic]:
             err(path, f"article feature on {node.cls}")
         if "tense" in node.features and node.cls != VERB:
             err(path, f"tense feature on {node.cls}")
-        allowed = ALLOWED_CHILD_RELATIONS[node.cls] if node.cls in ALLOWED_CHILD_RELATIONS else frozenset()
+        allowed = ALLOWED_CHILD_RELATIONS[node.cls]
         for rel in ARGUMENT_RELATIONS:
             if sum(1 for c in node.children if c.relation == rel) > 1:
                 err(path, f"more than one {rel} child under {node.lexeme!r}")

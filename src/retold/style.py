@@ -1,11 +1,12 @@
 """Parameterized voice transformations over built documents.
 
 A voice model maps stylistic parameters to activation strengths in [0, 1].
-For every sentence and every active parameter, the transform fires with
-probability equal to the activation, drawing from a random stream derived
-from (seed, sentence index) so sentences are independent and the whole
-application is reproducible. :func:`apply_voice` is the only way in, so
-every applied transform is recorded as a StyleDecision.
+After the document-level pronominalization pass, each sentence is styled
+in one loop over the active transforms: each fires with probability equal
+to its activation, drawing from a random stream derived from (seed,
+sentence index), so sentences are independent and the whole application
+is reproducible. :func:`apply_voice` is the only way in, so every applied
+transform is recorded as a StyleDecision.
 
 Marker vocabulary (hedges, pauses, interjections, expletives, tags) is a
 fixed word list; insertions never change propositional content. The two
@@ -164,7 +165,8 @@ def load_voice(name_or_path: str) -> VoiceModel:
     p = Path(name_or_path)
     if p.exists():
         try:
-            return parse_voice(p.read_text(encoding="utf-8"))
+            # one byte-order mark goes after decoding, so a bad byte's offset counts it
+            return parse_voice(p.read_text(encoding="utf-8").removeprefix("\ufeff"))
         except UnicodeDecodeError as exc:
             raise VoiceError(f"{name_or_path}: not UTF-8 text (byte {exc.start})") from exc
         except VoiceError as exc:
@@ -536,50 +538,12 @@ BUILTIN_VOICES = {
 
 # --- the engine ---------------------------------------------------------------
 
-class _Streams:
-    """The random streams of one :func:`apply_voice` call, one per
-    sentence: ``random.Random(f"{seed}:{i}")`` for sentence ``i``. A stream
-    is made at the first draw whose value can matter, or when a transform
-    takes it. A gate against an activation of 1.0 fires whatever it draws,
-    so until then its draw is only counted, and the counted draws are made
-    on the new stream before its first use. So every value drawn is the one
-    an eagerly made stream would give, and a voice whose activations are
-    all 0 or 1 and whose transforms take no stream (FORMAL) makes none."""
-    __slots__ = ("_seed", "_rngs", "_owed", "_all_made")
-
-    def __init__(self, seed: int, n: int):
-        self._seed = seed
-        self._rngs: list[Optional[Random]] = [None] * n
-        self._owed = [0] * n  # draws counted and not yet made, per stream
-        self._all_made = n == 0  # every stream made, and none owes a draw
-
-    def take(self, i: int) -> Random:
-        """Sentence ``i``'s stream, made if need be, with its counted
-        draws made."""
-        rng = self._rngs[i]
-        if rng is None:
-            rng = self._rngs[i] = Random(f"{self._seed}:{i}")
-        if self._owed[i]:
-            for _ in range(self._owed[i]):
-                rng.random()
-            self._owed[i] = 0
-        return rng
-
-    def gate(self, activation: float) -> list[bool]:
-        """Whether a transform at ``activation`` fires in each sentence:
-        one draw from each stream."""
-        rngs = self._rngs
-        if activation >= 1.0:
-            if self._all_made:
-                for rng in rngs:
-                    rng.random()
-            else:
-                self._owed = [k + 1 for k in self._owed]
-            return [True] * len(rngs)
-        if not self._all_made:
-            rngs = [self.take(i) for i in range(len(rngs))]
-            self._all_made = True
-        return [rng.random() < activation for rng in rngs]
+def _stream(seed: int, i: int, owed: int) -> Random:
+    """Sentence ``i``'s random stream with ``owed`` draws already made."""
+    rng = Random(f"{seed}:{i}")
+    for _ in range(owed):
+        rng.random()
+    return rng
 
 
 def _resolves(sentence: d.DSyntNode, path: tuple[int, ...]) -> bool:
@@ -592,52 +556,24 @@ def _resolves(sentence: d.DSyntNode, path: tuple[int, ...]) -> bool:
 
 class _SharedPrefix:
     """What every voice with one pronominalization fire vector does alike
-    on one document: the pronominalized sentences with their sites, each of
-    those sentences contracted, and the pronominalization decisions. Only
-    the pronominalization pass is made at once; the rest is made when a
-    voice first needs it. Nothing here draws from the random streams, so
-    the result depends on the sentences and the fire vector alone."""
-    __slots__ = ("sentences", "sites", "_contracted", "_decisions")
+    on one document: the pronominalized sentences, each sentence's
+    pronominalization decisions with their site paths, and each of those
+    sentences contracted, made when a voice first needs it. Nothing here
+    draws from the random streams, so the result depends on the sentences
+    and the fire vector alone."""
+    __slots__ = ("sentences", "records", "_contracted")
 
     def __init__(self, sentences: tuple[d.DSyntNode, ...], fire: tuple[bool, ...]):
-        self.sentences, self.sites = pronominalize_sentences(sentences, fire)
+        self.sentences, sites = pronominalize_sentences(sentences, fire)
+        self.records = [[(path, StyleDecision(i, PRONOMINALIZATION, _path_str(path), pron))
+                         for path, pron in paths] for i, paths in enumerate(sites)]
         self._contracted: dict[int, Optional[tuple]] = {}
-        # (i, id of a tree made here) -> sentence i's decisions in that tree
-        self._decisions: dict[tuple[int, int], tuple[StyleDecision, ...]] = {}
 
     def contracted(self, i: int) -> Optional[tuple]:
         """What the contractions transform gives for sentence ``i``."""
         if i not in self._contracted:
             self._contracted[i] = _contractions(self.sentences[i], None, None, None)
         return self._contracted[i]
-
-    def decisions(self, i: int, sentence: d.DSyntNode) -> tuple[StyleDecision, ...]:
-        """Sentence ``i``'s pronominalization decisions when a voice leaves
-        it as ``sentence``; a site that does not resolve there degrades to
-        "root". Those of the two trees made here are made once and kept
-        (the prefix keeps the trees alive, so their ids stay theirs); any
-        other tree has its sites resolved again."""
-        sites = self.sites[i]
-        if not sites:
-            return ()
-        key = (i, id(sentence))
-        made = self._decisions.get(key)
-        if made is None:
-            made = tuple(x if _resolves(sentence, path) else x.replace(site="root")
-                         for x, (path, _) in zip(self._records(i), sites))
-            contracted = self._contracted.get(i)
-            if contracted is not None and sentence is contracted[0]:
-                self._decisions[key] = made
-        return made
-
-    def _records(self, i: int) -> tuple[StyleDecision, ...]:
-        """Sentence ``i``'s decisions in the tree the pass made, where every
-        site resolves."""
-        key = (i, id(self.sentences[i]))
-        if key not in self._decisions:
-            self._decisions[key] = tuple(StyleDecision(i, PRONOMINALIZATION, _path_str(path), pron)
-                                         for path, pron in self.sites[i])
-        return self._decisions[key]
 
 
 def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
@@ -648,48 +584,61 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     Reproducible: equal (doc, model, seed) triples give equal outputs and
     decision lists. The all-zero model is the identity.
 
-    The pronominalization pass, the contractions of the sentences it
-    leaves for that transform and the pronominalization decisions are made
-    once per ``doc`` object and fire vector and kept on the document
-    (:meth:`record.Record.memo`), so later voices told on it reuse them.
-    The document keeps one such prefix: a voice with another fire vector
-    replaces it. Each sentence's random stream is made only when a draw
-    needs it (see :class:`_Streams`).
+    Sentence ``i`` draws from ``random.Random(f"{seed}:{i}")``, made at its
+    first draw against an activation strictly between 0 and 1 or when a
+    transform needs it. A draw against 1.0 fires whatever it gives, so
+    until then it is only counted, and replayed on the new stream. A voice
+    with only 0 and 1.0 activations whose transforms draw nothing (FORMAL)
+    makes no stream.
+
+    The pronominalization pass, its decision records and the contractions
+    of the sentences it leaves are made once per ``doc`` object and fire
+    vector and kept on the document (:meth:`record.Record.memo`) for later
+    voices; a voice with another fire vector replaces them.
     """
     if not any(float(a) > 0.0 for a in model.params.values()):
         return doc, []
     lex = lexicon or default_lexicon()
-    n = len(doc.sentences)
-    streams = _Streams(seed, n)
-    memos: list[dict] = [{} for _ in range(n)]
-    # (sentence index, param, site path, payload), made StyleDecisions at the end
-    applied: list[tuple[int, str, tuple[int, ...], str]] = []
-
     a = model.activation(PRONOMINALIZATION)
-    fire = tuple(streams.gate(a)) if a > 0.0 else (False,) * n
+    # a fractional pass needs every gate, and each is the first draw of its stream
+    rngs = [Random(f"{seed}:{i}") if 0.0 < a < 1.0 else None for i in range(len(doc.sentences))]
+    fire = tuple(a >= 1.0 or (rng is not None and rng.random() < a) for rng in rngs)
+    owed_first = int(a >= 1.0)
     shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
-    sentences = list(shared.sentences)
+    active = [(param, transform, model.activation(param)) for param, transform in _SENTENCE_TRANSFORMS
+              if model.activation(param) > 0.0]
+    # each active parameter's (sentence index, site path, payload), in sentence order
+    applied: list[list[tuple[int, tuple[int, ...], str]]] = [[] for _ in active]
 
-    for param, transform in _SENTENCE_TRANSFORMS:
-        a = model.activation(param)
-        if a <= 0.0:
-            continue
-        for i, hot in enumerate(streams.gate(a)):
-            if not hot:
+    sentences = []
+    for i, sentence in enumerate(shared.sentences):
+        rng, owed, memo = rngs[i], owed_first, {}
+        for (_, transform, a), made in zip(active, applied):
+            if rng is None:
+                if a >= 1.0:
+                    owed += 1  # it fires whatever it draws
+                else:
+                    rng = _stream(seed, i, owed)
+            if rng is not None and rng.random() >= a:
                 continue
-            if transform is _contractions and sentences[i] is shared.sentences[i]:
+            if transform is _contractions and sentence is shared.sentences[i]:
                 result = shared.contracted(i)
             else:
-                result = transform(sentences[i], streams.take(i), lex, memos[i])
-            if result is None:
-                continue
-            sentences[i], site, payload = result
-            applied.append((i, param, site, payload))
+                if rng is None:
+                    rng = _stream(seed, i, owed)
+                result = transform(sentence, rng, lex, memo)
+            if result is not None:
+                sentence, site, payload = result
+                made.append((i, site, payload))
+        sentences.append(sentence)
 
     # the pronominalization pass runs first, so its decisions come first
-    decisions = [x for i, sentence in enumerate(sentences) for x in shared.decisions(i, sentence)]
-    for i, param, site, payload in applied:
-        if not _resolves(sentences[i], site):
-            site = ()
-        decisions.append(StyleDecision(i, param, _path_str(site), payload))
+    decisions = [x if _resolves(sentence, path) else x.replace(site="root")
+                 for sentence, records in zip(sentences, shared.records)
+                 for path, x in records]
+    for (param, _, _), made in zip(active, applied):
+        for i, site, payload in made:
+            if not _resolves(sentences[i], site):
+                site = ()
+            decisions.append(StyleDecision(i, param, _path_str(site), payload))
     return d.Document(tuple(sentences)), decisions

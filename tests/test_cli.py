@@ -207,6 +207,46 @@ def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):
     assert out == ""
 
 
+BOM = "\ufeff".encode("utf-8")  # the UTF-8 byte-order mark, 3 bytes
+
+
+def test_a_reference_with_a_byte_order_mark_scores_as_without(tmp_path):
+    reference = tmp_path / "golden.txt"
+    reference.write_bytes(BOM + (FIXTURES / "fox_and_grapes.golden.txt").read_bytes())
+    code, out, err = invoke("eval", "--candidate", GOLDEN, "--reference", str(reference))
+    assert code == 0, err
+    assert out.splitlines() == ["levenshtein: 0", "bleu: 1.0000"]
+
+
+def test_a_story_with_a_byte_order_mark_validates_and_generates(tmp_path):
+    path = tmp_path / "fox.story"
+    path.write_bytes(BOM + FOX_BYTES)
+    assert invoke("validate", str(path)) == (0, f"{path}: ok\n", "")
+    assert invoke("generate", str(path)) == invoke("generate", FOX)
+
+
+def test_a_voice_file_with_a_byte_order_mark_loads(tmp_path):
+    voice = tmp_path / "loud.voice"
+    voice.write_bytes(BOM + b"voice LOUD\nexclamation: 1.0\n")
+    code, out, err = invoke("generate", FOX, "--voice", str(voice))
+    assert code == 0, err
+    assert out.count("!") == 8
+
+
+@pytest.mark.parametrize("content, argv", [
+    (NOT_UTF8_STORY, ["validate", "{input}"]),
+    (b"voice X\n\xff", ["generate", FOX, "--voice", "{input}"]),
+], ids=["story", "voice"])
+def test_a_bad_byte_after_a_byte_order_mark_is_counted_from_the_file_start(tmp_path, content,
+                                                                         argv):
+    path = tmp_path / "input"
+    path.write_bytes(BOM + content)
+    bad = len(BOM) + content.index(b"\xff")
+    code, out, err = invoke(*(a.format(input=path) for a in argv))
+    assert code == 2
+    assert err == f"retold: {path}: not UTF-8 text (byte {bad})\n"
+
+
 def _mutate(data: bytes, rng: random.Random) -> bytes:
     """One random edit of a story file: a line deleted, duplicated or
     dedented, or one character or one raw byte replaced."""

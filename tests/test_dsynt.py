@@ -127,3 +127,11 @@ def test_validate_rejects_root_relation_below_root():
 def test_attach_rejects_root_relation():
     with pytest.raises(d.TreeError):
         d.attach(_verb(), _noun(), d.ROOT)
+
+
+def test_every_class_has_its_child_relations():
+    # validate_tree indexes the table by any class it accepts
+    assert set(d.ALLOWED_CHILD_RELATIONS) == d.CLASSES
+    weird = d.DSyntNode("x", "interjection", d.ATTR)
+    bad = _verb().replace(children=(weird,))
+    assert any("unknown class" in e.message for e in d.validate_tree(bad))

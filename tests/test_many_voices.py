@@ -16,6 +16,7 @@ from retold import transform as tr
 from retold.realize import realize_document
 
 from conftest import random_story
+from test_output_pin import DRAW_VOICES
 
 VOICES = ("NEUTRAL", "FORMAL", "SHY", "LAID-BACK")
 # forwards, backwards, then each voice twice in a row
@@ -163,3 +164,46 @@ def test_sentences_left_as_the_prefix_made_them_share_its_decisions(fox_graph, l
                 assert all(x is y for x, y in zip(mine, theirs)), (g.id, i)
                 shared += len(mine)
     assert shared > 0
+
+
+def _random_voices(rng, count):
+    """Voices with each parameter at 0, 0.3, 0.5 or 1.0 and a fractional
+    pronominalization."""
+    names = sorted(style.PARAM_NAMES - {style.PRONOMINALIZATION})
+    return [style.VoiceModel(f"RANDOM{k}", {
+        **{p: rng.choice((0.0, 0.3, 0.5, 1.0)) for p in names},
+        style.PRONOMINALIZATION: rng.choice((0.3, 0.5))}) for k in range(count)]
+
+
+def test_decisions_come_in_parameter_order_then_sentence_order(fox_graph, lion_graph):
+    rank = {style.PRONOMINALIZATION: 0}
+    rank.update((p, k) for k, (p, _) in enumerate(style._SENTENCE_TRANSFORMS, start=1))
+    voices = _random_voices(random.Random(15), 8)
+    seen = set()
+    for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=20)):
+        doc = tr.transform_story(g)
+        for model in voices:
+            _, decisions = style.apply_voice(doc, model, k)
+            keys = [(rank[x.param], x.sentence_index) for x in decisions]
+            assert keys == sorted(keys), (g.id, model.name)
+            # a sentence transform applies at most once per sentence
+            assert all(a != b for a, b in zip(keys, keys[1:]) if a[0] > 0), (g.id, model.name)
+            seen.update(x.param for x in decisions)
+    # every parameter was seen to fire, so each took its place in the order
+    assert seen == style.PARAM_NAMES
+
+
+def test_no_stream_is_made_twice(fox_graph, lion_graph, streams_made):
+    voices = DRAW_VOICES + [HALF] + _random_voices(random.Random(16), 4)
+    for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
+        doc = tr.transform_story(g)
+        n = len(doc.sentences)
+        for model in voices:
+            del streams_made[:]
+            style.apply_voice(doc, model, k)
+            assert len(set(streams_made)) == len(streams_made), (g.id, model.name)
+            assert set(streams_made) <= {f"{k}:{i}" for i in range(n)}
+            # a gate strictly between 0 and 1 draws from every sentence's stream
+            if any(0.0 < a < 1.0 for a in model.params.values()):
+                assert sorted(streams_made) == sorted(f"{k}:{i}" for i in range(n)), \
+                    (g.id, model.name)
