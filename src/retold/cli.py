@@ -29,10 +29,11 @@ class _CliError(Exception):
 
 
 def _read_file(path: str) -> str:
-    """The text of ``path`` less one leading byte-order mark. It is decoded
-    as "utf-8", not "utf-8-sig", so a bad byte's offset counts the mark."""
+    """The text of ``path``. It is decoded as "utf-8", not "utf-8-sig", so a
+    bad byte's offset counts a byte-order mark; the story parser and the
+    tokenizer drop the mark (see :func:`metrics.without_bom`)."""
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}", 2) from exc
     except UnicodeDecodeError as exc:
@@ -106,7 +107,7 @@ def cmd_eval(args, out, err) -> int:
 
 def cmd_pipeline(args, out, err) -> int:
     reference = _read_file(args.reference)
-    if not reference.strip():
+    if not metrics.without_bom(reference).strip():
         raise _CliError(f"{args.reference}: reference text is empty", 2)
     graph, doc = _transformed_story(args.story, err)
     text = realize.realize_document(doc)

@@ -26,9 +26,16 @@ from .record import Record, slot_setters
 _STRIP_CHARS = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~" + "‘’“”–—…"
 
 
+def without_bom(text: str) -> str:
+    """``text`` less one leading byte-order mark, which an editor may write
+    at the start of a UTF-8 file; the story, voice and text readers all drop
+    it here."""
+    return text.removeprefix("\ufeff")
+
+
 def tokenize(text: str) -> list[str]:
     out = []
-    for raw in text.lower().split():
+    for raw in without_bom(text).lower().split():
         tok = raw.strip(_STRIP_CHARS)
         if tok:
             out.append(tok)
@@ -148,7 +155,8 @@ _REPORT_SETTERS = slot_setters(EvalReport)
 
 
 def score_pair(pair: EvalPair, use_stemming: bool = True) -> EvalRow:
-    if not pair.candidate_text.strip() or not pair.reference_text.strip():
+    if not (without_bom(pair.candidate_text).strip()
+            and without_bom(pair.reference_text).strip()):
         raise ValueError(f"pair {pair.label!r}: both texts must be non-empty")
     cand = tokenize_and_stem(pair.candidate_text, use_stemming)
     ref = tokenize_and_stem(pair.reference_text, use_stemming)

@@ -43,6 +43,7 @@ from typing import Container, Iterator, Optional, Union
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .dsynt import ARGUMENT_RELATIONS, ATTR, II, III, PRONOUNS
 from .lexicon import ADJECTIVE, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
+from .metrics import without_bom
 from .record import Record, slot_setters
 
 CHARACTER = "character"
@@ -316,13 +317,19 @@ def attachment_groups(attachments: tuple[Attachment, ...]
 # parsing
 
 @lru_cache(maxsize=1)
-def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The header, proposition and role-binding line patterns, compiled on
-    the first parse rather than when the module is imported."""
+def _patterns() -> tuple[re.Pattern, ...]:
+    """The line patterns, compiled on the first parse rather than when the
+    module is imported: the story header, a proposition, a role binding, a
+    timespan header, an ``adv=`` value, a ``prep`` line and a nested slot
+    header. The last four are matched whole."""
     return (re.compile(r'^story\s+(?P<id>[A-Za-z_]\w*)\s+"(?P<title>[^"]*)"\s*$'),
             re.compile(r"^(?P<frame>[A-Za-z_]\w*)\s+(?P<pred>[A-Za-z_]\w*)"
                        r"\((?P<args>[^)]*)\)(?P<rest>.*)$"),
-            re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+|[\w.]+)$'))
+            re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+|[\w.]+)$'),
+            re.compile(r"\d+:"),
+            re.compile(r"([\w-]+)@(pre|post)"),
+            re.compile(r"prep\s+([\w-]+):\s*(.+)"),
+            re.compile(r"role\s+[A-Za-z_]\w*:|purpose:|cause:|complement:"))
 
 
 def _outline(encoded_text: str) -> list[tuple]:
@@ -373,7 +380,8 @@ def _siblings(lines: list[tuple]) -> Iterator[tuple]:
 class _Parser:
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
-        self.story_re, self.prop_re, self.binding_re = _patterns()
+        (self.story_re, self.prop_re, self.binding_re, self.timespan_re, self.adverb_re,
+         self.prep_re, self.slot_re) = _patterns()
         self.entities: dict[str, Entity] = {}
         # proposition id registry; None marks a block still being parsed,
         # which is how a `ref` to an ancestor (a nesting cycle) is caught
@@ -447,7 +455,7 @@ class _Parser:
     def _parse_timeline(self, spans: list[tuple]) -> tuple[Timespan, ...]:
         out = []
         for indent, text, lineno, lines in spans:
-            if indent != spans[0][0] or not re.fullmatch(r"\d+:", text):
+            if indent != spans[0][0] or not self.timespan_re.fullmatch(text):
                 raise StorySyntaxError(f"expected timespan header '<index>:', got {text!r}",
                                        lineno)
             index = int(text[:-1])
@@ -490,7 +498,7 @@ class _Parser:
                     raise StorySyntaxError(f"bad polarity {value!r}", lineno)
                 polarity = NEGATED if value == "neg" else AFFIRMATIVE
             elif key == "adv":
-                am = re.fullmatch(r"([\w-]+)@(pre|post)", value)
+                am = self.adverb_re.fullmatch(value)
                 if not am:
                     raise StorySyntaxError(f"bad adverb {value!r}", lineno)
                 adverbs.append((am.group(1), PRE_VERB if am.group(2) == "pre" else POST_VERB))
@@ -507,7 +515,7 @@ class _Parser:
         nested_n = 0
         for _, head, child_lineno, inner in _siblings(children):
             if head.startswith("prep "):
-                pm = re.fullmatch(r"prep\s+([\w-]+):\s*(.+)", head)
+                pm = self.prep_re.fullmatch(head)
                 if not pm:
                     raise StorySyntaxError(f"bad preposition line {head!r}", child_lineno)
                 word = pm.group(1)
@@ -517,7 +525,7 @@ class _Parser:
                 if inner:
                     raise StorySyntaxError(f"unexpected indentation in {inner[0][1]!r}",
                                            inner[0][2])
-            elif re.fullmatch(r"role\s+[A-Za-z_]\w*:|purpose:|cause:|complement:", head):
+            elif self.slot_re.fullmatch(head):
                 nested = self._parse_nested(inner, f"{pid}.n{nested_n}", child_lineno)
                 nested_n += 1
                 if head.startswith("role"):
@@ -551,6 +559,10 @@ class _Parser:
         return prop
 
     def _split_args(self, text: str, lineno: int) -> list[str]:
+        """The comma-separated pieces of ``text`` that are not blank; a
+        comma inside a quoted literal separates nothing."""
+        if '"' not in text:
+            return [p for p in text.split(",") if p.strip()]
         out = []
         depth_quote = False
         current = []
@@ -579,7 +591,7 @@ class _Parser:
 
 
 def parse_story(encoded_text: str, lexicon: Optional[Lexicon] = None) -> StoryGraph:
-    """Parse a story document.
+    """Parse a story document; one leading byte-order mark is dropped.
 
     Raises StorySyntaxError for malformed input, StoryReferenceError for
     undeclared entity/frame/proposition ids, StoryCycleError when a ``ref``
@@ -588,7 +600,7 @@ def parse_story(encoded_text: str, lexicon: Optional[Lexicon] = None) -> StoryGr
     :func:`validate_story` instead.
     """
     lex = lexicon or default_lexicon()
-    return _Parser(lex).parse(_outline(encoded_text))
+    return _Parser(lex).parse(_outline(without_bom(encoded_text)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ document-level pronominalization pass and the contraction rewrites are in
 this module, and the transform builds neutral trees only. Most voices set
 both at 1.0, so one document told in several voices would repeat them in
 each. The work they share is done once per document instead (see
-:func:`apply_voice`).
+:func:`apply_voice`), in one walk per sentence that drops purpose
+subjects, places pronouns and notes the sentences whose contraction must
+rewrite "be able to"; the others are contracted by one feature.
 """
 
 from __future__ import annotations
@@ -38,12 +40,16 @@ from .lexicon import (
     default_lexicon,
     synonym,
 )
+from .metrics import without_bom
 from .realize import ACCUSATIVE, CONTRACTIBLE, NOT_CARRIERS, past_form
 from .record import Record, slot_setters
 
 # the one document-level parameter: it counts mentions across the whole
 # document, so it runs before every per-sentence transform
 PRONOMINALIZATION = "pronominalization"
+# the one sentence transform whose result the shared prefix keeps (see
+# _SharedPrefix.contracted)
+CONTRACTIONS = "contractions"
 
 SOFTENER_CLAUSAL = ("I think that", "it seems that", "it seems to me that")
 SOFTENER_CLAUSAL_PAST = {
@@ -129,11 +135,12 @@ _DECISION_SETTERS = slot_setters(StyleDecision)
 
 def parse_voice(text: str) -> VoiceModel:
     """Voice file: a `voice <name>` line, then `param: value` lines, each
-    parameter at most once. Errors name the line."""
+    parameter at most once. One leading byte-order mark is dropped. Errors
+    name the line."""
     name = None
     params: dict[str, float] = {}
     set_on: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(without_bom(text).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -165,8 +172,9 @@ def load_voice(name_or_path: str) -> VoiceModel:
     p = Path(name_or_path)
     if p.exists():
         try:
-            # one byte-order mark goes after decoding, so a bad byte's offset counts it
-            return parse_voice(p.read_text(encoding="utf-8").removeprefix("\ufeff"))
+            # decoded as "utf-8", not "utf-8-sig", so a bad byte's offset counts
+            # a byte-order mark; parse_voice drops the mark
+            return parse_voice(p.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise VoiceError(f"{name_or_path}: not UTF-8 text (byte {exc.start})") from exc
         except VoiceError as exc:
@@ -198,99 +206,175 @@ def coref_head(node: d.DSyntNode) -> Optional[str]:
 _CLAUSE_SPINE = (d.VERB, d.FUNCTION_WORD)
 
 
-def drop_coreferent_purpose_subject(sentence: d.DSyntNode
-                                    ) -> tuple[d.DSyntNode, list[tuple[int, ...]]]:
-    """Remove the subject of an "in order" clause when it restates the
-    matrix subject, yielding "in order to VP". Returns the new sentence and
-    the paths of the embedded clauses whose subject was dropped; with
-    nothing dropped, the sentence itself comes back."""
-    dropped: list[tuple[int, ...]] = []
-    path: list[int] = []  # from the sentence root to the node being rewritten
+def _drops_subject(matrix: d.DSyntNode, emb: d.DSyntNode) -> bool:
+    """Whether the subject of ``emb``, a clause under an "in order" child of
+    the clause ``matrix``, restates the matrix subject, so that "in order
+    to VP" says it."""
+    subject = matrix.child(d.I)
+    emb_subject = emb.child(d.I)
+    return (subject is not None and emb_subject is not None
+            and coref_head(emb_subject) == coref_head(subject))
 
-    def rewrite(node: d.DSyntNode) -> d.DSyntNode:
-        children = list(node.children)
-        for i, c in enumerate(node.children):
-            if c.children and c.cls in _CLAUSE_SPINE:
-                path.append(i)
-                children[i] = rewrite(c)
-                path.pop()
-        matrix_subject = node.child(d.I) if node.cls == d.VERB else None
-        if matrix_subject is not None:
-            for i, c in enumerate(children):
-                if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
-                        and c.children[0].cls == d.VERB):
-                    emb = c.children[0]
-                    k = next((k for k, x in enumerate(emb.children) if x.relation == d.I), None)
-                    if k is not None and coref_head(emb.children[k]) == coref_head(matrix_subject):
-                        emb = emb.with_children(emb.children[:k] + emb.children[k + 1:])
-                        children[i] = c.with_children((emb,) + c.children[1:])
-                        dropped.append((*path, i, 0))
-        return node.with_children(tuple(children))
 
-    return rewrite(sentence), dropped
+def _able_child(node: d.DSyntNode) -> Optional[int]:
+    """The index of the ``able`` child of a negated "be able to VP" clause,
+    the one clause :func:`rewrite_unable_to_modal` rewrites; None for any
+    other node."""
+    if node.cls != d.VERB or node.lexeme != "be" or node.features.get("polarity") != "neg":
+        return None
+    able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR
+                 and c.cls == d.ADJECTIVE and c.lexeme == "able"), None)
+    if able is not None and any(c.relation == d.II and c.cls == d.VERB
+                                and "tense" not in c.features for c in node.children):
+        return able
+    return None
 
 
 def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
                             fire: Optional[Sequence[bool]] = None
-                            ) -> tuple[list[d.DSyntNode], list[list[tuple[tuple[int, ...], str]]]]:
-    """Document-order pronominalization pass over built trees.
+                            ) -> tuple[list[d.DSyntNode], list[list[tuple[tuple[int, ...], str]]],
+                                       list[bool]]:
+    """The document-order pronominalization pass over built trees: one walk
+    per sentence that drops purpose subjects, counts mentions and places
+    pronouns, and notes where the contractions must rewrite.
 
-    Mentions are counted across the whole document whether or not a given
-    sentence's gate fired; rewrites (and purpose-subject drops) happen only
-    in fired sentences. Character noun phrases carry their pronoun in the
-    ``pron`` feature, so the pass needs no story graph. A sentence with no
-    rewrite comes back as the same object, and every pronoun with the same
-    relation and number is one node, made once per call.
+    In a sentence whose gate fired, the subject of an "in order" clause
+    that restates its matrix subject is dropped, yielding "in order to VP";
+    a dropped subject is neither counted nor visited. Mentions are counted
+    across the whole document whether or not a given sentence's gate fired,
+    a mention inside a replaced mention too, and every later mention of a
+    character in a fired sentence becomes its pronoun. Character noun
+    phrases carry their pronoun in the ``pron`` feature, so the pass needs
+    no story graph. A sentence with no rewrite comes back as the same
+    object, and every pronoun with the same relation and number is one
+    node, made once per call. Each sentence root is a clause, as
+    :func:`dsynt.validate_tree` requires.
+
+    Returns the sentences, each sentence's sites and, per sentence, whether
+    it holds a clause that :func:`rewrite_unable_to_modal` rewrites; when
+    no gate fired, nothing is walked and every flag is True. A
+    sentence's sites are its subject drops, ``(path, "subject-drop")`` in
+    post-order (a clause's nested drops before its own), then its pronouns,
+    ``(path, pronoun)`` in pre-order. A drop's path counts child positions
+    as they were before any drop in the sentence, a pronoun's as they are
+    after the drops.
     """
     if fire is None:
         fire = [True] * len(sentences)
     elif not any(fire):
-        return list(sentences), [[] for _ in sentences]
+        return list(sentences), [[] for _ in sentences], [True] * len(sentences)
     counts: dict[tuple[str, str], int] = {}
     pronouns: dict[tuple[str, str, str], d.DSyntNode] = {}
+    path: list[int] = []  # from the sentence root to the node being visited
+    # the depths at which ``path`` passes a clause below its dropped subject,
+    # where the position before the drop is one more
+    shifted: list[int] = []
+    # the clauses whose subject a drop removes, by id, as the index of that
+    # subject; each is visited next, as the first child of the "in order"
+    # node the drop was found at
+    skips: dict[int, int] = {}
+    # the sentence being walked: whether its gate fired, its drop and
+    # pronoun sites and whether it holds a negated "be able to VP"
+    hot, drops, sites, unable = False, [], [], False
+
+    # pre-order: a mention is counted, and its site recorded, before its
+    # descendants; the pronoun goes in on the way back up. A leaf without a
+    # pronoun is no mention and holds none, so it is skipped.
+    def phrase(node: d.DSyntNode) -> d.DSyntNode:
+        """A node off the clause spine: mentions only."""
+        pron = node.features.get("pron")
+        site = False
+        if pron is not None and node.cls == d.COMMON_NOUN:
+            key = (node.lexeme, pron)
+            n = counts[key] = counts.get(key, 0) + 1
+            if n > 1 and hot:
+                sites.append((tuple(path), pron))
+                site = True
+        children = node.children
+        new_children = None
+        for i, c in enumerate(children):
+            if c.children or "pron" in c.features:
+                path.append(i)
+                new = phrase(c)
+                path.pop()
+                if new is not c:
+                    new_children = new_children or list(children)
+                    new_children[i] = new
+        if new_children is not None:
+            node = d.DSyntNode(node.lexeme, node.cls, node.relation, node.features,
+                               tuple(new_children))
+        if site:
+            key = (pron, node.relation, node.features.get("number", "sg"))
+            pronoun = pronouns.get(key)
+            if pronoun is None:
+                pronoun = pronouns[key] = d.DSyntNode(pron, d.FUNCTION_WORD, key[1],
+                                                      {"number": key[2]})
+            return pronoun
+        return node
+
+    def clause(node: d.DSyntNode) -> d.DSyntNode:
+        """A node reached from the root through clause-spine nodes only: no
+        mention, but it may drop a purpose subject or be rewritten by the
+        contractions."""
+        nonlocal unable
+        children = node.children
+        skip = skips.pop(id(node), None) if skips else None
+        if skip is not None:
+            children = children[:skip] + children[skip + 1:]
+        verb = node.cls == d.VERB
+        if verb and node.lexeme == "be" and not unable:
+            unable = _able_child(node) is not None
+        mine = None  # the positions of the "in order" nodes this clause drops under
+        new_children = None
+        for i, c in enumerate(children):
+            if not (c.children or "pron" in c.features):
+                continue
+            path.append(i)
+            if c.cls not in _CLAUSE_SPINE:
+                new = phrase(c)
+            else:
+                at = i if skip is None or i < skip else i + 1  # the position before the drop
+                if (hot and verb and c.lexeme == "in_order" and c.cls == d.FUNCTION_WORD
+                        and c.children and c.children[0].cls == d.VERB
+                        and _drops_subject(node, c.children[0])):
+                    emb = c.children[0]
+                    skips[id(emb)] = next(k for k, x in enumerate(emb.children)
+                                          if x.relation == d.I)
+                    mine = mine or []
+                    mine.append(at)
+                if at == i:
+                    new = clause(c)
+                else:
+                    shifted.append(len(path) - 1)
+                    new = clause(c)
+                    shifted.pop()
+            path.pop()
+            if new is not c:
+                new_children = new_children or list(children)
+                new_children[i] = new
+        if mine:
+            here = list(path)
+            for depth in shifted:
+                here[depth] += 1
+            drops.extend(((*here, at, 0), "subject-drop") for at in mine)
+        if new_children is not None:
+            children = tuple(new_children)
+        elif skip is None:
+            return node
+        return d.DSyntNode(node.lexeme, node.cls, node.relation, node.features, children)
+
     out_sentences: list[d.DSyntNode] = []
     out_sites: list[list[tuple[tuple[int, ...], str]]] = []
-    path: list[int] = []  # from the sentence root to the node being visited
+    out_unable: list[bool] = []
     for sentence, hot in zip(sentences, fire):
-        sites: list[tuple[tuple[int, ...], str]] = []
-        if hot:
-            sentence, dropped = drop_coreferent_purpose_subject(sentence)
-            sites.extend((p, "subject-drop") for p in dropped)
-
-        # pre-order: a mention is counted, and its site recorded, before
-        # its descendants; the pronoun goes in on the way back up. A leaf
-        # without a pronoun is no mention and holds none, so it is skipped.
-        def visit(node: d.DSyntNode) -> d.DSyntNode:
-            pron = node.features.get("pron")
-            site = False
-            if pron is not None and node.cls == d.COMMON_NOUN:
-                key = (node.lexeme, pron)
-                counts[key] = counts.get(key, 0) + 1
-                if counts[key] > 1 and hot:
-                    sites.append((tuple(path), pron))
-                    site = True
-            children = node.children
-            new_children = None
-            for i, c in enumerate(children):
-                if c.children or "pron" in c.features:
-                    path.append(i)
-                    new = visit(c)
-                    path.pop()
-                    if new is not c:
-                        new_children = new_children or list(children)
-                        new_children[i] = new
-            if new_children is not None:
-                node = node.with_children(tuple(new_children))
-            if site:
-                key = (pron, node.relation, node.feature("number", "sg"))
-                if key not in pronouns:
-                    pronouns[key] = d.DSyntNode(pron, d.FUNCTION_WORD, key[1], {"number": key[2]})
-                return pronouns[key]
-            return node
-
-        out_sentences.append(visit(sentence))
+        sites, unable = [], False
+        out_sentences.append(clause(sentence))
+        if drops:
+            sites[:0] = drops
+            drops.clear()
         out_sites.append(sites)
-    return out_sentences, out_sites
+        out_unable.append(unable)
+    return out_sentences, out_sites, out_unable
 
 
 def rewrite_unable_to_modal(node: d.DSyntNode) -> d.DSyntNode:
@@ -302,21 +386,21 @@ def rewrite_unable_to_modal(node: d.DSyntNode) -> d.DSyntNode:
         return node
     node = node.with_children(tuple(rewrite_unable_to_modal(c) if c.cls in _CLAUSE_SPINE else c
                                     for c in children))
-    if (node.cls == d.VERB and node.lexeme == "be"
-            and node.feature("polarity") == "neg"):
-        able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR
-                     and c.cls == d.ADJECTIVE and c.lexeme == "able"), None)
-        if able is not None and any(c.relation == d.II and c.cls == d.VERB
-                                    and "tense" not in c.features for c in node.children):
-            children = node.children[:able] + node.children[able + 1:]
-            return d.DSyntNode("can", node.cls, node.relation, node.features, children)
+    able = _able_child(node)
+    if able is not None:
+        children = node.children[:able] + node.children[able + 1:]
+        return d.DSyntNode("can", node.cls, node.relation, node.features, children)
     return node
 
 
-def enable_contractions(sentence: d.DSyntNode) -> d.DSyntNode:
+def enable_contractions(sentence: d.DSyntNode, unable: bool = True) -> d.DSyntNode:
     """Mark a clause for surface contraction and apply the tree rewrites
-    that only make sense in contracted register."""
-    return rewrite_unable_to_modal(sentence).with_feature("contract", "on")
+    that only make sense in contracted register. A caller that knows the
+    sentence holds no clause :func:`rewrite_unable_to_modal` rewrites
+    passes ``unable=False`` and skips that walk."""
+    if unable:
+        sentence = rewrite_unable_to_modal(sentence)
+    return sentence.with_feature("contract", "on")
 
 
 # --- individual transforms --------------------------------------------------
@@ -507,7 +591,7 @@ _SENTENCE_TRANSFORMS = (
     ("lexical_variation", _lexical_variation),
     ("negation_paraphrase", _negation_paraphrase),
     ("restatement", _restatement),
-    ("contractions", _contractions),
+    (CONTRACTIONS, _contractions),
     ("softener_hedges", _softener),
     ("emphasizer_hedges", _emphasizer),
     ("filled_pauses", _filled_pause),
@@ -547,33 +631,74 @@ def _stream(seed: int, i: int, owed: int) -> Random:
 
 
 def _resolves(sentence: d.DSyntNode, path: tuple[int, ...]) -> bool:
-    try:
-        d.node_at(sentence, path)
-    except IndexError:
-        return False
+    node = sentence
+    for i in path:
+        if i >= len(node.children):
+            return False
+        node = node.children[i]
     return True
+
+
+def _resolved(sentence: d.DSyntNode, sites: list, decisions: list[StyleDecision]
+              ) -> list[StyleDecision]:
+    """``decisions``, one per ``(path, payload)`` site, each whose path does
+    not resolve in ``sentence`` copied with the site "root": the list itself
+    when every path resolves."""
+    out = decisions
+    for k, (path, _) in enumerate(sites):
+        if not _resolves(sentence, path):
+            if out is decisions:
+                out = list(decisions)
+            out[k] = decisions[k].replace(site="root")
+    return out
 
 
 class _SharedPrefix:
     """What every voice with one pronominalization fire vector does alike
-    on one document: the pronominalized sentences, each sentence's
-    pronominalization decisions with their site paths, and each of those
-    sentences contracted, made when a voice first needs it. Nothing here
+    on one document, made by one walk per sentence (see
+    :func:`pronominalize_sentences`): the pronominalized sentences, each
+    sentence's sites and its pronominalization decisions, one per site, and
+    those decisions as they stand in that sentence. Each sentence
+    contracted, its contractions decision and its pronominalization
+    decisions as they stand in the contracted tree are made when a voice
+    first needs them; only a sentence the walk found a negated "be able to
+    VP" in is walked again to contract it. A voice that leaves a sentence
+    as either tree takes its decisions as they are, unchecked. Nothing here
     draws from the random streams, so the result depends on the sentences
     and the fire vector alone."""
-    __slots__ = ("sentences", "records", "_contracted")
+    __slots__ = ("sentences", "sites", "decisions", "_resolved", "_unable", "_contracted")
 
     def __init__(self, sentences: tuple[d.DSyntNode, ...], fire: tuple[bool, ...]):
-        self.sentences, sites = pronominalize_sentences(sentences, fire)
-        self.records = [[(path, StyleDecision(i, PRONOMINALIZATION, _path_str(path), pron))
-                         for path, pron in paths] for i, paths in enumerate(sites)]
+        self.sentences, self.sites, self._unable = pronominalize_sentences(sentences, fire)
+        names: dict[tuple[int, ...], str] = {}  # a few short paths recur in every sentence
+        self.decisions = [[StyleDecision(i, PRONOMINALIZATION, names.get(path)
+                                         or names.setdefault(path, _path_str(path)), payload)
+                           for path, payload in sites] for i, sites in enumerate(self.sites)]
+        self._resolved = list(map(_resolved, self.sentences, self.sites, self.decisions))
         self._contracted: dict[int, Optional[tuple]] = {}
 
     def contracted(self, i: int) -> Optional[tuple]:
-        """What the contractions transform gives for sentence ``i``."""
+        """Sentence ``i`` contracted, as (tree, contractions decision, its
+        pronominalization decisions as they stand in that tree), or None
+        when contracting leaves it as it is."""
         if i not in self._contracted:
-            self._contracted[i] = _contractions(self.sentences[i], None, None, None)
+            sentence, unable = self.sentences[i], self._unable[i]
+            new = enable_contractions(sentence, unable)
+            self._contracted[i] = None if new is sentence else (
+                new, StyleDecision(i, CONTRACTIONS, "root", "on"),
+                # the rewrite removes a child; the feature alone moves no node
+                _resolved(new, self.sites[i], self.decisions[i]) if unable else self._resolved[i])
         return self._contracted[i]
+
+    def resolved(self, i: int, sentence: d.DSyntNode) -> list[StyleDecision]:
+        """Sentence ``i``'s pronominalization decisions as they stand in
+        ``sentence``, its styled tree."""
+        if sentence is self.sentences[i]:
+            return self._resolved[i]
+        hit = self._contracted.get(i)
+        if hit is not None and sentence is hit[0]:
+            return hit[2]
+        return _resolved(sentence, self.sites[i], self.decisions[i])
 
 
 def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
@@ -607,13 +732,13 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
     active = [(param, transform, model.activation(param)) for param, transform in _SENTENCE_TRANSFORMS
               if model.activation(param) > 0.0]
-    # each active parameter's (sentence index, site path, payload), in sentence order
-    applied: list[list[tuple[int, tuple[int, ...], str]]] = [[] for _ in active]
+    # each active parameter's (sentence index, site path, decision), in sentence order
+    applied: list[list[tuple[int, tuple[int, ...], StyleDecision]]] = [[] for _ in active]
 
     sentences = []
     for i, sentence in enumerate(shared.sentences):
         rng, owed, memo = rngs[i], owed_first, {}
-        for (_, transform, a), made in zip(active, applied):
+        for (param, transform, a), made in zip(active, applied):
             if rng is None:
                 if a >= 1.0:
                     owed += 1  # it fires whatever it draws
@@ -622,23 +747,25 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
             if rng is not None and rng.random() >= a:
                 continue
             if transform is _contractions and sentence is shared.sentences[i]:
-                result = shared.contracted(i)
-            else:
-                if rng is None:
-                    rng = _stream(seed, i, owed)
-                result = transform(sentence, rng, lex, memo)
+                hit = shared.contracted(i)
+                if hit is not None:
+                    sentence, x, _ = hit
+                    made.append((i, (), x))
+                continue
+            if rng is None:
+                rng = _stream(seed, i, owed)
+            result = transform(sentence, rng, lex, memo)
             if result is not None:
                 sentence, site, payload = result
-                made.append((i, site, payload))
+                made.append((i, site, StyleDecision(i, param, _path_str(site), payload)))
         sentences.append(sentence)
 
     # the pronominalization pass runs first, so its decisions come first
-    decisions = [x if _resolves(sentence, path) else x.replace(site="root")
-                 for sentence, records in zip(sentences, shared.records)
-                 for path, x in records]
-    for (param, _, _), made in zip(active, applied):
-        for i, site, payload in made:
-            if not _resolves(sentences[i], site):
-                site = ()
-            decisions.append(StyleDecision(i, param, _path_str(site), payload))
+    decisions = []
+    for i, sentence in enumerate(sentences):
+        decisions += shared.resolved(i, sentence)
+    for made in applied:
+        # a root site always resolves
+        decisions += [x if not site or _resolves(sentences[i], site) else x.replace(site="root")
+                      for i, site, x in made]
     return d.Document(tuple(sentences)), decisions

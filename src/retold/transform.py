@@ -69,7 +69,8 @@ def realize_entity_np(e: s.Entity, relation: str) -> d.DSyntNode:
 
     Collectives realize as head + "of" + plural member noun with singular
     agreement on the head. A character noun carries its pronoun in the
-    ``pron`` feature, for :func:`style.pronominalize_sentences`.
+    ``pron`` feature, which the style prefix's walk reads
+    (:func:`style.pronominalize_sentences`).
     """
     feats = {"article": "def", "number": e.number}
     if e.kind == s.CHARACTER:

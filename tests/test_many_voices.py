@@ -75,7 +75,7 @@ def test_three_voices_pronominalize_once(fox_graph, monkeypatch, pronominalize_c
     contracted = []
     real = style.enable_contractions
     monkeypatch.setattr(style, "enable_contractions",
-                        lambda s: contracted.append(s) or real(s))
+                        lambda s, *rest: contracted.append(s) or real(s, *rest))
     doc = tr.transform_story(fox_graph)
     counts = []
     for v in VOICES[1:]:
@@ -164,6 +164,53 @@ def test_sentences_left_as_the_prefix_made_them_share_its_decisions(fox_graph, l
                 assert all(x is y for x, y in zip(mine, theirs)), (g.id, i)
                 shared += len(mine)
     assert shared > 0
+
+
+def test_formal_returns_the_prefix_records_and_checks_no_site(fox_graph, lion_graph,
+                                                               monkeypatch):
+    formal = style.BUILTIN_VOICES["FORMAL"]
+    resolves = []
+    real = style._resolves
+    monkeypatch.setattr(style, "_resolves", lambda *args: resolves.append(args) or real(*args))
+    for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
+        doc = tr.transform_story(g)
+        _, decisions = style.apply_voice(doc, formal, k)
+        shared = doc.memo((True,) * len(doc.sentences), lambda: pytest.fail("no prefix"))
+        own = []
+        for i, sentence in enumerate(shared.sentences):
+            tree, contraction, resolved = shared.contracted(i)
+            own += [contraction, *shared.resolved(i, sentence), *resolved]
+        assert decisions and all(any(x is y for y in own) for x in decisions), g.id
+        # told again, FORMAL checks no site: each sentence is a prefix tree
+        del resolves[:]
+        _, again = style.apply_voice(doc, formal, k)
+        assert resolves == [] and all(x is y for x, y in zip(again, decisions))
+        assert len(again) == len(decisions)
+
+
+def test_a_restyled_sentence_checks_each_site_in_its_final_tree(fox_graph, lion_graph):
+    """SHY after FORMAL: a sentence an opener or a stutter changed gets its
+    pronominalization decisions checked anew, each site that no longer
+    resolves copied with the site "root", as a fresh document gets them."""
+    restyled = 0
+    for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
+        doc = tr.transform_story(g)
+        style.apply_voice(doc, style.BUILTIN_VOICES["FORMAL"], k)
+        shy, decisions = style.apply_voice(doc, style.BUILTIN_VOICES["SHY"], k)
+        fresh = style.apply_voice(tr.transform_story(g), style.BUILTIN_VOICES["SHY"], k)
+        assert (shy, decisions) == fresh
+        shared = doc.memo((True,) * len(doc.sentences), lambda: pytest.fail("no prefix"))
+        for i, sentence in enumerate(shy.sentences):
+            if sentence is shared.sentences[i] or sentence is shared.contracted(i)[0]:
+                continue
+            restyled += 1
+            positions = {path for path, _ in d.walk(sentence)}
+            mine = [x for x in decisions
+                    if x.sentence_index == i and x.param == style.PRONOMINALIZATION]
+            assert mine == [x if path in positions else x.replace(site="root")
+                            for (path, _), x in zip(shared.sites[i], shared.decisions[i])], \
+                (g.id, i)
+    assert restyled > 0
 
 
 def _random_voices(rng, count):

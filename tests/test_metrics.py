@@ -178,6 +178,19 @@ def test_score_pair_rejects_empty_text():
         metrics.score_pair(metrics.EvalPair("", "reference", "x"))
 
 
+def test_a_leading_byte_order_mark_is_no_token():
+    # a two-word pair has no 3- or 4-grams, so even equal texts score a BLEU below 1
+    row = metrics.score_pair(metrics.EvalPair("\ufeffThe fox.", "The fox."))
+    assert row == metrics.score_pair(metrics.EvalPair("The fox.", "The fox."))
+    assert row.levenshtein == 0
+    golden = fixture_text("fox_and_grapes.golden.txt")
+    row = metrics.score_pair(metrics.EvalPair("\ufeff" + golden, golden))
+    assert (row.levenshtein, row.bleu) == (0, 1.0)
+    assert metrics.tokenize("\ufeffThe fox.") == ["the", "fox"]
+    with pytest.raises(ValueError):
+        metrics.score_pair(metrics.EvalPair("\ufeff", "The fox.", "x"))
+
+
 def test_report_rendering_is_deterministic():
     pairs = [metrics.EvalPair("a b c", "a c", "row")]
     r1, r2 = metrics.corpus_report(pairs), metrics.corpus_report(pairs)

@@ -1,5 +1,7 @@
 """Copy-on-write tree rewrites: the same trees and sites as rebuilding every
-node, and the input's own nodes wherever nothing changed."""
+node, and the input's own nodes wherever nothing changed. The style prefix's
+one walk per sentence (drops, pronouns, the contraction rewrite it finds) is
+checked against full-rebuild passes that each walk the whole tree."""
 
 import random
 
@@ -47,6 +49,9 @@ def rebuild_drop_coreferent_purpose_subject(sentence):
 
 
 def rebuild_pronominalize_sentences(sentences, fire):
+    """The walk's sentences and sites, and per sentence whether contracting
+    it must rewrite "be able to": every one when no gate fired, which
+    walks nothing."""
     counts = {}
     out_sentences, out_sites = [], []
     for sentence, hot in zip(sentences, fire):
@@ -71,7 +76,8 @@ def rebuild_pronominalize_sentences(sentences, fire):
         sites.extend(replacements)
         out_sentences.append(sentence)
         out_sites.append(sites)
-    return out_sentences, out_sites
+    unable = [not any(fire) or rebuild_rewrite_unable_to_modal(s) != s for s in out_sentences]
+    return out_sentences, out_sites, unable
 
 
 def rebuild_rewrite_unable_to_modal(node):
@@ -93,16 +99,88 @@ def rebuild_enable_contractions(sentence):
     return rebuild_rewrite_unable_to_modal(sentence).with_feature("contract", "on")
 
 
+def _resolved_oracle(tree, i, sites):
+    """Sentence ``i``'s pronominalization decisions for ``sites``, each whose
+    path is no position in ``tree`` with the site "root"."""
+    positions = {path for path, _ in d.walk(tree)}
+    return [sty.StyleDecision(i, sty.PRONOMINALIZATION,
+                              sty._path_str(path) if path in positions else "root", payload)
+            for path, payload in sites]
+
+
+def _check_prefix(sentences, fire):
+    """The prefix of ``sentences`` under ``fire`` against the rebuild oracles."""
+    want_sentences, want_sites, want_unable = rebuild_pronominalize_sentences(sentences, fire)
+    assert sty.pronominalize_sentences(sentences, fire) == (want_sentences, want_sites,
+                                                            want_unable)
+    prefix = sty._SharedPrefix(tuple(sentences), tuple(fire))
+    assert prefix.sentences == want_sentences
+    for i, (tree, sites) in enumerate(zip(want_sentences, want_sites)):
+        assert prefix.sites[i] == sites
+        assert prefix.decisions[i] == [sty.StyleDecision(i, sty.PRONOMINALIZATION,
+                                                         sty._path_str(path), payload)
+                                       for path, payload in sites]
+        assert prefix.resolved(i, prefix.sentences[i]) == _resolved_oracle(tree, i, sites)
+        contracted = rebuild_enable_contractions(tree)
+        assert sty.enable_contractions(prefix.sentences[i], want_unable[i]) == contracted
+        new, decision, resolved = prefix.contracted(i)
+        assert new == contracted
+        assert decision == sty.StyleDecision(i, "contractions", "root", "on")
+        assert resolved == _resolved_oracle(contracted, i, sites)
+        assert prefix.resolved(i, new) is resolved
+    return prefix
+
+
 @settings(derandomize=True, deadline=None)
 @given(story_seed=hst.integers(0, 10**6), data=hst.data())
 def test_rewrites_match_rebuilding_every_node(story_seed, data):
     sentences = list(tr.transform_story(random_story(random.Random(story_seed))).sentences)
     fire = data.draw(hst.lists(hst.booleans(), min_size=len(sentences),
                                max_size=len(sentences)))
-    got = sty.pronominalize_sentences(sentences, fire)
-    assert got == rebuild_pronominalize_sentences(sentences, fire)
-    for sentence in sentences + got[0]:
+    prefix = _check_prefix(sentences, fire)
+    for sentence in sentences + prefix.sentences:
         assert sty.enable_contractions(sentence) == rebuild_enable_contractions(sentence)
+
+
+def _np(lemma, relation=d.I, pron="he"):
+    features = {"article": "def", "number": "sg"}
+    if pron:
+        features["pron"] = pron
+    return d.DSyntNode(lemma, d.COMMON_NOUN, relation, features)
+
+
+def _in_order(clause):
+    return d.attach(d.DSyntNode("in_order", d.FUNCTION_WORD, d.APPEND),
+                    clause.without_feature("tense"), d.APPEND)
+
+
+def test_nested_subject_drops_come_in_post_order():
+    # the fox jumped in order [for the fox] to reach the grapes in order
+    # [for the fox] to eat them: the inner clause's drop is recorded first,
+    # at its position before the outer drop moved it
+    eat = d.attach(d.attach(d.DSyntNode("eat", d.VERB), _np("fox"), d.I),
+                   _np("grapes", d.II, None), d.II)
+    reach = d.attach(d.attach(d.DSyntNode("reach", d.VERB), _np("fox"), d.I),
+                     _np("grapes", d.II, None), d.II)
+    reach = d.attach(reach, _in_order(eat), d.APPEND)
+    jump = d.attach(d.DSyntNode("jump", d.VERB, features={"tense": "past"}), _np("fox"), d.I)
+    sentence = d.attach(jump, _in_order(reach), d.APPEND)
+    fox_again = d.attach(d.DSyntNode("sit", d.VERB, features={"tense": "past"}), _np("fox"), d.I)
+    prefix = _check_prefix([sentence, fox_again], [True, True])
+    assert prefix.sites[0] == [((1, 0, 2, 0), "subject-drop"), ((1, 0), "subject-drop")]
+    # a dropped subject is no mention: the fox of the next sentence is its second
+    assert prefix.sites[1] == [((0,), "he")]
+    reach_now = d.node_at(prefix.sentences[0], (1, 0))
+    assert [c.lexeme for c in reach_now.children] == ["grapes", "in_order"]
+    assert [c.lexeme for c in d.node_at(reach_now, (1, 0)).children] == ["grapes"]
+
+
+def test_the_walk_notes_every_sentence_the_contractions_rewrite(fixture_sentences):
+    _, _, unable = sty.pronominalize_sentences(fixture_sentences)
+    assert unable == [sty.rewrite_unable_to_modal(s) is not s for s in fixture_sentences]
+    assert sum(unable) == 1
+    assert sty.pronominalize_sentences(fixture_sentences, [False] * len(fixture_sentences))[2] \
+        == [True] * len(fixture_sentences)
 
 
 # --- sharing: counted in node objects, not timed ---------------------------------
@@ -145,10 +223,14 @@ def test_rewrite_unable_to_modal_returns_a_sentence_without_one(fixture_sentence
     assert _fresh_paths(sty.rewrite_unable_to_modal(able), able) == _prefixes([path])
 
 
-def test_drop_coreferent_purpose_subject_rebuilds_only_the_path_to_a_drop(fixture_sentences):
+def test_a_subject_drop_rebuilds_only_the_path_to_it(fixture_sentences):
     drops = 0
     for s in fixture_sentences:
-        new, dropped = sty.drop_coreferent_purpose_subject(s)
+        # told alone, a sentence whose characters each come once has only drops
+        [new], [sites], _ = sty.pronominalize_sentences([s])
+        dropped = [path for path, kind in sites if kind == "subject-drop"]
+        if len(dropped) < len(sites):
+            continue
         if not dropped:
             assert new is s
         assert _fresh_paths(new, s) == _prefixes(dropped)
@@ -157,7 +239,7 @@ def test_drop_coreferent_purpose_subject_rebuilds_only_the_path_to_a_drop(fixtur
 
 
 def test_pronominalization_rebuilds_only_the_paths_to_its_sites(fixture_sentences):
-    new, sites = sty.pronominalize_sentences(fixture_sentences)
+    new, sites, _ = sty.pronominalize_sentences(fixture_sentences)
     assert sum(map(len, sites)) > 0
     for before, after, at in zip(fixture_sentences, new, sites):
         if not at:
@@ -178,6 +260,7 @@ def test_a_mention_inside_a_replaced_mention_is_still_counted():
                  clause(np("crow", "she"))]
     got = sty.pronominalize_sentences(sentences)
     assert got == rebuild_pronominalize_sentences(sentences, [True] * 3)
+    _check_prefix(sentences, [True] * 3)
     assert got[1] == [[], [((0,), "he")], [((0,), "she")]]
 
 

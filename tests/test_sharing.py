@@ -79,7 +79,8 @@ def test_attach_keeps_a_child_that_already_has_the_relation():
 
 
 def test_one_pronoun_node_per_pronoun_relation_and_number(fox_graph):
-    sentences, sites = sty.pronominalize_sentences(list(tr.transform_story(fox_graph).sentences))
+    sentences, sites, _ = sty.pronominalize_sentences(
+        list(tr.transform_story(fox_graph).sentences))
     pronouns = [d.node_at(sentence, path) for sentence, at in zip(sentences, sites)
                 for path, kind in at if kind != "subject-drop"]
     by_key = {}

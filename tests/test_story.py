@@ -285,6 +285,29 @@ def test_parser_rejects_unterminated_literal():
                        'timeline\n  0:\n    jump jump(Agent=fox)\n      prep with: "dignity\n')
 
 
+def test_a_quoted_literal_with_a_comma_is_one_argument():
+    text = ('story x "X"\n\nentities\n  fox character fox\n\ntimeline\n  0:\n'
+            '    walk walk(Agent=fox, Manner="slowly, and with care")\n'
+            '      prep with: "dignity, and unconcern", fox\n')
+    g = st.parse_story(text)
+    [p] = st.timeline_propositions(g)
+    assert p.frame.bindings == (("Agent", st.EntityRef("fox")),
+                                ("Manner", st.Text("slowly, and with care")))
+    assert [a.target for a in p.attachments] == [st.Text("dignity, and unconcern"),
+                                                 st.EntityRef("fox")]
+    again = st.parse_story(st.serialize_story(g))
+    assert again == g
+    assert st.serialize_story(again) == st.serialize_story(g)
+
+
+def test_a_leading_byte_order_mark_is_dropped(fox_graph):
+    text = (FIXTURES / "fox_and_grapes.story").read_text(encoding="utf-8")
+    assert st.parse_story("\ufeff" + text) == st.parse_story(text) == fox_graph
+    # one mark only: a second is text, and the header no longer matches
+    with pytest.raises(st.StorySyntaxError):
+        st.parse_story("\ufeff\ufeff" + text)
+
+
 def test_parser_rejects_bad_timespan_header():
     with pytest.raises(st.StorySyntaxError):
         st.parse_story('story x "X"\n\nentities\n  fox character fox\n\n'
@@ -406,13 +429,13 @@ print(len(calls))
 
 
 def test_import_compiles_no_pattern():
-    # the story patterns are compiled on the first parse, not at import
+    # the seven story line patterns are compiled on the first parse, not at import
     src = str(Path(st.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     story = str(FIXTURES / "fox_and_grapes.story")
     out = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, story], env=env,
                          capture_output=True, text=True, check=True).stdout.split()
-    assert out == ["0", "3"]
+    assert out == ["0", "7"]
 
 
 @pytest.fixture

@@ -533,6 +533,11 @@ def test_parse_voice_errors():
         style.parse_voice("voice X\nstuttering at full blast\n")
 
 
+def test_parse_voice_drops_a_leading_byte_order_mark():
+    text = "voice LOUD\nexclamation: 1.0\n"
+    assert style.parse_voice("\ufeff" + text) == style.parse_voice(text)
+
+
 @pytest.mark.parametrize("text,message", [
     ("voice X\nexclamation: 1.0\n\nexclamation: 0.0\n",
      "line 4: exclamation already set on line 2"),
