@@ -7,21 +7,31 @@ adjuncts in attachment order, then any tag. Negation takes do-support
 "can" ("could not reach"). Morphology always goes through the lexicon, so
 irregular forms live in exactly one place.
 
-Word tokens are immutable and shared: the fixed words ("the", "did",
-"not", ...) and the punctuation marks are module constants, and
-:func:`_words` hands out one cached tuple per distinct string (the 4,096
-most recently used). A list the
-realizer returns is always its own, but the tokens in it may sit in many
-other lists, so build a new ``Token`` rather than change one.
+The realizer emits *pieces*: strings that carry their own separator. A
+word is ``" word"``; a comma, an end mark and a stutter's continuation
+(``"tr-"`` and ``"trellis"`` after ``" tr-"``) carry none. A sentence's
+text is its pieces joined, less the first space, with its first letter
+capitalized. The fixed words and the marks are module constants, and
+:func:`_words` hands out one cached tuple of pieces per distinct string
+(the 4,096 most recently used). A list the realizer returns is always its
+own; :func:`sentence_tokens` maps the pieces to :class:`Token` records
+for callers that want words and marks apart.
+
+Contraction runs on the pieces of a sentence whose ``contract`` feature is
+on, in one pass: a spaced ``" not"`` joins the piece before it when that
+piece is "did", "could", "was" or "were", spaced or not ("did not obtain"
+→ "didn't obtain", and "was not to reach" → "wasn't to reach"). A quoted
+literal is realized verbatim, as one piece that the pass never joins, so
+"what was not there" stays as it is in every voice.
 
 A story's trees share equal subtrees (see :mod:`retold.transform`), so
 :func:`realize_document` runs one realizer over the whole document, and it
 realizes each noun phrase and prepositional phrase object once: its memo
-maps ``id(node)`` to the node and the phrase's token tuple, and callers only
-extend their own lists from that tuple. The entry keeps the node alive, so
-no other node can be given its id while the memo lives. The realizer also
-inflects each (verb lemma, number) pair's past form once. Both memos are
-dropped with the realizer when the call returns.
+maps ``id(node)`` to the node and the phrase's tuple of pieces, and callers
+only extend their own lists from that tuple. The entry keeps the node
+alive, so no other node can be given its id while the memo lives. The
+realizer also inflects each (verb lemma, number) pair's past form once.
+Both memos are dropped with the realizer when the call returns.
 """
 
 from __future__ import annotations
@@ -79,56 +89,73 @@ class Token(Record):
 _TOKEN_SETTERS = slot_setters(Token)
 
 
-_THE, _A, _AND, _DID, _NOT, _TO, _BECAUSE, _IN, _ORDER, _FOR = map(
-    Token, ("the", "a", "and", "did", "not", "to", "because", "in", "order", "for"))
-_COMMA = Token(",", "punctuation")
-_END_MARKS = {"period": Token(".", "punctuation"),
-              "exclaim": Token("!", "punctuation"),
-              "question": Token("?", "punctuation")}
+class _Literal(str):
+    """A quoted literal's words as one piece, which contraction never joins."""
+    __slots__ = ()
+
+
+_THE, _A, _AND, _DID, _NOT, _TO, _BECAUSE, _IN, _ORDER, _FOR = (
+    " the", " a", " and", " did", " not", " to", " because", " in", " order", " for")
+_COMMA = ","
+_END_MARKS = {"period": ".", "exclaim": "!", "question": "?"}
+_PUNCTUATION = frozenset((_COMMA, *_END_MARKS.values()))
+
+# the piece before a spaced "not" -> that piece contracted, with or without
+# its leading space
+_CONTRACTED = {space + aux: space + short
+               for (aux, _), short in CONTRACTIBLE.items() for space in ("", " ")}
 
 
 @lru_cache(maxsize=4096)
-def _words(text: str) -> tuple[Token, ...]:
-    return tuple(Token(w) for w in text.replace("_", " ").split())
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(" " + w for w in text.replace("_", " ").split())
 
 
-def apply_contractions(tokens: list[Token]) -> list[Token]:
-    """Rewrite each CONTRACTIBLE pair ("did not", "were not", ...) into its
-    contraction."""
-    out: list[Token] = []
-    for t in tokens:
+def apply_contractions(pieces: list[str]) -> list[str]:
+    """Rewrite each CONTRACTIBLE pair ("did not", "were not", ...) in
+    ``pieces`` into its contraction; a quoted literal is never part of a
+    pair."""
+    out: list[str] = []
+    for p in pieces:
         # every pair ends in "not" and starts with a word that is neither
-        # "not" nor a contraction, so pairing each "not" with the token
+        # "not" nor a contraction, so pairing each "not" with the piece
         # before it is the same as pairing greedily from the left
-        if (t.surface == "not" and t.kind == "word" and not t.no_space_before and out
-                and out[-1].kind == "word" and (out[-1].surface, "not") in CONTRACTIBLE):
-            prev = out[-1]
-            out[-1] = Token(CONTRACTIBLE[(prev.surface, "not")], "word", prev.no_space_before)
+        if p == _NOT and out and type(out[-1]) is str and out[-1] in _CONTRACTED:
+            out[-1] = _CONTRACTED[out[-1]]
         else:
-            out.append(t)
+            out.append(p)
     return out
 
 
-def _join(tokens: list[Token]) -> str:
-    text = "".join([t.surface if i == 0 or t.kind == "punctuation" or t.no_space_before
-                    else " " + t.surface for i, t in enumerate(tokens)])
+def _join(pieces: list[str]) -> str:
+    text = "".join(pieces)
+    if text[:1] == " ":
+        text = text[1:]
     for i, ch in enumerate(text):
         if ch.isalpha():
             return text[:i] + ch.upper() + text[i + 1:]
     return text
 
 
+def _token(piece: str) -> Token:
+    if piece[:1] == " ":
+        return Token(piece[1:])
+    if piece in _PUNCTUATION:
+        return Token(piece, "punctuation")
+    return Token(piece, no_space_before=True)
+
+
 class _Realizer:
     def __init__(self, lexicon: Lexicon):
         self.lexicon = lexicon
-        # id(node) -> (node, its tokens), for noun and prepositional phrases
-        self._phrases: dict[int, tuple[d.DSyntNode, tuple[Token, ...]]] = {}
-        # (lemma, number) -> the past-tense verb token
-        self._pasts: dict[tuple[str, str], Token] = {}
+        # id(node) -> (node, its pieces), for noun and prepositional phrases
+        self._phrases: dict[int, tuple[d.DSyntNode, tuple[str, ...]]] = {}
+        # (lemma, number) -> the past-tense verb piece
+        self._pasts: dict[tuple[str, str], str] = {}
 
     # -- noun phrases --------------------------------------------------------
 
-    def np_tokens(self, node: d.DSyntNode, case: str = "nom") -> Sequence[Token]:
+    def np_pieces(self, node: d.DSyntNode, case: str = "nom") -> Sequence[str]:
         if node.cls == d.FUNCTION_WORD:
             surface = node.lexeme if case == "nom" else ACCUSATIVE.get(node.lexeme, node.lexeme)
             return _words(surface)
@@ -138,7 +165,7 @@ class _Realizer:
             raise RealizationError(f"cannot realize {node.cls} as a noun phrase")
         return self._phrase(node, self._noun_phrase)
 
-    def _phrase(self, node: d.DSyntNode, build) -> tuple[Token, ...]:
+    def _phrase(self, node: d.DSyntNode, build) -> tuple[str, ...]:
         """``build(node)``, computed once per node object; the entry holds
         the node, so its id is not reused while the realizer lives."""
         hit = self._phrases.get(id(node))
@@ -146,72 +173,78 @@ class _Realizer:
             hit = self._phrases[id(node)] = (node, tuple(build(node)))
         return hit[1]
 
-    def _noun_phrase(self, node: d.DSyntNode) -> list[Token]:
-        toks: list[Token] = []
-        article = node.feature("article", "none")
+    def _noun_phrase(self, node: d.DSyntNode) -> list[str]:
+        pieces: list[str] = []
+        article = node.features.get("article", "none")
         if article == "def":
-            toks.append(_THE)
+            pieces.append(_THE)
         elif article == "indef":
-            toks.append(_A)
+            pieces.append(_A)
         for c in node.children:
             if c.relation == d.ATTR:
-                toks.extend(self._modifier_tokens(c))
-        toks.extend(self._noun_head(node))
+                pieces.extend(self._modifier_pieces(c))
+        pieces.extend(self._noun_head(node))
         for c in node.children:
             if c.relation == d.APPEND and c.cls == d.PREPOSITION:
-                toks.extend(self.prep_tokens(c))
-        return toks
+                pieces.extend(self.prep_pieces(c))
+        return pieces
 
-    def _stuttered(self, node: d.DSyntNode, surface: str, onset: str) -> Sequence[Token]:
+    def _stuttered(self, node: d.DSyntNode, surface: str, onset: str) -> Sequence[str]:
         """``surface`` with the ``stutter`` count of ``onset`` fragments
         before it; called only for a node that has the feature."""
         if not onset or " " in surface:
             return _words(surface)
-        frags = [Token(onset + "-", no_space_before=(k > 0))
+        frags = [(" " if k == 0 else "") + onset + "-"
                  for k in range(int(node.features["stutter"]))]
-        return frags + [Token(surface, no_space_before=True)]
+        return frags + [surface]
 
-    def _noun_head(self, node: d.DSyntNode) -> Sequence[Token]:
-        surface = node.lexeme  # a literal noun phrase is realized verbatim
-        if self.lexicon.has(surface, NOUN):
-            surface = inflect(self.lexicon.lookup(surface, NOUN),
-                              {"number": node.feature("number", "sg")})
-        if not node.feature("stutter"):
+    def _noun_head(self, node: d.DSyntNode) -> Sequence[str]:
+        surface = node.lexeme
+        if not self.lexicon.has(surface, NOUN):
+            # a literal noun phrase is realized verbatim
+            onset = self.lexicon.onset(surface, NOUN) if node.features.get("stutter") else ""
+            if onset and " " not in surface:
+                return self._stuttered(node, _Literal(surface), onset)
+            words = surface.replace("_", " ").split()
+            return (_Literal(" " + " ".join(words)),) if words else ()
+        surface = inflect(self.lexicon.lookup(surface, NOUN),
+                          {"number": node.features.get("number", "sg")})
+        if not node.features.get("stutter"):
             return _words(surface)
         return self._stuttered(node, surface, self.lexicon.onset(node.lexeme, NOUN))
 
-    def _modifier_tokens(self, node: d.DSyntNode) -> Sequence[Token]:
-        if node.cls == d.ADJECTIVE and node.feature("stutter"):
+    def _modifier_pieces(self, node: d.DSyntNode) -> Sequence[str]:
+        if node.cls == d.ADJECTIVE and node.features.get("stutter"):
             return self._stuttered(node, node.lexeme, self.lexicon.onset(node.lexeme, ADJ_POS))
         return _words(node.lexeme)
 
-    def prep_tokens(self, node: d.DSyntNode) -> tuple[Token, ...]:
+    def prep_pieces(self, node: d.DSyntNode) -> tuple[str, ...]:
         return self._phrase(node, self._prepositional_phrase)
 
-    def _prepositional_phrase(self, node: d.DSyntNode) -> list[Token]:
-        toks = list(_words(node.lexeme))
+    def _prepositional_phrase(self, node: d.DSyntNode) -> list[str]:
+        pieces = list(_words(node.lexeme))
         first = True
         for c in node.children:
             if c.relation != d.APPEND:
                 continue
             if not first:
-                toks.append(_AND)
-            toks.extend(self.np_tokens(c, case="acc"))
+                pieces.append(_AND)
+            pieces.extend(self.np_pieces(c, case="acc"))
             first = False
-        return toks
+        return pieces
 
     # -- clauses ---------------------------------------------------------------
 
-    def clause_tokens(self, v: d.DSyntNode, *, include_subject: bool = True,
-                      form: str = "finite") -> list[Token]:
+    def clause_pieces(self, v: d.DSyntNode, *, include_subject: bool = True,
+                      form: str = "finite") -> list[str]:
         if v.cls != d.VERB:
             raise RealizationError(f"clause root must be a verb, got {v.cls}")
 
-        pre_markers, tags = [], []
-        subject = None
-        pre_advs, post_advs, attrs = [], [], []
-        obj2 = obj3 = None
-        appends = []
+        markers: list[str] = []  # the pre-verbal markers' pieces, which start the clause
+        pre_advs: list[str] = []
+        post_advs: list[str] = []
+        attrs, appends, tags = [], [], []
+        subject = obj2 = obj3 = None
         for c in v.children:
             rel = c.relation
             if rel == d.I:
@@ -221,93 +254,89 @@ class _Realizer:
             elif rel == d.III:
                 obj3 = c
             elif rel == d.ATTR and c.cls == d.ADVERB:
-                (post_advs if c.features.get("position") == "post" else pre_advs).append(c)
+                (post_advs if c.features.get("position") == "post" else pre_advs).extend(
+                    _words(c.lexeme))
             elif rel == d.ATTR:
                 attrs.append(c)
             elif rel == d.APPEND:
                 position = c.features.get("position") if c.cls == d.FUNCTION_WORD else None
                 if position == "pre":
-                    pre_markers.append(c)
+                    markers.extend(_words(c.lexeme))
                 elif position == "post":
-                    tags.append(c)
+                    tags.append(_COMMA)
+                    tags.extend(_words(c.lexeme))
                 else:
                     appends.append(c)
             else:
                 raise RealizationError(f"cannot linearize {c.cls} under verb via {rel}")
 
-        toks: list[Token] = []
-        for m in pre_markers:
-            toks.extend(_words(m.lexeme))
+        pieces = markers
         number = "sg"
         if subject is not None:
-            number = subject.feature("number", "sg")
+            number = subject.features.get("number", "sg")
             if include_subject:
-                toks.extend(self.np_tokens(subject, case="nom"))
-        for a in pre_advs:
-            toks.extend(_words(a.lexeme))
-        toks.extend(self._verb_group(v, number, form))
+                pieces.extend(self.np_pieces(subject, case="nom"))
+        pieces.extend(pre_advs)
+        pieces.extend(self._verb_group(v, number, form))
         for a in attrs:
-            toks.extend(self._modifier_tokens(a))
+            pieces.extend(self._modifier_pieces(a))
         if obj3 is not None:
-            toks.extend(self._complement_tokens(obj3, v))
+            pieces.extend(self._complement_pieces(obj3, v))
         if obj2 is not None:
-            toks.extend(self._complement_tokens(obj2, v))
-        for a in post_advs:
-            toks.extend(_words(a.lexeme))
+            pieces.extend(self._complement_pieces(obj2, v))
+        pieces.extend(post_advs)
         for i, ap in enumerate(appends):
-            toks.extend(self._append_tokens(ap, more_follows=i + 1 < len(appends)))
-        for t in tags:
-            toks.append(_COMMA)
-            toks.extend(_words(t.lexeme))
-        return toks
+            pieces.extend(self._append_pieces(ap, more_follows=i + 1 < len(appends)))
+        pieces.extend(tags)
+        return pieces
 
-    def _verb_group(self, v: d.DSyntNode, number: str, form: str) -> list[Token]:
-        negated = v.feature("polarity") == "neg"
+    def _verb_group(self, v: d.DSyntNode, number: str, form: str) -> list[str]:
+        negated = v.features.get("polarity") == "neg"
         lemma = v.lexeme
         if form == "bare":
-            return [Token(lemma)]
+            return [" " + lemma]
         if form == "infinitive":
-            return [_NOT, _TO, Token(lemma)] if negated else [_TO, Token(lemma)]
+            return [_NOT, _TO, " " + lemma] if negated else [_TO, " " + lemma]
         past = self._pasts.get((lemma, number))
         if past is None:
-            past = self._pasts[(lemma, number)] = Token(past_form(self.lexicon, lemma, number))
+            past = self._pasts[(lemma, number)] = " " + past_form(self.lexicon, lemma, number)
         if not negated:
             return [past]
         if lemma in NOT_CARRIERS:
             return [past, _NOT]
-        return [_DID, _NOT, Token(lemma)]
+        return [_DID, _NOT, " " + lemma]
 
-    def _complement_tokens(self, node: d.DSyntNode, governor: d.DSyntNode) -> Sequence[Token]:
+    def _complement_pieces(self, node: d.DSyntNode, governor: d.DSyntNode) -> Sequence[str]:
         if node.cls == d.VERB:
             if "tense" in node.features:
-                return self.clause_tokens(node, form="finite")
+                return self.clause_pieces(node, form="finite")
             if governor.lexeme in MODAL_LEMMAS:
-                return self.clause_tokens(node, include_subject=False, form="bare")
-            return self.clause_tokens(node, include_subject=False, form="infinitive")
-        return self.np_tokens(node, case="acc")
+                return self.clause_pieces(node, include_subject=False, form="bare")
+            return self.clause_pieces(node, include_subject=False, form="infinitive")
+        return self.np_pieces(node, case="acc")
 
-    def _append_tokens(self, node: d.DSyntNode, more_follows: bool) -> Sequence[Token]:
+    def _append_pieces(self, node: d.DSyntNode, more_follows: bool) -> Sequence[str]:
         if node.cls == d.PREPOSITION:
-            return self.prep_tokens(node)
+            return self.prep_pieces(node)
         if node.cls == d.FUNCTION_WORD and node.lexeme == "because":
             clause = self._single_clause_child(node)
-            return [_BECAUSE] + self.clause_tokens(clause, form="finite")
+            return [_BECAUSE] + self.clause_pieces(clause, form="finite")
         if node.cls == d.FUNCTION_WORD and node.lexeme == "in_order":
             clause = self._single_clause_child(node)
-            toks = [_IN, _ORDER]
+            pieces = [_IN, _ORDER]
             subject = clause.child(d.I)
             if subject is not None:
-                toks.append(_FOR)
-                toks.extend(self.np_tokens(subject, case="acc"))
-            toks.extend(self.clause_tokens(clause, include_subject=False, form="infinitive"))
-            return toks
+                pieces.append(_FOR)
+                pieces.extend(self.np_pieces(subject, case="acc"))
+            pieces.extend(self.clause_pieces(clause, include_subject=False, form="infinitive"))
+            return pieces
         if node.cls == d.VERB:
             # appended restating clause: ", didn't obtain it,"
-            toks = [_COMMA]
-            toks.extend(self.clause_tokens(node, include_subject=False, form="finite"))
+            pieces = [_COMMA]
+            pieces.extend(self.clause_pieces(node, include_subject=False, form="finite"))
             if more_follows:
-                toks.append(_COMMA)
-            return toks
+                pieces.append(_COMMA)
+            return pieces
         if node.cls == d.FUNCTION_WORD:
             return _words(node.lexeme)
         raise RealizationError(f"cannot linearize appended {node.cls}")
@@ -318,26 +347,28 @@ class _Realizer:
                 return c
         raise RealizationError(f"{node.lexeme!r} governs no clause")
 
-    def sentence_tokens(self, root: d.DSyntNode) -> list[Token]:
+    def sentence_pieces(self, root: d.DSyntNode) -> list[str]:
         if "tense" not in root.features:
             raise RealizationError("sentence root must be finite")
-        toks = self.clause_tokens(root, form="finite")
-        if root.feature("contract") == "on":
-            toks = apply_contractions(toks)
-        toks.append(_END_MARKS[root.feature("punct", "period")])
-        return toks
+        pieces = self.clause_pieces(root, form="finite")
+        if root.features.get("contract") == "on" and _NOT in pieces:
+            pieces = apply_contractions(pieces)
+        pieces.append(_END_MARKS[root.features.get("punct", "period")])
+        return pieces
 
 
 def sentence_tokens(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> list[Token]:
-    return _Realizer(lexicon or default_lexicon()).sentence_tokens(root)
+    """The sentence's words and marks as :class:`Token` records, in order;
+    a quoted literal is one token."""
+    return [_token(p) for p in _Realizer(lexicon or default_lexicon()).sentence_pieces(root)]
 
 
 def realize_sentence(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> str:
-    return _join(sentence_tokens(root, lexicon))
+    return _join(_Realizer(lexicon or default_lexicon()).sentence_pieces(root))
 
 
 def realize_document(doc: d.Document, lexicon: Optional[Lexicon] = None) -> str:
     """The sentences' texts joined by single spaces, each shared phrase
     realized once."""
     realizer = _Realizer(lexicon or default_lexicon())
-    return " ".join(_join(realizer.sentence_tokens(sentence)) for sentence in doc.sentences)
+    return " ".join(_join(realizer.sentence_pieces(sentence)) for sentence in doc.sentences)

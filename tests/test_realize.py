@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from retold import dsynt as d
@@ -6,7 +8,8 @@ from retold import story as st
 from retold import transform as tr
 from retold.style import BUILTIN_VOICES, apply_voice
 
-from conftest import fixture_text
+from conftest import fixture_text, random_story
+from test_output_pin import DRAW_VOICES
 
 
 def _story(entities, *props):
@@ -81,13 +84,13 @@ def test_terminal_punctuation_follows_punct_feature():
     (["the", "fox", "jumped"], ["the", "fox", "jumped"]),
 ])
 def test_apply_contractions(tokens, expected):
-    got = rz.apply_contractions([rz.Token(t) for t in tokens])
-    assert [t.surface for t in got] == expected
+    got = rz.apply_contractions([" " + t for t in tokens])
+    assert got == [" " + t for t in expected]
 
 
 def test_contraction_shrinks_token_count_by_one_per_application():
-    toks = [rz.Token(t) for t in ["did", "not", "go", "was", "not", "here"]]
-    assert len(rz.apply_contractions(toks)) == len(toks) - 2
+    pieces = [" " + t for t in ["did", "not", "go", "was", "not", "here"]]
+    assert len(rz.apply_contractions(pieces)) == len(pieces) - 2
 
 
 def test_stutter_fragments_have_no_internal_spaces():
@@ -174,3 +177,109 @@ def test_returned_token_lists_are_never_shared(fox_graph):
 
 def test_word_token_cache_is_bounded():
     assert rz._words.cache_info().maxsize == 4096
+
+
+def _told(g, voice, seed=0):
+    styled, _ = apply_voice(tr.transform_story(g), BUILTIN_VOICES[voice], seed)
+    return rz.realize_document(styled)
+
+
+GRAPES = st.Entity("grapes", st.OBJECT, "group", group_of="grape")
+
+
+def _obtain(agent, polarity=st.NEGATED, pid="q"):
+    return _prop(pid, "obtain", "obtain", [("Agent", agent), ("Theme", st.EntityRef("grapes"))],
+                 polarity=polarity)
+
+
+def test_a_quoted_literal_stays_verbatim_in_contracted_voices():
+    g = _story([FOX, GRAPES], _obtain(st.EntityRef("fox"), pid="p"),
+               _prop("q", "walk", "walk", [("Agent", st.EntityRef("fox"))],
+                     attachments=(st.Attachment(st.PREPOSITIONAL,
+                                                st.Text("what was not there"), "with"),)))
+    assert _told(g, "NEUTRAL") == ("The fox did not obtain the group of grapes. "
+                                   "The fox walked with what was not there.")
+    for voice in ("FORMAL", "SHY", "LAID-BACK"):
+        for seed in range(4):
+            text = _told(g, voice, seed)
+            assert "with what was not there" in text and "wasn't" not in text, (voice, seed)
+            assert "didn't obtain" in text, (voice, seed)
+
+
+def test_a_one_word_literal_is_not_an_auxiliary():
+    # the literal subject of a negated purpose clause stands right before its "not"
+    g = _story([FOX, GRAPES], _prop("p", "jump", "jump", [("Agent", st.EntityRef("fox"))],
+                                    attachments=(st.Attachment(
+                                        st.PURPOSE, _obtain(st.Text("was"))),)))
+    assert _told(g, "FORMAL") == "The fox jumped in order for was not to obtain the group of grapes."
+
+
+def _able_to_reach(polarity):
+    reach = _prop("r", "reach", "reach", [("Agent", st.EntityRef("fox")),
+                                          ("Theme", st.EntityRef("grapes"))], polarity=polarity)
+    return _story([FOX, GRAPES], _prop("p", "be_able", "be", [("Experiencer", st.EntityRef("fox")),
+                                                              ("Action", reach)]))
+
+
+def test_be_able_without_an_attribute_contracts_its_verb_and_the_infinitive_not():
+    g = _able_to_reach(st.NEGATED)
+    assert _told(g, "NEUTRAL") == "The fox was not to reach the group of grapes."
+    assert _told(g, "FORMAL") == "The fox wasn't to reach the group of grapes."
+    assert _told(_able_to_reach(st.AFFIRMATIVE), "FORMAL") == "The fox was to reach the group of grapes."
+
+
+def test_a_negated_plural_copula_contracts_to_werent():
+    g = _story([WOLVES], _prop("p", "be_hungry", "be", [("Theme", st.EntityRef("wolves")),
+                                                        ("Attribute", st.Property("hungry"))],
+                               polarity=st.NEGATED))
+    assert _told(g, "NEUTRAL") == "The wolves were not hungry."
+    assert _told(g, "FORMAL") == "The wolves weren't hungry."
+
+
+def test_in_order_not_to_stays_uncontracted():
+    g = _story([FOX, GRAPES], _prop("p", "jump", "jump", [("Agent", st.EntityRef("fox"))],
+                                    attachments=(st.Attachment(
+                                        st.PURPOSE, _obtain(st.EntityRef("fox"))),)))
+    assert _told(g, "FORMAL") == "The fox jumped in order not to obtain the group of grapes."
+
+
+def _spaced(tokens):
+    """The text of a token list: a space before every token except the
+    first, punctuation and ``no_space_before`` tokens, and the first letter
+    capitalized."""
+    text = "".join(t.surface if i == 0 or t.kind == "punctuation" or t.no_space_before
+                   else " " + t.surface for i, t in enumerate(tokens))
+    for i, ch in enumerate(text):
+        if ch.isalpha():
+            return text[:i] + ch.upper() + text[i + 1:]
+    return text
+
+
+def test_the_token_view_spells_the_text():
+    voices = list(BUILTIN_VOICES.values()) + DRAW_VOICES
+    literal = _story([FOX, GRAPES], _obtain(st.Text("the one that was not")))
+    for g in [literal] + [random_story(random.Random(k)) for k in range(30)]:
+        doc = tr.transform_story(g)
+        for model in voices:
+            for seed in range(2):
+                styled, _ = apply_voice(doc, model, seed)
+                texts = [rz.realize_sentence(s) for s in styled.sentences]
+                tokens = [rz.sentence_tokens(s) for s in styled.sentences]
+                assert texts == [_spaced(ts) for ts in tokens]
+                assert all((t.kind == "punctuation") == (t.surface in ",.!?")
+                           for ts in tokens for t in ts)
+                assert rz.realize_document(styled) == " ".join(texts)
+
+
+def test_only_the_token_view_builds_tokens(fox_graph, monkeypatch):
+    doc, _ = apply_voice(tr.transform_story(fox_graph), BUILTIN_VOICES["SHY"], 0)
+    text = rz.realize_document(doc)
+
+    def no_token(*args, **kwargs):
+        raise AssertionError("a Token was built")
+
+    monkeypatch.setattr(rz, "Token", no_token)
+    assert rz.realize_document(doc) == text
+    assert " ".join(rz.realize_sentence(s) for s in doc.sentences) == text
+    with pytest.raises(AssertionError):
+        rz.sentence_tokens(doc.sentences[0])
