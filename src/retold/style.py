@@ -6,7 +6,8 @@ in one loop over the active transforms: each fires with probability equal
 to its activation, drawing from a random stream derived from (seed,
 sentence index), so sentences are independent and the whole application
 is reproducible. :func:`apply_voice` is the only way in, so every applied
-transform is recorded as a StyleDecision.
+transform is recorded as a StyleDecision, whose site is a path into the
+final styled sentence, kept exact as later rewrites move nodes.
 
 Marker vocabulary (hedges, pauses, interjections, expletives, tags) is a
 fixed word list; insertions never change propositional content. The two
@@ -115,10 +116,9 @@ def _param_error(key: str, value: float) -> Optional[str]:
 
 
 class StyleDecision(Record):
-    """One applied transform. ``site`` is a dotted child path into the
-    styled sentence as of application time; when a later transform
-    restructures the clause so the path no longer resolves, it degrades
-    to "root" so that every recorded site exists in the final output."""
+    """One applied transform. ``site`` is a dotted child path into the final
+    styled sentence, naming the node the transform changed: a later rewrite
+    that moves nodes carries it along, to "root" if it removes that node."""
 
     __slots__ = _fields = ("sentence_index", "param", "site", "payload")
 
@@ -192,11 +192,7 @@ def _path_str(path: tuple[int, ...]) -> str:
 
 def coref_head(node: d.DSyntNode) -> Optional[str]:
     """Identity key for subject-coreference checks over full-NP trees."""
-    if node.cls == d.COMMON_NOUN:
-        return node.lexeme
-    if node.cls == d.FUNCTION_WORD:
-        return node.lexeme
-    return None
+    return node.lexeme if node.cls in (d.COMMON_NOUN, d.FUNCTION_WORD) else None
 
 
 # the classes that may govern a clause: a VERB (its complements and
@@ -255,9 +251,8 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
     no gate fired, nothing is walked and every flag is True. A
     sentence's sites are its subject drops, ``(path, "subject-drop")`` in
     post-order (a clause's nested drops before its own), then its pronouns,
-    ``(path, pronoun)`` in pre-order. A drop's path counts child positions
-    as they were before any drop in the sentence, a pronoun's as they are
-    after the drops.
+    ``(path, pronoun)`` in pre-order. Each path is a position in the
+    returned sentence, which :func:`apply_voice` keeps exact as it moves nodes.
     """
     if fire is None:
         fire = [True] * len(sentences)
@@ -266,9 +261,6 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
     counts: dict[tuple[str, str], int] = {}
     pronouns: dict[tuple[str, str, str], d.DSyntNode] = {}
     path: list[int] = []  # from the sentence root to the node being visited
-    # the depths at which ``path`` passes a clause below its dropped subject,
-    # where the position before the drop is one more
-    shifted: list[int] = []
     # the clauses whose subject a drop removes, by id, as the index of that
     # subject; each is visited next, as the first child of the "in order"
     # node the drop was found at
@@ -333,7 +325,6 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
             if c.cls not in _CLAUSE_SPINE:
                 new = phrase(c)
             else:
-                at = i if skip is None or i < skip else i + 1  # the position before the drop
                 if (hot and verb and c.lexeme == "in_order" and c.cls == d.FUNCTION_WORD
                         and c.children and c.children[0].cls == d.VERB
                         and _drops_subject(node, c.children[0])):
@@ -341,22 +332,14 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
                     skips[id(emb)] = next(k for k, x in enumerate(emb.children)
                                           if x.relation == d.I)
                     mine = mine or []
-                    mine.append(at)
-                if at == i:
-                    new = clause(c)
-                else:
-                    shifted.append(len(path) - 1)
-                    new = clause(c)
-                    shifted.pop()
+                    mine.append(i)
+                new = clause(c)
             path.pop()
             if new is not c:
                 new_children = new_children or list(children)
                 new_children[i] = new
         if mine:
-            here = list(path)
-            for depth in shifted:
-                here[depth] += 1
-            drops.extend(((*here, at, 0), "subject-drop") for at in mine)
+            drops.extend(((*path, i, 0), "subject-drop") for i in mine)
         if new_children is not None:
             children = tuple(new_children)
         elif skip is None:
@@ -377,48 +360,60 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
     return out_sentences, out_sites, out_unable
 
 
-def rewrite_unable_to_modal(node: d.DSyntNode) -> d.DSyntNode:
+def rewrite_unable_to_modal(node: d.DSyntNode, moves: Optional[list] = None,
+                            path: tuple[int, ...] = ()) -> d.DSyntNode:
     """Collapse negated "be able to VP" into modal "can" (realized
     "could not VP", contracted to "couldn't VP"). A tree with no such
-    clause comes back as the same object."""
+    clause comes back as the same object. Each rewritten clause's move (see
+    :func:`_rebase`) is appended to ``moves``, inner clauses first, with
+    ``path`` as the position of ``node``."""
     children = node.children
     if not children:
         return node
-    node = node.with_children(tuple(rewrite_unable_to_modal(c) if c.cls in _CLAUSE_SPINE else c
-                                    for c in children))
+    node = node.with_children(tuple(rewrite_unable_to_modal(c, moves, path + (k,))
+                                    if c.cls in _CLAUSE_SPINE else c
+                                    for k, c in enumerate(children)))
     able = _able_child(node)
-    if able is not None:
-        children = node.children[:able] + node.children[able + 1:]
-        return d.DSyntNode("can", node.cls, node.relation, node.features, children)
-    return node
+    if able is None:
+        return node
+    if moves is not None:
+        moves.append((path, lambda k: None if k == able else (k - (k > able),)))
+    children = node.children[:able] + node.children[able + 1:]
+    return d.DSyntNode("can", node.cls, node.relation, node.features, children)
 
 
-def enable_contractions(sentence: d.DSyntNode, unable: bool = True) -> d.DSyntNode:
+def enable_contractions(sentence: d.DSyntNode, unable: bool = True,
+                        moves: Optional[list] = None) -> d.DSyntNode:
     """Mark a clause for surface contraction and apply the tree rewrites
-    that only make sense in contracted register. A caller that knows the
-    sentence holds no clause :func:`rewrite_unable_to_modal` rewrites
-    passes ``unable=False`` and skips that walk."""
+    that only make sense in contracted register, appending their moves to
+    ``moves``. A caller that knows the sentence holds no clause
+    :func:`rewrite_unable_to_modal` rewrites passes ``unable=False`` and
+    skips that walk."""
     if unable:
-        sentence = rewrite_unable_to_modal(sentence)
+        sentence = rewrite_unable_to_modal(sentence, moves)
     return sentence.with_feature("contract", "on")
 
 
 # --- individual transforms --------------------------------------------------
 # each takes (sentence, rng, lexicon, memo), where memo is a dict private to
 # the sentence for one apply_voice call, and returns
-# (new_sentence, site_path, payload) or None when inapplicable
+# (new_sentence, site_path, payload, moves) or None when inapplicable, where
+# moves (see _rebase) say where the rewrite put the nodes it moved
+
+# an opener's move: the clause's old child k is now child k + 1
+_OPENED = (((), lambda k: (k + 1,)),)
 
 
 def _adverb(sent, word):
     """``sent`` with the pre-verbal adverb ``word`` as its last child."""
     adverb = d.DSyntNode(word, d.ADVERB, d.ATTR, {"position": "pre"})
-    return sent.with_children(sent.children + (adverb,)), (len(sent.children),), word
+    return sent.with_children(sent.children + (adverb,)), (len(sent.children),), word, ()
 
 
 def _opener(sent, text, payload):
     """``sent`` with ``text`` said before it, as its first child."""
     marker = d.DSyntNode(text, d.FUNCTION_WORD, d.APPEND, {"position": "pre"})
-    return sent.with_children((marker,) + sent.children), (0,), payload
+    return sent.with_children((marker,) + sent.children), (0,), payload, _OPENED
 
 
 def _softener(sent, rng, lex, memo):
@@ -451,7 +446,8 @@ def _stutter_sites(sent, lex):
     for path, node in d.walk(sent):
         if node.cls not in (d.COMMON_NOUN, d.ADJECTIVE):
             continue
-        if " " in node.lexeme or node.feature("stutter"):
+        # a literal of several words ("what was there", "grape_vine") never stutters
+        if " " in node.lexeme or "_" in node.lexeme or node.feature("stutter"):
             continue
         onset = lex.onset(node.lexeme, _LEXICON_POS[node.cls])
         if onset:
@@ -468,7 +464,7 @@ def _stutter(sent, rng, lex, memo):
     path, node, onset = rng.choice(sites)
     k = rng.choice((1, 2))
     new = d.replace_at(sent, path, node.with_feature("stutter", str(k)))
-    return new, path, f"{onset}-" * k
+    return new, path, f"{onset}-" * k, ()
 
 
 def _pronoun(np: d.DSyntNode) -> str:
@@ -499,13 +495,13 @@ def _tag_question(sent, rng, lex, memo):
         tag = f"{aux} {'it' if subject is None else _pronoun(subject)}"
     node = d.DSyntNode(tag, d.FUNCTION_WORD, d.APPEND, {"position": "post"})
     new = sent.with_children(sent.children + (node,)).with_feature("punct", "question")
-    return new, (len(sent.children),), tag + "?"
+    return new, (len(sent.children),), tag + "?", ()
 
 
 def _exclamation(sent, rng, lex, memo):
     if sent.feature("punct", "period") != "period":
         return None
-    return sent.with_feature("punct", "exclaim"), (), "!"
+    return sent.with_feature("punct", "exclaim"), (), "!", ()
 
 
 def _lexical_variation(sent, rng, lex, memo):
@@ -524,7 +520,7 @@ def _lexical_variation(sent, rng, lex, memo):
         return None
     new = d.replace_at(sent, path, d.DSyntNode(sub, node.cls, node.relation,
                                                node.features, node.children))
-    return new, path, f"{node.lexeme}->{sub}"
+    return new, path, f"{node.lexeme}->{sub}", ()
 
 
 def _negation_paraphrase(sent, rng, lex, memo):
@@ -539,22 +535,23 @@ def _negation_paraphrase(sent, rng, lex, memo):
     sub = synonym(entry, "casual", rng)
     if sub is None:
         return None
-    moved, kept = [], []
+    moved, kept, places = [], [], []
     direct_object = None
     for c in sent.children:
-        if c.relation in (d.II, d.III) or (c.relation == d.APPEND and c.cls == d.PREPOSITION):
-            moved.append(c)
-            if c.relation == d.II and c.cls != d.VERB:
-                direct_object = c
-        else:
-            kept.append(c)
+        down = c.relation in (d.II, d.III) or (c.relation == d.APPEND and c.cls == d.PREPOSITION)
+        group = moved if down else kept
+        places.append((down, len(group)))
+        group.append(c)
+        if down and c.relation == d.II and c.cls != d.VERB:
+            direct_object = c
     infinitive = d.DSyntNode(sub, d.VERB, d.II, {"polarity": "aff"}, tuple(moved))
     feats = dict(sent.features)
     feats["polarity"] = "aff"
     feats["sem_neg"] = "on"
     new = d.DSyntNode("fail", sent.cls, sent.relation, feats, tuple(kept) + (infinitive,))
     memo["paraphrased"] = (sent.lexeme, direct_object)
-    return new, (len(kept),), f"fail to {sub}"
+    where = tuple((len(kept), k) if down else (k,) for down, k in places)
+    return new, (len(kept),), f"fail to {sub}", (((), where.__getitem__),)
 
 
 def _restatement(sent, rng, lex, memo):
@@ -576,12 +573,13 @@ def _restatement(sent, rng, lex, memo):
             break
     new = sent.with_children(sent.children[:insert_at] + (restate,)
                              + sent.children[insert_at:])
-    return new, (insert_at,), f"did not {orig_lemma}"
+    return new, (insert_at,), f"did not {orig_lemma}", (((), lambda k: (k + (k >= insert_at),)),)
 
 
 def _contractions(sent, rng, lex, memo):
-    new = enable_contractions(sent)
-    return None if new is sent else (new, (), "on")
+    moves = []
+    new = enable_contractions(sent, True, moves)
+    return None if new is sent else (new, (), "on", moves)
 
 
 # (parameter, transform), in application order after the document-level
@@ -630,75 +628,69 @@ def _stream(seed: int, i: int, owed: int) -> Random:
     return rng
 
 
-def _resolves(sentence: d.DSyntNode, path: tuple[int, ...]) -> bool:
-    node = sentence
-    for i in path:
-        if i >= len(node.children):
-            return False
-        node = node.children[i]
-    return True
-
-
-def _resolved(sentence: d.DSyntNode, sites: list, decisions: list[StyleDecision]
-              ) -> list[StyleDecision]:
-    """``decisions``, one per ``(path, payload)`` site, each whose path does
-    not resolve in ``sentence`` copied with the site "root": the list itself
-    when every path resolves."""
-    out = decisions
-    for k, (path, _) in enumerate(sites):
-        if not _resolves(sentence, path):
-            if out is decisions:
-                out = list(decisions)
-            out[k] = decisions[k].replace(site="root")
-    return out
+def _rebase(path: tuple[int, ...], moves: Sequence[tuple]) -> tuple[int, ...]:
+    """``path`` carried through ``moves``, in the order the rewrites made
+    them. A move is (a node's path, a function from the index of each of
+    its old children to the child's new path under that node, or None for
+    one removed); a path through a removed node goes to the root."""
+    for parent, where in moves:
+        n = len(parent)
+        if len(path) > n and path[:n] == parent:
+            to = where(path[n])
+            path = () if to is None else parent + to + path[n + 1:]
+    return path
 
 
 class _SharedPrefix:
     """What every voice with one pronominalization fire vector does alike
     on one document, made by one walk per sentence (see
     :func:`pronominalize_sentences`): the pronominalized sentences, each
-    sentence's sites and its pronominalization decisions, one per site, and
-    those decisions as they stand in that sentence. Each sentence
-    contracted, its contractions decision and its pronominalization
-    decisions as they stand in the contracted tree are made when a voice
-    first needs them; only a sentence the walk found a negated "be able to
-    VP" in is walked again to contract it. A voice that leaves a sentence
-    as either tree takes its decisions as they are, unchecked. Nothing here
-    draws from the random streams, so the result depends on the sentences
-    and the fire vector alone."""
-    __slots__ = ("sentences", "sites", "decisions", "_resolved", "_unable", "_contracted")
+    sentence's sites and its pronominalization decisions, one per site.
+    Each sentence contracted, its contractions decision, and its sites and
+    pronominalization decisions carried into the contracted tree are made
+    when a voice first needs them; only a sentence the walk found a negated
+    "be able to VP" in is walked again to contract it, and only there can a
+    site move. A voice that leaves a sentence as either tree takes its
+    decisions as they are; one that moves nodes carries the sites along
+    (:func:`_rebase`) and keeps each decision whose site did not move.
+    Nothing here draws from the random streams, so the result depends on
+    the sentences and the fire vector alone."""
+    __slots__ = ("sentences", "sites", "decisions", "_unable", "_contracted", "_names")
 
     def __init__(self, sentences: tuple[d.DSyntNode, ...], fire: tuple[bool, ...]):
         self.sentences, self.sites, self._unable = pronominalize_sentences(sentences, fire)
-        names: dict[tuple[int, ...], str] = {}  # a few short paths recur in every sentence
-        self.decisions = [[StyleDecision(i, PRONOMINALIZATION, names.get(path)
-                                         or names.setdefault(path, _path_str(path)), payload)
+        self._names: dict[tuple[int, ...], str] = {}
+        self.decisions = [[StyleDecision(i, PRONOMINALIZATION, self.site(path), payload)
                            for path, payload in sites] for i, sites in enumerate(self.sites)]
-        self._resolved = list(map(_resolved, self.sentences, self.sites, self.decisions))
         self._contracted: dict[int, Optional[tuple]] = {}
+
+    def site(self, path: tuple[int, ...]) -> str:
+        """``path`` as a site, spelled once: a few short paths recur in every sentence."""
+        return self._names.get(path) or self._names.setdefault(path, _path_str(path))
+
+    def rebased(self, i: int, sites: list, decisions: list[StyleDecision],
+                moves: Sequence[tuple]) -> list[StyleDecision]:
+        """Sentence ``i``'s pronominalization ``decisions``, one per site in
+        ``sites``, carried through ``moves``: each whose site did not move
+        is kept."""
+        return [x if (new := _rebase(path, moves)) == path
+                else StyleDecision(i, PRONOMINALIZATION, self.site(new), payload)
+                for x, (path, payload) in zip(decisions, sites)]
 
     def contracted(self, i: int) -> Optional[tuple]:
         """Sentence ``i`` contracted, as (tree, contractions decision, its
-        pronominalization decisions as they stand in that tree), or None
-        when contracting leaves it as it is."""
+        pronominalization sites and decisions in that tree), or None when
+        contracting leaves it as it is."""
         if i not in self._contracted:
-            sentence, unable = self.sentences[i], self._unable[i]
-            new = enable_contractions(sentence, unable)
+            sentence, moves = self.sentences[i], []
+            new = enable_contractions(sentence, self._unable[i], moves)
+            sites, decisions = self.sites[i], self.decisions[i]
+            if moves:
+                decisions = self.rebased(i, sites, decisions, moves)
+                sites = [(_rebase(path, moves), payload) for path, payload in sites]
             self._contracted[i] = None if new is sentence else (
-                new, StyleDecision(i, CONTRACTIONS, "root", "on"),
-                # the rewrite removes a child; the feature alone moves no node
-                _resolved(new, self.sites[i], self.decisions[i]) if unable else self._resolved[i])
+                new, StyleDecision(i, CONTRACTIONS, "root", "on"), sites, decisions)
         return self._contracted[i]
-
-    def resolved(self, i: int, sentence: d.DSyntNode) -> list[StyleDecision]:
-        """Sentence ``i``'s pronominalization decisions as they stand in
-        ``sentence``, its styled tree."""
-        if sentence is self.sentences[i]:
-            return self._resolved[i]
-        hit = self._contracted.get(i)
-        if hit is not None and sentence is hit[0]:
-            return hit[2]
-        return _resolved(sentence, self.sites[i], self.decisions[i])
 
 
 def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
@@ -716,6 +708,10 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     with only 0 and 1.0 activations whose transforms draw nothing (FORMAL)
     makes no stream.
 
+    Each decision's site is a path into its final styled sentence: a
+    rewrite that moves nodes carries the sentence's earlier sites with them
+    (:func:`_rebase`).
+
     The pronominalization pass, its decision records and the contractions
     of the sentences it leaves are made once per ``doc`` object and fire
     vector and kept on the document (:meth:`record.Record.memo`) for later
@@ -732,12 +728,16 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
     active = [(param, transform, model.activation(param)) for param, transform in _SENTENCE_TRANSFORMS
               if model.activation(param) > 0.0]
-    # each active parameter's (sentence index, site path, decision), in sentence order
-    applied: list[list[tuple[int, tuple[int, ...], StyleDecision]]] = [[] for _ in active]
+    # each active parameter's decisions, in sentence order
+    applied: list[list[StyleDecision]] = [[] for _ in active]
 
-    sentences = []
+    # the pronominalization pass runs first, so its decisions come first
+    sentences, decisions = [], []
     for i, sentence in enumerate(shared.sentences):
         rng, owed, memo = rngs[i], owed_first, {}
+        sites, records = shared.sites[i], shared.decisions[i]
+        moves = []  # where the sentence's rewrites moved nodes, in order
+        mine = []  # (its parameter's decisions, parameter, site, payload, moves made by then)
         for (param, transform, a), made in zip(active, applied):
             if rng is None:
                 if a >= 1.0:
@@ -749,23 +749,22 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
             if transform is _contractions and sentence is shared.sentences[i]:
                 hit = shared.contracted(i)
                 if hit is not None:
-                    sentence, x, _ = hit
-                    made.append((i, (), x))
+                    sentence, x, sites, records = hit
+                    made.append(x)
                 continue
             if rng is None:
                 rng = _stream(seed, i, owed)
             result = transform(sentence, rng, lex, memo)
             if result is not None:
-                sentence, site, payload = result
-                made.append((i, site, StyleDecision(i, param, _path_str(site), payload)))
+                sentence, site, payload, moved = result
+                moves += moved
+                mine.append((made, param, site, payload, len(moves)))
         sentences.append(sentence)
-
-    # the pronominalization pass runs first, so its decisions come first
-    decisions = []
-    for i, sentence in enumerate(sentences):
-        decisions += shared.resolved(i, sentence)
+        decisions += shared.rebased(i, sites, records, moves) if moves else records
+        for made, param, site, payload, k in mine:
+            if k < len(moves):
+                site = _rebase(site, moves[k:])
+            made.append(StyleDecision(i, param, shared.site(site), payload))
     for made in applied:
-        # a root site always resolves
-        decisions += [x if not site or _resolves(sentences[i], site) else x.replace(site="root")
-                      for i, site, x in made]
+        decisions += made
     return d.Document(tuple(sentences)), decisions

@@ -169,29 +169,30 @@ def test_sentences_left_as_the_prefix_made_them_share_its_decisions(fox_graph, l
 def test_formal_returns_the_prefix_records_and_checks_no_site(fox_graph, lion_graph,
                                                                monkeypatch):
     formal = style.BUILTIN_VOICES["FORMAL"]
-    resolves = []
-    real = style._resolves
-    monkeypatch.setattr(style, "_resolves", lambda *args: resolves.append(args) or real(*args))
+    rebased = []
+    real = style._rebase
+    monkeypatch.setattr(style, "_rebase", lambda *args: rebased.append(args) or real(*args))
     for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
         doc = tr.transform_story(g)
         _, decisions = style.apply_voice(doc, formal, k)
         shared = doc.memo((True,) * len(doc.sentences), lambda: pytest.fail("no prefix"))
         own = []
-        for i, sentence in enumerate(shared.sentences):
-            tree, contraction, resolved = shared.contracted(i)
-            own += [contraction, *shared.resolved(i, sentence), *resolved]
+        for i in range(len(shared.sentences)):
+            tree, contraction, _, records = shared.contracted(i)
+            own += [contraction, *shared.decisions[i], *records]
         assert decisions and all(any(x is y for y in own) for x in decisions), g.id
-        # told again, FORMAL checks no site: each sentence is a prefix tree
-        del resolves[:]
+        # told again, FORMAL moves no site: each sentence is a prefix tree
+        del rebased[:]
         _, again = style.apply_voice(doc, formal, k)
-        assert resolves == [] and all(x is y for x, y in zip(again, decisions))
+        assert rebased == [] and all(x is y for x, y in zip(again, decisions))
         assert len(again) == len(decisions)
 
 
 def test_a_restyled_sentence_checks_each_site_in_its_final_tree(fox_graph, lion_graph):
-    """SHY after FORMAL: a sentence an opener or a stutter changed gets its
-    pronominalization decisions checked anew, each site that no longer
-    resolves copied with the site "root", as a fresh document gets them."""
+    """SHY after FORMAL: a sentence an opener changed gets its
+    pronominalization sites carried into its final tree, as a fresh
+    document gets them. Each names the node the prefix's site named, and a
+    decision whose site did not move is the prefix's own record."""
     restyled = 0
     for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
         doc = tr.transform_story(g)
@@ -201,15 +202,21 @@ def test_a_restyled_sentence_checks_each_site_in_its_final_tree(fox_graph, lion_
         assert (shy, decisions) == fresh
         shared = doc.memo((True,) * len(doc.sentences), lambda: pytest.fail("no prefix"))
         for i, sentence in enumerate(shy.sentences):
-            if sentence is shared.sentences[i] or sentence is shared.contracted(i)[0]:
+            # SHY contracts every sentence before any other rewrite
+            tree, _, sites, records = shared.contracted(i)
+            if sentence is tree:
                 continue
-            restyled += 1
-            positions = {path for path, _ in d.walk(sentence)}
             mine = [x for x in decisions
                     if x.sentence_index == i and x.param == style.PRONOMINALIZATION]
-            assert mine == [x if path in positions else x.replace(site="root")
-                            for (path, _), x in zip(shared.sites[i], shared.decisions[i])], \
-                (g.id, i)
+            assert [x.payload for x in mine] == [payload for _, payload in sites], (g.id, i)
+            for x, y, (path, _) in zip(mine, records, sites):
+                assert x.site != "root", (g.id, i, x)
+                node = d.node_at(sentence, tuple(map(int, x.site.split("."))))
+                was = d.node_at(tree, path)
+                assert (node.lexeme, node.cls, node.relation) == \
+                    (was.lexeme, was.cls, was.relation), (g.id, i, x)
+                assert (x is y) == (x.site == y.site), (g.id, i, x)
+                restyled += x is not y
     assert restyled > 0
 
 

@@ -27,12 +27,12 @@ from retold.transform import transform_story
 
 from conftest import random_story
 
-PINNED_SHA256 = "2ccebbbbe7bd92f283e8e3dc63e1833849ab323e3ddba79227f636d05793ee79"
+PINNED_SHA256 = "c1ff11f1d0d6e5dc64ed23b323f2f65a3d892142557c80ce15f652f3030e3763"
 
 EVERYTHING = style.VoiceModel("EVERYTHING", {p: 1.0 for p in sorted(style.PARAM_NAMES)})
 VOICES = [style.BUILTIN_VOICES[v] for v in ("NEUTRAL", "FORMAL", "SHY", "LAID-BACK")] + [EVERYTHING]
 
-DRAW_PINNED_SHA256 = "c81a7b126fe90308694340413086a204189cbde5306d13835fe6287ebdae384c"
+DRAW_PINNED_SHA256 = "f574bd848fe657bc97dadeceaba0a676f00b5c8138870461f301701d1a4cc290"
 
 DRAW_VOICES = (
     [style.VoiceModel(f"{p}@{a}", {p: a}) for a in (1.0, 0.5) for p in sorted(style.PARAM_NAMES)]

@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 from retold import dsynt as d
 from retold import style as sty
 from retold import transform as tr
+from retold.story import parse_story
 from retold.style import PARAM_NAMES, VoiceModel, apply_voice
 
 from conftest import random_story
@@ -20,18 +21,20 @@ from conftest import random_story
 # --- the full-rebuild passes, kept as the reference ----------------------------
 
 def rebuild_drop_coreferent_purpose_subject(sentence):
+    """The sentence with each coreferent purpose subject dropped, and the
+    position in it of each clause that lost its subject, in post-order.
+    Every node is rebuilt, so each position holds an object of its own."""
     dropped = []
 
-    def rewrite(node, path):
-        node = node.replace(children=tuple(rewrite(c, path + (i,))
-                                           for i, c in enumerate(node.children)))
+    def rewrite(node):
+        node = node.replace(children=tuple(map(rewrite, node.children)))
         if node.cls != d.VERB:
             return node
         matrix_subject = node.child(d.I)
         if matrix_subject is None:
             return node
         new_children = []
-        for i, c in enumerate(node.children):
+        for c in node.children:
             if (c.cls == d.FUNCTION_WORD and c.lexeme == "in_order" and c.children
                     and c.children[0].cls == d.VERB):
                 emb = c.children[0]
@@ -41,11 +44,13 @@ def rebuild_drop_coreferent_purpose_subject(sentence):
                     emb = emb.replace(children=tuple(x for x in emb.children
                                                      if x is not emb_subject))
                     c = c.replace(children=(emb,) + c.children[1:])
-                    dropped.append(path + (i, 0))
+                    dropped.append(emb)
             new_children.append(c)
         return node.replace(children=tuple(new_children))
 
-    return rewrite(sentence, ()), dropped
+    sentence = rewrite(sentence)
+    at = {id(node): path for path, node in d.walk(sentence)}
+    return sentence, [at[id(emb)] for emb in dropped]
 
 
 def rebuild_pronominalize_sentences(sentences, fire):
@@ -80,9 +85,11 @@ def rebuild_pronominalize_sentences(sentences, fire):
     return out_sentences, out_sites, unable
 
 
-def rebuild_rewrite_unable_to_modal(node):
-    node = node.replace(children=tuple(rebuild_rewrite_unable_to_modal(c)
-                                       for c in node.children))
+def rebuild_rewrite_unable_to_modal(node, removed=None, path=()):
+    """The rewrite, with the position of each ``able`` it removes, as it
+    was in the input, appended to ``removed``."""
+    node = node.replace(children=tuple(rebuild_rewrite_unable_to_modal(c, removed, path + (i,))
+                                       for i, c in enumerate(node.children)))
     if (node.cls == d.VERB and node.lexeme == "be"
             and node.feature("polarity") == "neg"):
         able = [c for c in node.children
@@ -90,21 +97,31 @@ def rebuild_rewrite_unable_to_modal(node):
         inf = [c for c in node.children
                if c.relation == d.II and c.cls == d.VERB and "tense" not in c.features]
         if able and inf:
+            if removed is not None:
+                removed.append(path + (next(i for i, c in enumerate(node.children)
+                                            if c is able[0]),))
             children = tuple(c for c in node.children if c is not able[0])
             return node.replace(lexeme="can", children=children)
     return node
 
 
-def rebuild_enable_contractions(sentence):
-    return rebuild_rewrite_unable_to_modal(sentence).with_feature("contract", "on")
+def rebuild_enable_contractions(sentence, removed=None):
+    return rebuild_rewrite_unable_to_modal(sentence, removed).with_feature("contract", "on")
 
 
-def _resolved_oracle(tree, i, sites):
-    """Sentence ``i``'s pronominalization decisions for ``sites``, each whose
-    path is no position in ``tree`` with the site "root"."""
-    positions = {path for path, _ in d.walk(tree)}
-    return [sty.StyleDecision(i, sty.PRONOMINALIZATION,
-                              sty._path_str(path) if path in positions else "root", payload)
+def _moved_sites(tree, contracted, removed, sites):
+    """``sites`` in ``tree`` as positions in ``contracted``: the rewrite
+    removes only the ``able`` leaves at ``removed``, so every other node
+    keeps its rank in pre-order."""
+    kept = [path for path, _ in d.walk(tree) if path not in removed]
+    now = [path for path, _ in d.walk(contracted)]
+    assert len(kept) == len(now)
+    where = dict(zip(kept, now))
+    return [(where[path], payload) for path, payload in sites]
+
+
+def _decisions(i, sites):
+    return [sty.StyleDecision(i, sty.PRONOMINALIZATION, sty._path_str(path), payload)
             for path, payload in sites]
 
 
@@ -117,17 +134,20 @@ def _check_prefix(sentences, fire):
     assert prefix.sentences == want_sentences
     for i, (tree, sites) in enumerate(zip(want_sentences, want_sites)):
         assert prefix.sites[i] == sites
-        assert prefix.decisions[i] == [sty.StyleDecision(i, sty.PRONOMINALIZATION,
-                                                         sty._path_str(path), payload)
-                                       for path, payload in sites]
-        assert prefix.resolved(i, prefix.sentences[i]) == _resolved_oracle(tree, i, sites)
-        contracted = rebuild_enable_contractions(tree)
+        assert prefix.decisions[i] == _decisions(i, sites)
+        removed = []
+        contracted = rebuild_enable_contractions(tree, removed)
         assert sty.enable_contractions(prefix.sentences[i], want_unable[i]) == contracted
-        new, decision, resolved = prefix.contracted(i)
+        new, decision, new_sites, records = prefix.contracted(i)
         assert new == contracted
         assert decision == sty.StyleDecision(i, "contractions", "root", "on")
-        assert resolved == _resolved_oracle(contracted, i, sites)
-        assert prefix.resolved(i, new) is resolved
+        assert new_sites == _moved_sites(tree, contracted, removed, sites)
+        assert records == _decisions(i, new_sites)
+        # a decision whose site the rewrite did not move is the prefix's own
+        assert [x is y for x, y in zip(records, prefix.decisions[i])] == \
+            [a == b for a, b in zip(new_sites, sites)]
+        if not removed:
+            assert new_sites is prefix.sites[i] and records is prefix.decisions[i]
     return prefix
 
 
@@ -157,7 +177,7 @@ def _in_order(clause):
 def test_nested_subject_drops_come_in_post_order():
     # the fox jumped in order [for the fox] to reach the grapes in order
     # [for the fox] to eat them: the inner clause's drop is recorded first,
-    # at its position before the outer drop moved it
+    # at its position in the final tree, one before where it was
     eat = d.attach(d.attach(d.DSyntNode("eat", d.VERB), _np("fox"), d.I),
                    _np("grapes", d.II, None), d.II)
     reach = d.attach(d.attach(d.DSyntNode("reach", d.VERB), _np("fox"), d.I),
@@ -167,12 +187,53 @@ def test_nested_subject_drops_come_in_post_order():
     sentence = d.attach(jump, _in_order(reach), d.APPEND)
     fox_again = d.attach(d.DSyntNode("sit", d.VERB, features={"tense": "past"}), _np("fox"), d.I)
     prefix = _check_prefix([sentence, fox_again], [True, True])
-    assert prefix.sites[0] == [((1, 0, 2, 0), "subject-drop"), ((1, 0), "subject-drop")]
+    assert prefix.sites[0] == [((1, 0, 1, 0), "subject-drop"), ((1, 0), "subject-drop")]
     # a dropped subject is no mention: the fox of the next sentence is its second
     assert prefix.sites[1] == [((0,), "he")]
     reach_now = d.node_at(prefix.sentences[0], (1, 0))
     assert [c.lexeme for c in reach_now.children] == ["grapes", "in_order"]
     assert [c.lexeme for c in d.node_at(reach_now, (1, 0)).children] == ["grapes"]
+    assert [d.node_at(prefix.sentences[0], path).lexeme
+            for path, _ in prefix.sites[0]] == ["eat", "reach"]
+
+
+NESTED_UNABLE = """story t "T"
+
+entities
+  fox character fox
+  crow character crow pronoun=she
+  grapes object group group_of=grape
+
+timeline
+  0:
+    see see(Experiencer=fox, Stimulus=crow)
+  1:
+    obtain obtain(Agent=fox, Theme=grapes) polarity=neg
+      cause:
+        be_able be(Experiencer=fox, Attribute=@able) polarity=neg
+          role Action:
+            reach reach(Agent=fox, Theme=grapes)
+          prep with: crow
+"""
+
+
+def test_a_nested_able_rewrite_moves_the_sites_after_it():
+    # "... because he couldn't reach the group of grapes with her": the
+    # contraction removes "able" from the clause under "because", so the
+    # crow's pronoun after it moves back by one
+    doc = tr.transform_story(parse_story(NESTED_UNABLE))
+    prefix = _check_prefix(list(doc.sentences), [True, True])
+    assert prefix.sites[1] == [((0,), "he"), ((2, 0, 0), "he"), ((2, 0, 3, 0), "she")]
+    assert d.node_at(prefix.sentences[1], (2, 0, 2)).lexeme == "able"
+    styled, decisions = apply_voice(doc, sty.BUILTIN_VOICES["FORMAL"], 0)
+    sites = [x.site for x in decisions if x.param == sty.PRONOMINALIZATION]
+    assert sites == ["0", "2.0.0", "2.0.2.0"]
+    assert d.node_at(styled.sentences[1], (2, 0, 2, 0)).lexeme == "she"
+    # the decisions whose sites did not move are the prefix's own
+    assert decisions[:2] == prefix.decisions[1][:2]
+    shared = doc.memo((True, True), lambda: pytest.fail("no prefix"))
+    assert all(x is y for x, y in zip(decisions[:2], shared.decisions[1]))
+    assert decisions[2] is not shared.decisions[1][2]
 
 
 def test_the_walk_notes_every_sentence_the_contractions_rewrite(fixture_sentences):

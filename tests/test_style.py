@@ -212,6 +212,21 @@ def test_stuttering_skips_vowel_initial_words():
     assert styled == doc
 
 
+def test_stuttering_skips_a_literal_of_several_words():
+    # an underscore joins the words of a literal, which prints them spaced
+    def seen(literal):
+        g = _story([FOX], _prop("p", "see", "see", [("Experiencer", st.EntityRef("fox")),
+                                                    ("Stimulus", st.Text(literal))]))
+        doc = tr.transform_story(g)
+        model = style.VoiceModel("probe", {"stuttering": 1.0})
+        return [realize_sentence(style.apply_voice(doc, model, seed)[0].sentences[0])
+                for seed in range(12)]
+
+    texts = seen("grape_vine")
+    assert all(text.endswith(" saw grape vine.") and "_" not in text for text in texts), texts
+    assert any(text.endswith(" saw gr-grapevine.") for text in seen("grapevine"))
+
+
 def test_negation_paraphrase_produces_failed_to():
     g = _story([FOX, GRAPES],
                _prop("p", "obtain", "obtain", [("Agent", st.EntityRef("fox")),
@@ -303,6 +318,105 @@ def test_every_decision_site_resolves_in_the_styled_output():
             d.node_at(sentence, _site_path(dec.site))  # must not raise
 
 
+def _names_its_node(dec, sentence):
+    """Whether ``dec``'s site names, in ``sentence``, the node it changed:
+    the pronoun, or the clause whose subject it dropped; the synonym; the
+    stuttered word; the marker word; the new verb."""
+    path = _site_path(dec.site)
+    node = d.node_at(sentence, path)
+    param, payload = dec.param, dec.payload
+    if param == style.PRONOMINALIZATION and payload == "subject-drop":
+        return (node.cls == d.VERB and node.child(d.I) is None
+                and d.node_at(sentence, path[:-1]).lexeme == "in_order")
+    if param == "stuttering":
+        return "stutter" in node.features
+    if param in ("negation_paraphrase", "restatement"):
+        return node.cls == d.VERB and payload.split(" ")[-1] == node.lexeme
+    words = {
+        style.PRONOMINALIZATION: (payload,),
+        "lexical_variation": (payload.split("->")[-1],),
+        "softener_hedges": (payload, style.SOFTENER_CLAUSAL_PAST.get(payload)),
+        "emphasizer_hedges": (payload,),
+        "expletives": (payload,),
+        "filled_pauses": (payload + "...",),
+        "initial_interjection": (payload + ",",),
+        "tag_question": (payload[:-1],),
+    }
+    return node.lexeme in words.get(param, ())
+
+
+def test_every_site_names_the_node_its_decision_changed(fox_graph, lion_graph):
+    """A site is a path into the final styled sentence, kept exact as later
+    rewrites move nodes: each one that is not the root names the node its
+    payload describes, and no pronoun or subject drop sits at the root."""
+    from test_many_voices import _random_voices
+    from test_output_pin import DRAW_VOICES, EVERYTHING
+
+    voices = list(style.BUILTIN_VOICES.values()) + [EVERYTHING] + DRAW_VOICES + _random_voices(
+        random.Random(19), 6)
+    graphs = [fox_graph, lion_graph] + [random_story(random.Random(k)) for k in range(30)]
+    checked = Counter()
+    for g in graphs:
+        doc = tr.transform_story(g)
+        for model in voices:
+            for seed in range(2):
+                styled, decisions = style.apply_voice(doc, model, seed)
+                for dec in decisions:
+                    where = (g.id, model.name, seed, dec)
+                    if dec.site == "root":
+                        assert dec.param != style.PRONOMINALIZATION, where
+                        continue
+                    assert _names_its_node(dec, styled.sentences[dec.sentence_index]), where
+                    checked[dec.param] += 1
+    # every parameter that inserts or replaces a node was checked somewhere
+    assert set(checked) == style.PARAM_NAMES - {"contractions", "exclamation"}, checked
+
+
+REFUSED = """story t "T"
+
+entities
+  fox character fox
+  crow character crow pronoun=she
+
+timeline
+  0:
+    see see(Experiencer=crow, Stimulus=fox)
+  1:
+    obtain obtain(Agent=fox, Theme=crow) polarity=neg
+      cause:
+        be_able be(Experiencer=fox, Attribute=@able) polarity=neg
+          role Action:
+            reach reach(Agent=fox, Theme=crow)
+"""
+
+
+@pytest.mark.parametrize("params,text,sites", [
+    # the paraphrase moves "her" under "get", and the restatement goes in
+    # before "because", moving the clause it heads
+    ({}, "He failed to get her, did not obtain her, because he was not able to reach her.",
+     [("pronominalization", "0"), ("pronominalization", "3.0"),
+      ("pronominalization", "2.0.0"), ("pronominalization", "2.0.1.0"),
+      ("negation_paraphrase", "3"), ("restatement", "1")]),
+    # then the contraction drops "able", which comes after "reach", and the
+    # opener moves every child of the clause
+    ({"contractions": 1.0, "initial_interjection": 1.0},
+     "Ok, he failed to get her, didn't obtain her, because he couldn't reach her.",
+     [("pronominalization", "1"), ("pronominalization", "4.0"),
+      ("pronominalization", "3.0.0"), ("pronominalization", "3.0.1.0"),
+      ("negation_paraphrase", "4"), ("restatement", "2"), ("contractions", "root"),
+      ("initial_interjection", "0")]),
+])
+def test_each_rewrite_carries_the_sites_it_moves(params, text, sites):
+    doc = tr.transform_story(st.parse_story(REFUSED))
+    model = style.VoiceModel("probe", {"pronominalization": 1.0, "negation_paraphrase": 1.0,
+                                       "restatement": 1.0, **params})
+    styled, decisions = style.apply_voice(doc, model, 0)
+    assert realize_sentence(styled.sentences[1]) == text
+    mine = [x for x in decisions if x.sentence_index == 1]
+    assert [(x.param, x.site) for x in mine] == sites
+    assert all(x.site == "root" or _names_its_node(x, styled.sentences[1]) for x in mine)
+
+
 def test_insert_marker_skips_inapplicable_sites(fox_doc):
     questioned = d.Document((fox_doc.sentences[0].with_feature("punct", "question"),))
     for param in ("tag_question", "exclamation"):
@@ -334,9 +448,9 @@ def test_content_superset_after_styling(fox_doc, lexicon):
         expected = Counter(neutral_stems)
         for dec in decisions:
             if dec.param == "lexical_variation":
-                old = dec.payload.split("->")[0]
-                node = d.node_at(fox_doc.sentences[dec.sentence_index],
-                                 _site_path(dec.site))
+                old, sub = dec.payload.split("->")
+                node = d.node_at(styled.sentences[dec.sentence_index], _site_path(dec.site))
+                assert dec.site == "root" or node.lexeme == sub, (seed, dec)
                 surface = old
                 if node.cls == d.VERB and "tense" in node.features:
                     surface = inflect(lexicon.lookup(old, VERB), {"tense": "past"})
@@ -565,20 +679,22 @@ def test_load_voice_errors_name_the_file(tmp_path):
 
 # sha256 of the newline-joined reprs of apply_voice's decisions at seed 0,
 # and their count; recorded from the pipeline before decision sites were
-# kept as tuples, so that the site bookkeeping keeps every site and payload
+# kept as tuples, so that the site bookkeeping keeps every site and payload.
+# The SHY and LAID-BACK digests were recomputed when each site became a path
+# into the final styled sentence; only their sites moved, and FORMAL's held
 GOLDEN_DECISIONS = {
     ("fox_and_grapes", "FORMAL"):
         (17, "fe904822445e80a8227e5a74e89562d8c26d4cd02ecdcf7870c781de1d1f97ac"),
     ("fox_and_grapes", "SHY"):
-        (27, "76ced6ef09b1e5e0ee5c1e93a1647a0dfb277069f4cde7075a6eb0dcb4076b59"),
+        (27, "3947a5b52ce6c920e7b63494e5d5f875ee95fd39dcd1d50c962d65db220b9f23"),
     ("fox_and_grapes", "LAID-BACK"):
-        (28, "fc2c6ea8426e6307ea357e916a3102b90fdcc8e9506df823a5cc964f8bb7bd8c"),
+        (28, "7171d936a5c3bae9daf87403def32acd393e24c817c0cd83db4c0837d010b3be"),
     ("lion_and_boar", "FORMAL"):
         (38, "00ad2b924e7b55ff242367e674387567376bb2cd98c9ef12dd48e0548ea50601"),
     ("lion_and_boar", "SHY"):
-        (55, "0bfb2e5b75f7aba82fc2d98c67f0a6eec0831bc95a0444e551b379ca1ae25c0c"),
+        (55, "770515647de6169af3df5a1c7903cf1b2c92b43d7f07dd75c9735a233c5cadb2"),
     ("lion_and_boar", "LAID-BACK"):
-        (59, "b9726cfeec376d1a8d6e137a340e77fdf6ba682213e7049af06c8d79ed03aba6"),
+        (59, "c64d444911d30f10c66b1282d3a776f3707cb8db59f1318e21cbe8525a291d94"),
 }
 
 
