@@ -143,7 +143,10 @@ class Lexicon:
         """The part of ``lemma`` a stutter repeats: the ``onset=`` split of
         its (lemma, pos) entry if it has one, else the letters before the
         first vowel ("tr" of "trellis"). It is empty for a lemma that starts
-        with a vowel or has none, and such a word is never stuttered."""
+        with a vowel or has none, and for a literal of several words ("what
+        was there", "grape_vine"); such a word is never stuttered."""
+        if " " in lemma or "_" in lemma:
+            return ""
         entry = self._entries.get((lemma, pos))
         if entry is not None and entry.onset_split is not None:
             return entry.onset_split[0]

@@ -37,7 +37,7 @@ Both memos are dropped with the realizer when the call returns.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import dsynt as d
 from .lexicon import (
@@ -146,8 +146,8 @@ def _token(piece: str) -> Token:
 
 
 class _Realizer:
-    def __init__(self, lexicon: Lexicon):
-        self.lexicon = lexicon
+    def __init__(self):
+        self.lexicon = default_lexicon()
         # id(node) -> (node, its pieces), for noun and prepositional phrases
         self._phrases: dict[int, tuple[d.DSyntNode, tuple[str, ...]]] = {}
         # (lemma, number) -> the past-tense verb piece
@@ -192,7 +192,7 @@ class _Realizer:
     def _stuttered(self, node: d.DSyntNode, surface: str, onset: str) -> Sequence[str]:
         """``surface`` with the ``stutter`` count of ``onset`` fragments
         before it; called only for a node that has the feature."""
-        if not onset or " " in surface:
+        if not onset:
             return _words(surface)
         frags = [(" " if k == 0 else "") + onset + "-"
                  for k in range(int(node.features["stutter"]))]
@@ -203,7 +203,7 @@ class _Realizer:
         if not self.lexicon.has(surface, NOUN):
             # a literal noun phrase is realized verbatim
             onset = self.lexicon.onset(surface, NOUN) if node.features.get("stutter") else ""
-            if onset and " " not in surface:
+            if onset:
                 return self._stuttered(node, _Literal(surface), onset)
             words = surface.replace("_", " ").split()
             return (_Literal(" " + " ".join(words)),) if words else ()
@@ -357,18 +357,18 @@ class _Realizer:
         return pieces
 
 
-def sentence_tokens(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> list[Token]:
+def sentence_tokens(root: d.DSyntNode) -> list[Token]:
     """The sentence's words and marks as :class:`Token` records, in order;
     a quoted literal is one token."""
-    return [_token(p) for p in _Realizer(lexicon or default_lexicon()).sentence_pieces(root)]
+    return [_token(p) for p in _Realizer().sentence_pieces(root)]
 
 
-def realize_sentence(root: d.DSyntNode, lexicon: Optional[Lexicon] = None) -> str:
-    return _join(_Realizer(lexicon or default_lexicon()).sentence_pieces(root))
+def realize_sentence(root: d.DSyntNode) -> str:
+    return _join(_Realizer().sentence_pieces(root))
 
 
-def realize_document(doc: d.Document, lexicon: Optional[Lexicon] = None) -> str:
+def realize_document(doc: d.Document) -> str:
     """The sentences' texts joined by single spaces, each shared phrase
     realized once."""
-    realizer = _Realizer(lexicon or default_lexicon())
+    realizer = _Realizer()
     return " ".join(_join(realizer.sentence_pieces(sentence)) for sentence in doc.sentences)

@@ -378,8 +378,8 @@ def _siblings(lines: list[tuple]) -> Iterator[tuple]:
 
 
 class _Parser:
-    def __init__(self, lexicon: Lexicon):
-        self.lexicon = lexicon
+    def __init__(self):
+        self.lexicon = default_lexicon()
         (self.story_re, self.prop_re, self.binding_re, self.timespan_re, self.adverb_re,
          self.prep_re, self.slot_re) = _patterns()
         self.entities: dict[str, Entity] = {}
@@ -590,7 +590,7 @@ class _Parser:
         raise StoryReferenceError(f"unknown entity {text!r}", lineno)
 
 
-def parse_story(encoded_text: str, lexicon: Optional[Lexicon] = None) -> StoryGraph:
+def parse_story(encoded_text: str) -> StoryGraph:
     """Parse a story document; one leading byte-order mark is dropped.
 
     Raises StorySyntaxError for malformed input, StoryReferenceError for
@@ -599,8 +599,7 @@ def parse_story(encoded_text: str, lexicon: Optional[Lexicon] = None) -> StoryGr
     do not block construction (timeline gaps, role arity) are reported by
     :func:`validate_story` instead.
     """
-    lex = lexicon or default_lexicon()
-    return _Parser(lex).parse(_outline(without_bom(encoded_text)))
+    return _Parser().parse(_outline(without_bom(encoded_text)))
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +779,7 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
     return out
 
 
-def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Diagnostic]:
+def validate_story(g: StoryGraph) -> list[Diagnostic]:
     """Cross-reference checks over a structurally well-formed graph.
 
     The transform runs this first and refuses a story at its first ERROR;
@@ -789,16 +788,15 @@ def validate_story(g: StoryGraph, lexicon: Optional[Lexicon] = None) -> list[Dia
     :data:`MAX_NESTING_DEPTH`. Structural problems that the parser
     already rejects (bad syntax) cannot appear here.
 
-    The diagnostics are kept with the graph, for the lexicon object they
-    were found with (see :meth:`record.Record.memo`), so validating a graph
-    again, as the transform does, costs a copy. Each call returns a list of
-    its own.
+    The diagnostics are kept with the graph (see :meth:`record.Record.memo`),
+    so validating a graph again, as the transform does, costs a copy. Each
+    call returns a list of its own.
     """
-    lex = lexicon or default_lexicon()
-    return list(g.memo(lex, lambda: _diagnostics(g, lex)))
+    return list(g.memo(None, lambda: _diagnostics(g)))
 
 
-def _diagnostics(g: StoryGraph, lex: Lexicon) -> tuple[Diagnostic, ...]:
+def _diagnostics(g: StoryGraph) -> tuple[Diagnostic, ...]:
+    lex = default_lexicon()
     out: list[Diagnostic] = []
 
     def err(location: str, message: str) -> None:

@@ -37,7 +37,6 @@ from .lexicon import (
     ADJECTIVE,
     NOUN,
     VERB,
-    Lexicon,
     default_lexicon,
     synonym,
 )
@@ -444,10 +443,7 @@ def _expletive(sent, rng, lex, memo):
 def _stutter_sites(sent, lex):
     sites = []
     for path, node in d.walk(sent):
-        if node.cls not in (d.COMMON_NOUN, d.ADJECTIVE):
-            continue
-        # a literal of several words ("what was there", "grape_vine") never stutters
-        if " " in node.lexeme or "_" in node.lexeme or node.feature("stutter"):
+        if node.cls not in (d.COMMON_NOUN, d.ADJECTIVE) or node.feature("stutter"):
             continue
         onset = lex.onset(node.lexeme, _LEXICON_POS[node.cls])
         if onset:
@@ -479,7 +475,8 @@ def _tag_question(sent, rng, lex, memo):
     that carries its "not" (see :data:`realize.NOT_CARRIERS`) in the
     realizer's past form (:func:`realize.past_form`), contracted when the
     clause is affirmative, and its subject's pronoun: "wasn't it?", "did
-    he?"."""
+    he?". A clause whose verb carries the "not" of its negated
+    to-infinitive ("was not to reach") reads as negated."""
     if sent.feature("punct", "period") != "period":
         return None
     if rng.random() < 0.5:
@@ -487,10 +484,15 @@ def _tag_question(sent, rng, lex, memo):
     else:
         subject = sent.child(d.I)
         aux = "did"
+        negated = sent.feature("polarity") == "neg"
         if sent.lexeme in NOT_CARRIERS:
             number = "sg" if subject is None else subject.feature("number", "sg")
             aux = past_form(lex, sent.lexeme, number)
-        if sent.feature("polarity") != "neg":
+            complement = sent.child(d.II)
+            negated = negated or (complement is not None and complement.cls == d.VERB
+                                  and "tense" not in complement.features
+                                  and complement.feature("polarity") == "neg")
+        if not negated:
             aux = CONTRACTIBLE.get((aux, "not"), aux)
         tag = f"{aux} {'it' if subject is None else _pronoun(subject)}"
     node = d.DSyntNode(tag, d.FUNCTION_WORD, d.APPEND, {"position": "post"})
@@ -620,14 +622,6 @@ BUILTIN_VOICES = {
 
 # --- the engine ---------------------------------------------------------------
 
-def _stream(seed: int, i: int, owed: int) -> Random:
-    """Sentence ``i``'s random stream with ``owed`` draws already made."""
-    rng = Random(f"{seed}:{i}")
-    for _ in range(owed):
-        rng.random()
-    return rng
-
-
 def _rebase(path: tuple[int, ...], moves: Sequence[tuple]) -> tuple[int, ...]:
     """``path`` carried through ``moves``, in the order the rewrites made
     them. A move is (a node's path, a function from the index of each of
@@ -693,20 +687,17 @@ class _SharedPrefix:
         return self._contracted[i]
 
 
-def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
-                lexicon: Optional[Lexicon] = None
-                ) -> tuple[d.Document, list[StyleDecision]]:
+def apply_voice(doc: d.Document, model: VoiceModel,
+                seed: int) -> tuple[d.Document, list[StyleDecision]]:
     """Apply a voice model to a document.
 
     Reproducible: equal (doc, model, seed) triples give equal outputs and
     decision lists. The all-zero model is the identity.
 
-    Sentence ``i`` draws from ``random.Random(f"{seed}:{i}")``, made at its
-    first draw against an activation strictly between 0 and 1 or when a
-    transform needs it. A draw against 1.0 fires whatever it gives, so
-    until then it is only counted, and replayed on the new stream. A voice
-    with only 0 and 1.0 activations whose transforms draw nothing (FORMAL)
-    makes no stream.
+    A voice draws if it has an activation strictly between 0 and 1 or an
+    active sentence transform other than the contractions. Then sentence
+    ``i`` draws from ``random.Random(f"{seed}:{i}")``, every active gate
+    included, a gate at 1.0 too; otherwise (FORMAL) no stream is made.
 
     Each decision's site is a path into its final styled sentence: a
     rewrite that moves nodes carries the sentence's earlier sites with them
@@ -719,31 +710,26 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
     """
     if not any(float(a) > 0.0 for a in model.params.values()):
         return doc, []
-    lex = lexicon or default_lexicon()
-    a = model.activation(PRONOMINALIZATION)
-    # a fractional pass needs every gate, and each is the first draw of its stream
-    rngs = [Random(f"{seed}:{i}") if 0.0 < a < 1.0 else None for i in range(len(doc.sentences))]
-    fire = tuple(a >= 1.0 or (rng is not None and rng.random() < a) for rng in rngs)
-    owed_first = int(a >= 1.0)
-    shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
+    lex = default_lexicon()
     active = [(param, transform, model.activation(param)) for param, transform in _SENTENCE_TRANSFORMS
               if model.activation(param) > 0.0]
+    draws = (any(0.0 < float(a) < 1.0 for a in model.params.values())
+             or any(transform is not _contractions for _, transform, _ in active))
+    rngs = [Random(f"{seed}:{i}") if draws else None for i in range(len(doc.sentences))]
+    a = model.activation(PRONOMINALIZATION)
+    fire = tuple(a > 0.0 and (rng is None or rng.random() < a) for rng in rngs)
+    shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
     # each active parameter's decisions, in sentence order
     applied: list[list[StyleDecision]] = [[] for _ in active]
 
     # the pronominalization pass runs first, so its decisions come first
     sentences, decisions = [], []
     for i, sentence in enumerate(shared.sentences):
-        rng, owed, memo = rngs[i], owed_first, {}
+        rng, memo = rngs[i], {}
         sites, records = shared.sites[i], shared.decisions[i]
         moves = []  # where the sentence's rewrites moved nodes, in order
         mine = []  # (its parameter's decisions, parameter, site, payload, moves made by then)
         for (param, transform, a), made in zip(active, applied):
-            if rng is None:
-                if a >= 1.0:
-                    owed += 1  # it fires whatever it draws
-                else:
-                    rng = _stream(seed, i, owed)
             if rng is not None and rng.random() >= a:
                 continue
             if transform is _contractions and sentence is shared.sentences[i]:
@@ -752,8 +738,6 @@ def apply_voice(doc: d.Document, model: VoiceModel, seed: int,
                     sentence, x, sites, records = hit
                     made.append(x)
                 continue
-            if rng is None:
-                rng = _stream(seed, i, owed)
             result = transform(sentence, rng, lex, memo)
             if result is not None:
                 sentence, site, payload, moved = result

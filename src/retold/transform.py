@@ -26,7 +26,7 @@ from typing import Optional
 from . import dsynt as d
 from . import story as s
 from .diagnostics import ERROR
-from .lexicon import INFINITIVE, FrameDef, Lexicon, default_lexicon
+from .lexicon import INFINITIVE, FrameDef, default_lexicon
 
 
 class TransformError(Exception):
@@ -56,8 +56,8 @@ class DiscourseContext:
     """
     __slots__ = ("lexicon", "entities", "nps", "pps", "clauses")
 
-    def __init__(self, lexicon: Lexicon, entities: dict[str, s.Entity]):
-        self.lexicon = lexicon
+    def __init__(self, entities: dict[str, s.Entity]):
+        self.lexicon = default_lexicon()
         self.entities = entities
         self.nps: dict[tuple, d.DSyntNode] = {}
         self.pps: dict[tuple, d.DSyntNode] = {}
@@ -197,7 +197,7 @@ def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DS
     raise TransformError(f"unsupported discourse relation {relation!r}")
 
 
-def transform_story(g: s.StoryGraph, lexicon: Optional[Lexicon] = None) -> d.Document:
+def transform_story(g: s.StoryGraph) -> d.Document:
     """One sentence root per top-level proposition, in timeline order.
 
     :func:`story.validate_story` is the one gate: a story it reports an
@@ -206,12 +206,11 @@ def transform_story(g: s.StoryGraph, lexicon: Optional[Lexicon] = None) -> d.Doc
     :class:`DiscourseContext`); the memo that makes them so lives only as
     long as this call.
     """
-    lexicon = lexicon or default_lexicon()
-    diagnostics = s.validate_story(g, lexicon)
+    diagnostics = s.validate_story(g)
     first = next((x for x in diagnostics if x.severity == ERROR), None)
     if first is not None:
         raise TransformError(first.message, first.location, diagnostics)
-    ctx = DiscourseContext(lexicon, {e.id: e for e in g.entities})
+    ctx = DiscourseContext({e.id: e for e in g.entities})
     return d.Document(tuple(build_clause(p, ctx).with_feature("punct", "period")
                             for p in s.timeline_propositions(g)))
 

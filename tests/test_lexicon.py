@@ -111,6 +111,8 @@ def test_synonym_never_returns_own_lemma(lexicon):
     ("trellis", ("tr", "ellis")),
     ("fox", ("f", "ox")),
     ("air", ("", "air")),
+    ("grape_vine", ("", "grape_vine")),
+    ("what was there", ("", "what was there")),
 ])
 def test_split_onset(lexicon, lemma, expected):
     onset = lexicon.onset(lemma, lx.NOUN)

@@ -1,8 +1,9 @@
 """One document told in many voices. The pronominalization pass, the
 contractions it leaves and its decisions are made once per document and
 fire vector and kept on the document; telling a document in any order of
-voices, or twice, must give what a fresh document per voice gives. Each
-sentence's random stream is made only when a draw needs it."""
+voices, or twice, must give what a fresh document per voice gives. A
+voice that draws makes every sentence's random stream once, and any other
+voice makes none."""
 
 import copy
 import pickle
@@ -16,7 +17,7 @@ from retold import transform as tr
 from retold.realize import realize_document
 
 from conftest import random_story
-from test_output_pin import DRAW_VOICES
+from test_output_pin import DRAW_VOICES, EVERYTHING
 
 VOICES = ("NEUTRAL", "FORMAL", "SHY", "LAID-BACK")
 # forwards, backwards, then each voice twice in a row
@@ -135,17 +136,28 @@ def streams_made(monkeypatch):
     return seeds
 
 
+def _draws(model):
+    """Whether a voice draws: an activation strictly between 0 and 1, or an
+    active sentence transform other than the contractions."""
+    return any(0.0 < a < 1.0 or (a > 0.0 and p not in (style.PRONOMINALIZATION,
+                                                       style.CONTRACTIONS))
+               for p, a in model.params.items())
+
+
 def test_a_voice_makes_only_the_streams_it_draws_from(fox_graph, lion_graph, streams_made):
+    voices = ([style.BUILTIN_VOICES[v] for v in VOICES] + [EVERYTHING, HALF] + DRAW_VOICES
+              + _random_voices(random.Random(17), 4))
+    # NEUTRAL and FORMAL draw nothing, and so do pronominalization@1.0 and
+    # contractions@1.0; every other voice here draws
+    assert sum(not _draws(model) for model in voices) == 4
     for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
         doc = tr.transform_story(g)
         n = len(doc.sentences)
-        for v in VOICES:
+        for model in voices:
             del streams_made[:]
-            style.apply_voice(doc, style.BUILTIN_VOICES[v], k)
-            # NEUTRAL and FORMAL have no activation strictly between 0 and 1,
-            # and FORMAL's transforms draw nothing
-            expected = [] if v in ("NEUTRAL", "FORMAL") else [f"{k}:{i}" for i in range(n)]
-            assert streams_made == expected, (g.id, v)
+            style.apply_voice(doc, model, k)
+            expected = [f"{k}:{i}" for i in range(n)] if _draws(model) else []
+            assert streams_made == expected, (g.id, model.name)
 
 
 def test_sentences_left_as_the_prefix_made_them_share_its_decisions(fox_graph, lion_graph):

@@ -6,7 +6,7 @@ from retold import dsynt as d
 from retold import realize as rz
 from retold import story as st
 from retold import transform as tr
-from retold.style import BUILTIN_VOICES, apply_voice
+from retold.style import BUILTIN_VOICES, VoiceModel, apply_voice
 
 from conftest import fixture_text, random_story
 from test_output_pin import DRAW_VOICES
@@ -226,6 +226,19 @@ def test_be_able_without_an_attribute_contracts_its_verb_and_the_infinitive_not(
     assert _told(g, "NEUTRAL") == "The fox was not to reach the group of grapes."
     assert _told(g, "FORMAL") == "The fox wasn't to reach the group of grapes."
     assert _told(_able_to_reach(st.AFFIRMATIVE), "FORMAL") == "The fox was to reach the group of grapes."
+
+
+def test_a_tag_question_reads_the_not_of_a_negated_infinitive():
+    def told(g, params):
+        styled, _ = apply_voice(tr.transform_story(g), VoiceModel("TAG", params), 0)
+        return rz.realize_document(styled)
+
+    tag, contracted = {"tag_question": 1.0}, {"tag_question": 1.0, "contractions": 1.0}
+    g = _able_to_reach(st.NEGATED)
+    assert told(g, tag) == "The fox was not to reach the group of grapes, was he?"
+    assert told(g, contracted) == "The fox wasn't to reach the group of grapes, was he?"
+    assert told(_able_to_reach(st.AFFIRMATIVE), tag) == \
+        "The fox was to reach the group of grapes, wasn't he?"
 
 
 def test_a_negated_plural_copula_contracts_to_werent():

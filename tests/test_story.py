@@ -9,7 +9,6 @@ import pytest
 
 from retold import story as st
 from retold.diagnostics import ERROR
-from retold.lexicon import Lexicon, default_lexicon
 from retold.transform import transform_story
 
 from conftest import FIXTURES, nested_story, random_story, ref_chain_story
@@ -462,21 +461,6 @@ def test_validate_returns_a_fresh_list_each_call(checked):
     second.append("not a diagnostic")
     assert st.validate_story(g) == second[:-1]
     assert len(checked) == 1
-
-
-def test_validate_keeps_its_diagnostics_per_lexicon_object(checked):
-    g = _fresh_fox()
-    assert st.validate_story(g) == []
-    distinct = len(checked)
-    assert distinct > 0
-    assert st.validate_story(g, default_lexicon()) == []
-    assert len(checked) == distinct
-    # an equal lexicon that is another object is asked again
-    assert st.validate_story(g, default_lexicon.__wrapped__()) == []
-    assert len(checked) == 2 * distinct
-    assert any(x.severity == ERROR for x in st.validate_story(g, Lexicon([], [])))
-    assert st.validate_story(g) == []
-    assert len(checked) == 4 * distinct
 
 
 def test_the_diagnostics_memo_is_not_part_of_the_graph(checked):
