@@ -326,7 +326,7 @@ def _patterns() -> tuple[re.Pattern, ...]:
             re.compile(r"^(?P<frame>[A-Za-z_]\w*)\s+(?P<pred>[A-Za-z_]\w*)"
                        r"\((?P<args>[^)]*)\)(?P<rest>.*)$"),
             re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+|[\w.]+)$'),
-            re.compile(r"\d+:"),
+            re.compile(r"[0-9]+:"),
             re.compile(r"([\w-]+)@(pre|post)"),
             re.compile(r"prep\s+([\w-]+):\s*(.+)"),
             re.compile(r"role\s+[A-Za-z_]\w*:|purpose:|cause:|complement:"))

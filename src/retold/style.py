@@ -134,8 +134,8 @@ _DECISION_SETTERS = slot_setters(StyleDecision)
 
 def parse_voice(text: str) -> VoiceModel:
     """Voice file: a `voice <name>` line, then `param: value` lines, each
-    parameter at most once. One leading byte-order mark is dropped. Errors
-    name the line."""
+    parameter at most once and each value in ASCII digits. One leading
+    byte-order mark is dropped. Errors name the line."""
     name = None
     params: dict[str, float] = {}
     set_on: dict[str, int] = {}
@@ -149,7 +149,7 @@ def parse_voice(text: str) -> VoiceModel:
                 raise VoiceError(f"line {lineno}: expected 'voice <name>'")
             name = m.group(1)
             continue
-        m = re.fullmatch(r"([a-z_]+)\s*:\s*(\d+\.?\d*|\.\d+)", line)
+        m = re.fullmatch(r"([a-z_]+)\s*:\s*([0-9]+\.?[0-9]*|\.[0-9]+)", line)
         if not m:
             raise VoiceError(f"line {lineno}: expected 'param: value'")
         key, value = m.group(1), float(m.group(2))

@@ -192,9 +192,11 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
     (nested_story(st.MAX_NESTING_DEPTH + 1), ["generate", "{input}", "--voice", "FORMAL"], 2),
     (ref_chain_story(st.MAX_NESTING_DEPTH + 1, uses=1), ["generate", "{input}", "--voice", "SHY"],
      1),
+    ('story x "X"\n\nentities\n  fox character fox\n\n'
+     'timeline\n  \u0660:\n    jump jump(Agent=fox)\n', ["validate", "{input}"], 2),
 ], ids=["property-argument-story", "bad-voice-value", "blank-reference",
         "ref-expansion-over-budget", "story-not-utf8", "voice-not-utf8",
-        "nesting-past-the-bound", "ref-nesting-past-the-bound"])
+        "nesting-past-the-bound", "ref-nesting-past-the-bound", "timespan-index-not-ascii"])
 def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):
     path = tmp_path / "input"
     if isinstance(content, bytes):

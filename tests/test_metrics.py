@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -46,6 +47,29 @@ def test_tokenize_strips_edge_punctuation_only():
     assert metrics.tokenize('"didn\'t," he said...') == ["didn't", "he", "said"]
 
 
+def loop_tokenize(text):
+    # the reference: one Python step per token
+    out = []
+    for raw in metrics.without_bom(text).lower().split():
+        tok = raw.strip(metrics._STRIP_CHARS)
+        if tok:
+            out.append(tok)
+    return out
+
+
+# letters, non-ASCII capitals, edge punctuation, typographic quotes and
+# dashes that are not stripped, a byte-order mark and Unicode whitespace
+TEXT_CHARS = ("aZ\u00c9\u00e9\u0130" + metrics._STRIP_CHARS
+              + "\u201e\u2010\u2011\ufeff \u00a0\u2003\n\t")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=hst.text(alphabet=TEXT_CHARS, max_size=40))
+def test_tokenize_equals_the_per_token_loop(text):
+    assert metrics.tokenize(text) == loop_tokenize(text)
+    assert metrics.tokenize_and_stem(text, use_stemming=False) == loop_tokenize(text)
+
+
 def test_tokenize_without_stemming():
     assert metrics.tokenize_and_stem("The foxes jumped.", use_stemming=False) == \
         ["the", "foxes", "jumped"]
@@ -66,15 +90,21 @@ def test_levenshtein_matches_brute_force_enumeration():
         assert metrics.levenshtein(a, b) == brute_min_edits(a, b), (a, b)
 
 
-def test_levenshtein_matches_two_row_dp_on_long_pairs():
-    # masks past 300 bits span several machine words; small vocabularies
-    # repeat tokens heavily; ints and tuples are hashable tokens too
+def long_pairs():
+    """60 seeded pairs of up to 340 tokens. Masks past 300 bits span several
+    machine words; small vocabularies repeat tokens heavily; ints and tuples
+    are hashable tokens too."""
     rng = random.Random(7)
     vocabularies = [WORDS, WORDS[:2], list(range(40)), [(0, "a"), (1, "b"), (0,)]]
     for i in range(60):
         vocab = vocabularies[i % len(vocabularies)]
         a = [rng.choice(vocab) for _ in range(rng.randint(0, 340))]
         b = [rng.choice(vocab) for _ in range(rng.randint(0, 340))]
+        yield i, a, b
+
+
+def test_levenshtein_matches_two_row_dp_on_long_pairs():
+    for i, a, b in long_pairs():
         assert metrics.levenshtein(a, b) == two_row_dp(a, b), (i, len(a), len(b))
 
 
@@ -94,16 +124,58 @@ def slice_ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def grams_as_tuples(tokens, n):
+    # bleu counts unigrams as the tokens themselves, not as 1-tuples
+    grams = metrics._grams(tokens, n)
+    return Counter(zip(grams) if n == 1 else grams)
+
+
+def oracle_bleu(candidate, reference, max_n=4, epsilon=1e-9):
+    """BLEU by its definition: every n-gram of each side counted from
+    slices, and the clipped overlap summed over the candidate's n-grams."""
+    if not candidate or not reference:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        cand, ref = slice_ngrams(candidate, n), slice_ngrams(reference, n)
+        total = max(len(candidate) - n + 1, 0)
+        if total == 0:
+            precision = epsilon
+        else:
+            overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
+            precision = overlap / total if overlap else epsilon
+        log_sum += math.log(precision)
+    geo = math.exp(log_sum / max_n)
+    c, r = len(candidate), len(reference)
+    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    return bp * geo
+
+
 @settings(derandomize=True, deadline=None)
 @given(tokens=hst.lists(hst.sampled_from(WORDS), max_size=12), n=hst.integers(1, 4))
 def test_ngrams_match_slice_definition(tokens, n):
-    assert metrics._ngrams(tokens, n) == slice_ngrams(tokens, n)
+    assert grams_as_tuples(tokens, n) == slice_ngrams(tokens, n)
 
 
 def test_ngrams_of_short_and_empty_lists_are_empty():
     for n in range(1, 5):
-        assert metrics._ngrams([], n) == Counter()
-        assert metrics._ngrams(WORDS[:n - 1], n) == Counter()
+        assert grams_as_tuples([], n) == Counter()
+        assert grams_as_tuples(WORDS[:n - 1], n) == Counter()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=hst.data(), vocab_size=hst.integers(1, 3))
+def test_bleu_equals_its_definition_on_repetitive_lists(data, vocab_size):
+    # equal, not approximately equal: every overlap is the same integer and
+    # the float expression is the oracle's; lengths from 0 reach total == 0
+    tokens = hst.lists(hst.sampled_from(WORDS[:vocab_size]), max_size=30)
+    a, b = data.draw(tokens), data.draw(tokens)
+    assert metrics.bleu(a, b) == oracle_bleu(a, b)
+
+
+def test_bleu_equals_its_definition_on_long_pairs():
+    for i, a, b in long_pairs():
+        assert metrics.bleu(a, b) == oracle_bleu(a, b), (i, len(a), len(b))
 
 
 def test_bleu_identity_and_bounds():
@@ -137,6 +209,18 @@ def test_development_pair_scores_fall_in_expected_windows():
         "dev")]).rows[0]
     assert 26 <= row.levenshtein <= 36
     assert 0.52 <= row.bleu <= 0.66
+
+
+# recorded while BLEU still counted every n-gram of both sides; equal, not
+# approximately equal, so that any change to its arithmetic shows here
+@pytest.mark.parametrize("name, scores", [
+    ("fox_and_grapes", (35, 0.5346210672909771)),
+    ("lion_and_boar", (105, 0.29843990480609245)),
+])
+def test_fixture_pair_scores_are_pinned(name, scores):
+    row = metrics.score_pair(metrics.EvalPair(fixture_text(f"{name}.golden.txt"),
+                                              fixture_text(f"{name}.reference.txt")))
+    assert (row.levenshtein, row.bleu) == scores
 
 
 def test_corpus_report_identical_pair():

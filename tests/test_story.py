@@ -308,9 +308,12 @@ def test_a_leading_byte_order_mark_is_dropped(fox_graph):
 
 
 def test_parser_rejects_bad_timespan_header():
-    with pytest.raises(st.StorySyntaxError):
-        st.parse_story('story x "X"\n\nentities\n  fox character fox\n\n'
-                       'timeline\n  first:\n    jump jump(Agent=fox)\n')
+    # int() reads any Unicode decimal digit; an index is in ASCII digits
+    for header in ("first:", "\u0660:", "\uff10:", "0\u0661:"):
+        with pytest.raises(st.StorySyntaxError) as exc:
+            st.parse_story('story x "X"\n\nentities\n  fox character fox\n\n'
+                           f'timeline\n  {header}\n    jump jump(Agent=fox)\n')
+        assert exc.value.line == 7
 
 
 def test_repr_shows_a_nested_proposition_by_its_id():

@@ -658,6 +658,9 @@ def test_parse_voice_drops_a_leading_byte_order_mark():
     ("voice X\n# loud\nloudness: 0.5\n", "line 3: unknown style parameter 'loudness'"),
     ("voice X\nstuttering: 0.5\nexclamation: 1.5\n",
      "line 3: activation for exclamation outside [0, 1]: 1.5"),
+    # float() reads any Unicode decimal digit; a value is in ASCII digits
+    ("voice X\n# shy\nstuttering: \uff10.\uff15\n", "line 3: expected 'param: value'"),
+    ("voice X\nstuttering: 0.\u0665\n", "line 2: expected 'param: value'"),
 ])
 def test_parse_voice_errors_name_the_line(text, message):
     with pytest.raises(style.VoiceError) as info:
