@@ -4,8 +4,10 @@ Nodes pair a lexeme with a lexico-syntactic class and hang off their
 governor under a labelled relation: I/II/III for arguments, ATTR for
 modifiers, APPEND for adjuncts and function-word structure. Grammatical
 features ride along as a small string map. Trees are immutable values,
-which the record base enforces (see :mod:`retold.record`); ``attach``
-returns a new parent.
+which the record base enforces (see :mod:`retold.record`). :func:`build`
+makes a node once from its full list of ``(child, relation)`` pairs, and
+``attach`` returns a new parent with one child more; both apply the same
+rules on what may hang under what, from one checker.
 
 Rewrites are copy-on-write: they share every unchanged subtree with their
 input, and a node with nothing changed at or under it comes back as the
@@ -151,21 +153,46 @@ class Document(Record):
 _DOCUMENT_SETTERS = slot_setters(Document)
 
 
+def _checked_children(lexeme: str, cls: str, children: tuple[DSyntNode, ...],
+                      pairs) -> tuple[DSyntNode, ...]:
+    """``children`` followed by each ``(child, relation)`` of ``pairs``, in
+    order, each relabelled to its relation; the one home of the rules on
+    what may hang under a node of class ``cls``. A child that already
+    carries its relation goes in as the same object."""
+    allowed = ALLOWED_CHILD_RELATIONS.get(cls, ())
+    taken = {c.relation for c in children}
+    out = list(children)
+    for child, relation in pairs:
+        if relation not in allowed:  # no class allows ROOT or an unknown relation
+            if relation not in RELATIONS or relation == ROOT:
+                raise TreeError(f"bad child relation {relation!r}")
+            if cls not in ALLOWED_CHILD_RELATIONS:
+                raise ClassError(f"unknown class {cls!r}")
+            raise ClassError(f"relation {relation} not allowed under {cls}")
+        if relation in ARGUMENT_RELATIONS:
+            if relation in taken:
+                raise RelationConflictError(f"second {relation} child under {lexeme!r}")
+            taken.add(relation)
+        out.append(child.with_relation(relation))
+    return tuple(out)
+
+
+def build(lexeme: str, cls: str, relation: str = ROOT,
+          features: Optional[Mapping[str, str]] = None, pairs=()) -> DSyntNode:
+    """A node over its ``(child, relation)`` pairs, built once: the tree
+    that attaching each pair in turn gives, under the same checks, without
+    a copy of the parent per child."""
+    return DSyntNode(lexeme, cls, relation, features,
+                     _checked_children(lexeme, cls, (), pairs))
+
+
 def attach(parent: DSyntNode, child: DSyntNode, relation: str) -> DSyntNode:
     """Append ``child`` to ``parent`` under ``relation``; returns the new
     parent, leaving both inputs untouched. A child that already carries
     ``relation`` goes in as the same object."""
-    if relation not in RELATIONS or relation == ROOT:
-        raise TreeError(f"bad child relation {relation!r}")
-    allowed = ALLOWED_CHILD_RELATIONS.get(parent.cls)
-    if allowed is None:
-        raise ClassError(f"unknown class {parent.cls!r}")
-    if relation not in allowed:
-        raise ClassError(f"relation {relation} not allowed under {parent.cls}")
-    if relation in ARGUMENT_RELATIONS and parent.child(relation) is not None:
-        raise RelationConflictError(f"second {relation} child under {parent.lexeme!r}")
     return DSyntNode(parent.lexeme, parent.cls, parent.relation, parent.features,
-                     parent.children + (child.with_relation(relation),))
+                     _checked_children(parent.lexeme, parent.cls, parent.children,
+                                       ((child, relation),)))
 
 
 def walk(node: DSyntNode, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], DSyntNode]]:

@@ -30,7 +30,11 @@ The full grammar is documented in the README.
 The parsed graph is immutable, which the record base enforces (see
 :mod:`retold.record`). A proposition reused through ``ref`` is one object
 at every use, so the graph is a DAG, and ``==`` and ``hash`` take time
-linear in its distinct propositions.
+linear in its distinct propositions. Inline arguments are built once per
+parse: every mention of an entity, an ``@adjective`` or a literal, and
+every repeat of a ``prep`` target under one preposition, is one object,
+and an argument list repeated between a predicate's parentheses is parsed
+once. Two parses share no object.
 """
 
 from __future__ import annotations
@@ -155,9 +159,6 @@ class FrameInstance(Record):
             if name == role:
                 return arg
         return None
-
-    def roles(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.bindings)
 
 
 _FRAME_INSTANCE_SETTERS = slot_setters(FrameInstance)
@@ -386,6 +387,13 @@ class _Parser:
         # proposition id registry; None marks a block still being parsed,
         # which is how a `ref` to an ancestor (a nesting cycle) is caught
         self.props: dict[str, Optional[Proposition]] = {}
+        # each distinct inline argument, by its text, each distinct list of
+        # inline bindings, by the text between the parentheses, and each
+        # distinct prepositional attachment, by (preposition, target text):
+        # built once per parse and shared by every mention
+        self.args: dict[str, Argument] = {}
+        self.bindings: dict[str, tuple[tuple[str, Argument], ...]] = {}
+        self.preps: dict[tuple[str, str], Attachment] = {}
 
     # -- top level ----------------------------------------------------------
 
@@ -428,10 +436,14 @@ class _Parser:
         number = "sg"
         mods: tuple[str, ...] = ()
         pronoun = None
+        seen: set[str] = set()
         for tok in parts[3:]:
             if "=" not in tok:
                 raise StorySyntaxError(f"bad entity field {tok!r}", lineno)
             key, value = tok.split("=", 1)
+            if key in seen:
+                raise StorySyntaxError(f"repeated entity field {key!r}", lineno)
+            seen.add(key)
             if key == "group_of":
                 group_of = value
             elif key == "number":
@@ -476,23 +488,19 @@ class _Parser:
         if not self.lexicon.has_frame(frame_id):
             raise StoryReferenceError(f"unknown frame {frame_id!r}", lineno)
 
-        bindings: list[tuple[str, Argument]] = []
-        args = m.group("args").strip()
-        if args:
-            for piece in self._split_args(args, lineno):
-                bm = self.binding_re.match(piece.strip())
-                if not bm:
-                    raise StorySyntaxError(f"bad role binding {piece.strip()!r}", lineno)
-                bindings.append((bm.group("role"),
-                                 self._parse_inline_arg(bm.group("arg"), lineno)))
+        bindings = list(self._inline_bindings(m.group("args"), lineno))
 
         polarity = AFFIRMATIVE
         adverbs: list[tuple[str, str]] = []
         pid = auto_id
+        seen: set[str] = set()
         for tok in m.group("rest").split():
             if "=" not in tok:
                 raise StorySyntaxError(f"bad proposition field {tok!r}", lineno)
             key, value = tok.split("=", 1)
+            if key in seen and key != "adv":  # only adv= may repeat
+                raise StorySyntaxError(f"repeated proposition field {key!r}", lineno)
+            seen.add(key)
             if key == "polarity":
                 if value not in ("aff", "neg"):
                     raise StorySyntaxError(f"bad polarity {value!r}", lineno)
@@ -520,8 +528,12 @@ class _Parser:
                     raise StorySyntaxError(f"bad preposition line {head!r}", child_lineno)
                 word = pm.group(1)
                 for piece in self._split_args(pm.group(2), child_lineno):
-                    target = self._parse_inline_arg(piece.strip(), child_lineno)
-                    attachments.append(Attachment(PREPOSITIONAL, target, word))
+                    key = (word, piece.strip())
+                    attachment = self.preps.get(key)
+                    if attachment is None:
+                        target = self._parse_inline_arg(key[1], child_lineno)
+                        attachment = self.preps[key] = Attachment(PREPOSITIONAL, target, word)
+                    attachments.append(attachment)
                 if inner:
                     raise StorySyntaxError(f"unexpected indentation in {inner[0][1]!r}",
                                            inner[0][2])
@@ -558,6 +570,20 @@ class _Parser:
                                    inner[1][2])
         return prop
 
+    def _inline_bindings(self, args: str, lineno: int) -> tuple[tuple[str, Argument], ...]:
+        """The ``(role, argument)`` pairs between a proposition's
+        parentheses, parsed once per distinct text."""
+        pairs = self.bindings.get(args)
+        if pairs is None:
+            pairs = []
+            for piece in self._split_args(args.strip(), lineno):
+                bm = self.binding_re.match(piece.strip())
+                if not bm:
+                    raise StorySyntaxError(f"bad role binding {piece.strip()!r}", lineno)
+                pairs.append((bm.group("role"), self._parse_inline_arg(bm.group("arg"), lineno)))
+            pairs = self.bindings[args] = tuple(pairs)
+        return pairs
+
     def _split_args(self, text: str, lineno: int) -> list[str]:
         """The comma-separated pieces of ``text`` that are not blank; a
         comma inside a quoted literal separates nothing."""
@@ -581,13 +607,18 @@ class _Parser:
         return [p for p in out if p.strip()]
 
     def _parse_inline_arg(self, text: str, lineno: int) -> Argument:
-        if text.startswith('"') and text.endswith('"'):
-            return Text(text[1:-1])
-        if text.startswith("@"):
-            return Property(text[1:])
-        if text in self.entities:
-            return EntityRef(text)
-        raise StoryReferenceError(f"unknown entity {text!r}", lineno)
+        arg = self.args.get(text)
+        if arg is None:
+            if text.startswith('"') and text.endswith('"'):
+                arg = Text(text[1:-1])
+            elif text.startswith("@"):
+                arg = Property(text[1:])
+            elif text in self.entities:
+                arg = EntityRef(text)
+            else:
+                raise StoryReferenceError(f"unknown entity {text!r}", lineno)
+            self.args[text] = arg
+        return arg
 
 
 def parse_story(encoded_text: str) -> StoryGraph:
@@ -699,6 +730,27 @@ MAX_EXPANDED_PROPOSITIONS = 50_000
 MAX_NESTING_DEPTH = 64
 
 
+@lru_cache(maxsize=256)
+def _frame_rules(lexicon: Lexicon, frame_id: str
+                 ) -> Optional[tuple[FrameDef, dict[str, str], tuple[str, ...]]]:
+    """The frame ``frame_id`` of ``lexicon``, its role to relation map and
+    its mandatory roles, made once per frame; None for an unknown frame."""
+    if not lexicon.has_frame(frame_id):
+        return None
+    frame = lexicon.frame(frame_id)
+    return frame, dict(frame.all_roles()), tuple(role for role, _ in frame.mandatory_roles)
+
+
+def _reference_error(arg: Argument, entity_ids: Container[str], lexicon: Lexicon
+                     ) -> Optional[str]:
+    """Why an inline argument names nothing the story or lexicon has, or None."""
+    if isinstance(arg, EntityRef) and arg.entity_id not in entity_ids:
+        return f"unknown entity {arg.entity_id!r}"
+    if isinstance(arg, Property) and not lexicon.has(arg.adjective, ADJECTIVE):
+        return f"property {arg.adjective!r} is not a known adjective"
+    return None
+
+
 def proposition_errors(p: Proposition, entity_ids: Container[str],
                        lexicon: Lexicon) -> list[str]:
     """Every reason the transform cannot realize ``p`` itself, as messages.
@@ -708,35 +760,31 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
     propositions are not descended into; each is checked on its own.
     """
     out: list[str] = []
-    if not lexicon.has(p.frame.predicate_lemma, VERB):
-        out.append(f"predicate {p.frame.predicate_lemma!r} is not a known verb")
-    relations: dict[str, str] = {}
-    frame = None
-    if not lexicon.has_frame(p.frame.frame_id):
-        out.append(f"unknown frame {p.frame.frame_id!r}")
+    instance = p.frame
+    if not lexicon.has(instance.predicate_lemma, VERB):
+        out.append(f"predicate {instance.predicate_lemma!r} is not a known verb")
+    bound = [role for role, _ in instance.bindings]
+    rules = _frame_rules(lexicon, instance.frame_id)
+    if rules is None:
+        frame, relations = None, {}
+        out.append(f"unknown frame {instance.frame_id!r}")
     else:
-        frame = lexicon.frame(p.frame.frame_id)
-        relations = dict(frame.all_roles())
-        bound = p.frame.roles()
+        frame, relations, mandatory = rules
         if len(bound) != len(set(bound)):
             out.append("role bound twice")
-        for role, _ in frame.mandatory_roles:
+        for role in mandatory:
             if role not in bound:
                 out.append(f"mandatory role {role} unbound")
 
-    def check_ref(arg: Argument) -> None:
-        if isinstance(arg, EntityRef) and arg.entity_id not in entity_ids:
-            out.append(f"unknown entity {arg.entity_id!r}")
-        elif isinstance(arg, Property) and not lexicon.has(arg.adjective, ADJECTIVE):
-            out.append(f"property {arg.adjective!r} is not a known adjective")
-
-    for role, arg in p.frame.bindings:
-        check_ref(arg)
+    for role, arg in instance.bindings:
+        problem = _reference_error(arg, entity_ids, lexicon)
+        if problem:
+            out.append(problem)
         if frame is None:
             continue
         rel = relations.get(role)
         if rel is None:
-            out.append(f"unknown role {role} for frame {p.frame.frame_id!r}")
+            out.append(f"unknown role {role} for frame {instance.frame_id!r}")
         elif rel == ATTR:
             if not isinstance(arg, Property):
                 out.append(f"role {role} expects an adjective property")
@@ -748,7 +796,7 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
 
     # a complement attachment realizes as the II argument of the clause
-    ii_taken = any(relations.get(role) == II for role in p.frame.roles())
+    ii_taken = any(relations.get(role) == II for role in bound)
     for a in p.attachments:
         if a.relation in CLAUSE_RELATIONS:
             if not isinstance(a.target, Proposition):
@@ -768,7 +816,9 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
                 out.append("prepositional attachment target must be entity or "
                            "noun-phrase valued")
             else:
-                check_ref(a.target)
+                problem = _reference_error(a.target, entity_ids, lexicon)
+                if problem:
+                    out.append(problem)
         else:
             out.append(f"unknown attachment relation {a.relation!r}")
     for lemma, pos in p.adverbs:

@@ -16,7 +16,11 @@ A fable names the same few characters and objects in almost every
 sentence, so equal subtrees are built once and shared: each
 :func:`transform_story` call keeps one memo of noun phrases,
 prepositional phrases and clauses, and drops it on return. Nothing is kept
-per document or between calls.
+per document or between calls. Each node is built once, from its full
+list of children (see :func:`dsynt.build`), never grown one child at a
+time, so the only nodes that no tree holds are the memo's originals of
+clauses used only as relabelled or punctuated copies, which share the
+original's children.
 """
 
 from __future__ import annotations
@@ -75,15 +79,13 @@ def realize_entity_np(e: s.Entity, relation: str) -> d.DSyntNode:
     feats = {"article": "def", "number": e.number}
     if e.kind == s.CHARACTER:
         feats["pron"] = e.pronoun or ("they" if e.number == "pl" else "he")
-    node = d.DSyntNode(e.head_lemma, d.COMMON_NOUN, relation, feats)
-    for adj in e.fixed_modifiers:
-        node = d.attach(node, d.DSyntNode(adj, d.ADJECTIVE, d.ATTR), d.ATTR)
+    pairs = [(d.DSyntNode(adj, d.ADJECTIVE, d.ATTR), d.ATTR) for adj in e.fixed_modifiers]
     if e.group_of:
         member = d.DSyntNode(e.group_of, d.COMMON_NOUN, d.APPEND,
                              {"article": "none", "number": "pl"})
-        of = d.attach(d.DSyntNode("of", d.PREPOSITION, d.APPEND), member, d.APPEND)
-        node = d.attach(node, of, d.APPEND)
-    return node
+        pairs.append((d.build("of", d.PREPOSITION, d.APPEND, None, ((member, d.APPEND),)),
+                      d.APPEND))
+    return d.build(e.head_lemma, d.COMMON_NOUN, relation, feats, pairs)
 
 
 def _np_for_target(arg, relation: str, ctx: DiscourseContext) -> d.DSyntNode:
@@ -105,21 +107,24 @@ def _prepositional_phrase(word: str, targets: tuple, ctx: DiscourseContext) -> d
     key = (word, targets)
     pp = ctx.pps.get(key)
     if pp is None:
-        pp = d.DSyntNode(word, d.PREPOSITION, d.APPEND)
-        for arg in targets:
-            pp = d.attach(pp, _np_for_target(arg, d.APPEND, ctx), d.APPEND)
+        pp = d.build(word, d.PREPOSITION, d.APPEND, None,
+                     [(_np_for_target(arg, d.APPEND, ctx), d.APPEND) for arg in targets])
         ctx.pps[key] = pp
     return pp
 
 
 def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
                  finite: bool = True, skip_subject: bool = False) -> d.DSyntNode:
-    """Verb-rooted clause for one proposition.
+    """Verb-rooted clause for one proposition, built once from its full
+    list of children.
 
     ``finite`` distinguishes tensed clauses from to-infinitives; infinitive
     complements drop their (controlled) subject, so their re-bound agent is
     expressed only through the matrix clause. ``p`` must be one that
     :func:`story.validate_story` passed, as in :func:`transform_story`.
+    Children come in this order: the bound roles in frame order, the
+    adverbs, then the attachments in source order, one phrase per run of
+    prepositional attachments (see :func:`story.attachment_groups`).
     """
     key = (id(p), finite, skip_subject)
     hit = ctx.clauses.get(key)
@@ -130,26 +135,31 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
     feats = {"polarity": "neg" if p.polarity == s.NEGATED else "aff"}
     if finite:
         feats["tense"] = "past"
-    root = d.DSyntNode(p.frame.predicate_lemma, d.VERB, features=feats)
 
+    pairs = []
     for role, rel in frame.all_roles():
         arg = p.frame.binding(role)
         if arg is None or (rel == d.I and skip_subject):
             continue
         if rel in d.ARGUMENT_RELATIONS:
-            root = d.attach(root, _argument_node(arg, rel, frame, ctx), rel)
+            pairs.append((_argument_node(arg, rel, frame, ctx), rel))
         elif rel == d.ATTR:
-            root = d.attach(root, _np_for_target(arg, d.ATTR, ctx), d.ATTR)
+            pairs.append((_np_for_target(arg, d.ATTR, ctx), d.ATTR))
         else:  # prep:<word>
-            root = d.attach(root, _prepositional_phrase(rel.split(":", 1)[1], (arg,), ctx),
-                            d.APPEND)
+            pairs.append((_prepositional_phrase(rel.split(":", 1)[1], (arg,), ctx), d.APPEND))
 
     for lemma, pos in p.adverbs:
-        adv = d.DSyntNode(lemma, d.ADVERB, d.ATTR,
-                          {"position": "pre" if pos == s.PRE_VERB else "post"})
-        root = d.attach(root, adv, d.ATTR)
+        pairs.append((d.DSyntNode(lemma, d.ADVERB, d.ATTR,
+                                  {"position": "pre" if pos == s.PRE_VERB else "post"}), d.ATTR))
 
-    root = attach_adjuncts(root, p, ctx)
+    for a, targets in s.attachment_groups(p.attachments):
+        if a.relation == s.PREPOSITIONAL:
+            pairs.append((_prepositional_phrase(a.preposition, targets, ctx), d.APPEND))
+        else:  # a clause relation; a purpose clause is a to-infinitive
+            sub = build_clause(a.target, ctx, finite=a.relation != s.PURPOSE)
+            pairs.append(_discourse_pair(a.relation, sub))
+
+    root = d.build(p.frame.predicate_lemma, d.VERB, d.ROOT, feats, pairs)
     ctx.clauses[key] = (p, root)
     return root
 
@@ -162,20 +172,9 @@ def _argument_node(arg, relation: str, frame: FrameDef, ctx: DiscourseContext) -
     return _np_for_target(arg, relation, ctx)
 
 
-def attach_adjuncts(clause: d.DSyntNode, p: s.Proposition, ctx: DiscourseContext) -> d.DSyntNode:
-    """Adds attachment-derived structure in source order, one phrase per
-    run of prepositional attachments (see :func:`story.attachment_groups`)."""
-    for a, targets in s.attachment_groups(p.attachments):
-        if a.relation == s.PREPOSITIONAL:
-            clause = d.attach(clause, _prepositional_phrase(a.preposition, targets, ctx), d.APPEND)
-        else:  # a clause relation; a purpose clause is a to-infinitive
-            sub = build_clause(a.target, ctx, finite=a.relation != s.PURPOSE)
-            clause = attach_discourse(clause, a.relation, sub)
-    return clause
-
-
-def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DSyntNode:
-    """Wire a subordinate clause onto a main clause.
+def _discourse_pair(relation: str, sub: d.DSyntNode) -> tuple[d.DSyntNode, str]:
+    """The child that wires subordinate clause ``sub`` onto a main clause,
+    and the relation it hangs under:
 
     purpose  ->  "in order (for X) to VP" via an "in_order" function word
     cause    ->  "because" + finite clause, appended after the main clause
@@ -183,18 +182,22 @@ def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DS
     """
     if relation == s.PURPOSE:
         sub = sub.without_feature("tense")
-        wrapper = d.attach(d.DSyntNode("in_order", d.FUNCTION_WORD, d.APPEND), sub, d.APPEND)
-        return d.attach(main, wrapper, d.APPEND)
+        return d.build("in_order", d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
     if relation == s.CAUSE:
         if "tense" not in sub.features:
             sub = sub.with_feature("tense", "past")
-        wrapper = d.attach(d.DSyntNode("because", d.FUNCTION_WORD, d.APPEND), sub, d.APPEND)
-        return d.attach(main, wrapper, d.APPEND)
+        return d.build("because", d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
     if relation == s.COMPLEMENT:
         if "tense" not in sub.features:
             sub = sub.with_feature("tense", "past")
-        return d.attach(main, sub, d.II)
+        return sub, d.II
     raise TransformError(f"unsupported discourse relation {relation!r}")
+
+
+def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DSyntNode:
+    """Wire a subordinate clause onto a main clause (see :func:`_discourse_pair`)."""
+    child, rel = _discourse_pair(relation, sub)
+    return d.attach(main, child, rel)
 
 
 def transform_story(g: s.StoryGraph) -> d.Document:

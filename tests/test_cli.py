@@ -399,3 +399,17 @@ def test_mutated_voice_files_never_escape_the_error_contract(tmp_path):
         else:
             assert out.strip(), n
     assert codes == {0, 2}
+
+
+def test_a_repeated_field_gives_one_message_line(tmp_path):
+    path = tmp_path / "twice.story"
+    path.write_text('story x "X"\n\nentities\n  fox character fox\n'
+                    '  grapes object group group_of=grape\n\ntimeline\n  0:\n'
+                    '    see see(Experiencer=fox, Stimulus=grapes) polarity=neg polarity=aff\n')
+    for command in ("validate", "generate"):
+        code, out, err = invoke(command, str(path))
+        assert code == 2
+        assert out == ""
+        lines = [line for line in err.splitlines() if line.startswith("retold:")]
+        assert len(lines) == 1
+        assert "line 9: repeated proposition field 'polarity'" in lines[0]

@@ -135,3 +135,47 @@ def test_every_class_has_its_child_relations():
     weird = d.DSyntNode("x", "interjection", d.ATTR)
     bad = _verb().replace(children=(weird,))
     assert any("unknown class" in e.message for e in d.validate_tree(bad))
+
+
+# -- attach and build share one set of child rules --------------------------------
+
+def _raised(make):
+    with pytest.raises(d.TreeError) as exc:
+        make()
+    return exc.type, str(exc.value)
+
+
+@pytest.mark.parametrize("parent, pairs", [
+    (_verb(), [(_noun(), "SUBJ")]),
+    (_verb(), [(_noun(), d.ROOT)]),
+    (_noun(), [(_noun("vine"), d.I)]),
+    (d.DSyntNode("ripe", d.ADJECTIVE), [(_noun(), d.ATTR)]),
+    (d.DSyntNode("x", "particle"), [(_noun(), d.APPEND)]),
+    (_verb(), [(_noun(), d.I), (_noun("crow"), d.I)]),
+    (_verb("obtain"), [(_noun("group"), d.II), (_noun("vine"), d.II)]),
+    (_verb("give"), [(_noun(), d.I), (_noun("bone"), d.III), (_noun("lion"), d.III)]),
+], ids=["bad-relation", "root-relation", "not-allowed-under-noun", "not-allowed-under-adjective",
+        "unknown-class", "second-I", "second-II", "second-III"])
+def test_attach_and_build_raise_the_same_error(parent, pairs):
+    def attach_each():
+        node = parent
+        for child, relation in pairs:
+            node = d.attach(node, child, relation)
+
+    def build():
+        d.build(parent.lexeme, parent.cls, parent.relation, parent.features, pairs)
+
+    assert _raised(attach_each) == _raised(build)
+
+
+def test_build_gives_the_tree_that_attaching_in_turn_gives():
+    subject = _noun()
+    pairs = [(subject, d.I), (_noun("grape", article="none"), d.II),
+             (d.DSyntNode("quickly", d.ADVERB, d.ATTR, {"position": "pre"}), d.ATTR)]
+    attached = _verb("eat")
+    for child, relation in pairs:
+        attached = d.attach(attached, child, relation)
+    built = d.build("eat", d.VERB, d.ROOT, attached.features, pairs)
+    assert built == attached
+    assert built.children[2] is pairs[2][0]  # already an ATTR: kept as is
+    assert built.children[0] is not subject and subject.relation == d.ROOT

@@ -178,3 +178,125 @@ def test_clean_validation_implies_generation(story_seed, mutation_seed):
     for model in style.BUILTIN_VOICES.values():
         styled, _ = style.apply_voice(doc, model, story_seed)
         assert realize_document(styled)
+
+
+def reference_errors(p, entity_ids, lexicon):
+    """The realizability rule as it read before each frame's rules were made
+    once per frame, kept as the reference for :func:`story.proposition_errors`."""
+    out = []
+    if not lexicon.has(p.frame.predicate_lemma, "verb"):
+        out.append(f"predicate {p.frame.predicate_lemma!r} is not a known verb")
+    relations = {}
+    frame = None
+    if not lexicon.has_frame(p.frame.frame_id):
+        out.append(f"unknown frame {p.frame.frame_id!r}")
+    else:
+        frame = lexicon.frame(p.frame.frame_id)
+        relations = dict(frame.all_roles())
+        bound = tuple(name for name, _ in p.frame.bindings)
+        if len(bound) != len(set(bound)):
+            out.append("role bound twice")
+        for role, _ in frame.mandatory_roles:
+            if role not in bound:
+                out.append(f"mandatory role {role} unbound")
+
+    def check_ref(arg):
+        if isinstance(arg, st.EntityRef) and arg.entity_id not in entity_ids:
+            out.append(f"unknown entity {arg.entity_id!r}")
+        elif isinstance(arg, st.Property) and not lexicon.has(arg.adjective, "adjective"):
+            out.append(f"property {arg.adjective!r} is not a known adjective")
+
+    for role, arg in p.frame.bindings:
+        check_ref(arg)
+        if frame is None:
+            continue
+        rel = relations.get(role)
+        if rel is None:
+            out.append(f"unknown role {role} for frame {p.frame.frame_id!r}")
+        elif rel == "ATTR":
+            if not isinstance(arg, st.Property):
+                out.append(f"role {role} expects an adjective property")
+        elif isinstance(arg, st.Property) and rel in ("I", "II", "III"):
+            out.append("property argument outside a copular slot")
+        elif isinstance(arg, st.Proposition) and rel not in ("II", "III"):
+            out.append(f"role {role} cannot nest a proposition")
+        elif isinstance(arg, st.Proposition) and frame.complement_kind is None:
+            out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
+
+    ii_taken = any(relations.get(role) == "II" for role, _ in p.frame.bindings)
+    for a in p.attachments:
+        if a.relation in st.CLAUSE_RELATIONS:
+            if not isinstance(a.target, st.Proposition):
+                out.append(f"{a.relation} attachment must nest a proposition")
+            if a.preposition:
+                out.append(f"{a.relation} attachment does not take a preposition")
+            if a.relation == st.COMPLEMENT:
+                if ii_taken:
+                    out.append("complement attachment needs a free II slot")
+                ii_taken = True
+        elif a.relation == st.PREPOSITIONAL:
+            if not a.preposition:
+                out.append("prepositional attachment needs a preposition")
+            elif not lexicon.has(a.preposition, "preposition"):
+                out.append(f"unknown preposition {a.preposition!r}")
+            if not isinstance(a.target, (st.EntityRef, st.Text)):
+                out.append("prepositional attachment target must be entity or "
+                           "noun-phrase valued")
+            else:
+                check_ref(a.target)
+        else:
+            out.append(f"unknown attachment relation {a.relation!r}")
+    for lemma, pos in p.adverbs:
+        if pos not in (st.PRE_VERB, st.POST_VERB):
+            out.append(f"bad adverb position {pos!r}")
+    if p.polarity not in (st.AFFIRMATIVE, st.NEGATED):
+        out.append(f"bad polarity {p.polarity!r}")
+    return out
+
+
+def _broken(p, rng, entity_ids):
+    """``p`` with one to three random faults of every kind the rule reports."""
+    nested = st.Proposition("mutant", st.FrameInstance(
+        "jump", "jump", (("Agent", st.EntityRef(entity_ids[0])),)))
+    arguments = [st.Property("ripe"), st.Property("purple"), st.Text("dignity"),
+                 st.EntityRef(rng.choice(entity_ids)), st.EntityRef("nobody"), nested]
+    for _ in range(rng.randint(1, 3)):
+        bindings, attachments = list(p.frame.bindings), list(p.attachments)
+        frame = p.frame
+        kind = rng.randrange(8)
+        if kind == 0 and bindings:
+            del bindings[rng.randrange(len(bindings))]
+        elif kind == 1:
+            role = rng.choice([r for r, _ in bindings] + ["Agent", "Theme", "Bogus", "Attribute"])
+            bindings.insert(rng.randint(0, len(bindings)), (role, rng.choice(arguments)))
+        elif kind == 2 and bindings:
+            i = rng.randrange(len(bindings))
+            bindings[i] = (bindings[i][0], rng.choice(arguments))
+        elif kind == 3:
+            frame = frame.replace(frame_id=rng.choice(["nope", "obtain", "see", "be_ripe",
+                                                       "give", "say", "want"]))
+        elif kind == 4:
+            frame = frame.replace(predicate_lemma=rng.choice(["nope", "be", "obtain"]))
+        elif kind == 5:
+            attachments.insert(rng.randint(0, len(attachments)), st.Attachment(
+                rng.choice(list(st.CLAUSE_RELATIONS) + [st.PREPOSITIONAL, "concession"]),
+                rng.choice(arguments), rng.choice([None, "with", "zzz"])))
+        elif kind == 6:
+            p = p.replace(polarity=rng.choice([st.AFFIRMATIVE, st.NEGATED, "maybe"]))
+        else:
+            p = p.replace(adverbs=p.adverbs + (("now", rng.choice([st.PRE_VERB, "mid"])),))
+        p = p.replace(frame=frame.replace(bindings=tuple(bindings)),
+                      attachments=tuple(attachments))
+    return p
+
+
+@settings(derandomize=True, deadline=None)
+@given(story_seed=hst.integers(0, 10**6), fault_seed=hst.integers(0, 10**6))
+def test_proposition_errors_match_the_reference_rule(story_seed, fault_seed, lexicon):
+    g = random_story(random.Random(story_seed))
+    rng = random.Random(fault_seed)
+    entity_ids = {e.id for e in g.entities}
+    for p in _propositions(g):
+        for q in (p, _broken(p, rng, sorted(entity_ids))):
+            assert st.proposition_errors(q, entity_ids, lexicon) == \
+                reference_errors(q, entity_ids, lexicon), q

@@ -14,9 +14,10 @@ from retold import realize as rz
 from retold import story as st
 from retold import style as sty
 from retold import transform as tr
+from retold.record import Record
 from retold.style import BUILTIN_VOICES, apply_voice
 
-from conftest import random_story, ref_chain_story
+from conftest import fixture_text, random_story, ref_chain_story
 
 
 def _positions(doc):
@@ -76,6 +77,112 @@ def test_attach_keeps_a_child_that_already_has_the_relation():
     relabeled = d.attach(d.DSyntNode("see", d.VERB), subject, d.II)
     assert relabeled.children[0] is not subject and relabeled.children[0].relation == d.II
     assert subject.relation == d.I
+
+
+def _distinct_nodes(doc):
+    """Every node object reachable from ``doc``, by id, each visited once."""
+    seen, todo = {}, list(doc.sentences)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node.children)
+    return seen
+
+
+@pytest.mark.parametrize("text", [fixture_text("fox_and_grapes.story"),
+                                  fixture_text("lion_and_boar.story"),
+                                  ref_chain_story(10)],
+                         ids=["fox", "lion", "ref-chain-10"])
+def test_the_transform_builds_no_node_it_throws_away(text, monkeypatch):
+    # each node is built once from its full child list: none is an
+    # intermediate copy. A clause's memo original may sit nowhere itself when
+    # every use is a relabelled or punctuated copy, which keeps its children.
+    g = st.parse_story(text)
+    built, contexts = [], []
+    init = d.DSyntNode.__init__
+    context = tr.DiscourseContext
+
+    def record_node(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(d.DSyntNode, "__init__", record_node)
+    monkeypatch.setattr(tr, "DiscourseContext",
+                        lambda *args: contexts.append(context(*args)) or contexts[-1])
+    doc = tr.transform_story(g)
+    monkeypatch.undo()
+
+    reachable = _distinct_nodes(doc)
+    [ctx] = contexts
+    originals = {id(root) for _, root in ctx.clauses.values()}
+    copies = {(id(n.children), n.lexeme) for n in reachable.values()}
+    thrown = [n for n in built if id(n) not in reachable]
+    assert {id(n) for n in built} >= reachable.keys()
+    for node in thrown:
+        assert id(node) in originals, node
+        assert (id(node.children), node.lexeme) in copies, node
+
+
+def _arguments(g):
+    """Every inline argument and prepositional attachment object in ``g``,
+    nested propositions included, once per mention."""
+    out, seen, todo = [], set(), st.timeline_propositions(g)
+    while todo:
+        p = todo.pop()
+        if id(p) in seen:
+            continue
+        seen.add(id(p))
+        for arg in [a for _, a in p.frame.bindings] + [a.target for a in p.attachments]:
+            (todo if isinstance(arg, st.Proposition) else out).append(arg)
+        out.extend(a for a in p.attachments if a.relation == st.PREPOSITIONAL)
+    return out
+
+
+LITERALS = ('story x "X"\n\nentities\n  fox character fox\n  grapes object group group_of=grape\n'
+            '\ntimeline\n  0:\n    say say(Agent=fox, Topic="the truth")\n'
+            '      prep with: "dignity", fox\n'
+            '      purpose:\n        be_ripe be(Theme=grapes, Attribute=@ripe)\n'
+            '          prep with: "dignity", fox\n'
+            '  1:\n    be_ripe be(Theme=grapes, Attribute=@ripe)\n'
+            '    say say(Agent=fox, Topic="the truth")\n')
+
+
+@pytest.mark.parametrize("text", [fixture_text("fox_and_grapes.story"),
+                                  fixture_text("lion_and_boar.story"), LITERALS]
+                         + [st.serialize_story(random_story(random.Random(seed)))
+                            for seed in range(10)],
+                         ids=["fox", "lion", "literals"] + [f"random-{seed}" for seed in range(10)])
+def test_a_parse_builds_each_inline_argument_once(text):
+    g = st.parse_story(text)
+    arguments = _arguments(g)
+    by_value = {}
+    for arg in arguments:
+        assert by_value.setdefault(arg, arg) is arg, arg
+    assert len(by_value) < len(arguments)
+    refs = [a for a in by_value if isinstance(a, st.EntityRef)]
+    assert len(refs) == len({a.entity_id for a in refs})
+
+
+def _records(value, out):
+    """Every record object reachable from ``value``, by id."""
+    if isinstance(value, tuple):
+        for item in value:
+            _records(item, out)
+    elif isinstance(value, Record) and id(value) not in out:
+        out[id(value)] = value
+        for name in value._fields:
+            _records(getattr(value, name), out)
+    return out
+
+
+@pytest.mark.parametrize("text", [fixture_text("fox_and_grapes.story"),
+                                  fixture_text("lion_and_boar.story"), LITERALS],
+                         ids=["fox", "lion", "literals"])
+def test_two_parses_are_equal_and_share_no_object(text):
+    first, second = st.parse_story(text), st.parse_story(text)
+    assert first == second
+    assert not _records(first, {}).keys() & _records(second, {}).keys()
 
 
 def test_one_pronoun_node_per_pronoun_relation_and_number(fox_graph):

@@ -483,3 +483,43 @@ def test_validate_then_transform_checks_each_proposition_once(checked):
     assert st.validate_story(g) == []
     transform_story(g)
     assert sorted(checked) == sorted(f"s{k}" for k in range(7))
+
+
+# -- a field given twice -------------------------------------------------------
+
+REPEAT_BASE = ('story x "X"\n\nentities\n  fox character fox\n'
+               '  grapes object group group_of=grape\n\ntimeline\n  0:\n')
+
+
+@pytest.mark.parametrize("fields, key", [
+    ("polarity=neg polarity=aff", "polarity"),
+    ("polarity=aff polarity=aff", "polarity"),
+    ("id=a id=b", "id"),
+    ("id=a adv=quickly@pre id=a", "id"),
+])
+def test_a_repeated_proposition_field_is_a_syntax_error(fields, key):
+    text = REPEAT_BASE + f"    see see(Experiencer=fox, Stimulus=grapes) {fields}\n"
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(text)
+    assert exc.value.line == 9
+    assert str(exc.value) == f"line 9: repeated proposition field {key!r}"
+
+
+def test_adv_may_repeat_on_a_proposition_line():
+    g = st.parse_story(REPEAT_BASE + "    jump jump(Agent=fox) adv=quickly@pre adv=slowly@post\n")
+    [p] = st.timeline_propositions(g)
+    assert p.adverbs == (("quickly", st.PRE_VERB), ("slowly", st.POST_VERB))
+
+
+@pytest.mark.parametrize("fields, key", [
+    ("group_of=grape group_of=vulture", "group_of"),
+    ("number=sg number=pl", "number"),
+    ("mod=ripe mod=sour", "mod"),
+    ("pronoun=she pronoun=she", "pronoun"),
+])
+def test_a_repeated_entity_field_is_a_syntax_error(fields, key):
+    text = f'story x "X"\n\nentities\n  fox character fox {fields}\n'
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(text)
+    assert exc.value.line == 4
+    assert str(exc.value) == f"line 4: repeated entity field {key!r}"
