@@ -5,9 +5,8 @@ governor under a labelled relation: I/II/III for arguments, ATTR for
 modifiers, APPEND for adjuncts and function-word structure. Grammatical
 features ride along as a small string map. Trees are immutable values,
 which the record base enforces (see :mod:`retold.record`). :func:`build`
-makes a node once from its full list of ``(child, relation)`` pairs, and
-``attach`` returns a new parent with one child more; both apply the same
-rules on what may hang under what, from one checker.
+makes each node once from its full list of ``(child, relation)`` pairs,
+under the one set of rules on what may hang under what.
 
 Rewrites are copy-on-write: they share every unchanged subtree with their
 input, and a node with nothing changed at or under it comes back as the
@@ -44,6 +43,10 @@ APPEND = "APPEND"
 
 RELATIONS = frozenset({ROOT, I, II, III, ATTR, APPEND})
 ARGUMENT_RELATIONS = (I, II, III)
+
+# the function words over a purpose clause and over a cause clause
+IN_ORDER = "in_order"
+BECAUSE = "because"
 
 # the pronouns a character may take, in a story file and in the ``pron``
 # feature of its noun phrases
@@ -153,15 +156,14 @@ class Document(Record):
 _DOCUMENT_SETTERS = slot_setters(Document)
 
 
-def _checked_children(lexeme: str, cls: str, children: tuple[DSyntNode, ...],
-                      pairs) -> tuple[DSyntNode, ...]:
-    """``children`` followed by each ``(child, relation)`` of ``pairs``, in
-    order, each relabelled to its relation; the one home of the rules on
-    what may hang under a node of class ``cls``. A child that already
-    carries its relation goes in as the same object."""
+def _checked_children(lexeme: str, cls: str, pairs) -> tuple[DSyntNode, ...]:
+    """Each ``(child, relation)`` of ``pairs``, in order, relabelled to its
+    relation; the one home of the rules on what may hang under a node of
+    class ``cls``. A child that already carries its relation goes in as the
+    same object."""
     allowed = ALLOWED_CHILD_RELATIONS.get(cls, ())
-    taken = {c.relation for c in children}
-    out = list(children)
+    taken: set[str] = set()
+    out: list[DSyntNode] = []
     for child, relation in pairs:
         if relation not in allowed:  # no class allows ROOT or an unknown relation
             if relation not in RELATIONS or relation == ROOT:
@@ -179,20 +181,9 @@ def _checked_children(lexeme: str, cls: str, children: tuple[DSyntNode, ...],
 
 def build(lexeme: str, cls: str, relation: str = ROOT,
           features: Optional[Mapping[str, str]] = None, pairs=()) -> DSyntNode:
-    """A node over its ``(child, relation)`` pairs, built once: the tree
-    that attaching each pair in turn gives, under the same checks, without
-    a copy of the parent per child."""
-    return DSyntNode(lexeme, cls, relation, features,
-                     _checked_children(lexeme, cls, (), pairs))
-
-
-def attach(parent: DSyntNode, child: DSyntNode, relation: str) -> DSyntNode:
-    """Append ``child`` to ``parent`` under ``relation``; returns the new
-    parent, leaving both inputs untouched. A child that already carries
-    ``relation`` goes in as the same object."""
-    return DSyntNode(parent.lexeme, parent.cls, parent.relation, parent.features,
-                     _checked_children(parent.lexeme, parent.cls, parent.children,
-                                       ((child, relation),)))
+    """A node over its ``(child, relation)`` pairs, built once; raises
+    :class:`TreeError` on a child that may not hang under it."""
+    return DSyntNode(lexeme, cls, relation, features, _checked_children(lexeme, cls, pairs))
 
 
 def walk(node: DSyntNode, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], DSyntNode]]:
@@ -259,14 +250,6 @@ def validate_tree(root: DSyntNode) -> list[Diagnostic]:
                 continue  # reported at the child itself
             if c.relation in RELATIONS and c.relation not in allowed:
                 err(path + (i,), f"relation {c.relation} not allowed under {node.cls}")
-    return out
-
-
-def validate_document(doc: Document) -> list[Diagnostic]:
-    out = []
-    for i, sentence in enumerate(doc.sentences):
-        for d in validate_tree(sentence):
-            out.append(Diagnostic(d.severity, f"s{i}.{d.location}", d.message))
     return out
 
 

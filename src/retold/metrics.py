@@ -90,27 +90,30 @@ def _grams(tokens: Sequence[str], n: int) -> Iterable:
     return tokens if n == 1 else zip(*[tokens[i:] for i in range(n)])
 
 
-def bleu(candidate: Sequence[str], reference: Sequence[str],
-         max_n: int = 4, epsilon: float = 1e-9) -> float:
+BLEU_MAX_N = 4  # the longest n-gram counted
+BLEU_EPSILON = 1e-9  # the precision that stands in for a zero count
+
+
+def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
     """BLEU with a single reference: geometric mean of modified n-gram
-    precisions for n=1..max_n (zero counts smoothed to epsilon) times the
-    brevity penalty."""
+    precisions for n=1..BLEU_MAX_N (zero counts smoothed to BLEU_EPSILON)
+    times the brevity penalty."""
     if not candidate or not reference:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         total = max(len(candidate) - n + 1, 0)
         if total == 0:
-            precision = epsilon
+            precision = BLEU_EPSILON
         else:
             cand = Counter(_grams(candidate, n))
             # only the candidate's n-grams can overlap: the reference is
             # counted for those alone, so no lookup below misses
             ref = Counter(filter(cand.__contains__, _grams(reference, n)))
             overlap = sum(map(min, ref.values(), map(cand.__getitem__, ref)))
-            precision = overlap / total if overlap else epsilon
+            precision = overlap / total if overlap else BLEU_EPSILON
         log_sum += math.log(precision)
-    geo = math.exp(log_sum / max_n)
+    geo = math.exp(log_sum / BLEU_MAX_N)
     c, r = len(candidate), len(reference)
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
     return bp * geo

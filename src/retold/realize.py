@@ -14,8 +14,7 @@ text is its pieces joined, less the first space, with its first letter
 capitalized. The fixed words and the marks are module constants, and
 :func:`_words` hands out one cached tuple of pieces per distinct string
 (the 4,096 most recently used). A list the realizer returns is always its
-own; :func:`sentence_tokens` maps the pieces to :class:`Token` records
-for callers that want words and marks apart.
+own.
 
 Contraction runs on the pieces of a sentence whose ``contract`` feature is
 on, in one pass: a spaced ``" not"`` joins the piece before it when that
@@ -40,6 +39,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import dsynt as d
+from .dsynt import BECAUSE, IN_ORDER
 from .lexicon import (
     ADJECTIVE as ADJ_POS,
     NOUN,
@@ -48,7 +48,6 @@ from .lexicon import (
     default_lexicon,
     inflect,
 )
-from .record import Record, slot_setters
 
 MODAL_LEMMAS = frozenset({"can"})
 
@@ -75,20 +74,6 @@ def past_form(lexicon: Lexicon, lemma: str, number: str) -> str:
     return inflect(lexicon.lookup(lemma, VERB), {"tense": "past", "number": number})
 
 
-class Token(Record):
-    __slots__ = _fields = ("surface", "kind", "no_space_before")
-
-    def __init__(self, surface: str, kind: str = "word",  # word | punctuation
-                 no_space_before: bool = False):
-        set_surface, set_kind, set_no_space_before = _TOKEN_SETTERS
-        set_surface(self, surface)
-        set_kind(self, kind)
-        set_no_space_before(self, no_space_before)
-
-
-_TOKEN_SETTERS = slot_setters(Token)
-
-
 class _Literal(str):
     """A quoted literal's words as one piece, which contraction never joins."""
     __slots__ = ()
@@ -98,7 +83,6 @@ _THE, _A, _AND, _DID, _NOT, _TO, _BECAUSE, _IN, _ORDER, _FOR = (
     " the", " a", " and", " did", " not", " to", " because", " in", " order", " for")
 _COMMA = ","
 _END_MARKS = {"period": ".", "exclaim": "!", "question": "?"}
-_PUNCTUATION = frozenset((_COMMA, *_END_MARKS.values()))
 
 # the piece before a spaced "not" -> that piece contracted, with or without
 # its leading space
@@ -135,14 +119,6 @@ def _join(pieces: list[str]) -> str:
         if ch.isalpha():
             return text[:i] + ch.upper() + text[i + 1:]
     return text
-
-
-def _token(piece: str) -> Token:
-    if piece[:1] == " ":
-        return Token(piece[1:])
-    if piece in _PUNCTUATION:
-        return Token(piece, "punctuation")
-    return Token(piece, no_space_before=True)
 
 
 class _Realizer:
@@ -318,10 +294,10 @@ class _Realizer:
     def _append_pieces(self, node: d.DSyntNode, more_follows: bool) -> Sequence[str]:
         if node.cls == d.PREPOSITION:
             return self.prep_pieces(node)
-        if node.cls == d.FUNCTION_WORD and node.lexeme == "because":
+        if node.cls == d.FUNCTION_WORD and node.lexeme == BECAUSE:
             clause = self._single_clause_child(node)
             return [_BECAUSE] + self.clause_pieces(clause, form="finite")
-        if node.cls == d.FUNCTION_WORD and node.lexeme == "in_order":
+        if node.cls == d.FUNCTION_WORD and node.lexeme == IN_ORDER:
             clause = self._single_clause_child(node)
             pieces = [_IN, _ORDER]
             subject = clause.child(d.I)
@@ -355,12 +331,6 @@ class _Realizer:
             pieces = apply_contractions(pieces)
         pieces.append(_END_MARKS[root.features.get("punct", "period")])
         return pieces
-
-
-def sentence_tokens(root: d.DSyntNode) -> list[Token]:
-    """The sentence's words and marks as :class:`Token` records, in order;
-    a quoted literal is one token."""
-    return [_token(p) for p in _Realizer().sentence_pieces(root)]
 
 
 def realize_sentence(root: d.DSyntNode) -> str:

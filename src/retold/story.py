@@ -285,12 +285,6 @@ class StoryGraph(Record):
     __eq__ = _eq_once_per_proposition
     __hash__ = Record.__hash__
 
-    def entity(self, entity_id: str) -> Entity:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise KeyError(entity_id)
-
 
 _GRAPH_SETTERS = slot_setters(StoryGraph)
 # the classes through which one proposition nests in another
@@ -493,12 +487,12 @@ class _Parser:
         polarity = AFFIRMATIVE
         adverbs: list[tuple[str, str]] = []
         pid = auto_id
-        seen: set[str] = set()
+        seen: set[str] = set()  # the field names given, and each whole adv= token
         for tok in m.group("rest").split():
             if "=" not in tok:
                 raise StorySyntaxError(f"bad proposition field {tok!r}", lineno)
             key, value = tok.split("=", 1)
-            if key in seen and key != "adv":  # only adv= may repeat
+            if key in seen and key != "adv":  # only adv= may repeat, each adverb once
                 raise StorySyntaxError(f"repeated proposition field {key!r}", lineno)
             seen.add(key)
             if key == "polarity":
@@ -509,6 +503,9 @@ class _Parser:
                 am = self.adverb_re.fullmatch(value)
                 if not am:
                     raise StorySyntaxError(f"bad adverb {value!r}", lineno)
+                if tok in seen:  # else told twice: "The fox now now jumped."
+                    raise StorySyntaxError(f"repeated adverb {value!r}", lineno)
+                seen.add(tok)
                 adverbs.append((am.group(1), PRE_VERB if am.group(2) == "pre" else POST_VERB))
             elif key == "id":
                 pid = value

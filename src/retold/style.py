@@ -33,6 +33,7 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from . import dsynt as d
+from .dsynt import IN_ORDER
 from .lexicon import (
     ADJECTIVE,
     NOUN,
@@ -324,7 +325,7 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
             if c.cls not in _CLAUSE_SPINE:
                 new = phrase(c)
             else:
-                if (hot and verb and c.lexeme == "in_order" and c.cls == d.FUNCTION_WORD
+                if (hot and verb and c.lexeme == IN_ORDER and c.cls == d.FUNCTION_WORD
                         and c.children and c.children[0].cls == d.VERB
                         and _drops_subject(node, c.children[0])):
                     emb = c.children[0]

@@ -5,7 +5,8 @@ tensed verb node, role bindings land on I/II/III per the verb frame, entity
 references expand to definite noun phrases ("the group of grapes" keeps its
 singular head), discourse attachments become subordinate structure
 ("in order" / "because" function words governing embedded clauses), and
-prepositional adjuncts hang off the clause in source order.
+prepositional adjuncts hang off the clause in source order. Each kind of
+subordinate clause gets its wiring and tense in :func:`_discourse_pair`.
 
 The trees are neutral: every mention is a full noun phrase and nothing is
 contracted. Referring-expression and contraction choices are made only by
@@ -30,6 +31,7 @@ from typing import Optional
 from . import dsynt as d
 from . import story as s
 from .diagnostics import ERROR
+from .dsynt import BECAUSE, IN_ORDER
 from .lexicon import INFINITIVE, FrameDef, default_lexicon
 
 
@@ -182,22 +184,16 @@ def _discourse_pair(relation: str, sub: d.DSyntNode) -> tuple[d.DSyntNode, str]:
     """
     if relation == s.PURPOSE:
         sub = sub.without_feature("tense")
-        return d.build("in_order", d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
+        return d.build(IN_ORDER, d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
     if relation == s.CAUSE:
         if "tense" not in sub.features:
             sub = sub.with_feature("tense", "past")
-        return d.build("because", d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
+        return d.build(BECAUSE, d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
     if relation == s.COMPLEMENT:
         if "tense" not in sub.features:
             sub = sub.with_feature("tense", "past")
         return sub, d.II
     raise TransformError(f"unsupported discourse relation {relation!r}")
-
-
-def attach_discourse(main: d.DSyntNode, relation: str, sub: d.DSyntNode) -> d.DSyntNode:
-    """Wire a subordinate clause onto a main clause (see :func:`_discourse_pair`)."""
-    child, rel = _discourse_pair(relation, sub)
-    return d.attach(main, child, rel)
 
 
 def transform_story(g: s.StoryGraph) -> d.Document:

@@ -413,3 +413,16 @@ def test_a_repeated_field_gives_one_message_line(tmp_path):
         lines = [line for line in err.splitlines() if line.startswith("retold:")]
         assert len(lines) == 1
         assert "line 9: repeated proposition field 'polarity'" in lines[0]
+
+
+def test_a_repeated_adverb_gives_one_message_line(tmp_path):
+    path = tmp_path / "now_now.story"
+    path.write_text('story x "X"\n\nentities\n  fox character fox\n\ntimeline\n  0:\n'
+                    '    jump jump(Agent=fox) adv=now@pre adv=now@pre\n')
+    for command in ("validate", "generate"):
+        code, out, err = invoke(command, str(path))
+        assert code == 2
+        assert out == ""
+        lines = [line for line in err.splitlines() if line.startswith("retold:")]
+        assert len(lines) == 1
+        assert "line 8: repeated adverb 'now@pre'" in lines[0]

@@ -16,33 +16,43 @@ def _noun(lexeme="fox", **features):
                        features={"article": "def", "number": "sg", **features})
 
 
+def _build_over(parent, pairs):
+    """``parent``'s lexeme, class, relation and features over ``pairs``."""
+    return d.build(parent.lexeme, parent.cls, parent.relation, parent.features, pairs)
+
+
+def _attach(parent, child, relation):
+    """``parent`` built again with ``child`` after its children."""
+    return _build_over(parent, [(c, c.relation) for c in parent.children] + [(child, relation)])
+
+
 def test_attach_subject():
-    clause = d.attach(_verb(), _noun(), d.I)
+    clause = _build_over(_verb(), [(_noun(), d.I)])
     assert [c.relation for c in clause.children] == [d.I]
     assert clause.children[0].lexeme == "fox"
 
 
 def test_attach_second_argument_conflicts():
-    clause = d.attach(_verb("obtain"), _noun("group"), d.II)
     with pytest.raises(d.RelationConflictError):
-        d.attach(clause, _noun("vine"), d.II)
+        _build_over(_verb("obtain"), [(_noun("group"), d.II), (_noun("vine"), d.II)])
 
 
 def test_attach_argument_under_noun_is_a_class_error():
     with pytest.raises(d.ClassError):
-        d.attach(_noun(), _noun("vine"), d.I)
+        _build_over(_noun(), [(_noun("vine"), d.I)])
 
 
 def test_attach_attr_under_noun():
-    np = d.attach(_noun("grape"), d.DSyntNode("ripe", d.ADJECTIVE), d.ATTR)
+    np = _build_over(_noun("grape"), [(d.DSyntNode("ripe", d.ADJECTIVE), d.ATTR)])
     assert np.children[0].relation == d.ATTR
 
 
 def test_attach_is_immutable_and_order_preserving():
-    verb = _verb()
-    first = d.attach(verb, _noun(), d.I)
-    second = d.attach(first, d.DSyntNode("on", d.PREPOSITION), d.APPEND)
-    assert verb.children == ()
+    verb, subject = _verb(), _noun()
+    pairs = [(subject, d.I), (d.DSyntNode("on", d.PREPOSITION), d.APPEND)]
+    first = _build_over(verb, pairs[:1])
+    second = _build_over(verb, pairs)
+    assert verb.children == () and subject.relation == d.ROOT
     assert first.children != second.children
     assert [c.lexeme for c in second.children] == ["fox", "on"]
 
@@ -126,7 +136,7 @@ def test_validate_rejects_root_relation_below_root():
 
 def test_attach_rejects_root_relation():
     with pytest.raises(d.TreeError):
-        d.attach(_verb(), _noun(), d.ROOT)
+        _build_over(_verb(), [(_noun(), d.ROOT)])
 
 
 def test_every_class_has_its_child_relations():
@@ -137,7 +147,7 @@ def test_every_class_has_its_child_relations():
     assert any("unknown class" in e.message for e in d.validate_tree(bad))
 
 
-# -- attach and build share one set of child rules --------------------------------
+# -- one set of child rules, whether a node is built at once or child by child --
 
 def _raised(make):
     with pytest.raises(d.TreeError) as exc:
@@ -145,27 +155,29 @@ def _raised(make):
     return exc.type, str(exc.value)
 
 
-@pytest.mark.parametrize("parent, pairs", [
-    (_verb(), [(_noun(), "SUBJ")]),
-    (_verb(), [(_noun(), d.ROOT)]),
-    (_noun(), [(_noun("vine"), d.I)]),
-    (d.DSyntNode("ripe", d.ADJECTIVE), [(_noun(), d.ATTR)]),
-    (d.DSyntNode("x", "particle"), [(_noun(), d.APPEND)]),
-    (_verb(), [(_noun(), d.I), (_noun("crow"), d.I)]),
-    (_verb("obtain"), [(_noun("group"), d.II), (_noun("vine"), d.II)]),
-    (_verb("give"), [(_noun(), d.I), (_noun("bone"), d.III), (_noun("lion"), d.III)]),
+@pytest.mark.parametrize("parent, pairs, error", [
+    (_verb(), [(_noun(), "SUBJ")], (d.TreeError, "bad child relation 'SUBJ'")),
+    (_verb(), [(_noun(), d.ROOT)], (d.TreeError, "bad child relation 'ROOT'")),
+    (_noun(), [(_noun("vine"), d.I)], (d.ClassError, "relation I not allowed under common_noun")),
+    (d.DSyntNode("ripe", d.ADJECTIVE), [(_noun(), d.ATTR)],
+     (d.ClassError, "relation ATTR not allowed under adjective")),
+    (d.DSyntNode("x", "particle"), [(_noun(), d.APPEND)],
+     (d.ClassError, "unknown class 'particle'")),
+    (_verb(), [(_noun(), d.I), (_noun("crow"), d.I)],
+     (d.RelationConflictError, "second I child under 'jump'")),
+    (_verb("obtain"), [(_noun("group"), d.II), (_noun("vine"), d.II)],
+     (d.RelationConflictError, "second II child under 'obtain'")),
+    (_verb("give"), [(_noun(), d.I), (_noun("bone"), d.III), (_noun("lion"), d.III)],
+     (d.RelationConflictError, "second III child under 'give'")),
 ], ids=["bad-relation", "root-relation", "not-allowed-under-noun", "not-allowed-under-adjective",
         "unknown-class", "second-I", "second-II", "second-III"])
-def test_attach_and_build_raise_the_same_error(parent, pairs):
+def test_attach_and_build_raise_the_same_error(parent, pairs, error):
     def attach_each():
         node = parent
         for child, relation in pairs:
-            node = d.attach(node, child, relation)
+            node = _attach(node, child, relation)
 
-    def build():
-        d.build(parent.lexeme, parent.cls, parent.relation, parent.features, pairs)
-
-    assert _raised(attach_each) == _raised(build)
+    assert _raised(attach_each) == _raised(lambda: _build_over(parent, pairs)) == error
 
 
 def test_build_gives_the_tree_that_attaching_in_turn_gives():
@@ -174,8 +186,8 @@ def test_build_gives_the_tree_that_attaching_in_turn_gives():
              (d.DSyntNode("quickly", d.ADVERB, d.ATTR, {"position": "pre"}), d.ATTR)]
     attached = _verb("eat")
     for child, relation in pairs:
-        attached = d.attach(attached, child, relation)
-    built = d.build("eat", d.VERB, d.ROOT, attached.features, pairs)
+        attached = _attach(attached, child, relation)
+    built = _build_over(_verb("eat"), pairs)
     assert built == attached
     assert built.children[2] is pairs[2][0]  # already an ATTR: kept as is
     assert built.children[0] is not subject and subject.relation == d.ROOT

@@ -164,15 +164,17 @@ def test_unfinished_root_rejected():
         rz.realize_sentence(bare)
 
 
-def test_returned_token_lists_are_never_shared(fox_graph):
+def test_returned_piece_lists_are_never_shared(fox_graph):
     doc, _ = apply_voice(tr.transform_story(fox_graph), BUILTIN_VOICES["LAID-BACK"], 3)
+    realizer = rz._Realizer()  # one phrase memo across the calls
     for sentence in doc.sentences:
-        first = rz.sentence_tokens(sentence)
+        first = realizer.sentence_pieces(sentence)
         expected = list(first)
-        first.append(rz.Token("extra"))
-        first[0] = rz.Token("mutated")
+        first.append(" extra")
+        first[0] = " mutated"
         del first[1:3]
-        assert rz.sentence_tokens(sentence) == expected
+        assert realizer.sentence_pieces(sentence) == expected
+        assert rz._Realizer().sentence_pieces(sentence) == expected
 
 
 def test_word_token_cache_is_bounded():
@@ -256,19 +258,7 @@ def test_in_order_not_to_stays_uncontracted():
     assert _told(g, "FORMAL") == "The fox jumped in order not to obtain the group of grapes."
 
 
-def _spaced(tokens):
-    """The text of a token list: a space before every token except the
-    first, punctuation and ``no_space_before`` tokens, and the first letter
-    capitalized."""
-    text = "".join(t.surface if i == 0 or t.kind == "punctuation" or t.no_space_before
-                   else " " + t.surface for i, t in enumerate(tokens))
-    for i, ch in enumerate(text):
-        if ch.isalpha():
-            return text[:i] + ch.upper() + text[i + 1:]
-    return text
-
-
-def test_the_token_view_spells_the_text():
+def test_the_document_is_its_sentences_joined():
     voices = list(BUILTIN_VOICES.values()) + DRAW_VOICES
     literal = _story([FOX, GRAPES], _obtain(st.Text("the one that was not")))
     for g in [literal] + [random_story(random.Random(k)) for k in range(30)]:
@@ -276,23 +266,5 @@ def test_the_token_view_spells_the_text():
         for model in voices:
             for seed in range(2):
                 styled, _ = apply_voice(doc, model, seed)
-                texts = [rz.realize_sentence(s) for s in styled.sentences]
-                tokens = [rz.sentence_tokens(s) for s in styled.sentences]
-                assert texts == [_spaced(ts) for ts in tokens]
-                assert all((t.kind == "punctuation") == (t.surface in ",.!?")
-                           for ts in tokens for t in ts)
-                assert rz.realize_document(styled) == " ".join(texts)
-
-
-def test_only_the_token_view_builds_tokens(fox_graph, monkeypatch):
-    doc, _ = apply_voice(tr.transform_story(fox_graph), BUILTIN_VOICES["SHY"], 0)
-    text = rz.realize_document(doc)
-
-    def no_token(*args, **kwargs):
-        raise AssertionError("a Token was built")
-
-    monkeypatch.setattr(rz, "Token", no_token)
-    assert rz.realize_document(doc) == text
-    assert " ".join(rz.realize_sentence(s) for s in doc.sentences) == text
-    with pytest.raises(AssertionError):
-        rz.sentence_tokens(doc.sentences[0])
+                assert rz.realize_document(styled) == \
+                    " ".join(rz.realize_sentence(s) for s in styled.sentences)

@@ -13,7 +13,6 @@ import pytest
 from retold import dsynt as d
 from retold import lexicon as lx
 from retold import metrics as m
-from retold import realize as rz
 from retold import story as st
 from retold import style as sty
 from retold import transform as tr
@@ -34,7 +33,6 @@ SAMPLES = [
     (m.EvalPair, ("a b", "a c", "row")),
     (m.EvalRow, ("row", 1, 0.5)),
     (m.EvalReport, ((m.EvalRow("row", 1, 0.5),), 1.0, 0.0, 0.5, 0.0)),
-    (rz.Token, ("fox", "word", True)),
     (st.Entity, ("fox", st.CHARACTER, "fox", None, "sg", ("hungry",), "she")),
     (st.EntityRef, ("fox",)),
     (st.Property, ("ripe",)),
@@ -134,7 +132,6 @@ def test_defaults():
     assert lx.FrameDef("f") == lx.FrameDef("f", (), (), None)
     assert d.Document() == d.Document(())
     assert m.EvalPair("a", "b").label == ""
-    assert rz.Token("fox") == rz.Token("fox", "word", False)
     assert st.Entity("fox", st.CHARACTER, "fox") == st.Entity("fox", st.CHARACTER, "fox",
                                                               None, "sg", (), None)
     assert st.FrameInstance("jump", "jump").bindings == ()

@@ -170,22 +170,21 @@ def _np(lemma, relation=d.I, pron="he"):
 
 
 def _in_order(clause):
-    return d.attach(d.DSyntNode("in_order", d.FUNCTION_WORD, d.APPEND),
-                    clause.without_feature("tense"), d.APPEND)
+    return d.build(d.IN_ORDER, d.FUNCTION_WORD, d.APPEND, None,
+                   [(clause.without_feature("tense"), d.APPEND)])
 
 
 def test_nested_subject_drops_come_in_post_order():
     # the fox jumped in order [for the fox] to reach the grapes in order
     # [for the fox] to eat them: the inner clause's drop is recorded first,
     # at its position in the final tree, one before where it was
-    eat = d.attach(d.attach(d.DSyntNode("eat", d.VERB), _np("fox"), d.I),
-                   _np("grapes", d.II, None), d.II)
-    reach = d.attach(d.attach(d.DSyntNode("reach", d.VERB), _np("fox"), d.I),
-                     _np("grapes", d.II, None), d.II)
-    reach = d.attach(reach, _in_order(eat), d.APPEND)
-    jump = d.attach(d.DSyntNode("jump", d.VERB, features={"tense": "past"}), _np("fox"), d.I)
-    sentence = d.attach(jump, _in_order(reach), d.APPEND)
-    fox_again = d.attach(d.DSyntNode("sit", d.VERB, features={"tense": "past"}), _np("fox"), d.I)
+    eat = d.build("eat", d.VERB, pairs=[(_np("fox"), d.I), (_np("grapes", d.II, None), d.II)])
+    reach = d.build("reach", d.VERB, pairs=[(_np("fox"), d.I), (_np("grapes", d.II, None), d.II),
+                                            (_in_order(eat), d.APPEND)])
+    past = {"tense": "past"}
+    sentence = d.build("jump", d.VERB, d.ROOT, past,
+                       [(_np("fox"), d.I), (_in_order(reach), d.APPEND)])
+    fox_again = d.build("sit", d.VERB, d.ROOT, past, [(_np("fox"), d.I)])
     prefix = _check_prefix([sentence, fox_again], [True, True])
     assert prefix.sites[0] == [((1, 0, 1, 0), "subject-drop"), ((1, 0), "subject-drop")]
     # a dropped subject is no mention: the fox of the next sentence is its second
@@ -314,11 +313,12 @@ def test_a_mention_inside_a_replaced_mention_is_still_counted():
                            features={"article": "def", "number": "sg", "pron": pron})
 
     def clause(subject):
-        return d.attach(d.DSyntNode("jump", d.VERB, features={"tense": "past"}), subject, d.I)
+        return d.build("jump", d.VERB, d.ROOT, {"tense": "past"}, [(subject, d.I)])
 
-    of_crow = d.attach(d.DSyntNode("of", d.PREPOSITION), np("crow", "she"), d.APPEND)
-    sentences = [clause(np("fox", "he")), clause(d.attach(np("fox", "he"), of_crow, d.APPEND)),
-                 clause(np("crow", "she"))]
+    of_crow = d.build("of", d.PREPOSITION, pairs=[(np("crow", "she"), d.APPEND)])
+    fox_of_crow = d.build("fox", d.COMMON_NOUN, d.ROOT, np("fox", "he").features,
+                          [(of_crow, d.APPEND)])
+    sentences = [clause(np("fox", "he")), clause(fox_of_crow), clause(np("crow", "she"))]
     got = sty.pronominalize_sentences(sentences)
     assert got == rebuild_pronominalize_sentences(sentences, [True] * 3)
     _check_prefix(sentences, [True] * 3)

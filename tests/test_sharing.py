@@ -72,9 +72,9 @@ def test_no_node_outlives_one_transform_call(fox_graph):
 
 def test_attach_keeps_a_child_that_already_has_the_relation():
     subject = d.DSyntNode("fox", d.COMMON_NOUN, d.I, {"article": "def"})
-    clause = d.attach(d.DSyntNode("jump", d.VERB), subject, d.I)
+    clause = d.build("jump", d.VERB, pairs=[(subject, d.I)])
     assert clause.children[0] is subject
-    relabeled = d.attach(d.DSyntNode("see", d.VERB), subject, d.II)
+    relabeled = d.build("see", d.VERB, pairs=[(subject, d.II)])
     assert relabeled.children[0] is not subject and relabeled.children[0].relation == d.II
     assert subject.relation == d.I
 

@@ -41,7 +41,7 @@ def test_parse_lion_fixture(lion_graph):
 
 
 def test_collective_entity_fields(fox_graph):
-    grapes = fox_graph.entity("grapes")
+    grapes = {e.id: e for e in fox_graph.entities}["grapes"]
     assert grapes.head_lemma == "group"
     assert grapes.group_of == "grape"
     assert grapes.number == "sg"
@@ -509,6 +509,23 @@ def test_adv_may_repeat_on_a_proposition_line():
     g = st.parse_story(REPEAT_BASE + "    jump jump(Agent=fox) adv=quickly@pre adv=slowly@post\n")
     [p] = st.timeline_propositions(g)
     assert p.adverbs == (("quickly", st.PRE_VERB), ("slowly", st.POST_VERB))
+    g = st.parse_story(REPEAT_BASE + "    jump jump(Agent=fox) adv=now@pre adv=now@post\n")
+    [p] = st.timeline_propositions(g)
+    assert p.adverbs == (("now", st.PRE_VERB), ("now", st.POST_VERB))
+
+
+@pytest.mark.parametrize("fields, adverb", [
+    ("adv=now@pre adv=now@pre", "now@pre"),
+    ("adv=now@post adv=quickly@pre adv=now@post", "now@post"),
+    ("polarity=neg adv=quickly@pre id=a adv=quickly@pre", "quickly@pre"),
+])
+def test_a_repeated_adverb_is_a_syntax_error(fields, adverb):
+    # an adverb given twice would be told twice: "The fox now now jumped."
+    text = REPEAT_BASE + f"    jump jump(Agent=fox) {fields}\n"
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(text)
+    assert exc.value.line == 9
+    assert str(exc.value) == f"line 9: repeated adverb {adverb!r}"
 
 
 @pytest.mark.parametrize("fields, key", [

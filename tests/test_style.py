@@ -8,8 +8,8 @@ from retold import dsynt as d
 from retold import story as st
 from retold import style
 from retold import transform as tr
-from retold.metrics import tokenize_and_stem
-from retold.realize import CONTRACTIBLE, realize_document, realize_sentence, sentence_tokens
+from retold.metrics import tokenize, tokenize_and_stem
+from retold.realize import CONTRACTIBLE, realize_document, realize_sentence
 
 from conftest import random_story
 
@@ -59,7 +59,8 @@ def test_styled_documents_stay_valid(fox_doc):
     for name, model in style.BUILTIN_VOICES.items():
         for seed in range(8):
             styled, _ = style.apply_voice(fox_doc, model, seed)
-            assert d.validate_document(styled) == [], (name, seed)
+            for sentence in styled.sentences:
+                assert d.validate_tree(sentence) == [], (name, seed)
 
 
 def test_sentence_count_preserved_by_every_voice(fox_doc):
@@ -302,7 +303,8 @@ def test_no_punctuation_collisions_under_any_voice():
         doc = tr.transform_story(random_story(random.Random(seed)))
         for model in models:
             styled, _ = style.apply_voice(doc, model, seed)
-            assert d.validate_document(styled) == [], (model.name, seed)
+            for sentence in styled.sentences:
+                assert d.validate_tree(sentence) == [], (model.name, seed)
             text = realize_document(styled)
             for bad in bad_bits:
                 assert bad not in text.replace("...", "…"), (model.name, seed, bad, text)
@@ -616,7 +618,7 @@ def test_tag_auxiliary_is_the_word_the_realizer_negates(fox_graph, lion_graph):
                         continue
                     clause = styled.sentences[dec.sentence_index]
                     negated = clause.without_feature("contract").with_feature("polarity", "neg")
-                    words = [t.surface for t in sentence_tokens(negated)]
+                    words = tokenize(realize_sentence(negated))
                     aux = words[words.index("not") - 1]
                     if clause.feature("polarity") != "neg":
                         aux = CONTRACTIBLE[(aux, "not")]

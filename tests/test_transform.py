@@ -178,7 +178,7 @@ def test_attach_discourse_rejects_unknown_relation():
     main = tr.transform_story(graph([FOX], prop("p", "jump", "jump",
                                                 [("Agent", st.EntityRef("fox"))]))).sentences[0]
     with pytest.raises(tr.TransformError):
-        tr.attach_discourse(main, "concession", main)
+        tr._discourse_pair("concession", main)
 
 
 def test_unknown_preposition_raises():
@@ -230,9 +230,10 @@ def _expected_lemma_multiset(g, p, lexicon):
     """Entity-head (plus collective-member and literal) lemmas a clause must
     surface; subjects of infinitive complements are controlled away."""
     counts = Counter()
+    entities = {e.id: e for e in g.entities}
 
     def add_ref(ref):
-        e = g.entity(ref.entity_id)
+        e = entities[ref.entity_id]
         counts[e.head_lemma] += 1
         if e.group_of:
             counts[e.group_of] += 1
@@ -251,7 +252,7 @@ def _expected_lemma_multiset(g, p, lexicon):
                                 if rel == d.I]
                     subj = arg.frame.binding(subjects[0]) if subjects else None
                     if isinstance(subj, st.EntityRef):
-                        e = g.entity(subj.entity_id)
+                        e = entities[subj.entity_id]
                         counts[e.head_lemma] -= 1
                         if e.group_of:
                             counts[e.group_of] -= 1
@@ -309,12 +310,14 @@ def test_attach_discourse_normalizes_clause_tense():
     main = one_sentence(graph([FOX], prop("p", "jump", "jump",
                                           [("Agent", st.EntityRef("fox"))])))
     bare = main.without_feature("tense").without_feature("punct")
-    caused = tr.attach_discourse(main, st.CAUSE, bare)
-    because = caused.children[-1]
+    because, relation = tr._discourse_pair(st.CAUSE, bare)
+    assert (because.lexeme, relation) == (d.BECAUSE, d.APPEND)
     assert because.children[0].feature("tense") == "past"
-    purposed = tr.attach_discourse(main, st.PURPOSE, main.without_feature("punct"))
-    wrapper = purposed.children[-1]
+    wrapper, relation = tr._discourse_pair(st.PURPOSE, main.without_feature("punct"))
+    assert (wrapper.lexeme, relation) == (d.IN_ORDER, d.APPEND)
     assert "tense" not in wrapper.children[0].features
+    complement, relation = tr._discourse_pair(st.COMPLEMENT, bare)
+    assert (complement.feature("tense"), relation) == ("past", d.II)
 
 
 def test_role_argument_type_errors():
