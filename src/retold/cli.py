@@ -40,6 +40,13 @@ def _read_file(path: str) -> str:
         raise _CliError(f"{path}: not UTF-8 text (byte {exc.start})", 2) from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}", 2) from exc
+
+
 def _load_story(path: str) -> story.StoryGraph:
     try:
         return story.parse_story(_read_file(path))
@@ -77,7 +84,7 @@ def cmd_generate(args, out, err) -> int:
     styled, _decisions = style.apply_voice(doc, model, args.seed)
     text = realize.realize_document(styled)
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        _write_file(args.output, text + "\n")
     else:
         print(text, file=out)
     if args.emit_dsynts:
@@ -92,11 +99,12 @@ def _score(pair: metrics.EvalPair, args, out) -> None:
         report = metrics.corpus_report([pair], use_stemming=not args.no_stem)
     except ValueError as exc:
         raise _CliError(str(exc), 2) from exc
+    # the report is written first, so a failed write prints no scores
+    if args.json:
+        _write_file(args.json, metrics.report_to_json(report) + "\n")
     row = report.rows[0]
     print(f"levenshtein: {row.levenshtein}", file=out)
     print(f"bleu: {row.bleu:.4f}", file=out)
-    if args.json:
-        Path(args.json).write_text(metrics.report_to_json(report) + "\n", encoding="utf-8")
 
 
 def cmd_eval(args, out, err) -> int:
@@ -107,8 +115,8 @@ def cmd_eval(args, out, err) -> int:
 
 def cmd_pipeline(args, out, err) -> int:
     reference = _read_file(args.reference)
-    if not metrics.without_bom(reference).strip():
-        raise _CliError(f"{args.reference}: reference text is empty", 2)
+    if not metrics.tokenize(reference):
+        raise _CliError(f"{args.reference}: reference text has no words", 2)
     graph, doc = _transformed_story(args.story, err)
     text = realize.realize_document(doc)
     print(text, file=out)

@@ -4,15 +4,18 @@ Texts are lowercased, whitespace-split, stripped of edge punctuation and
 stemmed before scoring, so inflectional variation does not count as an
 edit. Word-level edit distance is Hyyrö's form of Myers' bit-vector
 algorithm over Python ints: O(n·m/w) word operations for w-bit machine
-words, with one Python-level step per token of the shorter text.
+words, with one Python-level step per token of the shorter text. Its masks
+are non-negative n-bit ints, and the distance is read off the bit counts
+of the last column, so the loop tracks no cell.
 
 Scoring costs one cached stem lookup per token, one Porter run per distinct
 word not among the 4,096 kept by :func:`retold.porter.stem` (about 0.7 MB
 when full), the edit distance, and n-gram counts. Tokenizing and stemming
-are each one ``map`` over the words. BLEU counts each n-gram of the
+are each one ``map`` over the words, and an ASCII text is stripped with
+the ASCII strip characters alone. BLEU counts each n-gram of the
 candidate, and of the reference only those the candidate has, so its
 clipped overlap is a walk over the shared n-grams alone. A pair of
-300-word fable tellings scores in about 0.88 ms once its words are cached.
+300-word fable tellings scores in about 0.83 ms once its words are cached.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .record import Record, slot_setters
 # string.punctuation, then typographic quotes, dashes and the ellipsis;
 # written out so that importing retold does not import `string`
 _STRIP_CHARS = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~" + "‘’“”–—…"
+_ASCII_STRIP_CHARS = "".join(filter(str.isascii, _STRIP_CHARS))
 
 
 def without_bom(text: str) -> str:
@@ -38,8 +42,11 @@ def without_bom(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    return list(filter(None, map(str.strip, without_bom(text).lower().split(),
-                                 repeat(_STRIP_CHARS))))
+    text = without_bom(text).lower()
+    # an ASCII text holds none of the typographic strip characters, and
+    # str.strip runs about twice as fast with the shorter set
+    chars = _ASCII_STRIP_CHARS if text.isascii() else _STRIP_CHARS
+    return list(filter(None, map(str.strip, text.split(), repeat(chars))))
 
 
 def tokenize_and_stem(text: str, use_stemming: bool = True) -> list[str]:
@@ -52,10 +59,13 @@ def tokenize_and_stem(text: str, use_stemming: bool = True) -> list[str]:
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimum insert/delete/substitute edits between two token sequences.
 
-    Tokens must be hashable. Each token of the longer sequence gets one bit;
-    ``vp``/``vn`` hold the +1/-1 vertical deltas of the DP column for the
-    current token of the shorter one and ``dist`` its last cell (Hyyrö
-    2001's form of Myers 1999).
+    Tokens must be hashable. Each token of the longer sequence gets one bit
+    of an n-bit mask; ``vp``/``vn`` hold the +1/-1 vertical deltas of the DP
+    column for the current token of the shorter one (Hyyrö 2001's form of
+    Myers 1999). Every mask is a non-negative int below ``1 << n``, with
+    ``full ^ x`` for ``~x``. No cell is tracked in the loop: the distance is
+    the last column's bottom cell, which is its top cell, ``len(b)``, plus
+    its vertical deltas, ``vp.bit_count() - vn.bit_count()``.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -66,22 +76,19 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     for tok in a:
         masks[tok] = masks.get(tok, 0) | bit
         bit <<= 1
-    full, high = bit - 1, bit >> 1
-    vp, vn, dist = full, 0, len(a)
+    full = bit - 1
+    vp, vn = full, 0
     for tok in b:
         eq = masks.get(tok, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp)
         hn = vp & xh
-        if hp & high:
-            dist += 1
-        elif hn & high:
-            dist -= 1
-        hp = (hp << 1) | 1
-        vp = ((hn << 1) | ~(xv | hp)) & full
+        # the shifts and xh's carry reach bit n, outside the column; only vp
+        # is masked, since vn = hp & xv stays below 1 << n with xv
+        hp = ((vn | (full ^ (xh | vp))) << 1) | 1
+        vp = ((hn << 1) | (full ^ (xv | hp))) & full
         vn = hp & xv
-    return dist
+    return len(b) + vp.bit_count() - vn.bit_count()
 
 
 def _grams(tokens: Sequence[str], n: int) -> Iterable:
@@ -162,11 +169,10 @@ _REPORT_SETTERS = slot_setters(EvalReport)
 
 
 def score_pair(pair: EvalPair, use_stemming: bool = True) -> EvalRow:
-    if not (without_bom(pair.candidate_text).strip()
-            and without_bom(pair.reference_text).strip()):
-        raise ValueError(f"pair {pair.label!r}: both texts must be non-empty")
     cand = tokenize_and_stem(pair.candidate_text, use_stemming)
     ref = tokenize_and_stem(pair.reference_text, use_stemming)
+    if not (cand and ref):
+        raise ValueError(f"pair {pair.label!r}: both texts must hold a word")
     return EvalRow(pair.label, levenshtein(cand, ref), bleu(cand, ref))
 
 

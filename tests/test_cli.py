@@ -1,5 +1,7 @@
 import copy
+import errno
 import io
+import os
 import random
 
 import pytest
@@ -121,6 +123,18 @@ def test_eval_json_report(tmp_path):
         out.splitlines()[0].split(": ")[1])
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--candidate", GOLDEN, "--reference", REFERENCE, "--json", "{target}"],
+    ["generate", FOX, "--output", "{target}", "--emit-dsynts"],
+], ids=["eval-json", "generate-output"])
+def test_a_failed_write_gives_one_message_line(tmp_path, argv):
+    # a directory cannot be written as a file; nothing reaches stdout first
+    code, out, err = invoke(*(a.format(target=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"retold: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
+
 def test_eval_no_stem_flag():
     code, out, _ = invoke("eval", "--candidate", GOLDEN, "--reference", GOLDEN, "--no-stem")
     assert code == 0
@@ -186,6 +200,8 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
      ["generate", "{input}"], 1),
     ("voice X\nexclamation: 1.2.3\n", ["generate", FOX, "--voice", "{input}"], 2),
     (" \n", ["pipeline", FOX, "--reference", "{input}"], 2),
+    ("... \u2014\n", ["pipeline", FOX, "--reference", "{input}"], 2),
+    ("...\n", ["eval", "--candidate", "{input}", "--reference", REFERENCE], 2),
     (ref_chain_story(30), ["generate", "{input}"], 1),
     (NOT_UTF8_STORY, ["generate", "{input}"], 2),
     (b"voice X\nexclamation: 1.0 # \xe9\n", ["generate", FOX, "--voice", "{input}"], 2),
@@ -195,6 +211,7 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
     ('story x "X"\n\nentities\n  fox character fox\n\n'
      'timeline\n  \u0660:\n    jump jump(Agent=fox)\n', ["validate", "{input}"], 2),
 ], ids=["property-argument-story", "bad-voice-value", "blank-reference",
+        "punctuation-only-reference", "punctuation-only-candidate",
         "ref-expansion-over-budget", "story-not-utf8", "voice-not-utf8",
         "nesting-past-the-bound", "ref-nesting-past-the-bound", "timespan-index-not-ascii"])
 def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):

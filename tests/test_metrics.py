@@ -70,6 +70,26 @@ def test_tokenize_equals_the_per_token_loop(text):
     assert metrics.tokenize_and_stem(text, use_stemming=False) == loop_tokenize(text)
 
 
+# letters, each ASCII strip character and ASCII whitespace: the texts that
+# tokenize strips with the ASCII subset of its strip characters
+ASCII_TEXT_CHARS = ("aZ" + "".join(filter(str.isascii, metrics._STRIP_CHARS)) + " \n\t")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=hst.text(alphabet=ASCII_TEXT_CHARS, max_size=40))
+def test_tokenize_equals_the_per_token_loop_on_ascii_text(text):
+    assert metrics.tokenize(text) == loop_tokenize(text)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("\u201cfox,\u201d \u00e9", ["fox", "\u00e9"]),
+    ("fox\u2026 \u00e9", ["fox", "\u00e9"]),
+    ("\u00e9 \u2014fox\u2014", ["\u00e9", "fox"]),
+])
+def test_one_non_ascii_character_keeps_the_typographic_strip_characters(text, tokens):
+    assert metrics.tokenize(text) == loop_tokenize(text) == tokens
+
+
 def test_tokenize_without_stemming():
     assert metrics.tokenize_and_stem("The foxes jumped.", use_stemming=False) == \
         ["the", "foxes", "jumped"]
@@ -106,6 +126,23 @@ def long_pairs():
 def test_levenshtein_matches_two_row_dp_on_long_pairs():
     for i, a, b in long_pairs():
         assert metrics.levenshtein(a, b) == two_row_dp(a, b), (i, len(a), len(b))
+
+
+# CPython ints have 30-bit digits, so the carry in (eq & vp) + vp and the
+# shifts cross a digit at these lengths
+DIGIT_EDGE_LENGTHS = (0, 1, 2, 29, 30, 31, 59, 60, 61, 89, 90, 91)
+
+
+def test_levenshtein_at_int_digit_edges():
+    rng = random.Random(30)
+    for m in DIGIT_EDGE_LENGTHS:
+        for n in DIGIT_EDGE_LENGTHS:
+            a = [rng.choice("xyz") for _ in range(m)]
+            b = [rng.choice("xyz") for _ in range(n)]
+            assert metrics.levenshtein(a, b) == two_row_dp(a, b), (m, n)
+            disjoint = [rng.choice("pq") for _ in range(n)]
+            assert metrics.levenshtein(a, disjoint) == max(m, n), (m, n)
+        assert metrics.levenshtein(a, list(a)) == 0, m
 
 
 def test_levenshtein_metric_axioms():
@@ -258,8 +295,11 @@ def test_corpus_report_rejects_empty_input():
 
 
 def test_score_pair_rejects_empty_text():
-    with pytest.raises(ValueError):
-        metrics.score_pair(metrics.EvalPair("", "reference", "x"))
+    # a text of punctuation alone has no words either
+    for candidate, reference in [("", "reference"), ("reference", " \n"),
+                                 ("...", "reference"), ("reference", "\u201c\u2014\u201d")]:
+        with pytest.raises(ValueError, match="both texts must hold a word"):
+            metrics.score_pair(metrics.EvalPair(candidate, reference, "x"))
 
 
 def test_a_leading_byte_order_mark_is_no_token():
