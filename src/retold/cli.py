@@ -94,14 +94,18 @@ def cmd_generate(args, out, err) -> int:
     return 0
 
 
-def _score(pair: metrics.EvalPair, args, out) -> None:
+def _score(pair: metrics.EvalPair, args, out, telling: Optional[str] = None) -> None:
+    """Score ``pair`` and write the ``--json`` report, then print
+    ``telling`` (if given) and a blank line, then the scores. The report is
+    written first, so a failed write prints nothing."""
     try:
         report = metrics.corpus_report([pair], use_stemming=not args.no_stem)
     except ValueError as exc:
         raise _CliError(str(exc), 2) from exc
-    # the report is written first, so a failed write prints no scores
     if args.json:
         _write_file(args.json, metrics.report_to_json(report) + "\n")
+    if telling is not None:
+        print(telling, end="\n\n", file=out)
     row = report.rows[0]
     print(f"levenshtein: {row.levenshtein}", file=out)
     print(f"bleu: {row.bleu:.4f}", file=out)
@@ -119,10 +123,7 @@ def cmd_pipeline(args, out, err) -> int:
         raise _CliError(f"{args.reference}: reference text has no words", 2)
     graph, doc = _transformed_story(args.story, err)
     text = realize.realize_document(doc)
-    print(text, file=out)
-    pair = metrics.EvalPair(text, reference, label=graph.id)
-    print(file=out)
-    _score(pair, args, out)
+    _score(metrics.EvalPair(text, reference, label=graph.id), args, out, telling=text)
     return 0
 
 

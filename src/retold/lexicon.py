@@ -22,15 +22,13 @@ from .record import Record, slot_setters
 NOUN = "noun"
 VERB = "verb"
 ADJECTIVE = "adjective"
-ADVERB = "adverb"
 PREPOSITION = "preposition"
-FUNCTION = "function"
 
-POS_TAGS = frozenset({NOUN, VERB, ADJECTIVE, ADVERB, PREPOSITION, FUNCTION})
+POS_TAGS = frozenset({NOUN, VERB, ADJECTIVE, PREPOSITION})
 REGISTERS = frozenset({"neutral", "casual"})
 
 # surface-form slots an entry may override
-IRREGULAR_KEYS = ("past", "past_plural", "past_participle", "plural", "third_singular")
+IRREGULAR_KEYS = ("past", "past_plural", "plural")
 
 VOWELS = "aeiou"
 
@@ -268,12 +266,10 @@ def _parse_lexicon_line(line: str, lineno: int) -> LexemeEntry:
     irregular: dict[str, str] = {}
     onset = None
     synonyms: list[tuple[str, str]] = []
-    short = {"pp": "past_participle", "third": "third_singular"}
     for tok in parts[2:]:
         if "=" not in tok:
             raise LexiconError(f"lexicon line {lineno}: bad field {tok!r}")
         key, value = tok.split("=", 1)
-        key = short.get(key, key)
         if key in IRREGULAR_KEYS:
             irregular[key] = value
         elif key == "onset":

@@ -55,7 +55,8 @@ MODAL_LEMMAS = frozenset({"can"})
 # not"); every other verb takes do-support ("did not obtain")
 NOT_CARRIERS = MODAL_LEMMAS | {"be"}
 
-ACCUSATIVE = {"he": "him", "she": "her", "it": "it", "they": "them", "i": "me", "you": "you"}
+# the object form of each pronoun in dsynt.PRONOUNS
+ACCUSATIVE = {"he": "him", "she": "her", "it": "it", "they": "them"}
 
 CONTRACTIBLE = {("did", "not"): "didn't",
                 ("could", "not"): "couldn't",

@@ -45,7 +45,7 @@ from itertools import groupby
 from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .dsynt import ARGUMENT_RELATIONS, ATTR, II, III, PRONOUNS
+from .dsynt import ARGUMENT_RELATIONS, ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
 from .lexicon import ADJECTIVE, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
 from .metrics import without_bom
 from .record import Record, slot_setters
@@ -441,7 +441,7 @@ class _Parser:
             if key == "group_of":
                 group_of = value
             elif key == "number":
-                if value not in ("sg", "pl"):
+                if value not in FEATURE_DOMAIN["number"]:
                     raise StorySyntaxError(f"bad number {value!r}", lineno)
                 number = value
             elif key == "mod":
@@ -858,6 +858,10 @@ def _diagnostics(g: StoryGraph) -> tuple[Diagnostic, ...]:
             err(e.id, f"bad entity kind {e.kind!r}")
         if not e.head_lemma or not lex.has(e.head_lemma, NOUN):
             err(e.id, f"head lemma {e.head_lemma!r} is not a known noun")
+        if e.number not in FEATURE_DOMAIN["number"]:
+            err(e.id, f"bad number {e.number!r}")
+        if e.pronoun is not None and e.pronoun not in PRONOUNS:
+            err(e.id, f"bad pronoun {e.pronoun!r}")
         if e.group_of:
             if e.number != "sg":
                 err(e.id, "collective entities take singular agreement")

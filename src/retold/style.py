@@ -175,6 +175,8 @@ def load_voice(name_or_path: str) -> VoiceModel:
             # decoded as "utf-8", not "utf-8-sig", so a bad byte's offset counts
             # a byte-order mark; parse_voice drops the mark
             return parse_voice(p.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise VoiceError(f"cannot read {name_or_path}: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
             raise VoiceError(f"{name_or_path}: not UTF-8 text (byte {exc.start})") from exc
         except VoiceError as exc:

@@ -14,6 +14,7 @@ from conftest import FIXTURES, fixture_text, nested_story, ref_chain_story
 FOX = str(FIXTURES / "fox_and_grapes.story")
 LION = str(FIXTURES / "lion_and_boar.story")
 GOLDEN = str(FIXTURES / "fox_and_grapes.golden.txt")
+LION_GOLDEN = str(FIXTURES / "lion_and_boar.golden.txt")
 REFERENCE = str(FIXTURES / "fox_and_grapes.reference.txt")
 FOX_BYTES = (FIXTURES / "fox_and_grapes.story").read_bytes()
 # the fox fixture with one byte replaced by one that is never valid UTF-8
@@ -126,13 +127,22 @@ def test_eval_json_report(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["eval", "--candidate", GOLDEN, "--reference", REFERENCE, "--json", "{target}"],
     ["generate", FOX, "--output", "{target}", "--emit-dsynts"],
-], ids=["eval-json", "generate-output"])
+    ["pipeline", LION, "--reference", LION_GOLDEN, "--json", "{target}"],
+], ids=["eval-json", "generate-output", "pipeline-json"])
 def test_a_failed_write_gives_one_message_line(tmp_path, argv):
     # a directory cannot be written as a file; nothing reaches stdout first
     code, out, err = invoke(*(a.format(target=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
     assert err == f"retold: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
+
+def test_a_voice_that_cannot_be_read_gives_one_message_line(tmp_path):
+    # a directory exists but cannot be read as a voice file
+    code, out, err = invoke("generate", FOX, "--voice", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"retold: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
 
 
 def test_eval_no_stem_flag():

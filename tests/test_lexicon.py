@@ -167,6 +167,10 @@ def test_loader_rejects_malformed_records():
         "fox noun onset=fo+xx",      # onset parts must spell the lemma
         "hang verb syn=rest",        # synonym missing register
         "hang verb syn=rest@slangy", # unknown register
+        "now adverb",                # closed classes are not listed
+        "the function",
+        "see verb pp=seen",          # no stage reads these forms
+        "be verb third=is",
     ]
     for line in bad_lexicon_lines:
         with pytest.raises(lx.LexiconError):

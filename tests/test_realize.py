@@ -60,6 +60,17 @@ def test_collective_subject_takes_singular_verb(lion_graph):
     assert "the group of vultures was seated on the rock" in text
 
 
+def test_every_pronoun_has_its_object_form():
+    # the pronouns a story may give a character are the only ones a stage
+    # emits, and each has its object form
+    assert set(rz.ACCUSATIVE) == d.PRONOUNS
+    realizer = rz._Realizer()
+    for pronoun, object_form in rz.ACCUSATIVE.items():
+        node = d.DSyntNode(pronoun, d.FUNCTION_WORD, d.II)
+        assert list(realizer.np_pieces(node, case="acc")) == [" " + object_form]
+        assert list(realizer.np_pieces(node)) == [" " + pronoun]
+
+
 def test_realize_document_joins_with_single_spaces(fox_graph):
     text = rz.realize_document(tr.transform_story(fox_graph))
     assert "  " not in text

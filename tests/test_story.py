@@ -9,7 +9,7 @@ import pytest
 
 from retold import story as st
 from retold.diagnostics import ERROR
-from retold.transform import transform_story
+from retold.transform import TransformError, transform_story
 
 from conftest import FIXTURES, nested_story, random_story, ref_chain_story
 
@@ -205,6 +205,19 @@ def test_validate_collective_requires_singular():
                                  number="pl"),),
                       ())
     assert any("singular" in d.message for d in st.validate_story(g))
+
+
+@pytest.mark.parametrize("field, value", [("number", "dual"), ("pronoun", "xe")])
+def test_validate_checks_a_built_entity_by_the_parser_tables(fox_graph, field, value):
+    # the parser refuses these values; an entity built in code is held to
+    # the same tables, so "validate ok" still means the story realizes
+    entities = tuple(e.replace(**{field: value}) if e.id == "fox" else e
+                     for e in fox_graph.entities)
+    g = fox_graph.replace(entities=entities)
+    assert [(d.severity, d.location, d.message) for d in st.validate_story(g)] == [
+        (ERROR, "fox", f"bad {field} {value!r}")]
+    with pytest.raises(TransformError):
+        transform_story(g)
 
 
 def test_validate_detects_forged_nesting_cycle():
