@@ -7,7 +7,7 @@ Subcommands wire the pipeline end to end:
     retold eval --candidate F --reference F [--no-stem] [--json F]
     retold pipeline <story> --reference F [--no-stem] [--json F]
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or parse errors.
+Exit codes: 0 success, 1 validation failure, 2 I/O or parse errors, 130 Ctrl-C.
 Output is byte-identical across runs for equal inputs (the seed included).
 """
 
@@ -175,6 +175,9 @@ def run(argv: Optional[list[str]] = None, out=None, err=None) -> int:
     except OSError as exc:
         print(f"retold: {exc}", file=err)
         return 2
+    except KeyboardInterrupt:
+        print("retold: interrupted", file=err)
+        return 130
 
 
 def main() -> None:

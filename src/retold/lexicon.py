@@ -2,8 +2,8 @@
 
 Entries carry irregular morphology (strong pasts, mutated plurals), synonym
 sets tagged by register, and optional onset splits used by the stuttering
-transform. Frames map thematic roles of a predicate to deep-syntactic
-relations so the clause builder knows where each argument goes.
+transform. Frames list the thematic roles of a predicate, and one linking
+table maps each role to the relation the clause builder puts it in.
 
 Both tables load from plain-text data files shipped with the package; see
 ``data/lexicon.txt`` and ``data/frames.txt`` for the record formats.
@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Optional
 
-from .dsynt import ARGUMENT_RELATIONS, ATTR
+from .dsynt import ARGUMENT_RELATIONS, ATTR, I, II, III
 from .record import Record, slot_setters
 
 NOUN = "noun"
@@ -34,6 +34,13 @@ VOWELS = "aeiou"
 
 FINITE = "finite_clause"
 INFINITIVE = "infinitive_clause"
+
+# Argument linking (Dowty 1991; VerbNet): of SUBJECT_ROLES, the first a frame has
+# is I; only a COMPLEMENT_KINDS role nests a proposition, as a clause of its kind.
+SUBJECT_ROLES = ("Agent", "Experiencer", "Theme")
+ROLE_RELATIONS = {"Theme": II, "Patient": II, "Stimulus": II, "Topic": II, "Action": II,
+                  "Recipient": III, "Attribute": ATTR, "Addressee": "prep:to"}
+COMPLEMENT_KINDS = {"Action": INFINITIVE, "Topic": FINITE, "Stimulus": FINITE}
 
 
 class LexiconError(Exception):
@@ -80,20 +87,17 @@ class FrameDef(Record):
     ``mandatory_roles`` and ``optional_roles`` are (role, relation) pairs in
     realization order; relations are I/II/III for arguments, ATTR for a
     copular attribute, or ``prep:<word>`` for an oblique realized as a
-    prepositional phrase. ``complement_kind`` says how a nested proposition
-    bound to an argument slot is rendered.
+    prepositional phrase, as the linking table gives them to the loader.
     """
 
-    __slots__ = _fields = ("frame_id", "mandatory_roles", "optional_roles", "complement_kind")
+    __slots__ = _fields = ("frame_id", "mandatory_roles", "optional_roles")
 
     def __init__(self, frame_id: str, mandatory_roles: tuple[tuple[str, str], ...] = (),
-                 optional_roles: tuple[tuple[str, str], ...] = (),
-                 complement_kind: Optional[str] = None):
-        set_frame_id, set_mandatory, set_optional, set_complement_kind = _FRAME_SETTERS
+                 optional_roles: tuple[tuple[str, str], ...] = ()):
+        set_frame_id, set_mandatory, set_optional = _FRAME_SETTERS
         set_frame_id(self, frame_id)
         set_mandatory(self, mandatory_roles)
         set_optional(self, optional_roles)
-        set_complement_kind(self, complement_kind)
 
     def all_roles(self) -> tuple[tuple[str, str], ...]:
         return self.mandatory_roles + self.optional_roles
@@ -114,9 +118,9 @@ class Lexicon:
         for f in frames:
             if f.frame_id in self._frames:
                 raise LexiconError(f"duplicate frame {f.frame_id}")
-            seen = [rel for _, rel in f.all_roles() if rel in ARGUMENT_RELATIONS]
+            seen = [rel if rel in ARGUMENT_RELATIONS else role for role, rel in f.all_roles()]
             if len(seen) != len(set(seen)):
-                raise LexiconError(f"frame {f.frame_id} maps two roles to one relation")
+                raise LexiconError(f"frame {f.frame_id} repeats a role or an argument relation")
             self._frames[f.frame_id] = f
 
     def lookup(self, lemma: str, pos: str) -> LexemeEntry:
@@ -297,27 +301,20 @@ def _parse_frame_line(line: str, lineno: int) -> FrameDef:
     parts = head.split()
     if len(parts) != 2 or parts[0] != "frame" or not sep:
         raise LexiconError(f"frames line {lineno}: expected 'frame <id> : ...'")
-    frame_id = parts[1]
+    roles = body.split()
+    links = {**ROLE_RELATIONS, next((r for r in SUBJECT_ROLES if r in roles), None): I}
     mandatory: list[tuple[str, str]] = []
-    optional: list[tuple[str, str]] = []
-    complement = None
-    bucket = mandatory
-    for tok in body.split():
-        if tok == "opt":
+    bucket, optional = mandatory, []
+    for role in roles:
+        if role == "opt":
             bucket = optional
-            continue
-        if "=" not in tok:
-            raise LexiconError(f"frames line {lineno}: bad token {tok!r}")
-        key, value = tok.split("=", 1)
-        if key == "complement":
-            if value not in ("finite", "infinitive"):
-                raise LexiconError(f"frames line {lineno}: bad complement {value!r}")
-            complement = FINITE if value == "finite" else INFINITIVE
-            continue
-        if value not in (*ARGUMENT_RELATIONS, ATTR) and not value.startswith("prep:"):
-            raise LexiconError(f"frames line {lineno}: bad relation {value!r}")
-        bucket.append((key, value))
-    return FrameDef(frame_id, tuple(mandatory), tuple(optional), complement)
+        elif "=" in role:  # "Agent=I" or "complement=finite"
+            raise LexiconError(f"frames line {lineno}: {role!r}: the linking table sets this")
+        elif role in links:
+            bucket.append((role, links[role]))
+        else:
+            raise LexiconError(f"frames line {lineno}: role {role!r} has no link")
+    return FrameDef(parts[1], tuple(mandatory), tuple(optional))
 
 
 def _data_lines(text: str):

@@ -46,7 +46,7 @@ from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .dsynt import ARGUMENT_RELATIONS, ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
-from .lexicon import ADJECTIVE, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
+from .lexicon import ADJECTIVE, COMPLEMENT_KINDS, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
 from .metrics import without_bom
 from .record import Record, slot_setters
 
@@ -789,7 +789,7 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
             out.append("property argument outside a copular slot")
         elif isinstance(arg, Proposition) and rel not in (II, III):
             out.append(f"role {role} cannot nest a proposition")
-        elif isinstance(arg, Proposition) and frame.complement_kind is None:
+        elif isinstance(arg, Proposition) and role not in COMPLEMENT_KINDS:
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
 
     # a complement attachment realizes as the II argument of the clause

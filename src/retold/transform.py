@@ -32,7 +32,7 @@ from . import dsynt as d
 from . import story as s
 from .diagnostics import ERROR
 from .dsynt import BECAUSE, IN_ORDER
-from .lexicon import INFINITIVE, FrameDef, default_lexicon
+from .lexicon import COMPLEMENT_KINDS, INFINITIVE, default_lexicon
 
 
 class TransformError(Exception):
@@ -144,7 +144,7 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
         if arg is None or (rel == d.I and skip_subject):
             continue
         if rel in d.ARGUMENT_RELATIONS:
-            pairs.append((_argument_node(arg, rel, frame, ctx), rel))
+            pairs.append((_argument_node(arg, role, rel, ctx), rel))
         elif rel == d.ATTR:
             pairs.append((_np_for_target(arg, d.ATTR, ctx), d.ATTR))
         else:  # prep:<word>
@@ -166,9 +166,9 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
     return root
 
 
-def _argument_node(arg, relation: str, frame: FrameDef, ctx: DiscourseContext) -> d.DSyntNode:
+def _argument_node(arg, role: str, relation: str, ctx: DiscourseContext) -> d.DSyntNode:
     if isinstance(arg, s.Proposition):
-        if frame.complement_kind == INFINITIVE:
+        if COMPLEMENT_KINDS[role] == INFINITIVE:
             return build_clause(arg, ctx, finite=False, skip_subject=True)
         return build_clause(arg, ctx, finite=True)
     return _np_for_target(arg, relation, ctx)

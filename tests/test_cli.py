@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from retold import metrics
 from retold import story as st
 from retold.cli import run
 from retold.style import BUILTIN_VOICES
@@ -143,6 +144,15 @@ def test_a_voice_that_cannot_be_read_gives_one_message_line(tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"retold: cannot read {tmp_path}: {os.strerror(errno.EISDIR)}\n"
+
+
+def test_an_interrupt_gives_one_message_line(monkeypatch):
+    # Ctrl-C during a long edit distance is one line and the shell's code 130
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(metrics, "corpus_report", interrupted)
+    code, out, err = invoke("eval", "--candidate", GOLDEN, "--reference", REFERENCE)
+    assert (code, out, err) == (130, "", "retold: interrupted\n")
 
 
 def test_eval_no_stem_flag():

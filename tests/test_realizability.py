@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from retold import lexicon as lx
 from retold import story as st
 from retold import style
 from retold import transform as tr
@@ -220,7 +221,7 @@ def reference_errors(p, entity_ids, lexicon):
             out.append("property argument outside a copular slot")
         elif isinstance(arg, st.Proposition) and rel not in ("II", "III"):
             out.append(f"role {role} cannot nest a proposition")
-        elif isinstance(arg, st.Proposition) and frame.complement_kind is None:
+        elif isinstance(arg, st.Proposition) and role not in lx.COMPLEMENT_KINDS:
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
 
     ii_taken = any(relations.get(role) == "II" for role, _ in p.frame.bindings)

@@ -29,7 +29,7 @@ SAMPLES = [
     (d.DSyntNode, ("fox", d.COMMON_NOUN, d.I, {"number": "sg"}, ())),
     (d.Document, ((d.DSyntNode("jump", d.VERB),),)),
     (lx.LexemeEntry, ("be", lx.VERB, {"past": "was"}, None, (("exist", "casual"),))),
-    (lx.FrameDef, ("jump", (("Agent", "I"),), (("Goal", "prep:to"),), None)),
+    (lx.FrameDef, ("jump", (("Agent", "I"),), (("Goal", "prep:to"),))),
     (m.EvalPair, ("a b", "a c", "row")),
     (m.EvalRow, ("row", 1, 0.5)),
     (m.EvalReport, ((m.EvalRow("row", 1, 0.5),), 1.0, 0.0, 0.5, 0.0)),
@@ -129,7 +129,7 @@ def test_defaults():
     e1, e2 = lx.LexemeEntry("fox", lx.NOUN), lx.LexemeEntry("fox", lx.NOUN)
     assert (e1.irregular, e1.onset_split, e1.synonyms) == ({}, None, ())
     assert e1.irregular is not e2.irregular
-    assert lx.FrameDef("f") == lx.FrameDef("f", (), (), None)
+    assert lx.FrameDef("f") == lx.FrameDef("f", (), ())
     assert d.Document() == d.Document(())
     assert m.EvalPair("a", "b").label == ""
     assert st.Entity("fox", st.CHARACTER, "fox") == st.Entity("fox", st.CHARACTER, "fox",

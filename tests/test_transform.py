@@ -6,7 +6,7 @@ import pytest
 from retold import dsynt as d
 from retold import story as st
 from retold import transform as tr
-from retold.lexicon import INFINITIVE
+from retold.lexicon import COMPLEMENT_KINDS, INFINITIVE
 from retold.realize import realize_sentence
 from retold.style import BUILTIN_VOICES, apply_voice
 
@@ -239,7 +239,6 @@ def _expected_lemma_multiset(g, p, lexicon):
             counts[e.group_of] += 1
 
     def walk_prop(p):
-        frame = lexicon.frame(p.frame.frame_id)
         for role, arg in p.frame.bindings:
             if isinstance(arg, st.EntityRef):
                 add_ref(arg)
@@ -247,7 +246,7 @@ def _expected_lemma_multiset(g, p, lexicon):
                 counts[arg.value] += 1
             elif isinstance(arg, st.Proposition):
                 walk_prop(arg)
-                if frame.complement_kind == INFINITIVE:
+                if COMPLEMENT_KINDS[role] == INFINITIVE:
                     subjects = [role for role, rel in lexicon.frame(arg.frame.frame_id).all_roles()
                                 if rel == d.I]
                     subj = arg.frame.binding(subjects[0]) if subjects else None
