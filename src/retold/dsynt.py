@@ -114,12 +114,6 @@ class DSyntNode(Record):
         feats[key] = value
         return DSyntNode(self.lexeme, self.cls, self.relation, feats, self.children)
 
-    def without_feature(self, key: str) -> "DSyntNode":
-        if key not in self.features:
-            return self
-        feats = {k: v for k, v in self.features.items() if k != key}
-        return DSyntNode(self.lexeme, self.cls, self.relation, feats, self.children)
-
     def with_relation(self, relation: str) -> "DSyntNode":
         if self.relation == relation:
             return self

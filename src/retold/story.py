@@ -22,7 +22,8 @@ comment anywhere a line begins. Sketch:
 
 Inline arguments are entity ids, ``@adjective`` properties, or quoted
 literals; nested propositions bind through indented ``role <Name>:`` blocks
-or through the discourse lines ``purpose:``/``cause:``/``complement:``.
+or through the discourse lines ``purpose:`` and ``cause:``. A finite object
+clause binds through a role the frame links to a clause, as ``role Topic:``.
 A proposition may carry ``id=<pid>`` and be reused later as ``ref <pid>``
 (backward references only, which keeps the nesting graph acyclic).
 The full grammar is documented in the README.
@@ -46,7 +47,8 @@ from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .dsynt import ARGUMENT_RELATIONS, ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
-from .lexicon import ADJECTIVE, COMPLEMENT_KINDS, NOUN, PREPOSITION, VERB, Lexicon, default_lexicon
+from .lexicon import (ADJECTIVE, COMPLEMENT_KINDS, NOUN, PREPOSITION, VERB, FrameDef, Lexicon,
+                      default_lexicon)
 from .metrics import without_bom
 from .record import Record, slot_setters
 
@@ -63,9 +65,8 @@ POST_VERB = "post_verb"
 
 PURPOSE = "purpose"
 CAUSE = "cause"
-COMPLEMENT = "complement"
 PREPOSITIONAL = "prepositional"
-CLAUSE_RELATIONS = (PURPOSE, CAUSE, COMPLEMENT)
+CLAUSE_RELATIONS = (PURPOSE, CAUSE)
 
 # the top-level sections of a story file, each a header line of its own
 SECTIONS = ("entities", "original", "timeline")
@@ -324,7 +325,7 @@ def _patterns() -> tuple[re.Pattern, ...]:
             re.compile(r"[0-9]+:"),
             re.compile(r"([\w-]+)@(pre|post)"),
             re.compile(r"prep\s+([\w-]+):\s*(.+)"),
-            re.compile(r"role\s+[A-Za-z_]\w*:|purpose:|cause:|complement:"))
+            re.compile(r"role\s+[A-Za-z_]\w*:|purpose:|cause:"))
 
 
 def _outline(encoded_text: str) -> list[tuple]:
@@ -740,11 +741,14 @@ def _frame_rules(lexicon: Lexicon, frame_id: str
 
 def _reference_error(arg: Argument, entity_ids: Container[str], lexicon: Lexicon
                      ) -> Optional[str]:
-    """Why an inline argument names nothing the story or lexicon has, or None."""
+    """Why an inline argument names nothing the story or lexicon has, or is a
+    literal with no words once an underscore reads as a space, or None."""
     if isinstance(arg, EntityRef) and arg.entity_id not in entity_ids:
         return f"unknown entity {arg.entity_id!r}"
     if isinstance(arg, Property) and not lexicon.has(arg.adjective, ADJECTIVE):
         return f"property {arg.adjective!r} is not a known adjective"
+    if isinstance(arg, Text) and not arg.value.replace("_", " ").split():
+        return f"literal {arg.value!r} has no words"
     return None
 
 
@@ -792,18 +796,12 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
         elif isinstance(arg, Proposition) and role not in COMPLEMENT_KINDS:
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
 
-    # a complement attachment realizes as the II argument of the clause
-    ii_taken = any(relations.get(role) == II for role in bound)
     for a in p.attachments:
         if a.relation in CLAUSE_RELATIONS:
             if not isinstance(a.target, Proposition):
                 out.append(f"{a.relation} attachment must nest a proposition")
             if a.preposition:
                 out.append(f"{a.relation} attachment does not take a preposition")
-            if a.relation == COMPLEMENT:
-                if ii_taken:
-                    out.append("complement attachment needs a free II slot")
-                ii_taken = True
         elif a.relation == PREPOSITIONAL:
             if not a.preposition:
                 out.append("prepositional attachment needs a preposition")

@@ -5,8 +5,9 @@ tensed verb node, role bindings land on I/II/III per the verb frame, entity
 references expand to definite noun phrases ("the group of grapes" keeps its
 singular head), discourse attachments become subordinate structure
 ("in order" / "because" function words governing embedded clauses), and
-prepositional adjuncts hang off the clause in source order. Each kind of
-subordinate clause gets its wiring and tense in :func:`_discourse_pair`.
+prepositional adjuncts hang off the clause in source order. A purpose
+clause is a to-infinitive and a cause clause is finite; a finite object
+clause comes only from a role the frame links to a clause.
 
 The trees are neutral: every mention is a full noun phrase and nothing is
 contracted. Referring-expression and contraction choices are made only by
@@ -33,6 +34,9 @@ from . import story as s
 from .diagnostics import ERROR
 from .dsynt import BECAUSE, IN_ORDER
 from .lexicon import COMPLEMENT_KINDS, INFINITIVE, default_lexicon
+
+# the function word that governs each clause attachment's clause
+_CLAUSE_WORDS = {s.PURPOSE: IN_ORDER, s.CAUSE: BECAUSE}
 
 
 class TransformError(Exception):
@@ -157,9 +161,10 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
     for a, targets in s.attachment_groups(p.attachments):
         if a.relation == s.PREPOSITIONAL:
             pairs.append((_prepositional_phrase(a.preposition, targets, ctx), d.APPEND))
-        else:  # a clause relation; a purpose clause is a to-infinitive
-            sub = build_clause(a.target, ctx, finite=a.relation != s.PURPOSE)
-            pairs.append(_discourse_pair(a.relation, sub))
+        else:  # "in order (for X) to VP" or "because" + finite clause
+            sub = build_clause(a.target, ctx, finite=a.relation == s.CAUSE)
+            pairs.append((d.build(_CLAUSE_WORDS[a.relation], d.FUNCTION_WORD, d.APPEND, None,
+                                  ((sub, d.APPEND),)), d.APPEND))
 
     root = d.build(p.frame.predicate_lemma, d.VERB, d.ROOT, feats, pairs)
     ctx.clauses[key] = (p, root)
@@ -172,28 +177,6 @@ def _argument_node(arg, role: str, relation: str, ctx: DiscourseContext) -> d.DS
             return build_clause(arg, ctx, finite=False, skip_subject=True)
         return build_clause(arg, ctx, finite=True)
     return _np_for_target(arg, relation, ctx)
-
-
-def _discourse_pair(relation: str, sub: d.DSyntNode) -> tuple[d.DSyntNode, str]:
-    """The child that wires subordinate clause ``sub`` onto a main clause,
-    and the relation it hangs under:
-
-    purpose  ->  "in order (for X) to VP" via an "in_order" function word
-    cause    ->  "because" + finite clause, appended after the main clause
-    complement -> finite clause as the II argument of the main verb
-    """
-    if relation == s.PURPOSE:
-        sub = sub.without_feature("tense")
-        return d.build(IN_ORDER, d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
-    if relation == s.CAUSE:
-        if "tense" not in sub.features:
-            sub = sub.with_feature("tense", "past")
-        return d.build(BECAUSE, d.FUNCTION_WORD, d.APPEND, None, ((sub, d.APPEND),)), d.APPEND
-    if relation == s.COMPLEMENT:
-        if "tense" not in sub.features:
-            sub = sub.with_feature("tense", "past")
-        return sub, d.II
-    raise TransformError(f"unsupported discourse relation {relation!r}")
 
 
 def transform_story(g: s.StoryGraph) -> d.Document:

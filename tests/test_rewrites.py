@@ -171,7 +171,8 @@ def _np(lemma, relation=d.I, pron="he"):
 
 def _in_order(clause):
     return d.build(d.IN_ORDER, d.FUNCTION_WORD, d.APPEND, None,
-                   [(clause.without_feature("tense"), d.APPEND)])
+                   [(clause.replace(features={k: v for k, v in clause.features.items()
+                                               if k != "tense"}), d.APPEND)])
 
 
 def test_nested_subject_drops_come_in_post_order():

@@ -387,6 +387,17 @@ def test_indentation_rules(text, expected):
         assert exc.value.line == line
 
 
+def test_complement_line_is_a_syntax_error_at_its_line():
+    # a finite object clause binds through a role the frame links to a
+    # clause, such as `role Topic:`; there is no `complement:` attachment
+    text = (HEAD + "  0:\n    obtain obtain(Agent=fox, Theme=grapes)\n      complement:\n"
+            + "    " + PROP)
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(text)
+    assert str(exc.value) == "line 8: unexpected line 'complement:' under proposition"
+    assert exc.value.line == 8
+
+
 def test_nesting_bound_is_a_syntax_error_at_the_first_line_too_deep():
     st.parse_story(nested_story(st.MAX_NESTING_DEPTH))
     # line 8 is the top-level proposition; each level adds a slot line and

@@ -617,7 +617,9 @@ def test_tag_auxiliary_is_the_word_the_realizer_negates(fox_graph, lion_graph):
                     if dec.param != "tag_question" or tag in style.EXTERNAL_TAGS:
                         continue
                     clause = styled.sentences[dec.sentence_index]
-                    negated = clause.without_feature("contract").with_feature("polarity", "neg")
+                    negated = clause.replace(features={
+                        **{k: v for k, v in clause.features.items() if k != "contract"},
+                        "polarity": "neg"})
                     words = tokenize(realize_sentence(negated))
                     aux = words[words.index("not") - 1]
                     if clause.feature("polarity") != "neg":

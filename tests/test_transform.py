@@ -162,23 +162,20 @@ def test_say_addressee_goes_clause_final(lion_graph):
     assert text == "The boar said the group of vultures did not eat the boar to the lion."
 
 
-def test_attach_discourse_complement_conflicts_with_bound_ii():
-    g_ok = graph([FOX, GRAPES], prop("p", "obtain", "obtain",
-                                     [("Agent", st.EntityRef("fox")),
-                                      ("Theme", st.EntityRef("grapes"))],
-                                     attachments=(st.Attachment(
-                                         st.COMPLEMENT,
-                                         prop("q", "jump", "jump",
-                                              [("Agent", st.EntityRef("fox"))])),)))
-    with pytest.raises(tr.TransformError):
-        tr.transform_story(g_ok)
-
-
-def test_attach_discourse_rejects_unknown_relation():
-    main = tr.transform_story(graph([FOX], prop("p", "jump", "jump",
-                                                [("Agent", st.EntityRef("fox"))]))).sentences[0]
-    with pytest.raises(tr.TransformError):
-        tr._discourse_pair("concession", main)
+@pytest.mark.parametrize("relation", ["complement", "concession"])
+def test_attach_discourse_rejects_unknown_relation(relation):
+    # a finite object clause is a role the frame links to a clause, never an
+    # attachment; a code-built one is refused like any unknown relation
+    g = graph([FOX, GRAPES], prop("p", "obtain", "obtain",
+                                  [("Agent", st.EntityRef("fox")),
+                                   ("Theme", st.EntityRef("grapes"))],
+                                  attachments=(st.Attachment(
+                                      relation,
+                                      prop("q", "jump", "jump",
+                                           [("Agent", st.EntityRef("fox"))])),)))
+    with pytest.raises(tr.TransformError) as exc:
+        tr.transform_story(g)
+    assert str(exc.value) == f"p: unknown attachment relation {relation!r}"
 
 
 def test_unknown_preposition_raises():
@@ -305,18 +302,15 @@ def test_plural_character_pronoun():
     assert realize_sentence(formal(g).sentences[1]) == "They sobered."
 
 
-def test_attach_discourse_normalizes_clause_tense():
-    main = one_sentence(graph([FOX], prop("p", "jump", "jump",
-                                          [("Agent", st.EntityRef("fox"))])))
-    bare = main.without_feature("tense").without_feature("punct")
-    because, relation = tr._discourse_pair(st.CAUSE, bare)
-    assert (because.lexeme, relation) == (d.BECAUSE, d.APPEND)
-    assert because.children[0].feature("tense") == "past"
-    wrapper, relation = tr._discourse_pair(st.PURPOSE, main.without_feature("punct"))
-    assert (wrapper.lexeme, relation) == (d.IN_ORDER, d.APPEND)
-    assert "tense" not in wrapper.children[0].features
-    complement, relation = tr._discourse_pair(st.COMPLEMENT, bare)
-    assert (complement.feature("tense"), relation) == ("past", d.II)
+def test_attach_discourse_normalizes_clause_tense(fox_graph):
+    # "in order for the fox to obtain" is untensed; "because the fox was not
+    # able" is finite
+    clauses = {node.lexeme: node.children[0]
+               for sentence in tr.transform_story(fox_graph).sentences
+               for _, node in d.walk(sentence) if node.cls == d.FUNCTION_WORD}
+    assert clauses.keys() == {d.IN_ORDER, d.BECAUSE}
+    assert "tense" not in clauses[d.IN_ORDER].features
+    assert clauses[d.BECAUSE].feature("tense") == "past"
 
 
 def test_role_argument_type_errors():
