@@ -1,9 +1,10 @@
 """Closed lexicon of lemmas and verb frames.
 
-Entries carry irregular morphology (strong pasts, mutated plurals), synonym
-sets tagged by register, and optional onset splits used by the stuttering
-transform. Frames list the thematic roles of a predicate, and one linking
-table maps each role to the relation the clause builder puts it in.
+Entries carry irregular morphology (strong pasts, mutated plurals) and the
+casual synonyms that lexical variation and negation paraphrase draw from.
+Frames list the thematic roles of a predicate, and one linking table maps
+each role to the relation the clause builder puts it in. A stutter's onset
+is a spelling rule, :func:`onset`, and no entry overrides it.
 
 Both tables load from plain-text data files shipped with the package; see
 ``data/lexicon.txt`` and ``data/frames.txt`` for the record formats.
@@ -25,7 +26,6 @@ ADJECTIVE = "adjective"
 PREPOSITION = "preposition"
 
 POS_TAGS = frozenset({NOUN, VERB, ADJECTIVE, PREPOSITION})
-REGISTERS = frozenset({"neutral", "casual"})
 
 # surface-form slots an entry may override
 IRREGULAR_KEYS = ("past", "past_plural", "plural")
@@ -65,16 +65,14 @@ class FeatureMismatchError(LexiconError):
 
 
 class LexemeEntry(Record):
-    __slots__ = _fields = ("lemma", "pos", "irregular", "onset_split", "synonyms")
+    __slots__ = _fields = ("lemma", "pos", "irregular", "synonyms")
 
     def __init__(self, lemma: str, pos: str, irregular: Optional[Mapping[str, str]] = None,
-                 onset_split: Optional[tuple[str, str]] = None,
-                 synonyms: tuple[tuple[str, str], ...] = ()):  # (lemma, register)
-        set_lemma, set_pos, set_irregular, set_onset_split, set_synonyms = _ENTRY_SETTERS
+                 synonyms: tuple[str, ...] = ()):  # casual synonyms, in draw order
+        set_lemma, set_pos, set_irregular, set_synonyms = _ENTRY_SETTERS
         set_lemma(self, lemma)
         set_pos(self, pos)
         set_irregular(self, {} if irregular is None else irregular)
-        set_onset_split(self, onset_split)
         set_synonyms(self, synonyms)
 
 
@@ -141,25 +139,28 @@ class Lexicon:
     def has_frame(self, frame_id: str) -> bool:
         return frame_id in self._frames
 
-    def onset(self, lemma: str, pos: str) -> str:
-        """The part of ``lemma`` a stutter repeats: the ``onset=`` split of
-        its (lemma, pos) entry if it has one, else the letters before the
-        first vowel ("tr" of "trellis"). It is empty for a lemma that starts
-        with a vowel or has none, and for a literal of several words ("what
-        was there", "grape_vine"); such a word is never stuttered."""
-        if " " in lemma or "_" in lemma:
-            return ""
-        entry = self._entries.get((lemma, pos))
-        if entry is not None and entry.onset_split is not None:
-            return entry.onset_split[0]
-        for i, ch in enumerate(lemma):
-            if ch in VOWELS:
-                return lemma[:i]
-        return ""
-
     @property
     def entries(self) -> list[LexemeEntry]:
         return list(self._entries.values())
+
+
+def words(text: str) -> list[str]:
+    """The words of a lexeme or literal, an underscore reading as a space:
+    ``grape_vine`` is two words, and ``"_"`` none."""
+    return text.replace("_", " ").split()
+
+
+def onset(word: str) -> str:
+    """The part of ``word`` a stutter repeats: the letters before its first
+    vowel ("tr" of "trellis"). It is empty for a word that starts with a
+    vowel or has none, and for a literal of several words ("what was there",
+    "grape_vine"); such a word is never stuttered."""
+    if " " in word or "_" in word:
+        return ""
+    for i, ch in enumerate(word):
+        if ch in VOWELS:
+            return word[:i]
+    return ""
 
 
 def _syllable_groups(word: str) -> int:
@@ -249,12 +250,9 @@ def inflect(entry: LexemeEntry, features: Optional[Mapping[str, str]] = None) ->
     return entry.lemma
 
 
-def synonym(entry: LexemeEntry, register: str, rng: random.Random) -> Optional[str]:
-    """A synonym of the requested register, or None; deterministic per rng."""
-    candidates = [lem for lem, reg in entry.synonyms if reg == register and lem != entry.lemma]
-    if not candidates:
-        return None
-    return rng.choice(candidates)
+def synonym(entry: LexemeEntry, rng: random.Random) -> Optional[str]:
+    """One of the entry's synonyms, drawn from ``rng``, or None."""
+    return rng.choice(entry.synonyms) if entry.synonyms else None
 
 
 # ---------------------------------------------------------------------------
@@ -268,32 +266,21 @@ def _parse_lexicon_line(line: str, lineno: int) -> LexemeEntry:
     if pos not in POS_TAGS:
         raise LexiconError(f"lexicon line {lineno}: bad part of speech {pos!r}")
     irregular: dict[str, str] = {}
-    onset = None
-    synonyms: list[tuple[str, str]] = []
+    synonyms: list[str] = []
     for tok in parts[2:]:
         if "=" not in tok:
             raise LexiconError(f"lexicon line {lineno}: bad field {tok!r}")
         key, value = tok.split("=", 1)
         if key in IRREGULAR_KEYS:
             irregular[key] = value
-        elif key == "onset":
-            if "+" not in value:
-                raise LexiconError(f"lexicon line {lineno}: onset needs '+'")
-            head, rest = value.split("+", 1)
-            if head + rest != lemma:
-                raise LexiconError(f"lexicon line {lineno}: onset parts must spell the lemma")
-            onset = (head, rest)
         elif key == "syn":
             for item in value.split(","):
-                if "@" not in item:
-                    raise LexiconError(f"lexicon line {lineno}: synonym needs '@register'")
-                lem, reg = item.split("@", 1)
-                if reg not in REGISTERS:
-                    raise LexiconError(f"lexicon line {lineno}: bad register {reg!r}")
-                synonyms.append((lem, reg))
+                if not item or item == lemma or "@" in item:
+                    raise LexiconError(f"lexicon line {lineno}: bad synonym {item!r}")
+                synonyms.append(item)
         else:
             raise LexiconError(f"lexicon line {lineno}: unknown field {key!r}")
-    return LexemeEntry(lemma, pos, irregular, onset, tuple(synonyms))
+    return LexemeEntry(lemma, pos, irregular, tuple(synonyms))
 
 
 def _parse_frame_line(line: str, lineno: int) -> FrameDef:

@@ -40,14 +40,7 @@ from typing import Sequence
 
 from . import dsynt as d
 from .dsynt import BECAUSE, IN_ORDER
-from .lexicon import (
-    ADJECTIVE as ADJ_POS,
-    NOUN,
-    VERB,
-    Lexicon,
-    default_lexicon,
-    inflect,
-)
+from .lexicon import NOUN, VERB, Lexicon, default_lexicon, inflect, onset, words
 
 MODAL_LEMMAS = frozenset({"can"})
 
@@ -93,7 +86,7 @@ _CONTRACTED = {space + aux: space + short
 
 @lru_cache(maxsize=4096)
 def _words(text: str) -> tuple[str, ...]:
-    return tuple(" " + w for w in text.replace("_", " ").split())
+    return tuple(" " + w for w in words(text))
 
 
 def apply_contractions(pieces: list[str]) -> list[str]:
@@ -166,12 +159,14 @@ class _Realizer:
                 pieces.extend(self.prep_pieces(c))
         return pieces
 
-    def _stuttered(self, node: d.DSyntNode, surface: str, onset: str) -> Sequence[str]:
-        """``surface`` with the ``stutter`` count of ``onset`` fragments
-        before it; called only for a node that has the feature."""
-        if not onset:
+    def _stuttered(self, node: d.DSyntNode, surface: str) -> Sequence[str]:
+        """``surface`` with the ``stutter`` count of fragments of the onset
+        of the node's lexeme before it; called only for a node that has the
+        feature."""
+        head = onset(node.lexeme)
+        if not head:
             return _words(surface)
-        frags = [(" " if k == 0 else "") + onset + "-"
+        frags = [(" " if k == 0 else "") + head + "-"
                  for k in range(int(node.features["stutter"]))]
         return frags + [surface]
 
@@ -179,20 +174,19 @@ class _Realizer:
         surface = node.lexeme
         if not self.lexicon.has(surface, NOUN):
             # a literal noun phrase is realized verbatim
-            onset = self.lexicon.onset(surface, NOUN) if node.features.get("stutter") else ""
-            if onset:
-                return self._stuttered(node, _Literal(surface), onset)
-            words = surface.replace("_", " ").split()
-            return (_Literal(" " + " ".join(words)),) if words else ()
+            if node.features.get("stutter") and onset(surface):
+                return self._stuttered(node, _Literal(surface))
+            text = words(surface)
+            return (_Literal(" " + " ".join(text)),) if text else ()
         surface = inflect(self.lexicon.lookup(surface, NOUN),
                           {"number": node.features.get("number", "sg")})
         if not node.features.get("stutter"):
             return _words(surface)
-        return self._stuttered(node, surface, self.lexicon.onset(node.lexeme, NOUN))
+        return self._stuttered(node, surface)
 
     def _modifier_pieces(self, node: d.DSyntNode) -> Sequence[str]:
         if node.cls == d.ADJECTIVE and node.features.get("stutter"):
-            return self._stuttered(node, node.lexeme, self.lexicon.onset(node.lexeme, ADJ_POS))
+            return self._stuttered(node, node.lexeme)
         return _words(node.lexeme)
 
     def prep_pieces(self, node: d.DSyntNode) -> tuple[str, ...]:

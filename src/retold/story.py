@@ -46,9 +46,9 @@ from itertools import groupby
 from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .dsynt import ARGUMENT_RELATIONS, ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
+from .dsynt import ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
 from .lexicon import (ADJECTIVE, COMPLEMENT_KINDS, NOUN, PREPOSITION, VERB, FrameDef, Lexicon,
-                      default_lexicon)
+                      default_lexicon, words)
 from .metrics import without_bom
 from .record import Record, slot_setters
 
@@ -449,6 +449,9 @@ class _Parser:
                 mods = tuple(m for m in value.split(",") if m)
                 if not mods:
                     raise StorySyntaxError("empty modifier list", lineno)
+                for i, m in enumerate(mods):  # else told twice: "the hot hot fox"
+                    if m in mods[:i]:
+                        raise StorySyntaxError(f"repeated modifier {m!r}", lineno)
             elif key == "pronoun":
                 if value not in PRONOUNS:
                     raise StorySyntaxError(f"bad pronoun {value!r}", lineno)
@@ -747,7 +750,7 @@ def _reference_error(arg: Argument, entity_ids: Container[str], lexicon: Lexicon
         return f"unknown entity {arg.entity_id!r}"
     if isinstance(arg, Property) and not lexicon.has(arg.adjective, ADJECTIVE):
         return f"property {arg.adjective!r} is not a known adjective"
-    if isinstance(arg, Text) and not arg.value.replace("_", " ").split():
+    if isinstance(arg, Text) and not words(arg.value):
         return f"literal {arg.value!r} has no words"
     return None
 
@@ -789,7 +792,7 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
         elif rel == ATTR:
             if not isinstance(arg, Property):
                 out.append(f"role {role} expects an adjective property")
-        elif isinstance(arg, Property) and rel in ARGUMENT_RELATIONS:
+        elif isinstance(arg, Property):
             out.append("property argument outside a copular slot")
         elif isinstance(arg, Proposition) and rel not in (II, III):
             out.append(f"role {role} cannot nest a proposition")
@@ -817,6 +820,8 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
         else:
             out.append(f"unknown attachment relation {a.relation!r}")
     for lemma, pos in p.adverbs:
+        if not words(lemma):  # else told as nothing
+            out.append(f"adverb {lemma!r} has no words")
         if pos not in (PRE_VERB, POST_VERB):
             out.append(f"bad adverb position {pos!r}")
     if p.polarity not in (AFFIRMATIVE, NEGATED):

@@ -11,8 +11,8 @@ final styled sentence, kept exact as later rewrites move nodes.
 
 Marker vocabulary (hedges, pauses, interjections, expletives, tags) is a
 fixed word list; insertions never change propositional content. The two
-content-adjacent transforms are lexical variation (register-tagged synonym
-swap) and negation paraphrase ("did not obtain" -> "failed to get"), which
+content-adjacent transforms are lexical variation (a swap to a casual
+synonym) and negation paraphrase ("did not obtain" -> "failed to get"), which
 keeps a semantic-negation flag on the clause for content checks.
 
 Pronouns and contractions are made here and nowhere else: the
@@ -34,13 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import dsynt as d
 from .dsynt import IN_ORDER
-from .lexicon import (
-    ADJECTIVE,
-    NOUN,
-    VERB,
-    default_lexicon,
-    synonym,
-)
+from .lexicon import ADJECTIVE, NOUN, VERB, default_lexicon, onset, synonym
 from .metrics import without_bom
 from .realize import ACCUSATIVE, CONTRACTIBLE, NOT_CARRIERS, past_form
 from .record import Record, slot_setters
@@ -215,15 +209,17 @@ def _drops_subject(matrix: d.DSyntNode, emb: d.DSyntNode) -> bool:
 
 
 def _able_child(node: d.DSyntNode) -> Optional[int]:
-    """The index of the ``able`` child of a negated "be able to VP" clause,
-    the one clause :func:`rewrite_unable_to_modal` rewrites; None for any
-    other node."""
+    """The index of the ``able`` child of a negated "be able to VP" clause
+    whose VP is affirmative, the one clause :func:`rewrite_unable_to_modal`
+    rewrites; None for any other node. A modal's bare VP has no place for
+    a "not", so "not able not to VP" keeps its "able"."""
     if node.cls != d.VERB or node.lexeme != "be" or node.features.get("polarity") != "neg":
         return None
     able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR
                  and c.cls == d.ADJECTIVE and c.lexeme == "able"), None)
     if able is not None and any(c.relation == d.II and c.cls == d.VERB
-                                and "tense" not in c.features for c in node.children):
+                                and "tense" not in c.features
+                                and c.features.get("polarity") != "neg" for c in node.children):
         return able
     return None
 
@@ -443,27 +439,27 @@ def _expletive(sent, rng, lex, memo):
     return _adverb(sent, rng.choice(EXPLETIVES))
 
 
-def _stutter_sites(sent, lex):
+def _stutter_sites(sent):
     sites = []
     for path, node in d.walk(sent):
         if node.cls not in (d.COMMON_NOUN, d.ADJECTIVE) or node.feature("stutter"):
             continue
-        onset = lex.onset(node.lexeme, _LEXICON_POS[node.cls])
-        if onset:
-            sites.append((path, node, onset))
+        head = onset(node.lexeme)
+        if head:
+            sites.append((path, node, head))
     return sites
 
 
 def _stutter(sent, rng, lex, memo):
     """Repeat the onset of one content word: "tr-trellis". A word with no
-    onset (see :meth:`Lexicon.onset`) is never picked."""
-    sites = _stutter_sites(sent, lex)
+    onset (see :func:`lexicon.onset`) is never picked."""
+    sites = _stutter_sites(sent)
     if not sites:
         return None
-    path, node, onset = rng.choice(sites)
+    path, node, head = rng.choice(sites)
     k = rng.choice((1, 2))
     new = d.replace_at(sent, path, node.with_feature("stutter", str(k)))
-    return new, path, f"{onset}-" * k, ()
+    return new, path, f"{head}-" * k, ()
 
 
 def _pronoun(np: d.DSyntNode) -> str:
@@ -515,14 +511,13 @@ def _lexical_variation(sent, rng, lex, memo):
         pos = _LEXICON_POS.get(node.cls)
         if pos is None or not lex.has(node.lexeme, pos):
             continue
-        if any(reg == "casual" for _, reg in lex.lookup(node.lexeme, pos).synonyms):
-            sites.append((path, node, pos))
+        entry = lex.lookup(node.lexeme, pos)
+        if entry.synonyms:
+            sites.append((path, node, entry))
     if not sites:
         return None
-    path, node, pos = rng.choice(sites)
-    sub = synonym(lex.lookup(node.lexeme, pos), "casual", rng)
-    if sub is None:
-        return None
+    path, node, entry = rng.choice(sites)
+    sub = synonym(entry, rng)
     new = d.replace_at(sent, path, d.DSyntNode(sub, node.cls, node.relation,
                                                node.features, node.children))
     return new, path, f"{node.lexeme}->{sub}", ()
@@ -537,7 +532,7 @@ def _negation_paraphrase(sent, rng, lex, memo):
     if sent.lexeme in NOT_CARRIERS or sent.lexeme in ("do", "fail"):
         return None
     entry = lex.lookup(sent.lexeme, VERB)
-    sub = synonym(entry, "casual", rng)
+    sub = synonym(entry, rng)
     if sub is None:
         return None
     moved, kept, places = [], [], []

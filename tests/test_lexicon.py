@@ -91,28 +91,31 @@ def test_feature_mismatch(lexicon):
         lx.inflect(lexicon.lookup("ripe", lx.ADJECTIVE), {"number": "pl"})
 
 
-def test_synonym_register_and_determinism(lexicon):
+def test_synonym_choice_and_determinism(lexicon):
     hang = lexicon.lookup("hang", lx.VERB)
-    assert lx.synonym(hang, "casual", random.Random(1)) == "rest"
+    assert hang.synonyms == ("rest",)
+    assert lx.synonym(hang, random.Random(1)) == "rest"
     obtain = lexicon.lookup("obtain", lx.VERB)
-    picks = {lx.synonym(obtain, "casual", random.Random(seed)) for seed in range(20)}
-    assert picks <= {"get", "collect"}
-    assert len(picks) == 2  # both eventually chosen
-    assert (lx.synonym(obtain, "casual", random.Random(7))
-            == lx.synonym(obtain, "casual", random.Random(7)))
+    assert obtain.synonyms == ("get", "collect")
+    picks = {lx.synonym(obtain, random.Random(seed)) for seed in range(20)}
+    assert picks == {"get", "collect"}  # both eventually chosen
+    for seed in range(20):  # the draw is the one choice over the listed order
+        assert (lx.synonym(obtain, random.Random(seed))
+                == random.Random(seed).choice(["get", "collect"]))
 
 
 def test_synonym_absent(lexicon):
-    assert lx.synonym(lexicon.lookup("jump", lx.VERB), "casual", random.Random(0)) is None
-    assert lx.synonym(lexicon.lookup("hang", lx.VERB), "neutral", random.Random(0)) is None
+    assert lx.synonym(lexicon.lookup("jump", lx.VERB), random.Random(0)) is None
 
 
 def test_synonym_never_returns_own_lemma(lexicon):
+    # the loader refuses a self-synonym, so no draw can return the lemma
+    with pytest.raises(lx.LexiconError, match="bad synonym 'hang'"):
+        lx.load_lexicon("hang verb syn=rest,hang", "")
     rng = random.Random(3)
     for entry in lexicon.entries:
-        for register in ("neutral", "casual"):
-            got = lx.synonym(entry, register, rng)
-            assert got != entry.lemma
+        assert entry.lemma not in entry.synonyms
+        assert lx.synonym(entry, rng) != entry.lemma
 
 
 @pytest.mark.parametrize("lemma,expected", [
@@ -122,21 +125,25 @@ def test_synonym_never_returns_own_lemma(lexicon):
     ("grape_vine", ("", "grape_vine")),
     ("what was there", ("", "what was there")),
 ])
-def test_split_onset(lexicon, lemma, expected):
-    onset = lexicon.onset(lemma, lx.NOUN)
+def test_split_onset(lemma, expected):
+    onset = lx.onset(lemma)
     assert (onset, lemma[len(onset):]) == expected
-
-
-def test_split_onset_override_wins():
-    entry = lx.LexemeEntry("trellis", lx.NOUN, onset_split=("tre", "llis"))
-    one_entry = lx.Lexicon([entry], [])
-    assert one_entry.onset("trellis", lx.NOUN) == "tre"
-    assert one_entry.onset("trellis", lx.ADJECTIVE) == "tr"  # not listed: the spelling's
 
 
 def test_split_onset_concatenation(lexicon):
     for entry in lexicon.entries:
-        assert entry.lemma.startswith(lexicon.onset(entry.lemma, entry.pos))
+        assert entry.lemma.startswith(lx.onset(entry.lemma))
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("fox", ["fox"]),
+    ("grape_vine", ["grape", "vine"]),
+    (" what  was_there ", ["what", "was", "there"]),
+    ("_ _", []),
+    ("", []),
+])
+def test_words_read_an_underscore_as_a_space(text, expected):
+    assert lx.words(text) == expected
 
 
 def test_frames_loaded(lexicon):
@@ -169,20 +176,25 @@ def test_coverage_for_fixture_vocabulary(lexicon):
 
 def test_loader_rejects_malformed_records():
     bad_lexicon_lines = [
-        "fox",                       # missing pos
-        "fox critter",               # bad pos
-        "fox noun sparkle=yes",      # unknown field
-        "fox noun onset=fo+xx",      # onset parts must spell the lemma
-        "hang verb syn=rest",        # synonym missing register
-        "hang verb syn=rest@slangy", # unknown register
-        "now adverb",                # closed classes are not listed
-        "the function",
-        "see verb pp=seen",          # no stage reads these forms
-        "be verb third=is",
+        ("fox", "expected"),                          # missing pos
+        ("fox critter", "bad part of speech"),
+        ("fox noun sparkle=yes", "unknown field 'sparkle'"),
+        ("trellis noun onset=tre+llis", "unknown field 'onset'"),  # one onset rule
+        ("hang verb syn=rest@casual", "bad synonym 'rest@casual'"),  # no registers
+        ("hang verb syn=hang", "bad synonym 'hang'"),  # its own synonym
+        ("obtain verb syn=get,hang,obtain", "bad synonym 'obtain'"),
+        ("hang verb syn=", "bad synonym ''"),
+        ("obtain verb syn=get,,collect", "bad synonym ''"),
+        ("now adverb", "bad part of speech"),         # closed classes are not listed
+        ("the function", "bad part of speech"),
+        ("see verb pp=seen", "unknown field 'pp'"),   # no stage reads these forms
+        ("be verb third=is", "unknown field 'third'"),
     ]
-    for line in bad_lexicon_lines:
-        with pytest.raises(lx.LexiconError):
+    for line, message in bad_lexicon_lines:
+        with pytest.raises(lx.LexiconError, match=message):
             lx.load_lexicon(line, "")
+    entry = lx.load_lexicon("obtain verb syn=get,collect", "").lookup("obtain", lx.VERB)
+    assert entry.synonyms == ("get", "collect")
     bad_frame_lines = [
         ("frame jump Agent", "expected"),               # missing colon
         ("frame jump : Agent=I", "linking table"),      # relations come from the table

@@ -48,6 +48,10 @@ REFUSED = [
     # the realizer reads an underscore as a space, so these tell no word
     ('obtain obtain(Agent=fox, Theme="_ _") id=p', "literal '_ _' has no words"),
     ('jump jump(Agent=fox) id=p\n      prep with: ""', "literal '' has no words"),
+    ("jump jump(Agent=fox) adv=__@pre id=p", "adverb '__' has no words"),
+    # Addressee is a prepositional slot: "The fox said the fox jumped to ripe."
+    ("say say(Agent=fox, Addressee=@ripe) id=p\n      role Topic:\n        jump jump(Agent=fox)",
+     "property argument outside a copular slot"),
 ]
 
 
@@ -220,7 +224,7 @@ def reference_errors(p, entity_ids, lexicon):
         elif rel == "ATTR":
             if not isinstance(arg, st.Property):
                 out.append(f"role {role} expects an adjective property")
-        elif isinstance(arg, st.Property) and rel in ("I", "II", "III"):
+        elif isinstance(arg, st.Property):  # a prepositional slot too
             out.append("property argument outside a copular slot")
         elif isinstance(arg, st.Proposition) and rel not in ("II", "III"):
             out.append(f"role {role} cannot nest a proposition")
@@ -246,6 +250,8 @@ def reference_errors(p, entity_ids, lexicon):
         else:
             out.append(f"unknown attachment relation {a.relation!r}")
     for lemma, pos in p.adverbs:
+        if not lemma.replace("_", " ").split():
+            out.append(f"adverb {lemma!r} has no words")
         if pos not in (st.PRE_VERB, st.POST_VERB):
             out.append(f"bad adverb position {pos!r}")
     if p.polarity not in (st.AFFIRMATIVE, st.NEGATED):
@@ -266,7 +272,8 @@ def _broken(p, rng, entity_ids):
         if kind == 0 and bindings:
             del bindings[rng.randrange(len(bindings))]
         elif kind == 1:
-            role = rng.choice([r for r, _ in bindings] + ["Agent", "Theme", "Bogus", "Attribute"])
+            role = rng.choice([r for r, _ in bindings]
+                              + ["Agent", "Theme", "Bogus", "Attribute", "Addressee"])
             bindings.insert(rng.randint(0, len(bindings)), (role, rng.choice(arguments)))
         elif kind == 2 and bindings:
             i = rng.randrange(len(bindings))
@@ -283,7 +290,8 @@ def _broken(p, rng, entity_ids):
         elif kind == 6:
             p = p.replace(polarity=rng.choice([st.AFFIRMATIVE, st.NEGATED, "maybe"]))
         else:
-            p = p.replace(adverbs=p.adverbs + (("now", rng.choice([st.PRE_VERB, "mid"])),))
+            p = p.replace(adverbs=p.adverbs + ((rng.choice(["now", "__"]),
+                                                rng.choice([st.PRE_VERB, "mid"])),))
         p = p.replace(frame=frame.replace(bindings=tuple(bindings)),
                       attachments=tuple(attachments))
     return p

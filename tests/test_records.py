@@ -28,7 +28,7 @@ SAMPLES = [
     (Diagnostic, ("error", "t0", "boom")),
     (d.DSyntNode, ("fox", d.COMMON_NOUN, d.I, {"number": "sg"}, ())),
     (d.Document, ((d.DSyntNode("jump", d.VERB),),)),
-    (lx.LexemeEntry, ("be", lx.VERB, {"past": "was"}, None, (("exist", "casual"),))),
+    (lx.LexemeEntry, ("be", lx.VERB, {"past": "was"}, ("exist",))),
     (lx.FrameDef, ("jump", (("Agent", "I"),), (("Goal", "prep:to"),))),
     (m.EvalPair, ("a b", "a c", "row")),
     (m.EvalRow, ("row", 1, 0.5)),
@@ -127,7 +127,7 @@ def test_defaults():
     assert (a.relation, a.features, a.children) == (d.ROOT, {}, ())
     assert a.features is not b.features
     e1, e2 = lx.LexemeEntry("fox", lx.NOUN), lx.LexemeEntry("fox", lx.NOUN)
-    assert (e1.irregular, e1.onset_split, e1.synonyms) == ({}, None, ())
+    assert (e1.irregular, e1.synonyms) == ({}, ())
     assert e1.irregular is not e2.irregular
     assert lx.FrameDef("f") == lx.FrameDef("f", (), ())
     assert d.Document() == d.Document(())

@@ -94,8 +94,10 @@ def rebuild_rewrite_unable_to_modal(node, removed=None, path=()):
             and node.feature("polarity") == "neg"):
         able = [c for c in node.children
                 if c.relation == d.ATTR and c.cls == d.ADJECTIVE and c.lexeme == "able"]
+        # a negated VP keeps "able": the modal's bare VP cannot say its "not"
         inf = [c for c in node.children
-               if c.relation == d.II and c.cls == d.VERB and "tense" not in c.features]
+               if c.relation == d.II and c.cls == d.VERB and "tense" not in c.features
+               and c.feature("polarity") != "neg"]
         if able and inf:
             if removed is not None:
                 removed.append(path + (next(i for i, c in enumerate(node.children)

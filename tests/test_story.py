@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from retold import story as st
-from retold.diagnostics import ERROR
+from retold.diagnostics import ERROR, WARNING
 from retold.transform import TransformError, transform_story
 
 from conftest import FIXTURES, nested_story, random_story, ref_chain_story
@@ -564,3 +564,86 @@ def test_a_repeated_entity_field_is_a_syntax_error(fields, key):
         st.parse_story(text)
     assert exc.value.line == 4
     assert str(exc.value) == f"line 4: repeated entity field {key!r}"
+
+
+@pytest.mark.parametrize("mods, modifier", [
+    ("hot,hot", "hot"),
+    ("hot,hungry,hot", "hot"),
+    ("hungry,,hungry", "hungry"),
+])
+def test_a_repeated_modifier_is_a_syntax_error(mods, modifier):
+    # a modifier given twice would be told twice: "The hot hot fox jumped."
+    text = f'story x "X"\n\nentities\n  fox character fox mod={mods}\n'
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(text)
+    assert exc.value.line == 4
+    assert str(exc.value) == f"line 4: repeated modifier {modifier!r}"
+    g = st.parse_story(text.replace(f"mod={mods}", "mod=hot,hungry"))
+    assert g.entities[0].fixed_modifiers == ("hot", "hungry")
+
+
+def _with(g, entities=None, timeline=None):
+    return g.replace(entities=g.entities if entities is None else entities,
+                     timeline=g.timeline if timeline is None else timeline)
+
+
+_BASE = st.parse_story(MINIMAL)
+_FOX, _GRAPES = _BASE.entities
+_JUMP = _BASE.timeline[0].propositions[0]
+
+
+# the validator's rules for what the parser refuses or lets through
+# unchecked, on graphs built in code and on parsed ones
+@pytest.mark.parametrize("g, diagnostic", [
+    (_with(_BASE, entities=(_FOX, _FOX)), (ERROR, "fox", "duplicate entity id")),
+    (_with(_BASE, entities=(_FOX.replace(kind="animal"), _GRAPES)),
+     (ERROR, "fox", "bad entity kind 'animal'")),
+    (st.parse_story(MINIMAL.replace("group_of=grape", "group_of=zzz")),
+     (ERROR, "grapes", "member lemma 'zzz' is not a known noun")),
+    (st.parse_story(MINIMAL.replace("fox character fox", "fox character fox mod=purple")),
+     (WARNING, "fox", "modifier 'purple' is not a known adjective")),
+    (_with(_BASE, timeline=_BASE.timeline + (st.Timespan(1, ()),)),
+     (ERROR, "t1", "timespan has no propositions")),
+    (_with(_BASE, timeline=(st.Timespan(0, (_JUMP, _JUMP.replace(polarity=st.NEGATED))),)),
+     (ERROR, "t0.p0", "duplicate proposition id")),
+], ids=["duplicate-entity", "entity-kind", "member-lemma", "unknown-modifier",
+        "empty-timespan", "duplicate-proposition"])
+def test_validator_rules_beyond_the_parser(g, diagnostic):
+    assert [(d.severity, d.location, d.message) for d in st.validate_story(g)] == [diagnostic]
+    if diagnostic[0] == ERROR:
+        with pytest.raises(TransformError):
+            transform_story(g)
+    else:
+        assert transform_story(g).sentences
+
+
+ROUND_TRIP = '''story trip "Trip"
+
+entities
+  fox character fox pronoun=she mod=hungry,hot
+  wolves character wolf number=pl
+  grapes object group group_of=grape
+
+timeline
+  0:
+    see see(Experiencer=fox) id=seen
+      role Stimulus:
+        jump jump(Agent=wolves) id=leap
+  1:
+    see see(Experiencer=wolves) id=t1.p0
+      role Stimulus:
+        ref leap
+'''
+
+
+def test_serializer_writes_ref_pronoun_modifiers_and_number():
+    g = st.parse_story(ROUND_TRIP)
+    assert st.validate_story(g) == []
+    assert st.serialize_story(g) == ROUND_TRIP
+    again = st.parse_story(st.serialize_story(g))
+    assert again == g
+    first = again.timeline[0].propositions[0].frame.binding("Stimulus")
+    second = again.timeline[1].propositions[0].frame.binding("Stimulus")
+    assert first is second  # a reused proposition is still one object
+    assert [(e.number, e.pronoun, e.fixed_modifiers) for e in again.entities] == [
+        ("sg", "she", ("hungry", "hot")), ("pl", None, ()), ("sg", None, ())]
