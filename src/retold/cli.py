@@ -7,7 +7,9 @@ Subcommands wire the pipeline end to end:
     retold eval --candidate F --reference F [--no-stem] [--json F]
     retold pipeline <story> --reference F [--no-stem] [--json F]
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or parse errors, 130 Ctrl-C.
+Exit codes: 0 success, 1 validation failure, 2 usage, I/O or syntax errors,
+130 Ctrl-C. A diagnostic of a story file names the line that declares its
+location (``error: line 8: t0.p0: ...``).
 Output is byte-identical across runs for equal inputs (the seed included).
 """
 
@@ -26,6 +28,12 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one `retold:` line, not argparse's usage block
+        raise _CliError(message, 2)
 
 
 def _read_file(path: str) -> str:
@@ -54,21 +62,26 @@ def _load_story(path: str) -> story.StoryGraph:
         raise _CliError(f"{path}: {exc}", 2) from exc
 
 
+def _print_diagnostics(graph: story.StoryGraph, diagnostics, file) -> None:
+    for d in diagnostics:
+        line = story.line_of(graph, d.location)
+        print(d if line is None else f"{d.severity}: line {line}: {d.location}: {d.message}",
+              file=file)
+
+
 def _transformed_story(path: str, err) -> tuple[story.StoryGraph, dsynt.Document]:
     graph = _load_story(path)
     try:
         return graph, transform.transform_story(graph)
     except transform.TransformError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=err)
+        _print_diagnostics(graph, exc.diagnostics, err)
         raise _CliError(f"{path}: story is not valid", 1) from exc
 
 
 def cmd_validate(args, out, err) -> int:
     graph = _load_story(args.story)
     diagnostics = story.validate_story(graph)
-    for d in diagnostics:
-        print(str(d), file=out)
+    _print_diagnostics(graph, diagnostics, out)
     if any(d.severity == ERROR for d in diagnostics):
         return 1
     print(f"{args.story}: ok", file=out)
@@ -128,7 +141,7 @@ def cmd_pipeline(args, out, err) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="retold",
         description="Regenerate and restyle story tellings from timeline encodings.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -166,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, out, err)
     except _CliError as exc:
         print(f"retold: {exc}", file=err)

@@ -28,14 +28,16 @@ A proposition may carry ``id=<pid>`` and be reused later as ``ref <pid>``
 (backward references only, which keeps the nesting graph acyclic).
 The full grammar is documented in the README.
 
-The parsed graph is immutable, which the record base enforces (see
-:mod:`retold.record`). A proposition reused through ``ref`` is one object
-at every use, so the graph is a DAG, and ``==`` and ``hash`` take time
-linear in its distinct propositions. Inline arguments are built once per
-parse: every mention of an entity, an ``@adjective`` or a literal, and
-every repeat of a ``prep`` target under one preposition, is one object,
-and an argument list repeated between a predicate's parentheses is parsed
-once. Two parses share no object.
+The parser only reads: it refuses what it cannot build a graph from, and
+:func:`validate_story` judges the rest, each diagnostic at the line that
+:func:`line_of` gives. The parsed graph is immutable, which the record
+base enforces (see :mod:`retold.record`). A proposition reused through
+``ref`` is one object at every use, so the graph is a DAG, and ``==`` and
+``hash`` take time linear in its distinct propositions. Inline arguments
+are built once per parse: every mention of an entity, an ``@adjective`` or
+a literal, and every repeat of a ``prep`` target under one preposition, is
+one object, and an argument list repeated between a predicate's
+parentheses is parsed once. Two parses share no object.
 """
 
 from __future__ import annotations
@@ -270,8 +272,9 @@ _TIMESPAN_SETTERS = slot_setters(Timespan)
 
 class StoryGraph(Record):
     _fields = ("id", "title", "entities", "timeline", "original_text")
-    # the memo keeps :func:`validate_story`'s diagnostics
-    __slots__ = _fields + ("_memo",)
+    # the memo keeps :func:`validate_story`'s diagnostics; _lines, which
+    # only the parser sets, is the table :func:`line_of` reads
+    __slots__ = _fields + ("_memo", "_lines")
 
     def __init__(self, id: str, title: str, entities: tuple[Entity, ...],
                  timeline: tuple[Timespan, ...], original_text: Optional[str] = None):
@@ -288,6 +291,7 @@ class StoryGraph(Record):
 
 
 _GRAPH_SETTERS = slot_setters(StoryGraph)
+_set_graph_lines = StoryGraph._lines.__set__
 # the classes through which one proposition nests in another
 _NESTING = frozenset({StoryGraph, Timespan, Proposition, FrameInstance, Attachment})
 
@@ -375,10 +379,10 @@ def _siblings(lines: list[tuple]) -> Iterator[tuple]:
 
 class _Parser:
     def __init__(self):
-        self.lexicon = default_lexicon()
         (self.story_re, self.prop_re, self.binding_re, self.timespan_re, self.adverb_re,
          self.prep_re, self.slot_re) = _patterns()
-        self.entities: dict[str, Entity] = {}
+        # the line of each name a diagnostic may name; None if on two lines
+        self.lines: dict[str, Optional[int]] = {}
         # proposition id registry; None marks a block still being parsed,
         # which is how a `ref` to an ancestor (a nesting cycle) is caught
         self.props: dict[str, Optional[Proposition]] = {}
@@ -411,56 +415,39 @@ class _Parser:
             if name in sections:
                 raise StorySyntaxError(f"duplicate section {name!r}", lineno)
             sections[name] = body
+            self._declare(name, lineno)
 
         entities = tuple(self._parse_entity(text, lineno)
                          for _, text, lineno, _ in _lines_under(sections.get("entities", [])))
         original = "\n".join(line[1] for line in _lines_under(sections.get("original", [])))
         timeline = self._parse_timeline(sections.get("timeline", []))
-        return StoryGraph(m.group("id"), m.group("title"), entities, timeline, original or None)
+        g = StoryGraph(m.group("id"), m.group("title"), entities, timeline, original or None)
+        _set_graph_lines(g, self.lines)
+        return g
+
+    def _declare(self, name: str, lineno: int) -> None:
+        self.lines[name] = None if name in self.lines else lineno
 
     def _parse_entity(self, text: str, lineno: int) -> Entity:
         parts = text.split()
         if len(parts) < 3:
             raise StorySyntaxError("entity line needs '<id> <kind> <head_lemma>'", lineno)
-        eid, kind, head = parts[0], parts[1], parts[2]
-        if kind not in ENTITY_KINDS:
-            raise StorySyntaxError(f"bad entity kind {kind!r}", lineno)
-        if eid in self.entities:
-            raise StorySyntaxError(f"duplicate entity id {eid!r}", lineno)
-        group_of = None
-        number = "sg"
-        mods: tuple[str, ...] = ()
-        pronoun = None
-        seen: set[str] = set()
+        self._declare(parts[0], lineno)
+        fields: dict[str, str] = {}
         for tok in parts[3:]:
-            if "=" not in tok:
+            key, eq, value = tok.partition("=")
+            if not eq:
                 raise StorySyntaxError(f"bad entity field {tok!r}", lineno)
-            key, value = tok.split("=", 1)
-            if key in seen:
+            if key in fields:
                 raise StorySyntaxError(f"repeated entity field {key!r}", lineno)
-            seen.add(key)
-            if key == "group_of":
-                group_of = value
-            elif key == "number":
-                if value not in FEATURE_DOMAIN["number"]:
-                    raise StorySyntaxError(f"bad number {value!r}", lineno)
-                number = value
-            elif key == "mod":
-                mods = tuple(m for m in value.split(",") if m)
-                if not mods:
-                    raise StorySyntaxError("empty modifier list", lineno)
-                for i, m in enumerate(mods):  # else told twice: "the hot hot fox"
-                    if m in mods[:i]:
-                        raise StorySyntaxError(f"repeated modifier {m!r}", lineno)
-            elif key == "pronoun":
-                if value not in PRONOUNS:
-                    raise StorySyntaxError(f"bad pronoun {value!r}", lineno)
-                pronoun = value
-            else:
+            if key not in ("group_of", "number", "mod", "pronoun"):
                 raise StorySyntaxError(f"unknown entity field {key!r}", lineno)
-        entity = Entity(eid, kind, head, group_of, number, mods, pronoun)
-        self.entities[eid] = entity
-        return entity
+            if key == "mod" and not value.strip(","):
+                raise StorySyntaxError("empty modifier list", lineno)
+            fields[key] = value
+        mods = tuple(m for m in fields.get("mod", "").split(",") if m)
+        return Entity(parts[0], parts[1], parts[2], fields.get("group_of"),
+                      fields.get("number", "sg"), mods, fields.get("pronoun"))
 
     def _parse_timeline(self, spans: list[tuple]) -> tuple[Timespan, ...]:
         out = []
@@ -469,8 +456,7 @@ class _Parser:
                 raise StorySyntaxError(f"expected timespan header '<index>:', got {text!r}",
                                        lineno)
             index = int(text[:-1])
-            if not lines:
-                raise StorySyntaxError("timespan has no propositions", lineno)
+            self._declare(f"t{index}", lineno)
             out.append(Timespan(index, tuple(self._parse_prop(line, f"t{index}.p{n}")
                                              for n, line in enumerate(_siblings(lines)))))
         return tuple(out)
@@ -483,20 +469,17 @@ class _Parser:
         if not m:
             raise StorySyntaxError(f"expected proposition, got {text!r}", lineno)
         frame_id, predicate = m.group("frame"), m.group("pred")
-        if not self.lexicon.has_frame(frame_id):
-            raise StoryReferenceError(f"unknown frame {frame_id!r}", lineno)
-
         bindings = list(self._inline_bindings(m.group("args"), lineno))
 
         polarity = AFFIRMATIVE
         adverbs: list[tuple[str, str]] = []
         pid = auto_id
-        seen: set[str] = set()  # the field names given, and each whole adv= token
+        seen: set[str] = set()  # the field names given
         for tok in m.group("rest").split():
             if "=" not in tok:
                 raise StorySyntaxError(f"bad proposition field {tok!r}", lineno)
             key, value = tok.split("=", 1)
-            if key in seen and key != "adv":  # only adv= may repeat, each adverb once
+            if key in seen and key != "adv":  # only adv= may repeat
                 raise StorySyntaxError(f"repeated proposition field {key!r}", lineno)
             seen.add(key)
             if key == "polarity":
@@ -507,9 +490,6 @@ class _Parser:
                 am = self.adverb_re.fullmatch(value)
                 if not am:
                     raise StorySyntaxError(f"bad adverb {value!r}", lineno)
-                if tok in seen:  # else told twice: "The fox now now jumped."
-                    raise StorySyntaxError(f"repeated adverb {value!r}", lineno)
-                seen.add(tok)
                 adverbs.append((am.group(1), PRE_VERB if am.group(2) == "pre" else POST_VERB))
             elif key == "id":
                 pid = value
@@ -519,6 +499,7 @@ class _Parser:
         if pid in self.props:
             raise StorySyntaxError(f"duplicate proposition id {pid!r}", lineno)
         self.props[pid] = None  # open
+        self._declare(pid, lineno)
 
         attachments: list[Attachment] = []
         nested_n = 0
@@ -532,7 +513,7 @@ class _Parser:
                     key = (word, piece.strip())
                     attachment = self.preps.get(key)
                     if attachment is None:
-                        target = self._parse_inline_arg(key[1], child_lineno)
+                        target = self._parse_inline_arg(key[1])
                         attachment = self.preps[key] = Attachment(PREPOSITIONAL, target, word)
                     attachments.append(attachment)
                 if inner:
@@ -581,7 +562,7 @@ class _Parser:
                 bm = self.binding_re.match(piece.strip())
                 if not bm:
                     raise StorySyntaxError(f"bad role binding {piece.strip()!r}", lineno)
-                pairs.append((bm.group("role"), self._parse_inline_arg(bm.group("arg"), lineno)))
+                pairs.append((bm.group("role"), self._parse_inline_arg(bm.group("arg"))))
             pairs = self.bindings[args] = tuple(pairs)
         return pairs
 
@@ -590,34 +571,28 @@ class _Parser:
         comma inside a quoted literal separates nothing."""
         if '"' not in text:
             return [p for p in text.split(",") if p.strip()]
-        out = []
-        depth_quote = False
-        current = []
-        for ch in text:
-            if ch == '"':
-                depth_quote = not depth_quote
-                current.append(ch)
-            elif ch == "," and not depth_quote:
-                out.append("".join(current))
-                current = []
-            else:
-                current.append(ch)
-        if depth_quote:
+        segments = text.split('"')  # the quoted ones at the odd indices
+        if len(segments) % 2 == 0:
             raise StorySyntaxError("unterminated string literal", lineno)
-        out.append("".join(current))
+        out = [""]
+        for i, segment in enumerate(segments):
+            if i % 2:
+                out[-1] += f'"{segment}"'
+            else:
+                first, *rest = segment.split(",")
+                out[-1] += first
+                out += rest
         return [p for p in out if p.strip()]
 
-    def _parse_inline_arg(self, text: str, lineno: int) -> Argument:
+    def _parse_inline_arg(self, text: str) -> Argument:
         arg = self.args.get(text)
         if arg is None:
             if text.startswith('"') and text.endswith('"'):
                 arg = Text(text[1:-1])
             elif text.startswith("@"):
                 arg = Property(text[1:])
-            elif text in self.entities:
-                arg = EntityRef(text)
             else:
-                raise StoryReferenceError(f"unknown entity {text!r}", lineno)
+                arg = EntityRef(text)
             self.args[text] = arg
         return arg
 
@@ -625,25 +600,43 @@ class _Parser:
 def parse_story(encoded_text: str) -> StoryGraph:
     """Parse a story document; one leading byte-order mark is dropped.
 
-    Raises StorySyntaxError for malformed input, StoryReferenceError for
-    undeclared entity/frame/proposition ids, StoryCycleError when a ``ref``
-    would nest a proposition inside itself. Cross-reference conditions that
-    do not block construction (timeline gaps, role arity) are reported by
-    :func:`validate_story` instead.
+    The parser checks only what it needs to build the graph and loads no
+    lexicon. It raises StorySyntaxError for a malformed line or field,
+    StoryReferenceError for a ``ref`` to an undeclared proposition id and
+    StoryCycleError when a ``ref`` would nest a proposition inside itself.
+    Every other rule, such as known entities and frames, is
+    :func:`validate_story`'s, which :func:`line_of` places at its line.
     """
     return _Parser().parse(_outline(without_bom(encoded_text)))
+
+
+def line_of(g: StoryGraph, location: str) -> Optional[int]:
+    """The line declaring ``location`` (an entity id, a timespan ``tN``, a
+    proposition id, ``timeline`` or ``original``) in the file ``g`` was parsed
+    from. None for a name declared on two lines and for a graph built in
+    code, as a copy made by ``replace`` or pickle is."""
+    return getattr(g, "_lines", {}).get(location)
 
 
 # ---------------------------------------------------------------------------
 # serialization (canonical form; parse(serialize(g)) == g)
 
-def _format_arg(arg: Argument) -> str:
+def _quoted(what: str, value: str, forbidden: str = '"') -> str:
+    """``value`` in double quotes; ``ValueError`` if the parser would not read
+    that back, as when ``value`` holds a line break or a ``forbidden`` one."""
+    if any(ch in value for ch in forbidden) or "".join(value.splitlines()) != value:
+        raise ValueError(f"cannot serialize {what} {value!r}: a story file cannot quote it")
+    return f'"{value}"'
+
+
+def _format_arg(arg: Argument, forbidden: str = '"') -> str:
+    """``arg`` written inline, where a literal holds no ``forbidden`` one."""
     if isinstance(arg, EntityRef):
         return arg.entity_id
     if isinstance(arg, Property):
         return "@" + arg.adjective
     if isinstance(arg, Text):
-        return f'"{arg.value}"'
+        return _quoted("literal", arg.value, forbidden)
     raise TypeError(f"not an inline argument: {arg!r}")
 
 
@@ -663,7 +656,7 @@ class _Writer:
         inline = [(r, a) for r, a in p.frame.bindings if not isinstance(a, Proposition)]
         nested = [(r, a) for r, a in p.frame.bindings if isinstance(a, Proposition)]
         head = f"{p.frame.frame_id} {p.frame.predicate_lemma}"
-        head += "(" + ", ".join(f"{r}={_format_arg(a)}" for r, a in inline) + ")"
+        head += "(" + ", ".join(r + "=" + _format_arg(a, '")') for r, a in inline) + ")"
         if p.polarity == NEGATED:
             head += " polarity=neg"
         for lemma, pos in p.adverbs:
@@ -683,8 +676,10 @@ class _Writer:
 
 
 def serialize_story(g: StoryGraph) -> str:
+    """``g`` in the story format; a title or literal holding ``"`` or a line
+    break, or in a role ``)``, cannot be written and raises ``ValueError``."""
     w = _Writer()
-    w.add(0, f'story {g.id} "{g.title}"')
+    w.add(0, f"story {g.id} {_quoted('title', g.title)}")
     w.add(0, "")
     w.add(0, "entities")
     for e in g.entities:
@@ -819,11 +814,13 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
                     out.append(problem)
         else:
             out.append(f"unknown attachment relation {a.relation!r}")
-    for lemma, pos in p.adverbs:
+    for i, (lemma, pos) in enumerate(p.adverbs):
         if not words(lemma):  # else told as nothing
             out.append(f"adverb {lemma!r} has no words")
         if pos not in (PRE_VERB, POST_VERB):
             out.append(f"bad adverb position {pos!r}")
+        if (lemma, pos) in p.adverbs[:i]:  # else told twice: "The fox now now jumped."
+            out.append(f"repeated adverb {lemma!r} at {pos}")
     if p.polarity not in (AFFIRMATIVE, NEGATED):
         out.append(f"bad polarity {p.polarity!r}")
     return out
@@ -870,8 +867,10 @@ def _diagnostics(g: StoryGraph) -> tuple[Diagnostic, ...]:
                 err(e.id, "collective entities take singular agreement")
             if not lex.has(e.group_of, NOUN):
                 err(e.id, f"member lemma {e.group_of!r} is not a known noun")
-        for adj in e.fixed_modifiers:
-            if not lex.has(adj, ADJECTIVE):
+        for i, adj in enumerate(e.fixed_modifiers):
+            if adj in e.fixed_modifiers[:i]:  # else told twice: "the hot hot fox"
+                err(e.id, f"repeated modifier {adj!r}")
+            elif not lex.has(adj, ADJECTIVE):
                 out.append(Diagnostic(WARNING, e.id, f"modifier {adj!r} is not a known adjective"))
 
     # an indented section header is read as a line of the `original` block

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from retold import metrics
+from retold import cli, metrics
 from retold import story as st
 from retold.cli import run
 from retold.style import BUILTIN_VOICES
@@ -202,7 +202,7 @@ def test_an_invalid_story_is_reported_before_a_bad_voice(tmp_path):
     code, out, err = invoke("generate", str(bad), "--voice", "NO_SUCH_VOICE")
     assert code == 1
     assert out == ""
-    assert err == ("error: t0.p0: mandatory role Theme unbound\n"
+    assert err == ("error: line 8: t0.p0: mandatory role Theme unbound\n"
                    f"retold: {bad}: story is not valid\n")
 
 
@@ -386,7 +386,9 @@ def test_story_with_no_timespans_fails_validation(tmp_path):
     path.write_bytes(FOX_BYTES.replace(b"\ntimeline\n", b"\n timeline\n", 1))
     code, out, err = invoke("validate", str(path))
     assert code == 1
-    assert out == ("warning: original: line 'timeline' is a section name; "
+    # the file has no `timeline` header, so that error names no line
+    line = FOX_BYTES.split(b"\n").index(b"original") + 1
+    assert out == (f"warning: line {line}: original: line 'timeline' is a section name; "
                    "is its header indented?\n"
                    "error: timeline: timeline has no timespans\n")
     for argv in (["generate", str(path)], ["pipeline", str(path), "--reference", REFERENCE]):
@@ -456,10 +458,72 @@ def test_a_repeated_adverb_gives_one_message_line(tmp_path):
     path = tmp_path / "now_now.story"
     path.write_text('story x "X"\n\nentities\n  fox character fox\n\ntimeline\n  0:\n'
                     '    jump jump(Agent=fox) adv=now@pre adv=now@pre\n')
-    for command in ("validate", "generate"):
-        code, out, err = invoke(command, str(path))
-        assert code == 2
-        assert out == ""
-        lines = [line for line in err.splitlines() if line.startswith("retold:")]
-        assert len(lines) == 1
-        assert "line 8: repeated adverb 'now@pre'" in lines[0]
+    message = "error: line 8: t0.p0: repeated adverb 'now' at pre_verb\n"
+    assert invoke("validate", str(path)) == (1, message, "")
+    assert invoke("generate", str(path)) == (1, "", message
+                                             + f"retold: {path}: story is not valid\n")
+
+
+# lines 1-8; the first proposition is line 9
+LINES_HEAD = ('story x "X"\n\nentities\n  fox character fox\n'
+              '  grapes object group group_of=grape\n\ntimeline\n  0:\n')
+JUMP = "    jump jump(Agent=fox)\n"
+
+
+# each rule the validator holds a file to that the parser used to hold it
+# to, with the one line `validate` prints for it
+@pytest.mark.parametrize("content, line", [
+    (LINES_HEAD.replace("fox character fox", "fox beast fox") + JUMP,
+     "error: line 4: fox: bad entity kind 'beast'"),
+    (LINES_HEAD.replace("fox character fox", "fox character fox number=dual") + JUMP,
+     "error: line 4: fox: bad number 'dual'"),
+    (LINES_HEAD.replace("fox character fox", "fox character fox pronoun=xe") + JUMP,
+     "error: line 4: fox: bad pronoun 'xe'"),
+    (LINES_HEAD.replace("fox character fox", "fox character fox mod=hot,hot") + JUMP,
+     "error: line 4: fox: repeated modifier 'hot'"),
+    # the id is declared on lines 4 and 5, so the error names neither
+    (LINES_HEAD.replace("grapes object group group_of=grape", "fox character fox") + JUMP,
+     "error: fox: duplicate entity id"),
+    (LINES_HEAD + "    fly jump(Agent=fox)\n", "error: line 9: t0.p0: unknown frame 'fly'"),
+    (LINES_HEAD + "    jump jump(Agent=wolf)\n", "error: line 9: t0.p0: unknown entity 'wolf'"),
+    (LINES_HEAD + "  1:\n" + JUMP, "error: line 8: t0: timespan has no propositions"),
+    (LINES_HEAD + "    jump jump(Agent=fox) adv=now@pre adv=now@pre\n",
+     "error: line 9: t0.p0: repeated adverb 'now' at pre_verb"),
+], ids=["entity-kind", "number", "pronoun", "repeated-modifier", "duplicate-entity",
+        "unknown-frame", "unknown-entity", "empty-timespan", "repeated-adverb"])
+def test_a_validation_error_names_its_line(tmp_path, content, line):
+    path = tmp_path / "bad.story"
+    path.write_text(content)
+    assert invoke("validate", str(path)) == (1, line + "\n", "")
+    for argv in (["generate", str(path)], ["pipeline", str(path), "--reference", REFERENCE]):
+        assert invoke(*argv) == (1, "", f"{line}\nretold: {path}: story is not valid\n")
+
+
+def test_a_graph_built_in_code_prints_its_diagnostics_as_before(fox_graph):
+    # no line table: a graph built in code, and a copy of a parsed one
+    entities = tuple(e.replace(kind="beast") if e.id == "fox" else e for e in fox_graph.entities)
+    for g in (fox_graph.replace(entities=entities),
+              st.parse_story(fixture_text("fox_and_grapes.story").replace(
+                  "fox character fox", "fox beast fox")).replace()):
+        diagnostics = st.validate_story(g)
+        out = io.StringIO()
+        cli._print_diagnostics(g, diagnostics, out)
+        assert out.getvalue() == "error: fox: bad entity kind 'beast'\n"
+        assert [str(d) for d in diagnostics] == ["error: fox: bad entity kind 'beast'"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", FOX, "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+    (["validate", FOX, "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["bad-int", "no-subcommand", "unknown-flag"])
+def test_a_usage_error_is_one_message_line(argv, message):
+    assert invoke(*argv) == (2, "", f"retold: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["generate", "--help"]])
+def test_help_is_printed_with_exit_code_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: retold")

@@ -249,11 +249,13 @@ def reference_errors(p, entity_ids, lexicon):
                 check_ref(a.target)
         else:
             out.append(f"unknown attachment relation {a.relation!r}")
-    for lemma, pos in p.adverbs:
+    for i, (lemma, pos) in enumerate(p.adverbs):
         if not lemma.replace("_", " ").split():
             out.append(f"adverb {lemma!r} has no words")
         if pos not in (st.PRE_VERB, st.POST_VERB):
             out.append(f"bad adverb position {pos!r}")
+        if p.adverbs.index((lemma, pos)) < i:
+            out.append(f"repeated adverb {lemma!r} at {pos}")
     if p.polarity not in (st.AFFIRMATIVE, st.NEGATED):
         out.append(f"bad polarity {p.polarity!r}")
     return out
@@ -307,3 +309,49 @@ def test_proposition_errors_match_the_reference_rule(story_seed, fault_seed, lex
         for q in (p, _broken(p, rng, sorted(entity_ids))):
             assert st.proposition_errors(q, entity_ids, lexicon) == \
                 reference_errors(q, entity_ids, lexicon), q
+
+
+def _with_a_bad_entity(g, rng):
+    """``g`` with one entity given a value the validator refuses."""
+    bad = rng.choice([{"kind": "beast"}, {"number": "dual"}, {"pronoun": "xe"},
+                      {"head_lemma": "zorblax"}, {"fixed_modifiers": ("hot", "hot")}])
+    i = rng.randrange(len(g.entities))
+    return g.replace(entities=g.entities[:i] + (g.entities[i].replace(**bad),)
+                     + g.entities[i + 1:])
+
+
+@settings(derandomize=True, deadline=None)
+@given(story_seed=hst.integers(0, 10**6), mutation_seed=hst.integers(0, 10**6))
+def test_each_diagnostic_of_a_story_file_names_its_line(story_seed, mutation_seed):
+    rng = random.Random(mutation_seed)
+    g = _mutated(random_story(random.Random(story_seed)), rng)
+    if rng.random() < 0.5:
+        g = _with_a_bad_entity(g, rng)
+    # a graph built in code has no lines
+    assert all(st.line_of(g, d.location) is None for d in st.validate_story(g))
+    try:
+        text = st.serialize_story(g)
+    except TypeError:  # a proposition as a `prep` target has no written form
+        return
+    try:
+        parsed = st.parse_story(text)
+    except st.StorySyntaxError as exc:  # the "complement" attachment has no grammar
+        assert "'complement:'" in str(exc)
+        return
+    lines = text.splitlines()
+    entity_ids = {e.id for e in parsed.entities}
+    propositions = {p.id: p for p in _propositions(parsed)}
+    diagnostics = st.validate_story(parsed)
+    # the file lists a nested binding after the inline ones, which may
+    # reorder the diagnostics of one proposition
+    assert sorted(map(str, diagnostics)) == sorted(map(str, st.validate_story(g)))
+    for d in diagnostics:
+        line = st.line_of(parsed, d.location)
+        assert line is not None, d
+        written = lines[line - 1].strip()
+        if d.location in entity_ids:
+            assert written.split()[0] == d.location, (d, written)
+        else:
+            p = propositions[d.location]
+            assert written.startswith(f"{p.frame.frame_id} {p.frame.predicate_lemma}("), \
+                (d, written)

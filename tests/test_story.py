@@ -53,18 +53,23 @@ def test_empty_timeline_document():
     assert g.timeline == ()
 
 
+def _found(g):
+    return [(d.severity, d.location, d.message) for d in st.validate_story(g)]
+
+
 def test_unknown_entity_is_a_reference_error():
-    text = MINIMAL.replace("jump(Agent=fox)", "jump(Agent=wolf)")
-    with pytest.raises(st.StoryReferenceError) as exc:
-        st.parse_story(text)
-    assert "wolf" in str(exc.value)
+    # the parser reads a bareword as an entity reference; validation finds
+    # that it names nothing, and the proposition's line says where
+    g = st.parse_story(MINIMAL.replace("jump(Agent=fox)", "jump(Agent=wolf)"))
+    assert _found(g) == [(ERROR, "t0.p0", "unknown entity 'wolf'")]
+    assert st.line_of(g, "t0.p0") == 10
 
 
 def test_unknown_frame_is_a_reference_error():
-    text = MINIMAL.replace("jump jump", "frolic frolic")
-    with pytest.raises(st.StoryReferenceError) as exc:
-        st.parse_story(text)
-    assert "frolic" in str(exc.value)
+    g = st.parse_story(MINIMAL.replace("jump jump", "frolic frolic"))
+    assert _found(g) == [(ERROR, "t0.p0", "predicate 'frolic' is not a known verb"),
+                         (ERROR, "t0.p0", "unknown frame 'frolic'")]
+    assert st.line_of(g, "t0.p0") == 10
 
 
 def test_syntax_error_carries_line_number():
@@ -77,8 +82,10 @@ def test_syntax_error_carries_line_number():
 def test_duplicate_entity_rejected():
     text = MINIMAL.replace("  grapes object group group_of=grape",
                            "  fox character fox")
-    with pytest.raises(st.StorySyntaxError):
-        st.parse_story(text)
+    g = st.parse_story(text)
+    assert _found(g) == [(ERROR, "fox", "duplicate entity id")]
+    # the id names two lines, so the diagnostic names neither
+    assert st.line_of(g, "fox") is None
 
 
 def test_ref_shares_a_proposition():
@@ -209,8 +216,8 @@ def test_validate_collective_requires_singular():
 
 @pytest.mark.parametrize("field, value", [("number", "dual"), ("pronoun", "xe")])
 def test_validate_checks_a_built_entity_by_the_parser_tables(fox_graph, field, value):
-    # the parser refuses these values; an entity built in code is held to
-    # the same tables, so "validate ok" still means the story realizes
+    # an entity built in code is held to the tables a parsed one is, so
+    # "validate ok" still means the story realizes
     entities = tuple(e.replace(**{field: value}) if e.id == "fox" else e
                      for e in fox_graph.entities)
     g = fox_graph.replace(entities=entities)
@@ -270,15 +277,23 @@ def test_parser_rejects_duplicate_section():
         st.parse_story('story x "X"\n\nentities\n  fox character fox\n\nentities\n  vine object vine\n')
 
 
-def test_parser_rejects_bad_entity_kind():
-    with pytest.raises(st.StorySyntaxError):
-        st.parse_story('story x "X"\n\nentities\n  fox beast fox\n')
+@pytest.mark.parametrize("fields, message", [
+    ("beast fox", "bad entity kind 'beast'"),
+    ("character fox number=dual", "bad number 'dual'"),
+    ("character fox pronoun=xe", "bad pronoun 'xe'"),
+], ids=["kind", "number", "pronoun"])
+def test_a_bad_entity_value_is_a_validation_error_at_its_line(fields, message):
+    # the parser reads any value; the validator holds it to the tables
+    g = st.parse_story(MINIMAL.replace("fox character fox", f"fox {fields}"))
+    assert _found(g) == [(ERROR, "fox", message)]
+    assert st.line_of(g, "fox") == 5
 
 
 def test_parser_rejects_bad_entity_fields():
-    for field_text in ("number=dual", "pronoun=xe", "mod=", "sparkle"):
-        with pytest.raises(st.StorySyntaxError):
+    for field_text in ("mod=", "mod=,", "sparkle", "mood=happy"):
+        with pytest.raises(st.StorySyntaxError) as exc:
             st.parse_story(f'story x "X"\n\nentities\n  fox character fox {field_text}\n')
+        assert exc.value.line == 4
 
 
 def test_parser_rejects_bad_proposition_fields():
@@ -538,18 +553,17 @@ def test_adv_may_repeat_on_a_proposition_line():
     assert p.adverbs == (("now", st.PRE_VERB), ("now", st.POST_VERB))
 
 
-@pytest.mark.parametrize("fields, adverb", [
-    ("adv=now@pre adv=now@pre", "now@pre"),
-    ("adv=now@post adv=quickly@pre adv=now@post", "now@post"),
-    ("polarity=neg adv=quickly@pre id=a adv=quickly@pre", "quickly@pre"),
-])
-def test_a_repeated_adverb_is_a_syntax_error(fields, adverb):
+@pytest.mark.parametrize("fields, pid, message", [
+    ("adv=now@pre adv=now@pre", "t0.p0", "repeated adverb 'now' at pre_verb"),
+    ("adv=now@post adv=quickly@pre adv=now@post", "t0.p0", "repeated adverb 'now' at post_verb"),
+    ("polarity=neg adv=quickly@pre id=a adv=quickly@pre", "a",
+     "repeated adverb 'quickly' at pre_verb"),
+], ids=["now-pre", "now-post", "quickly-pre"])
+def test_a_repeated_adverb_is_a_validation_error_at_its_line(fields, pid, message):
     # an adverb given twice would be told twice: "The fox now now jumped."
-    text = REPEAT_BASE + f"    jump jump(Agent=fox) {fields}\n"
-    with pytest.raises(st.StorySyntaxError) as exc:
-        st.parse_story(text)
-    assert exc.value.line == 9
-    assert str(exc.value) == f"line 9: repeated adverb {adverb!r}"
+    g = st.parse_story(REPEAT_BASE + f"    jump jump(Agent=fox) {fields}\n")
+    assert _found(g) == [(ERROR, pid, message)]
+    assert st.line_of(g, pid) == 9
 
 
 @pytest.mark.parametrize("fields, key", [
@@ -571,15 +585,15 @@ def test_a_repeated_entity_field_is_a_syntax_error(fields, key):
     ("hot,hungry,hot", "hot"),
     ("hungry,,hungry", "hungry"),
 ])
-def test_a_repeated_modifier_is_a_syntax_error(mods, modifier):
+def test_a_repeated_modifier_is_a_validation_error_at_its_line(mods, modifier):
     # a modifier given twice would be told twice: "The hot hot fox jumped."
-    text = f'story x "X"\n\nentities\n  fox character fox mod={mods}\n'
-    with pytest.raises(st.StorySyntaxError) as exc:
-        st.parse_story(text)
-    assert exc.value.line == 4
-    assert str(exc.value) == f"line 4: repeated modifier {modifier!r}"
-    g = st.parse_story(text.replace(f"mod={mods}", "mod=hot,hungry"))
+    text = REPEAT_BASE + "    jump jump(Agent=fox)\n"
+    g = st.parse_story(text.replace("fox character fox", f"fox character fox mod={mods}"))
+    assert _found(g) == [(ERROR, "fox", f"repeated modifier {modifier!r}")]
+    assert st.line_of(g, "fox") == 4
+    g = st.parse_story(text.replace("fox character fox", "fox character fox mod=hot,hungry"))
     assert g.entities[0].fixed_modifiers == ("hot", "hungry")
+    assert _found(g) == []
 
 
 def _with(g, entities=None, timeline=None):
@@ -606,8 +620,13 @@ _JUMP = _BASE.timeline[0].propositions[0]
      (ERROR, "t1", "timespan has no propositions")),
     (_with(_BASE, timeline=(st.Timespan(0, (_JUMP, _JUMP.replace(polarity=st.NEGATED))),)),
      (ERROR, "t0.p0", "duplicate proposition id")),
+    (_with(_BASE, entities=(_FOX.replace(fixed_modifiers=("hot", "hot")), _GRAPES)),
+     (ERROR, "fox", "repeated modifier 'hot'")),
+    (_with(_BASE, timeline=(st.Timespan(0, (_JUMP.replace(
+        adverbs=(("now", st.PRE_VERB), ("now", st.PRE_VERB))),)),)),
+     (ERROR, "t0.p0", "repeated adverb 'now' at pre_verb")),
 ], ids=["duplicate-entity", "entity-kind", "member-lemma", "unknown-modifier",
-        "empty-timespan", "duplicate-proposition"])
+        "empty-timespan", "duplicate-proposition", "repeated-modifier", "repeated-adverb"])
 def test_validator_rules_beyond_the_parser(g, diagnostic):
     assert [(d.severity, d.location, d.message) for d in st.validate_story(g)] == [diagnostic]
     if diagnostic[0] == ERROR:
@@ -647,3 +666,37 @@ def test_serializer_writes_ref_pronoun_modifiers_and_number():
     assert first is second  # a reused proposition is still one object
     assert [(e.number, e.pronoun, e.fixed_modifiers) for e in again.entities] == [
         ("sg", "she", ("hungry", "hot")), ("pl", None, ()), ("sg", None, ())]
+
+
+def _obtain(theme, prep=None):
+    """MINIMAL's story with one proposition, ``obtain`` with ``theme`` as its
+    Theme and ``prep`` as a `prep with:` target, built in code."""
+    prop = st.Proposition("p0", st.FrameInstance("obtain", "obtain", (
+        ("Agent", st.EntityRef("fox")), ("Theme", theme))),
+        attachments=() if prep is None else (st.Attachment(st.PREPOSITIONAL, prep, "with"),))
+    return _with(_BASE, timeline=(st.Timespan(0, (prop,)),))
+
+
+@pytest.mark.parametrize("g, value", [
+    (_obtain(st.Text('a"b')), 'a"b'),
+    (_obtain(st.Text("a)b")), "a)b"),
+    (_obtain(st.Text("x\ny")), "x\ny"),
+    (_obtain(st.Text("x\r")), "x\r"),
+    (_obtain(st.EntityRef("grapes"), prep=st.Text('a"b')), 'a"b'),
+    (_obtain(st.EntityRef("grapes"), prep=st.Text("x\ny")), "x\ny"),
+    (_BASE.replace(title='The "Fox"'), 'The "Fox"'),
+    (_BASE.replace(title="The\nFox"), "The\nFox"),
+], ids=["role-quote", "role-parenthesis", "role-newline", "role-return", "prep-quote",
+        "prep-newline", "title-quote", "title-newline"])
+def test_serializer_refuses_a_value_the_format_cannot_quote(g, value):
+    # each graph validates clean, but the parser could not read back what
+    # the serializer would write for it
+    assert st.validate_story(g) == []
+    with pytest.raises(ValueError) as exc:
+        st.serialize_story(g)
+    assert repr(value) in str(exc.value)
+
+
+def test_a_parenthesis_in_a_prep_literal_round_trips():
+    g = _obtain(st.EntityRef("grapes"), prep=st.Text("care (and dignity)"))
+    assert st.parse_story(st.serialize_story(g)) == g
