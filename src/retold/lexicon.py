@@ -60,10 +60,6 @@ class UnknownFrameError(LexiconError):
         self.frame_id = frame_id
 
 
-class FeatureMismatchError(LexiconError):
-    pass
-
-
 class LexemeEntry(Record):
     __slots__ = _fields = ("lemma", "pos", "irregular", "synonyms")
 
@@ -206,48 +202,21 @@ def regular_plural(lemma: str) -> str:
     return lemma + "s"
 
 
-_INFLECTION_FEATURES = frozenset({"tense", "number"})
+def past(entry: LexemeEntry, number: str) -> str:
+    """The past tense of the verb ``entry`` that agrees with a subject of
+    ``number``, "sg" or "pl" ("was", "were", "ate"); the irregular table wins
+    over the regular rule."""
+    if number == "pl" and "past_plural" in entry.irregular:
+        return entry.irregular["past_plural"]
+    if "past" in entry.irregular:
+        return entry.irregular["past"]
+    return regular_past(entry.lemma)
 
 
-def inflect(entry: LexemeEntry, features: Optional[Mapping[str, str]] = None) -> str:
-    """Surface form of ``entry`` under a grammatical feature set.
-
-    The irregular table wins over the regular rules. Verbs accept ``tense``
-    (plus ``number`` for the handful of number-sensitive pasts such as
-    was/were); nouns accept ``number``; anything else must be featureless.
-    """
-    features = features or {}
-    if not features.keys() <= _INFLECTION_FEATURES:
-        extra = sorted(features.keys() - _INFLECTION_FEATURES)
-        raise FeatureMismatchError(f"unsupported inflection features {extra}")
-    tense = features.get("tense")
-    number = features.get("number")
-
-    if entry.pos == VERB:
-        if number not in (None, "sg", "pl"):
-            raise FeatureMismatchError(f"bad number {number!r}")
-        if tense is None:
-            return entry.lemma
-        if tense != "past":
-            raise FeatureMismatchError(f"unsupported tense {tense!r}")
-        if number == "pl" and "past_plural" in entry.irregular:
-            return entry.irregular["past_plural"]
-        if "past" in entry.irregular:
-            return entry.irregular["past"]
-        return regular_past(entry.lemma)
-
-    if entry.pos == NOUN:
-        if tense is not None:
-            raise FeatureMismatchError(f"tense on {entry.pos} {entry.lemma!r}")
-        if number in (None, "sg"):
-            return entry.lemma
-        if number != "pl":
-            raise FeatureMismatchError(f"bad number {number!r}")
-        return entry.irregular.get("plural") or regular_plural(entry.lemma)
-
-    if tense is not None or number not in (None, "sg"):
-        raise FeatureMismatchError(f"{entry.pos} {entry.lemma!r} does not inflect")
-    return entry.lemma
+def plural(entry: LexemeEntry) -> str:
+    """The plural of the noun ``entry``; the irregular table wins over the
+    regular rule."""
+    return entry.irregular.get("plural") or regular_plural(entry.lemma)
 
 
 def synonym(entry: LexemeEntry, rng: random.Random) -> Optional[str]:

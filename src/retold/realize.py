@@ -40,7 +40,7 @@ from typing import Sequence
 
 from . import dsynt as d
 from .dsynt import BECAUSE, IN_ORDER
-from .lexicon import NOUN, VERB, Lexicon, default_lexicon, inflect, onset, words
+from .lexicon import NOUN, VERB, Lexicon, default_lexicon, onset, past, plural, words
 
 MODAL_LEMMAS = frozenset({"can"})
 
@@ -65,7 +65,7 @@ def past_form(lexicon: Lexicon, lemma: str, number: str) -> str:
     """The past tense of the verb ``lemma`` that agrees with a subject of
     ``number`` ("was", "were", "ate"): the realizer's finite verb, and the
     auxiliary of the style engine's tag question."""
-    return inflect(lexicon.lookup(lemma, VERB), {"tense": "past", "number": number})
+    return past(lexicon.lookup(lemma, VERB), number)
 
 
 class _Literal(str):
@@ -178,8 +178,8 @@ class _Realizer:
                 return self._stuttered(node, _Literal(surface))
             text = words(surface)
             return (_Literal(" " + " ".join(text)),) if text else ()
-        surface = inflect(self.lexicon.lookup(surface, NOUN),
-                          {"number": node.features.get("number", "sg")})
+        if node.features.get("number") == "pl":
+            surface = plural(self.lexicon.lookup(surface, NOUN))
         if not node.features.get("stutter"):
             return _words(surface)
         return self._stuttered(node, surface)
@@ -268,13 +268,13 @@ class _Realizer:
             return [" " + lemma]
         if form == "infinitive":
             return [_NOT, _TO, " " + lemma] if negated else [_TO, " " + lemma]
-        past = self._pasts.get((lemma, number))
-        if past is None:
-            past = self._pasts[(lemma, number)] = " " + past_form(self.lexicon, lemma, number)
+        finite = self._pasts.get((lemma, number))
+        if finite is None:
+            finite = self._pasts[(lemma, number)] = " " + past_form(self.lexicon, lemma, number)
         if not negated:
-            return [past]
+            return [finite]
         if lemma in NOT_CARRIERS:
-            return [past, _NOT]
+            return [finite, _NOT]
         return [_DID, _NOT, " " + lemma]
 
     def _complement_pieces(self, node: d.DSyntNode, governor: d.DSyntNode) -> Sequence[str]:

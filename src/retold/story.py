@@ -316,20 +316,32 @@ def attachment_groups(attachments: tuple[Attachment, ...]
 # ---------------------------------------------------------------------------
 # parsing
 
+# The forms in which the parser reads a token, which the serializer checks
+# every token it writes against. The line patterns read the first four; a
+# line split on whitespace or on commas gives the others.
+_NAME = r"[A-Za-z_]\w*"  # a story id, a frame, a predicate or a role
+_WORD = r"[\w-]+"  # an adverb, an @property or a preposition
+_REF = r"[\w.]+"  # an entity reference
+_INDEX = r"[0-9]+"  # a timespan index
+_FIELD = r"\S+"  # a proposition id, an entity's kind, lemma or field value
+_FIRST = r"[^\s#]\S*"  # an entity id, first on its line, which "#" would make a comment
+_ITEM = r"[^\s,]+"  # a mod= item
+
+
 @lru_cache(maxsize=1)
 def _patterns() -> tuple[re.Pattern, ...]:
     """The line patterns, compiled on the first parse rather than when the
     module is imported: the story header, a proposition, a role binding, a
     timespan header, an ``adv=`` value, a ``prep`` line and a nested slot
     header. The last four are matched whole."""
-    return (re.compile(r'^story\s+(?P<id>[A-Za-z_]\w*)\s+"(?P<title>[^"]*)"\s*$'),
-            re.compile(r"^(?P<frame>[A-Za-z_]\w*)\s+(?P<pred>[A-Za-z_]\w*)"
+    return (re.compile(rf'^story\s+(?P<id>{_NAME})\s+"(?P<title>[^"]*)"\s*$'),
+            re.compile(rf"^(?P<frame>{_NAME})\s+(?P<pred>{_NAME})"
                        r"\((?P<args>[^)]*)\)(?P<rest>.*)$"),
-            re.compile(r'^(?P<role>[A-Za-z_]\w*)\s*=\s*(?P<arg>"[^"]*"|@[\w-]+|[\w.]+)$'),
-            re.compile(r"[0-9]+:"),
-            re.compile(r"([\w-]+)@(pre|post)"),
-            re.compile(r"prep\s+([\w-]+):\s*(.+)"),
-            re.compile(r"role\s+[A-Za-z_]\w*:|purpose:|cause:"))
+            re.compile(rf'^(?P<role>{_NAME})\s*=\s*(?P<arg>"[^"]*"|@{_WORD}|{_REF})$'),
+            re.compile(rf"{_INDEX}:"),
+            re.compile(rf"({_WORD})@(pre|post)"),
+            re.compile(rf"prep\s+({_WORD}):\s*(.+)"),
+            re.compile(rf"role\s+{_NAME}:|purpose:|cause:"))
 
 
 def _outline(encoded_text: str) -> list[tuple]:
@@ -621,6 +633,14 @@ def line_of(g: StoryGraph, location: str) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # serialization (canonical form; parse(serialize(g)) == g)
 
+def _token(what: str, value: str, form: str) -> str:
+    """``value``, if the parser reads it back whole in ``form``; else
+    ``ValueError``."""
+    if not re.fullmatch(form, value):
+        raise ValueError(f"cannot serialize {what} {value!r}: a story file cannot hold it")
+    return value
+
+
 def _quoted(what: str, value: str, forbidden: str = '"') -> str:
     """``value`` in double quotes; ``ValueError`` if the parser would not read
     that back, as when ``value`` holds a line break or a ``forbidden`` one."""
@@ -632,9 +652,9 @@ def _quoted(what: str, value: str, forbidden: str = '"') -> str:
 def _format_arg(arg: Argument, forbidden: str = '"') -> str:
     """``arg`` written inline, where a literal holds no ``forbidden`` one."""
     if isinstance(arg, EntityRef):
-        return arg.entity_id
+        return _token("entity reference", arg.entity_id, _REF)
     if isinstance(arg, Property):
-        return "@" + arg.adjective
+        return "@" + _token("property", arg.adjective, _WORD)
     if isinstance(arg, Text):
         return _quoted("literal", arg.value, forbidden)
     raise TypeError(f"not an inline argument: {arg!r}")
@@ -643,66 +663,90 @@ def _format_arg(arg: Argument, forbidden: str = '"') -> str:
 class _Writer:
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.emitted: set[str] = set()
+        self.emitted: dict[str, Proposition] = {}  # by id, each written out once
 
     def add(self, depth: int, text: str) -> None:
         self.lines.append("  " * depth + text)
 
     def prop(self, p: Proposition, depth: int) -> None:
-        if p.id in self.emitted:
+        first = self.emitted.get(p.id)
+        if first is not None:
+            if first is not p and first != p:  # a `ref` would read back the first
+                raise ValueError(f"cannot serialize proposition id {p.id!r}: "
+                                 "two different propositions have it")
             self.add(depth, f"ref {p.id}")
             return
-        self.emitted.add(p.id)
-        inline = [(r, a) for r, a in p.frame.bindings if not isinstance(a, Proposition)]
-        nested = [(r, a) for r, a in p.frame.bindings if isinstance(a, Proposition)]
-        head = f"{p.frame.frame_id} {p.frame.predicate_lemma}"
-        head += "(" + ", ".join(r + "=" + _format_arg(a, '")') for r, a in inline) + ")"
+        self.emitted[p.id] = p
+        bindings = p.frame.bindings
+        inline = [(r, a) for r, a in bindings if not isinstance(a, Proposition)]
+        nested = [(r, a) for r, a in bindings if isinstance(a, Proposition)]
+        late = [r for r, a in bindings[len(inline):] if not isinstance(a, Proposition)]
+        if late:  # the file would read it back before the nested binding
+            raise ValueError(f"cannot serialize role {late[0]!r} of proposition {p.id!r}: "
+                             "a story file writes inline bindings before nested ones")
+        head = (f"{_token('frame', p.frame.frame_id, _NAME)} "
+                f"{_token('predicate', p.frame.predicate_lemma, _NAME)}(")
+        head += ", ".join(_token("role", r, _NAME) + "=" + _format_arg(a, '")')
+                          for r, a in inline) + ")"
         if p.polarity == NEGATED:
             head += " polarity=neg"
         for lemma, pos in p.adverbs:
-            head += f" adv={lemma}@{'pre' if pos == PRE_VERB else 'post'}"
-        head += f" id={p.id}"
+            head += f" adv={_token('adverb', lemma, _WORD)}@{'pre' if pos == PRE_VERB else 'post'}"
+        head += f" id={_token('proposition id', p.id, _FIELD)}"
         self.add(depth, head)
         for role, sub in nested:
-            self.add(depth + 1, f"role {role}:")
+            self.add(depth + 1, f"role {_token('role', role, _NAME)}:")
             self.prop(sub, depth + 2)
         for a, targets in attachment_groups(p.attachments):
             if a.relation == PREPOSITIONAL:
-                joined = ", ".join(_format_arg(t) for t in targets)
-                self.add(depth + 1, f"prep {a.preposition}: {joined}")
+                word = _token("preposition", a.preposition, _WORD)
+                self.add(depth + 1, f"prep {word}: " + ", ".join(map(_format_arg, targets)))
             else:
                 self.add(depth + 1, f"{a.relation}:")
                 self.prop(a.target, depth + 2)  # type: ignore[arg-type]
 
 
 def serialize_story(g: StoryGraph) -> str:
-    """``g`` in the story format; a title or literal holding ``"`` or a line
-    break, or in a role ``)``, cannot be written and raises ``ValueError``."""
+    """``g`` in the story format, which :func:`parse_story` reads back as a
+    graph ``==`` to ``g``. What the parser would read back otherwise raises
+    ``ValueError`` naming the value: a title or literal holding ``"`` or a
+    line break, or in a role ``)``; a token the parser would split or
+    misread; an original text line that is blank, edged with whitespace or
+    starts with ``#``; a nested role binding before an inline one; two
+    different propositions with one id; and a timeline proposition told
+    twice, which a file can reuse only in a nested slot."""
     w = _Writer()
-    w.add(0, f"story {g.id} {_quoted('title', g.title)}")
+    w.add(0, f"story {_token('story id', g.id, _NAME)} {_quoted('title', g.title)}")
     w.add(0, "")
     w.add(0, "entities")
     for e in g.entities:
-        line = f"{e.id} {e.kind} {e.head_lemma}"
-        if e.group_of:
-            line += f" group_of={e.group_of}"
+        line = (f"{_token('entity id', e.id, _FIRST)} {_token('entity kind', e.kind, _FIELD)} "
+                f"{_token('head lemma', e.head_lemma, _FIELD)}")
+        if e.group_of is not None:
+            line += f" group_of={_token('member lemma', e.group_of, _FIELD)}"
         if e.number != "sg":
-            line += f" number={e.number}"
-        if e.pronoun:
-            line += f" pronoun={e.pronoun}"
+            line += f" number={_token('number', e.number, _FIELD)}"
+        if e.pronoun is not None:
+            line += f" pronoun={_token('pronoun', e.pronoun, _FIELD)}"
         if e.fixed_modifiers:
-            line += " mod=" + ",".join(e.fixed_modifiers)
+            line += " mod=" + ",".join(_token("modifier", m, _ITEM) for m in e.fixed_modifiers)
         w.add(1, line)
-    if g.original_text:
+    if g.original_text is not None:
         w.add(0, "")
         w.add(0, "original")
-        for line in g.original_text.splitlines():
+        for line in g.original_text.split("\n"):
+            if line.splitlines() != [line] or line != line.strip() or line[0] == "#":
+                raise ValueError(f"cannot serialize original text line {line!r}: "
+                                 "a story file drops or strips it")
             w.add(1, line)
     w.add(0, "")
     w.add(0, "timeline")
     for ts in g.timeline:
-        w.add(1, f"{ts.index}:")
+        w.add(1, f"{_token('timespan index', str(ts.index), _INDEX)}:")
         for p in ts.propositions:
+            if p.id in w.emitted:  # a timeline line is a proposition, never a `ref`
+                raise ValueError(f"cannot serialize proposition id {p.id!r}: it is written "
+                                 "before this timeline proposition")
             w.prop(p, 2)
     return "\n".join(w.lines) + "\n"
 

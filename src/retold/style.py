@@ -7,7 +7,9 @@ to its activation, drawing from a random stream derived from (seed,
 sentence index), so sentences are independent and the whole application
 is reproducible. :func:`apply_voice` is the only way in, so every applied
 transform is recorded as a StyleDecision, whose site is a path into the
-final styled sentence, kept exact as later rewrites move nodes.
+final styled sentence: at the end of each sentence, every site is carried
+through the moves of the rewrites after it, in one place. No rewrite
+removes a node that a decision names, so a site of "root" is the root.
 
 Marker vocabulary (hedges, pauses, interjections, expletives, tags) is a
 fixed word list; insertions never change propositional content. The two
@@ -22,7 +24,9 @@ both at 1.0, so one document told in several voices would repeat them in
 each. The work they share is done once per document instead (see
 :func:`apply_voice`), in one walk per sentence that drops purpose
 subjects, places pronouns and notes the sentences whose contraction must
-rewrite "be able to"; the others are contracted by one feature.
+rewrite "be able to"; the others are contracted by one feature. The
+prefix keeps each contracted sentence with its rewrite's moves, and the
+voice carries the pronoun sites through them as it carries every site.
 """
 
 from __future__ import annotations
@@ -111,8 +115,9 @@ def _param_error(key: str, value: float) -> Optional[str]:
 
 class StyleDecision(Record):
     """One applied transform. ``site`` is a dotted child path into the final
-    styled sentence, naming the node the transform changed: a later rewrite
-    that moves nodes carries it along, to "root" if it removes that node."""
+    styled sentence, naming the node the transform changed; a later rewrite
+    that moves nodes carries it along. No rewrite removes a node a decision
+    names, so "root" always names the sentence root."""
 
     __slots__ = _fields = ("sentence_index", "param", "site", "payload")
 
@@ -224,8 +229,7 @@ def _able_child(node: d.DSyntNode) -> Optional[int]:
     return None
 
 
-def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
-                            fire: Optional[Sequence[bool]] = None
+def pronominalize_sentences(sentences: Sequence[d.DSyntNode], fire: Sequence[bool]
                             ) -> tuple[list[d.DSyntNode], list[list[tuple[tuple[int, ...], str]]],
                                        list[bool]]:
     """The document-order pronominalization pass over built trees: one walk
@@ -252,17 +256,11 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
     ``(path, pronoun)`` in pre-order. Each path is a position in the
     returned sentence, which :func:`apply_voice` keeps exact as it moves nodes.
     """
-    if fire is None:
-        fire = [True] * len(sentences)
-    elif not any(fire):
+    if not any(fire):
         return list(sentences), [[] for _ in sentences], [True] * len(sentences)
     counts: dict[tuple[str, str], int] = {}
     pronouns: dict[tuple[str, str, str], d.DSyntNode] = {}
     path: list[int] = []  # from the sentence root to the node being visited
-    # the clauses whose subject a drop removes, by id, as the index of that
-    # subject; each is visited next, as the first child of the "in order"
-    # node the drop was found at
-    skips: dict[int, int] = {}
     # the sentence being walked: whether its gate fired, its drop and
     # pronoun sites and whether it holds a negated "be able to VP"
     hot, drops, sites, unable = False, [], [], False
@@ -302,16 +300,18 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
             return pronoun
         return node
 
-    def clause(node: d.DSyntNode) -> d.DSyntNode:
+    def clause(node: d.DSyntNode, skip: Optional[int] = None) -> d.DSyntNode:
         """A node reached from the root through clause-spine nodes only: no
         mention, but it may drop a purpose subject or be rewritten by the
-        contractions."""
+        contractions. ``skip`` is the index of a dropped purpose subject: an
+        "in order" node passes it to its clause, its first child, which
+        leaves that child out."""
         nonlocal unable
         children = node.children
-        skip = skips.pop(id(node), None) if skips else None
-        if skip is not None:
-            children = children[:skip] + children[skip + 1:]
         verb = node.cls == d.VERB
+        dropped = verb and skip is not None
+        if dropped:
+            children = children[:skip] + children[skip + 1:]
         if verb and node.lexeme == "be" and not unable:
             unable = _able_child(node) is not None
         mine = None  # the positions of the "in order" nodes this clause drops under
@@ -322,16 +322,15 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
             path.append(i)
             if c.cls not in _CLAUSE_SPINE:
                 new = phrase(c)
+            elif (hot and verb and c.lexeme == IN_ORDER and c.cls == d.FUNCTION_WORD
+                    and c.children and c.children[0].cls == d.VERB
+                    and _drops_subject(node, c.children[0])):
+                mine = mine or []
+                mine.append(i)
+                new = clause(c, next(k for k, x in enumerate(c.children[0].children)
+                                     if x.relation == d.I))
             else:
-                if (hot and verb and c.lexeme == IN_ORDER and c.cls == d.FUNCTION_WORD
-                        and c.children and c.children[0].cls == d.VERB
-                        and _drops_subject(node, c.children[0])):
-                    emb = c.children[0]
-                    skips[id(emb)] = next(k for k, x in enumerate(emb.children)
-                                          if x.relation == d.I)
-                    mine = mine or []
-                    mine.append(i)
-                new = clause(c)
+                new = clause(c, skip if i == 0 and not verb else None)
             path.pop()
             if new is not c:
                 new_children = new_children or list(children)
@@ -340,7 +339,7 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode],
             drops.extend(((*path, i, 0), "subject-drop") for i in mine)
         if new_children is not None:
             children = tuple(new_children)
-        elif skip is None:
+        elif not dropped:
             return node
         return d.DSyntNode(node.lexeme, node.cls, node.relation, node.features, children)
 
@@ -375,7 +374,7 @@ def rewrite_unable_to_modal(node: d.DSyntNode, moves: Optional[list] = None,
     if able is None:
         return node
     if moves is not None:
-        moves.append((path, lambda k: None if k == able else (k - (k > able),)))
+        moves.append((path, lambda k: (k - (k > able),)))
     children = node.children[:able] + node.children[able + 1:]
     return d.DSyntNode("can", node.cls, node.relation, node.features, children)
 
@@ -623,13 +622,13 @@ BUILTIN_VOICES = {
 def _rebase(path: tuple[int, ...], moves: Sequence[tuple]) -> tuple[int, ...]:
     """``path`` carried through ``moves``, in the order the rewrites made
     them. A move is (a node's path, a function from the index of each of
-    its old children to the child's new path under that node, or None for
-    one removed); a path through a removed node goes to the root."""
+    its old children to the child's new path under that node). The one
+    node a rewrite removes, the ``able`` leaf of "not able to", is named
+    by no decision, so every path is carried to the node it named."""
     for parent, where in moves:
         n = len(parent)
         if len(path) > n and path[:n] == parent:
-            to = where(path[n])
-            path = () if to is None else parent + to + path[n + 1:]
+            path = parent + where(path[n]) + path[n + 1:]
     return path
 
 
@@ -638,15 +637,13 @@ class _SharedPrefix:
     on one document, made by one walk per sentence (see
     :func:`pronominalize_sentences`): the pronominalized sentences, each
     sentence's sites and its pronominalization decisions, one per site.
-    Each sentence contracted, its contractions decision, and its sites and
-    pronominalization decisions carried into the contracted tree are made
-    when a voice first needs them; only a sentence the walk found a negated
-    "be able to VP" in is walked again to contract it, and only there can a
-    site move. A voice that leaves a sentence as either tree takes its
-    decisions as they are; one that moves nodes carries the sites along
-    (:func:`_rebase`) and keeps each decision whose site did not move.
-    Nothing here draws from the random streams, so the result depends on
-    the sentences and the fire vector alone."""
+    Each sentence contracted, with its contractions decision and the
+    rewrite's moves, is made when a voice first needs it; only a sentence
+    the walk found a negated "be able to VP" in is walked again to contract
+    it, and only there does the rewrite move a node. :func:`apply_voice`
+    carries the sites through every move. Nothing here draws from the
+    random streams, so the result depends on the sentences and the fire
+    vector alone."""
     __slots__ = ("sentences", "sites", "decisions", "_unable", "_contracted", "_names")
 
     def __init__(self, sentences: tuple[d.DSyntNode, ...], fire: tuple[bool, ...]):
@@ -660,28 +657,14 @@ class _SharedPrefix:
         """``path`` as a site, spelled once: a few short paths recur in every sentence."""
         return self._names.get(path) or self._names.setdefault(path, _path_str(path))
 
-    def rebased(self, i: int, sites: list, decisions: list[StyleDecision],
-                moves: Sequence[tuple]) -> list[StyleDecision]:
-        """Sentence ``i``'s pronominalization ``decisions``, one per site in
-        ``sites``, carried through ``moves``: each whose site did not move
-        is kept."""
-        return [x if (new := _rebase(path, moves)) == path
-                else StyleDecision(i, PRONOMINALIZATION, self.site(new), payload)
-                for x, (path, payload) in zip(decisions, sites)]
-
     def contracted(self, i: int) -> Optional[tuple]:
-        """Sentence ``i`` contracted, as (tree, contractions decision, its
-        pronominalization sites and decisions in that tree), or None when
-        contracting leaves it as it is."""
+        """Sentence ``i`` contracted, as (tree, contractions decision, the
+        rewrite's moves), or None when contracting leaves it as it is."""
         if i not in self._contracted:
             sentence, moves = self.sentences[i], []
             new = enable_contractions(sentence, self._unable[i], moves)
-            sites, decisions = self.sites[i], self.decisions[i]
-            if moves:
-                decisions = self.rebased(i, sites, decisions, moves)
-                sites = [(_rebase(path, moves), payload) for path, payload in sites]
             self._contracted[i] = None if new is sentence else (
-                new, StyleDecision(i, CONTRACTIONS, "root", "on"), sites, decisions)
+                new, StyleDecision(i, CONTRACTIONS, "root", "on"), tuple(moves))
         return self._contracted[i]
 
 
@@ -697,14 +680,15 @@ def apply_voice(doc: d.Document, model: VoiceModel,
     ``i`` draws from ``random.Random(f"{seed}:{i}")``, every active gate
     included, a gate at 1.0 too; otherwise (FORMAL) no stream is made.
 
-    Each decision's site is a path into its final styled sentence: a
-    rewrite that moves nodes carries the sentence's earlier sites with them
-    (:func:`_rebase`).
+    Each decision's site is a path into its final styled sentence: at the
+    end of each sentence, every site is carried through the moves of the
+    rewrites that came after its decision (:func:`_rebase`).
 
     The pronominalization pass, its decision records and the contractions
-    of the sentences it leaves are made once per ``doc`` object and fire
-    vector and kept on the document (:meth:`record.Record.memo`) for later
-    voices; a voice with another fire vector replaces them.
+    of the sentences it leaves, with their moves, are made once per ``doc``
+    object and fire vector and kept on the document
+    (:meth:`record.Record.memo`) for later voices; a voice with another
+    fire vector replaces them.
     """
     if not any(float(a) > 0.0 for a in model.params.values()):
         return doc, []
@@ -724,7 +708,6 @@ def apply_voice(doc: d.Document, model: VoiceModel,
     sentences, decisions = [], []
     for i, sentence in enumerate(shared.sentences):
         rng, memo = rngs[i], {}
-        sites, records = shared.sites[i], shared.decisions[i]
         moves = []  # where the sentence's rewrites moved nodes, in order
         mine = []  # (its parameter's decisions, parameter, site, payload, moves made by then)
         for (param, transform, a), made in zip(active, applied):
@@ -733,7 +716,8 @@ def apply_voice(doc: d.Document, model: VoiceModel,
             if transform is _contractions and sentence is shared.sentences[i]:
                 hit = shared.contracted(i)
                 if hit is not None:
-                    sentence, x, sites, records = hit
+                    sentence, x, moved = hit
+                    moves += moved
                     made.append(x)
                 continue
             result = transform(sentence, rng, lex, memo)
@@ -742,7 +726,15 @@ def apply_voice(doc: d.Document, model: VoiceModel,
                 moves += moved
                 mine.append((made, param, site, payload, len(moves)))
         sentences.append(sentence)
-        decisions += shared.rebased(i, sites, records, moves) if moves else records
+        # every site is carried through the moves made after its decision,
+        # here and only here; a pronominalization record whose site did
+        # not move is the prefix's own
+        records = shared.decisions[i]
+        if moves:
+            records = [x if (new := _rebase(path, moves)) == path
+                       else StyleDecision(i, PRONOMINALIZATION, shared.site(new), payload)
+                       for x, (path, payload) in zip(records, shared.sites[i])]
+        decisions += records
         for made, param, site, payload, k in mine:
             if k < len(moves):
                 site = _rebase(site, moves[k:])

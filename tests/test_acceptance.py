@@ -11,7 +11,7 @@ from retold import story as st
 from retold import style
 from retold import transform as tr
 from retold.cli import run
-from retold.lexicon import NOUN, VERB, default_lexicon, inflect
+from retold.lexicon import NOUN, VERB, default_lexicon, past, plural
 from retold.realize import realize_document
 
 from conftest import FIXTURES, fixture_text, random_story
@@ -59,8 +59,8 @@ def test_criterion_3_development_metric_reproduction():
 def test_criterion_4_morphology_fixes():
     lex = default_lexicon()
     check("4 morphology fixes",
-          inflect(lex.lookup("open", VERB), {"tense": "past"}) == "opened"
-          and inflect(lex.lookup("wife", NOUN), {"number": "pl"}) == "wives")
+          past(lex.lookup("open", VERB), "sg") == "opened"
+          and plural(lex.lookup("wife", NOUN)) == "wives")
 
 
 def _eligible_sentences(param, doc, lex):

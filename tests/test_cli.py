@@ -37,7 +37,7 @@ def test_validate_ok():
 def test_validate_failure_exits_1(tmp_path):
     bad = tmp_path / "bad.story"
     bad.write_text('story x "X"\n\nentities\n  fox character fox\n\n'
-                   'timeline\n  0:\n    obtain obtain(Agent=fox)\n')
+                   'timeline\n  0:\n    obtain obtain(Agent=fox)\n', encoding="utf-8")
     code, out, err = invoke("validate", str(bad))
     assert code == 1
     assert "mandatory role Theme unbound" in out
@@ -45,7 +45,7 @@ def test_validate_failure_exits_1(tmp_path):
 
 def test_parse_error_exits_2(tmp_path):
     bad = tmp_path / "broken.story"
-    bad.write_text("not a story\n")
+    bad.write_text("not a story\n", encoding="utf-8")
     code, out, err = invoke("validate", str(bad))
     assert code == 2
     assert "retold:" in err
@@ -84,7 +84,7 @@ def test_generate_unknown_voice_exits_2():
 
 def test_generate_voice_file(tmp_path):
     voice = tmp_path / "loud.voice"
-    voice.write_text("voice LOUD\nexclamation: 1.0\n")
+    voice.write_text("voice LOUD\nexclamation: 1.0\n", encoding="utf-8")
     code, out, err = invoke("generate", FOX, "--voice", str(voice))
     assert code == 0
     assert out.count("!") == 8
@@ -92,7 +92,7 @@ def test_generate_voice_file(tmp_path):
 
 def test_voice_file_that_sets_a_parameter_twice_exits_2(tmp_path):
     voice = tmp_path / "twice.voice"
-    voice.write_text("voice LOUD\nexclamation: 1.0\nexclamation: 0.0\n")
+    voice.write_text("voice LOUD\nexclamation: 1.0\nexclamation: 0.0\n", encoding="utf-8")
     code, out, err = invoke("generate", FOX, "--voice", str(voice))
     assert code == 2
     assert out == ""
@@ -103,7 +103,8 @@ def test_generate_output_file(tmp_path):
     target = tmp_path / "story.txt"
     code, out, err = invoke("generate", FOX, "--output", str(target))
     assert code == 0
-    assert target.read_text().strip() == fixture_text("fox_and_grapes.golden.txt").strip()
+    assert target.read_text(encoding="utf-8").strip() == \
+        fixture_text("fox_and_grapes.golden.txt").strip()
 
 
 def test_eval_prints_scores():
@@ -120,7 +121,7 @@ def test_eval_json_report(tmp_path):
                             "--json", str(target))
     assert code == 0
     import json
-    payload = json.loads(target.read_text())
+    payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["aggregate"]["levenshtein"]["mean"] == float(
         out.splitlines()[0].split(": ")[1])
 
@@ -179,7 +180,7 @@ def test_identical_invocations_are_byte_identical():
 def test_generate_on_invalid_story_exits_1(tmp_path):
     bad = tmp_path / "bad.story"
     bad.write_text('story x "X"\n\nentities\n  fox character fox\n\n'
-                   'timeline\n  0:\n    obtain obtain(Agent=fox)\n')
+                   'timeline\n  0:\n    obtain obtain(Agent=fox)\n', encoding="utf-8")
     code, out, err = invoke("generate", str(bad))
     assert code == 1
     assert "unbound" in err
@@ -198,7 +199,7 @@ def test_each_command_validates_once(monkeypatch, argv):
 def test_an_invalid_story_is_reported_before_a_bad_voice(tmp_path):
     bad = tmp_path / "bad.story"
     bad.write_text('story x "X"\n\nentities\n  fox character fox\n\n'
-                   'timeline\n  0:\n    obtain obtain(Agent=fox)\n')
+                   'timeline\n  0:\n    obtain obtain(Agent=fox)\n', encoding="utf-8")
     code, out, err = invoke("generate", str(bad), "--voice", "NO_SUCH_VOICE")
     assert code == 1
     assert out == ""
@@ -211,7 +212,7 @@ def test_generate_output_file_with_emitted_trees(tmp_path):
     code, out, err = invoke("generate", FOX, "--output", str(target), "--emit-dsynts")
     assert code == 0
     assert "<document>" in out
-    assert target.read_text().startswith("The group of grapes")
+    assert target.read_text(encoding="utf-8").startswith("The group of grapes")
 
 
 @pytest.mark.parametrize("content, argv, code", [
@@ -239,7 +240,7 @@ def test_bad_input_gives_one_message_line(tmp_path, content, argv, code):
     if isinstance(content, bytes):
         path.write_bytes(content)
     else:
-        path.write_text(content)
+        path.write_text(content, encoding="utf-8")
     got, out, err = invoke(*(a.format(input=path) for a in argv))
     assert got == code
     assert len([line for line in err.splitlines() if line.startswith("retold:")]) == 1
@@ -364,7 +365,7 @@ def test_reindented_stories_never_escape_the_error_contract(tmp_path):
 def test_story_nested_to_the_bound_validates_generates_and_copies(tmp_path):
     path = tmp_path / "deep.story"
     text = nested_story(st.MAX_NESTING_DEPTH)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert invoke("validate", str(path)) == (0, f"{path}: ok\n", "")
     for voice in BUILTIN_VOICES:
         code, out, err = invoke("generate", str(path), "--voice", voice, "--emit-dsynts")
@@ -444,7 +445,8 @@ def test_a_repeated_field_gives_one_message_line(tmp_path):
     path = tmp_path / "twice.story"
     path.write_text('story x "X"\n\nentities\n  fox character fox\n'
                     '  grapes object group group_of=grape\n\ntimeline\n  0:\n'
-                    '    see see(Experiencer=fox, Stimulus=grapes) polarity=neg polarity=aff\n')
+                    '    see see(Experiencer=fox, Stimulus=grapes) polarity=neg polarity=aff\n',
+                    encoding="utf-8")
     for command in ("validate", "generate"):
         code, out, err = invoke(command, str(path))
         assert code == 2
@@ -457,7 +459,7 @@ def test_a_repeated_field_gives_one_message_line(tmp_path):
 def test_a_repeated_adverb_gives_one_message_line(tmp_path):
     path = tmp_path / "now_now.story"
     path.write_text('story x "X"\n\nentities\n  fox character fox\n\ntimeline\n  0:\n'
-                    '    jump jump(Agent=fox) adv=now@pre adv=now@pre\n')
+                    '    jump jump(Agent=fox) adv=now@pre adv=now@pre\n', encoding="utf-8")
     message = "error: line 8: t0.p0: repeated adverb 'now' at pre_verb\n"
     assert invoke("validate", str(path)) == (1, message, "")
     assert invoke("generate", str(path)) == (1, "", message
@@ -493,7 +495,7 @@ JUMP = "    jump jump(Agent=fox)\n"
         "unknown-frame", "unknown-entity", "empty-timespan", "repeated-adverb"])
 def test_a_validation_error_names_its_line(tmp_path, content, line):
     path = tmp_path / "bad.story"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     assert invoke("validate", str(path)) == (1, line + "\n", "")
     for argv in (["generate", str(path)], ["pipeline", str(path), "--reference", REFERENCE]):
         assert invoke(*argv) == (1, "", f"{line}\nretold: {path}: story is not valid\n")

@@ -37,20 +37,19 @@ def test_lookup_unknown_lemma(lexicon):
 ])
 def test_regular_past_forms(lexicon, lemma, expected):
     entry = lexicon.lookup(lemma, lx.VERB)
-    assert lx.inflect(entry, {"tense": "past"}) == expected
+    assert lx.past(entry, "sg") == expected
 
 
 def test_irregular_pasts_win(lexicon):
-    assert lx.inflect(lexicon.lookup("see", lx.VERB), {"tense": "past"}) == "saw"
-    assert lx.inflect(lexicon.lookup("drink", lx.VERB), {"tense": "past"}) == "drank"
-    assert lx.inflect(lexicon.lookup("eat", lx.VERB), {"tense": "past"}) == "ate"
+    for lemma, expected in (("see", "saw"), ("drink", "drank"), ("eat", "ate")):
+        for number in ("sg", "pl"):
+            assert lx.past(lexicon.lookup(lemma, lx.VERB), number) == expected
 
 
 def test_be_agrees_in_number(lexicon):
     be = lexicon.lookup("be", lx.VERB)
-    assert lx.inflect(be, {"tense": "past"}) == "was"
-    assert lx.inflect(be, {"tense": "past", "number": "sg"}) == "was"
-    assert lx.inflect(be, {"tense": "past", "number": "pl"}) == "were"
+    assert lx.past(be, "sg") == "was"
+    assert lx.past(be, "pl") == "were"
 
 
 @pytest.mark.parametrize("lemma,expected", [
@@ -62,12 +61,7 @@ def test_be_agrees_in_number(lexicon):
 ])
 def test_plurals(lexicon, lemma, expected):
     entry = lexicon.lookup(lemma, lx.NOUN)
-    assert lx.inflect(entry, {"number": "pl"}) == expected
-
-
-def test_base_features_return_the_lemma(lexicon):
-    for entry in lexicon.entries:
-        assert lx.inflect(entry, {}) == entry.lemma
+    assert lx.plural(entry) == expected
 
 
 def test_doubling_only_for_stressed_cvc_monosyllables():
@@ -80,15 +74,6 @@ def test_doubling_only_for_stressed_cvc_monosyllables():
              ("snow", "snowed"), ("play", "played")]
     for lemma, expected in cases:
         assert lx.regular_past(lemma) == expected, lemma
-
-
-def test_feature_mismatch(lexicon):
-    with pytest.raises(lx.FeatureMismatchError):
-        lx.inflect(lexicon.lookup("fox", lx.NOUN), {"tense": "past"})
-    with pytest.raises(lx.FeatureMismatchError):
-        lx.inflect(lexicon.lookup("jump", lx.VERB), {"tense": "present"})
-    with pytest.raises(lx.FeatureMismatchError):
-        lx.inflect(lexicon.lookup("ripe", lx.ADJECTIVE), {"number": "pl"})
 
 
 def test_synonym_choice_and_determinism(lexicon):

@@ -178,26 +178,38 @@ def test_sentences_left_as_the_prefix_made_them_share_its_decisions(fox_graph, l
     assert shared > 0
 
 
-def test_formal_returns_the_prefix_records_and_checks_no_site(fox_graph, lion_graph,
-                                                               monkeypatch):
+def test_formal_rebases_only_where_the_contraction_moved_a_node(fox_graph, lion_graph,
+                                                                monkeypatch):
+    """FORMAL leaves each sentence as the prefix contracted it, so its only
+    moves are those of a contraction that rewrote "not able to": only
+    there are sites carried, and only there are its records fresh, one
+    for each site that moved."""
     formal = style.BUILTIN_VOICES["FORMAL"]
     rebased = []
     real = style._rebase
     monkeypatch.setattr(style, "_rebase", lambda *args: rebased.append(args) or real(*args))
+    seen = 0
     for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
         doc = tr.transform_story(g)
-        _, decisions = style.apply_voice(doc, formal, k)
-        shared = doc.memo((True,) * len(doc.sentences), lambda: pytest.fail("no prefix"))
-        own = []
-        for i in range(len(shared.sentences)):
-            tree, contraction, _, records = shared.contracted(i)
-            own += [contraction, *shared.decisions[i], *records]
-        assert decisions and all(any(x is y for y in own) for x in decisions), g.id
-        # told again, FORMAL moves no site: each sentence is a prefix tree
-        del rebased[:]
-        _, again = style.apply_voice(doc, formal, k)
-        assert rebased == [] and all(x is y for x, y in zip(again, decisions))
-        assert len(again) == len(decisions)
+        for told in range(2):
+            del rebased[:]
+            styled, decisions = style.apply_voice(doc, formal, k)
+            shared = doc.memo((True,) * len(doc.sentences), lambda: pytest.fail("no prefix"))
+            carried = 0
+            for i, sentence in enumerate(styled.sentences):
+                tree, contraction, moves = shared.contracted(i)
+                assert sentence is tree, (g.id, i)
+                mine = [x for x in decisions if x.sentence_index == i]
+                records = [x for x in mine if x.param == style.PRONOMINALIZATION]
+                assert mine == records + [contraction] and mine[-1] is contraction
+                assert len(records) == len(shared.decisions[i])
+                for x, y in zip(records, shared.decisions[i]):
+                    assert (x is y) == (not moves or x.site == y.site), (g.id, i, x)
+                carried += len(records) if moves else 0
+            # each site of a moved sentence is carried once, and no other
+            assert len(rebased) == carried, (g.id, told)
+            seen += carried
+    assert seen > 0
 
 
 def test_a_restyled_sentence_checks_each_site_in_its_final_tree(fox_graph, lion_graph):
@@ -215,16 +227,17 @@ def test_a_restyled_sentence_checks_each_site_in_its_final_tree(fox_graph, lion_
         shared = doc.memo((True,) * len(doc.sentences), lambda: pytest.fail("no prefix"))
         for i, sentence in enumerate(shy.sentences):
             # SHY contracts every sentence before any other rewrite
-            tree, _, sites, records = shared.contracted(i)
+            tree, _, _ = shared.contracted(i)
             if sentence is tree:
                 continue
             mine = [x for x in decisions
                     if x.sentence_index == i and x.param == style.PRONOMINALIZATION]
+            sites = shared.sites[i]
             assert [x.payload for x in mine] == [payload for _, payload in sites], (g.id, i)
-            for x, y, (path, _) in zip(mine, records, sites):
+            for x, y, (path, _) in zip(mine, shared.decisions[i], sites):
                 assert x.site != "root", (g.id, i, x)
                 node = d.node_at(sentence, tuple(map(int, x.site.split("."))))
-                was = d.node_at(tree, path)
+                was = d.node_at(shared.sentences[i], path)
                 assert (node.lexeme, node.cls, node.relation) == \
                     (was.lexeme, was.cls, was.relation), (g.id, i, x)
                 assert (x is y) == (x.site == y.site), (g.id, i, x)

@@ -329,7 +329,7 @@ def test_import_pulls_in_no_heavy_or_compiled_modules():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, encoding="utf-8", check=True)
     assert result.stdout.strip() == ""
     # nor the data-class machinery or modules only some commands use, beyond
     # what the bare interpreter (with its site hooks) has already loaded
@@ -338,6 +338,6 @@ def test_import_pulls_in_no_heavy_or_compiled_modules():
     def loaded(imports: str) -> list[str]:
         code = f"import {imports}; print(*[m for m in {slow!r} if m in sys.modules])"
         return subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True).stdout.split()
+                              capture_output=True, encoding="utf-8", check=True).stdout.split()
 
     assert loaded("retold, sys") == loaded("sys")

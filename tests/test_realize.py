@@ -128,15 +128,33 @@ def test_infinitive_negation():
 
 def test_realized_past_comes_from_the_lexicon(fox_graph, lexicon):
     # regular verbs in the output must match the lexicon's inflection
-    from retold.lexicon import VERB, inflect
+    from retold.lexicon import VERB, past
     doc = tr.transform_story(fox_graph)
     text = rz.realize_document(doc)
     for lemma in ("jump", "walk"):
-        assert inflect(lexicon.lookup(lemma, VERB), {"tense": "past"}) in text
+        assert past(lexicon.lookup(lemma, VERB), "sg") in text
+
+
+def test_only_a_plural_noun_is_looked_up(fox_graph, lion_graph, monkeypatch):
+    # a singular noun is told as its lemma; only a plural asks the lexicon
+    from retold.lexicon import NOUN, Lexicon
+
+    docs = [tr.transform_story(g) for g in (fox_graph, lion_graph)]
+    looked = []
+    lookup = Lexicon.lookup
+    monkeypatch.setattr(Lexicon, "lookup", lambda self, lemma, pos: looked.append(
+        (lemma, pos)) or lookup(self, lemma, pos))
+    for doc in docs:
+        rz.realize_document(doc)
+    plurals = {node.lexeme for doc in docs for sentence in doc.sentences
+               for _, node in d.walk(sentence)
+               if node.cls == d.COMMON_NOUN and node.feature("number") == "pl"}
+    nouns = {lemma for lemma, pos in looked if pos == NOUN}
+    assert nouns == plurals and nouns
 
 
 def test_content_words_realized_exactly_once_per_node(fox_graph, lexicon):
-    from retold.lexicon import NOUN, inflect
+    from retold.lexicon import NOUN, plural
     doc = tr.transform_story(fox_graph)
     for sentence in doc.sentences:
         text = rz.realize_sentence(sentence).lower().rstrip(".!?")
@@ -144,8 +162,9 @@ def test_content_words_realized_exactly_once_per_node(fox_graph, lexicon):
         expected = {}
         for _, node in d.walk(sentence):
             if node.cls == d.COMMON_NOUN and lexicon.has(node.lexeme, NOUN):
-                surface = inflect(lexicon.lookup(node.lexeme, NOUN),
-                                  {"number": node.feature("number", "sg")})
+                surface = node.lexeme
+                if node.feature("number") == "pl":
+                    surface = plural(lexicon.lookup(node.lexeme, NOUN))
                 expected[surface] = expected.get(surface, 0) + 1
         for surface, count in expected.items():
             assert tokens.count(surface) == count, (surface, text)

@@ -140,16 +140,14 @@ def _check_prefix(sentences, fire):
         removed = []
         contracted = rebuild_enable_contractions(tree, removed)
         assert sty.enable_contractions(prefix.sentences[i], want_unable[i]) == contracted
-        new, decision, new_sites, records = prefix.contracted(i)
+        new, decision, moves = prefix.contracted(i)
         assert new == contracted
         assert decision == sty.StyleDecision(i, "contractions", "root", "on")
-        assert new_sites == _moved_sites(tree, contracted, removed, sites)
-        assert records == _decisions(i, new_sites)
-        # a decision whose site the rewrite did not move is the prefix's own
-        assert [x is y for x, y in zip(records, prefix.decisions[i])] == \
-            [a == b for a, b in zip(new_sites, sites)]
-        if not removed:
-            assert new_sites is prefix.sites[i] and records is prefix.decisions[i]
+        # the rewrite's moves carry every site to where the oracle puts the
+        # node it named; no site names a removed "able"
+        assert [(sty._rebase(path, moves), payload) for path, payload in sites] == \
+            _moved_sites(tree, contracted, removed, sites)
+        assert bool(moves) == bool(removed)
     return prefix
 
 
@@ -239,7 +237,8 @@ def test_a_nested_able_rewrite_moves_the_sites_after_it():
 
 
 def test_the_walk_notes_every_sentence_the_contractions_rewrite(fixture_sentences):
-    _, _, unable = sty.pronominalize_sentences(fixture_sentences)
+    _, _, unable = sty.pronominalize_sentences(fixture_sentences,
+                                               [True] * len(fixture_sentences))
     assert unable == [sty.rewrite_unable_to_modal(s) is not s for s in fixture_sentences]
     assert sum(unable) == 1
     assert sty.pronominalize_sentences(fixture_sentences, [False] * len(fixture_sentences))[2] \
@@ -290,7 +289,7 @@ def test_a_subject_drop_rebuilds_only_the_path_to_it(fixture_sentences):
     drops = 0
     for s in fixture_sentences:
         # told alone, a sentence whose characters each come once has only drops
-        [new], [sites], _ = sty.pronominalize_sentences([s])
+        [new], [sites], _ = sty.pronominalize_sentences([s], [True])
         dropped = [path for path, kind in sites if kind == "subject-drop"]
         if len(dropped) < len(sites):
             continue
@@ -302,7 +301,8 @@ def test_a_subject_drop_rebuilds_only_the_path_to_it(fixture_sentences):
 
 
 def test_pronominalization_rebuilds_only_the_paths_to_its_sites(fixture_sentences):
-    new, sites, _ = sty.pronominalize_sentences(fixture_sentences)
+    new, sites, _ = sty.pronominalize_sentences(fixture_sentences,
+                                                [True] * len(fixture_sentences))
     assert sum(map(len, sites)) > 0
     for before, after, at in zip(fixture_sentences, new, sites):
         if not at:
@@ -322,7 +322,7 @@ def test_a_mention_inside_a_replaced_mention_is_still_counted():
     fox_of_crow = d.build("fox", d.COMMON_NOUN, d.ROOT, np("fox", "he").features,
                           [(of_crow, d.APPEND)])
     sentences = [clause(np("fox", "he")), clause(fox_of_crow), clause(np("crow", "she"))]
-    got = sty.pronominalize_sentences(sentences)
+    got = sty.pronominalize_sentences(sentences, [True] * 3)
     assert got == rebuild_pronominalize_sentences(sentences, [True] * 3)
     _check_prefix(sentences, [True] * 3)
     assert got[1] == [[], [((0,), "he")], [((0,), "she")]]

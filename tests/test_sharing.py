@@ -186,8 +186,8 @@ def test_two_parses_are_equal_and_share_no_object(text):
 
 
 def test_one_pronoun_node_per_pronoun_relation_and_number(fox_graph):
-    sentences, sites, _ = sty.pronominalize_sentences(
-        list(tr.transform_story(fox_graph).sentences))
+    sentences = tr.transform_story(fox_graph).sentences
+    sentences, sites, _ = sty.pronominalize_sentences(sentences, [True] * len(sentences))
     pronouns = [d.node_at(sentence, path) for sentence, at in zip(sentences, sites)
                 for path, kind in at if kind != "subject-drop"]
     by_key = {}
@@ -275,12 +275,11 @@ def test_each_shared_phrase_is_realized_once_per_document(fox_graph, monkeypatch
 def test_each_past_form_is_inflected_once_per_document(lion_graph, monkeypatch):
     doc = tr.transform_story(lion_graph)
     text = rz.realize_document(doc)
-    inflected = []
-    inflect = rz.inflect
-    monkeypatch.setattr(rz, "inflect", lambda entry, feats: inflected.append(
-        (entry.lemma, feats.get("tense"), feats["number"])) or inflect(entry, feats))
+    pasts = []
+    past = rz.past
+    monkeypatch.setattr(rz, "past", lambda entry, number: pasts.append(
+        (entry.lemma, number)) or past(entry, number))
     assert rz.realize_document(doc) == text
-    pasts = [key for key in inflected if key[1] == "past"]
     assert len(pasts) == len(set(pasts)) > 1
     finite = [node for _, _, node in _positions(doc)
               if node.cls == d.VERB and "tense" in node.features]

@@ -475,7 +475,7 @@ def test_import_compiles_no_pattern():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     story = str(FIXTURES / "fox_and_grapes.story")
     out = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, story], env=env,
-                         capture_output=True, text=True, check=True).stdout.split()
+                         capture_output=True, encoding="utf-8", check=True).stdout.split()
     assert out == ["0", "7"]
 
 
@@ -695,6 +695,66 @@ def test_serializer_refuses_a_value_the_format_cannot_quote(g, value):
     with pytest.raises(ValueError) as exc:
         st.serialize_story(g)
     assert repr(value) in str(exc.value)
+
+
+def _nested_first():
+    """MINIMAL's story with ``see(Stimulus=<jump>, Experiencer=fox)``, its
+    nested binding before its inline one."""
+    see = st.Proposition("p1", st.FrameInstance("see", "see", (
+        ("Stimulus", _JUMP), ("Experiencer", st.EntityRef("fox")))))
+    return _with(_BASE, timeline=(st.Timespan(0, (see,)),))
+
+
+def _jump(**fields):
+    """MINIMAL's story with its jump's ``fields`` changed."""
+    return _with(_BASE, timeline=(st.Timespan(0, (_JUMP.replace(**fields),)),))
+
+
+# each graph validates with no ERROR, but the parser would refuse what the
+# serializer would write for it, or read it back as another graph
+@pytest.mark.parametrize("g, value", [
+    (_nested_first(), "Experiencer"),
+    (_BASE.replace(original_text="# Moral: sour grapes"), "# Moral: sour grapes"),
+    (_BASE.replace(original_text="The fox left.\n\nMoral: sour grapes"), ""),
+    (_BASE.replace(original_text="The fox left.\n"), ""),
+    (_BASE.replace(original_text=""), ""),
+    (_BASE.replace(original_text="  The fox left."), "  The fox left."),
+    (_BASE.replace(original_text="The fox left. "), "The fox left. "),
+    (_BASE.replace(original_text="The fox\rleft."), "The fox\rleft."),
+    (_with(_BASE, entities=(_FOX.replace(fixed_modifiers=("very hot",)), _GRAPES)), "very hot"),
+    (_with(_BASE, entities=(_FOX.replace(fixed_modifiers=("hot,cold",)), _GRAPES)), "hot,cold"),
+    (_jump(adverbs=(("very fast", st.PRE_VERB),)), "very fast"),
+    (_jump(adverbs=(("a@b", st.POST_VERB),)), "a@b"),
+    (_jump(id="p x"), "p x"),
+    (_BASE.replace(id="fox grapes"), "fox grapes"),
+    (_with(_BASE, entities=(_FOX.replace(group_of=""), _GRAPES)), ""),
+], ids=["nested-before-inline", "original-comment", "original-blank-line",
+        "original-trailing-newline", "original-empty", "original-leading-space",
+        "original-trailing-space", "original-return", "modifier-space", "modifier-comma",
+        "adverb-space", "adverb-at", "proposition-id-space", "story-id-space",
+        "member-lemma-empty"])
+def test_serializer_refuses_a_graph_it_would_write_back_wrong(g, value):
+    assert [d for d in st.validate_story(g) if d.severity == ERROR] == []
+    with pytest.raises(ValueError) as exc:
+        st.serialize_story(g)
+    assert repr(value) in str(exc.value)
+
+
+def test_serializer_refuses_a_proposition_id_it_cannot_write_twice():
+    # a proposition met again is written as a `ref`, which reads back the
+    # first; only a nested slot can hold one
+    see = st.FrameInstance("see", "see", (("Experiencer", st.EntityRef("fox")),
+                                          ("Stimulus", _JUMP.replace(polarity=st.NEGATED))))
+    other = _with(_BASE, timeline=(st.Timespan(0, (_JUMP, st.Proposition("p1", see))),))
+    twice = _with(_BASE, timeline=(st.Timespan(0, (_JUMP, _JUMP)),))
+    assert st.validate_story(twice) == []
+    for g in (other, twice):
+        with pytest.raises(ValueError, match="'t0.p0'"):
+            st.serialize_story(g)
+    # an equal proposition in a nested slot is the same one told again
+    again = _with(_BASE, timeline=(st.Timespan(0, (_JUMP, st.Proposition("p1", see.replace(
+        bindings=(see.bindings[0], ("Stimulus", _JUMP.replace())))))),))
+    assert st.parse_story(st.serialize_story(again)) == again
 
 
 def test_a_parenthesis_in_a_prep_literal_round_trips():

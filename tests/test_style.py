@@ -349,15 +349,18 @@ def _names_its_node(dec, sentence):
 
 def test_every_site_names_the_node_its_decision_changed(fox_graph, lion_graph):
     """A site is a path into the final styled sentence, kept exact as later
-    rewrites move nodes: each one that is not the root names the node its
-    payload describes, and no pronoun or subject drop sits at the root."""
+    rewrites move nodes. The contractions and the exclamation change the
+    sentence root and always sit there; every other site names the node
+    its payload describes, the root too (a synonym for the root verb). No
+    rewrite removes a node a decision names, so no site is carried to the
+    root."""
     from test_many_voices import _random_voices
     from test_output_pin import DRAW_VOICES, EVERYTHING
 
     voices = list(style.BUILTIN_VOICES.values()) + [EVERYTHING] + DRAW_VOICES + _random_voices(
         random.Random(19), 6)
     graphs = [fox_graph, lion_graph] + [random_story(random.Random(k)) for k in range(30)]
-    checked = Counter()
+    checked, at_root = Counter(), Counter()
     for g in graphs:
         doc = tr.transform_story(g)
         for model in voices:
@@ -365,13 +368,16 @@ def test_every_site_names_the_node_its_decision_changed(fox_graph, lion_graph):
                 styled, decisions = style.apply_voice(doc, model, seed)
                 for dec in decisions:
                     where = (g.id, model.name, seed, dec)
-                    if dec.site == "root":
-                        assert dec.param != style.PRONOMINALIZATION, where
+                    if dec.param in ("contractions", "exclamation"):
+                        assert dec.site == "root", where
                         continue
                     assert _names_its_node(dec, styled.sentences[dec.sentence_index]), where
                     checked[dec.param] += 1
+                    at_root[dec.param] += dec.site == "root"
     # every parameter that inserts or replaces a node was checked somewhere
     assert set(checked) == style.PARAM_NAMES - {"contractions", "exclamation"}, checked
+    # only a synonym for the root verb names the root
+    assert {param for param, n in at_root.items() if n} == {"lexical_variation"}, at_root
 
 
 REFUSED = """story t "T"
@@ -419,6 +425,36 @@ def test_each_rewrite_carries_the_sites_it_moves(params, text, sites):
     assert all(x.site == "root" or _names_its_node(x, styled.sentences[1]) for x in mine)
 
 
+def test_a_lexical_variation_that_renames_able_stops_the_rewrite(monkeypatch):
+    # no shipped entry gives "able" a synonym; with one, a variation that
+    # picks it leaves no "able" for the contraction to remove, so the site
+    # it names stays in the tree
+    from importlib import resources
+
+    from retold.lexicon import load_lexicon
+
+    data = resources.files("retold").joinpath("data")
+    text = data.joinpath("lexicon.txt").read_text(encoding="utf-8")
+    assert "\nable adjective\n" in text
+    lex = load_lexicon(text.replace("\nable adjective\n", "\nable adjective syn=capable\n"),
+                       data.joinpath("frames.txt").read_text(encoding="utf-8"))
+    monkeypatch.setattr(style, "default_lexicon", lambda: lex)
+    doc = tr.transform_story(st.parse_story(REFUSED))
+    model = style.VoiceModel("probe", {"lexical_variation": 1.0, "contractions": 1.0})
+    told = set()
+    for seed in range(40):
+        styled, decisions = style.apply_voice(doc, model, seed)
+        [variation] = [x for x in decisions if x.sentence_index == 1
+                       and x.param == "lexical_variation"]
+        text = realize_sentence(styled.sentences[1])
+        renamed = variation.payload == "able->capable"
+        assert ("wasn't capable to reach" in text) == renamed, (seed, text)
+        assert ("couldn't reach" in text) != renamed, (seed, text)
+        assert _names_its_node(variation, styled.sentences[1]), (seed, variation)
+        told.add(renamed)
+    assert told == {True, False}
+
+
 def test_insert_marker_skips_inapplicable_sites(fox_doc):
     questioned = d.Document((fox_doc.sentences[0].with_feature("punct", "question"),))
     for param in ("tag_question", "exclamation"):
@@ -441,7 +477,7 @@ def _site_path(site):
 def test_content_superset_after_styling(fox_doc, lexicon):
     # styled stems must cover the neutral stems once the recorded
     # synonym/paraphrase/pronoun substitutions are applied
-    from retold.lexicon import VERB, inflect
+    from retold.lexicon import VERB, past
 
     neutral_stems = Counter(tokenize_and_stem(realize_document(fox_doc)))
     model = style.BUILTIN_VOICES["LAID-BACK"]
@@ -455,7 +491,7 @@ def test_content_superset_after_styling(fox_doc, lexicon):
                 assert dec.site == "root" or node.lexeme == sub, (seed, dec)
                 surface = old
                 if node.cls == d.VERB and "tense" in node.features:
-                    surface = inflect(lexicon.lookup(old, VERB), {"tense": "past"})
+                    surface = past(lexicon.lookup(old, VERB), "sg")
                 expected[tokenize_and_stem(surface)[0]] -= 1
             elif dec.param == "negation_paraphrase":
                 original = fox_doc.sentences[dec.sentence_index].lexeme
@@ -511,7 +547,7 @@ def test_attested_retelling_vocabulary_is_reachable(lexicon):
 def test_voice_file_round_trip(tmp_path):
     text = "voice CUSTOM\nsoftener_hedges: 0.5\ncontractions: 1.0\n"
     path = tmp_path / "custom.voice"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     model = style.load_voice(str(path))
     assert model.name == "CUSTOM"
     assert model.activation("softener_hedges") == 0.5
@@ -697,11 +733,11 @@ def test_parse_voice_errors_name_the_line(text, message):
 
 def test_load_voice_errors_name_the_file(tmp_path):
     path = tmp_path / "twice.voice"
-    path.write_text("voice X\nexclamation: 1.0\nexclamation: 0.0\n")
+    path.write_text("voice X\nexclamation: 1.0\nexclamation: 0.0\n", encoding="utf-8")
     with pytest.raises(style.VoiceError) as info:
         style.load_voice(str(path))
     assert str(info.value) == f"{path}: line 3: exclamation already set on line 2"
-    path.write_text("")
+    path.write_text("", encoding="utf-8")
     with pytest.raises(style.VoiceError) as info:
         style.load_voice(str(path))
     assert str(info.value) == f"{path}: empty voice file"
