@@ -7,7 +7,10 @@ m counting vowel-consonant sequences.
 Stemming a word costs about 6 µs of Python work, and a fable-size text uses
 each distinct word about four times, so :func:`stem` keeps the stems of the
 4,096 most recently used words (about 0.7 MB when full) and computes any
-other word again. The uncached stemmer is ``stem.__wrapped__``.
+other word again. The uncached stemmer is ``stem.__wrapped__``. Scoring
+reaches this cache only on a miss of :mod:`retold.metrics`' own cache of
+words as split from a text, so a word met both with and without edge
+punctuation is stemmed once.
 """
 
 from __future__ import annotations

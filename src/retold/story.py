@@ -657,7 +657,26 @@ def _format_arg(arg: Argument, forbidden: str = '"') -> str:
         return "@" + _token("property", arg.adjective, _WORD)
     if isinstance(arg, Text):
         return _quoted("literal", arg.value, forbidden)
+    if isinstance(arg, Proposition):  # only a `prep` target can be one here
+        raise ValueError(f"cannot serialize proposition {arg.id!r} as a prep target: "
+                         "a story file nests a proposition only under a role or clause")
     raise TypeError(f"not an inline argument: {arg!r}")
+
+
+def _word(what: str, value: str, words: dict[str, str], pid: str) -> str:
+    """What a story file writes for ``value``, one of ``words``' keys; else
+    ``ValueError``, rather than write ``value`` back as another."""
+    word = words.get(value)
+    if word is None:
+        raise ValueError(f"cannot serialize {what} {value!r} of proposition {pid!r}: "
+                         "a story file has no word for it")
+    return word
+
+
+# what a story file writes for each polarity, adverb position and clause relation
+_POLARITY_FIELDS = {AFFIRMATIVE: "", NEGATED: " polarity=neg"}
+_POSITION_WORDS = {PRE_VERB: "pre", POST_VERB: "post"}
+_CLAUSE_HEADS = {relation: f"{relation}:" for relation in CLAUSE_RELATIONS}
 
 
 class _Writer:
@@ -688,10 +707,10 @@ class _Writer:
                 f"{_token('predicate', p.frame.predicate_lemma, _NAME)}(")
         head += ", ".join(_token("role", r, _NAME) + "=" + _format_arg(a, '")')
                           for r, a in inline) + ")"
-        if p.polarity == NEGATED:
-            head += " polarity=neg"
+        head += _word("polarity", p.polarity, _POLARITY_FIELDS, p.id)
         for lemma, pos in p.adverbs:
-            head += f" adv={_token('adverb', lemma, _WORD)}@{'pre' if pos == PRE_VERB else 'post'}"
+            head += (f" adv={_token('adverb', lemma, _WORD)}"
+                     f"@{_word('adverb position', pos, _POSITION_WORDS, p.id)}")
         head += f" id={_token('proposition id', p.id, _FIELD)}"
         self.add(depth, head)
         for role, sub in nested:
@@ -702,7 +721,7 @@ class _Writer:
                 word = _token("preposition", a.preposition, _WORD)
                 self.add(depth + 1, f"prep {word}: " + ", ".join(map(_format_arg, targets)))
             else:
-                self.add(depth + 1, f"{a.relation}:")
+                self.add(depth + 1, _word("attachment relation", a.relation, _CLAUSE_HEADS, p.id))
                 self.prop(a.target, depth + 2)  # type: ignore[arg-type]
 
 
@@ -713,8 +732,10 @@ def serialize_story(g: StoryGraph) -> str:
     line break, or in a role ``)``; a token the parser would split or
     misread; an original text line that is blank, edged with whitespace or
     starts with ``#``; a nested role binding before an inline one; two
-    different propositions with one id; and a timeline proposition told
-    twice, which a file can reuse only in a nested slot."""
+    different propositions with one id; a timeline proposition told
+    twice, which a file can reuse only in a nested slot; a polarity, adverb
+    position or attachment relation the format has no word for; and a
+    proposition as a ``prep`` target."""
     w = _Writer()
     w.add(0, f"story {_token('story id', g.id, _NAME)} {_quoted('title', g.title)}")
     w.add(0, "")

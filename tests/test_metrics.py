@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from retold import metrics
+from retold.porter import stem
 from conftest import fixture_text
 
 WORDS = ["fox", "grape", "vine", "lion", "boar", "rock", "the", "a", "ran"]
@@ -57,6 +58,11 @@ def loop_tokenize(text):
     return out
 
 
+def loop_stem(text):
+    # the reference for the stemmed path: the uncached stem of each token
+    return [stem.__wrapped__(tok) for tok in loop_tokenize(text)]
+
+
 # letters, non-ASCII capitals, edge punctuation, typographic quotes and
 # dashes that are not stripped, a byte-order mark and Unicode whitespace
 TEXT_CHARS = ("aZ\u00c9\u00e9\u0130" + metrics._STRIP_CHARS
@@ -68,6 +74,7 @@ TEXT_CHARS = ("aZ\u00c9\u00e9\u0130" + metrics._STRIP_CHARS
 def test_tokenize_equals_the_per_token_loop(text):
     assert metrics.tokenize(text) == loop_tokenize(text)
     assert metrics.tokenize_and_stem(text, use_stemming=False) == loop_tokenize(text)
+    assert metrics.tokenize_and_stem(text) == loop_stem(text)
 
 
 # letters, each ASCII strip character and ASCII whitespace: the texts that
@@ -79,6 +86,25 @@ ASCII_TEXT_CHARS = ("aZ" + "".join(filter(str.isascii, metrics._STRIP_CHARS)) + 
 @given(text=hst.text(alphabet=ASCII_TEXT_CHARS, max_size=40))
 def test_tokenize_equals_the_per_token_loop_on_ascii_text(text):
     assert metrics.tokenize(text) == loop_tokenize(text)
+    assert metrics.tokenize_and_stem(text) == loop_stem(text)
+
+
+@pytest.mark.parametrize("text, stems", [
+    ("Grapes grapes. grapes!", ["grape"] * 3),
+    ("\ufeffGrapes, said the fox.", ["grape", "said", "the", "fox"]),
+    ("... the \u2014 fox \u2026", ["the", "fox"]),
+    ("... \u2014 \u201c\u201d", []),
+], ids=["repeated-word", "byte-order-mark", "punctuation-words", "punctuation-only"])
+def test_tokenize_and_stem_equals_the_per_token_loop(text, stems):
+    assert metrics.tokenize_and_stem(text) == loop_stem(text) == stems
+
+
+def test_word_cache_stays_bounded():
+    maxsize = metrics._stemmed.cache_parameters()["maxsize"]
+    assert maxsize == 4096
+    for i in range(maxsize + 500):
+        metrics._stemmed(f"unseen{i}ness,")
+    assert metrics._stemmed.cache_info().currsize <= maxsize
 
 
 @pytest.mark.parametrize("text, tokens", [
@@ -255,9 +281,13 @@ def test_development_pair_scores_fall_in_expected_windows():
     ("lion_and_boar", (105, 0.29843990480609245)),
 ])
 def test_fixture_pair_scores_are_pinned(name, scores):
-    row = metrics.score_pair(metrics.EvalPair(fixture_text(f"{name}.golden.txt"),
-                                              fixture_text(f"{name}.reference.txt")))
-    assert (row.levenshtein, row.bleu) == scores
+    pair = metrics.EvalPair(fixture_text(f"{name}.golden.txt"),
+                            fixture_text(f"{name}.reference.txt"))
+    metrics._stemmed.cache_clear()
+    stem.cache_clear()
+    cold = metrics.score_pair(pair)
+    warm = metrics.score_pair(pair)
+    assert (cold.levenshtein, cold.bleu) == (warm.levenshtein, warm.bleu) == scores
 
 
 def test_corpus_report_identical_pair():

@@ -740,6 +740,22 @@ def test_serializer_refuses_a_graph_it_would_write_back_wrong(g, value):
     assert repr(value) in str(exc.value)
 
 
+# each graph fails validation, and no story file holds it: the format has no
+# word for its polarity, adverb position or clause relation, and a `prep`
+# line holds no proposition
+@pytest.mark.parametrize("g, value", [
+    (_jump(polarity="maybe"), "maybe"),
+    (_jump(adverbs=(("now", "mid"),)), "mid"),
+    (_jump(attachments=(st.Attachment("complement", _JUMP.replace(id="p1")),)), "complement"),
+    (_obtain(st.EntityRef("grapes"), prep=_JUMP.replace(id="p1")), "p1"),
+], ids=["polarity", "adverb-position", "attachment-relation", "proposition-prep-target"])
+def test_serializer_refuses_a_value_the_format_has_no_word_for(g, value):
+    assert [d for d in st.validate_story(g) if d.severity == ERROR]
+    with pytest.raises(ValueError) as exc:
+        st.serialize_story(g)
+    assert repr(value) in str(exc.value)
+
+
 def test_serializer_refuses_a_proposition_id_it_cannot_write_twice():
     # a proposition met again is written as a `ref`, which reads back the
     # first; only a nested slot can hold one
