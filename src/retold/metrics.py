@@ -9,11 +9,9 @@ are non-negative n-bit ints, and the distance is read off the bit counts
 of the last column, so the loop tracks no cell.
 
 Scoring costs one cached lookup per word; one strip and stem per distinct
-word not among the 4,096 kept by :func:`_stemmed`, whose misses go to
-:func:`retold.porter.stem` and its own 4,096 stems; the edit distance; and
-n-gram counts. Tokenizing and stemming are one ``map`` over the
-whitespace-split words. Without stemming, :func:`tokenize` strips an ASCII
-text with the ASCII strip characters alone. BLEU counts each n-gram of the
+word not among the 4,096 kept by :func:`_stemmed`, the one stem cache; the
+edit distance; and n-gram counts. Tokenizing and stemming are one ``map``
+over the whitespace-split words. BLEU counts each n-gram of the
 candidate, and of the reference only those the candidate has, so its
 clipped overlap is a walk over the shared n-grams alone. A pair of
 300-word fable tellings scores in about 0.75 ms once its words are cached.
@@ -33,7 +31,6 @@ from .record import Record, slot_setters
 # string.punctuation, then typographic quotes, dashes and the ellipsis;
 # written out so that importing retold does not import `string`
 _STRIP_CHARS = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~" + "‘’“”–—…"
-_ASCII_STRIP_CHARS = "".join(filter(str.isascii, _STRIP_CHARS))
 
 
 def without_bom(text: str) -> str:
@@ -44,18 +41,14 @@ def without_bom(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    text = without_bom(text).lower()
-    # an ASCII text holds none of the typographic strip characters, and
-    # str.strip runs about twice as fast with the shorter set
-    chars = _ASCII_STRIP_CHARS if text.isascii() else _STRIP_CHARS
-    return list(filter(None, map(str.strip, text.split(), repeat(chars))))
+    words = without_bom(text).lower().split()
+    return list(filter(None, map(str.strip, words, repeat(_STRIP_CHARS))))
 
 
 @functools.lru_cache(maxsize=4096)
 def _stemmed(word: str) -> str:
     """The stem of one lowercased, whitespace-split word, or ``""`` for a
-    word that is all edge punctuation. The full strip set is right for any
-    word: its typographic characters only occur in a non-ASCII word."""
+    word that is all edge punctuation."""
     word = word.strip(_STRIP_CHARS)
     return stem(word) if word else ""
 
@@ -80,8 +73,6 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
     masks: dict = {}
     bit = 1
     for tok in a:
@@ -120,16 +111,14 @@ def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, BLEU_MAX_N + 1):
-        total = max(len(candidate) - n + 1, 0)
-        if total == 0:
-            precision = BLEU_EPSILON
-        else:
-            cand = Counter(_grams(candidate, n))
-            # only the candidate's n-grams can overlap: the reference is
-            # counted for those alone, so no lookup below misses
-            ref = Counter(filter(cand.__contains__, _grams(reference, n)))
-            overlap = sum(map(min, ref.values(), map(cand.__getitem__, ref)))
-            precision = overlap / total if overlap else BLEU_EPSILON
+        cand = Counter(_grams(candidate, n))
+        # only the candidate's n-grams can overlap: the reference is
+        # counted for those alone, so no lookup below misses
+        ref = Counter(filter(cand.__contains__, _grams(reference, n)))
+        overlap = sum(map(min, ref.values(), map(cand.__getitem__, ref)))
+        # a candidate shorter than n has no n-grams and so no overlap: only
+        # a candidate with n-grams is divided by their count
+        precision = overlap / (len(candidate) - n + 1) if overlap else BLEU_EPSILON
         log_sum += math.log(precision)
     geo = math.exp(log_sum / BLEU_MAX_N)
     c, r = len(candidate), len(reference)

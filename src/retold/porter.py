@@ -4,18 +4,12 @@ Implements the original rule tables verbatim; conditions are evaluated on
 the stem left after removing the candidate suffix, with the usual measure
 m counting vowel-consonant sequences.
 
-Stemming a word costs about 6 µs of Python work, and a fable-size text uses
-each distinct word about four times, so :func:`stem` keeps the stems of the
-4,096 most recently used words (about 0.7 MB when full) and computes any
-other word again. The uncached stemmer is ``stem.__wrapped__``. Scoring
-reaches this cache only on a miss of :mod:`retold.metrics`' own cache of
-words as split from a text, so a word met both with and without edge
-punctuation is stemmed once.
+Stemming a word costs about 6 µs of Python work. :func:`stem` keeps no
+cache: scoring calls it only on a miss of :mod:`retold.metrics`' one cache
+of words as split from a text.
 """
 
 from __future__ import annotations
-
-import functools
 
 _VOWELS = "aeiou"
 
@@ -58,13 +52,14 @@ def _cvc(word: str) -> bool:
             and word[-1] not in "wxy")
 
 
-def _replace(word: str, suffix: str, repl: str, min_measure: int) -> str | None:
-    if not word.endswith(suffix):
-        return None
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > min_measure - 1:
-        return stem + repl
-    return word  # suffix matched but the condition failed: stop this step
+def _step(word: str, rules: list[tuple[str, str]]) -> str:
+    """Steps 2 and 3: the longest suffix of ``rules`` that ``word`` ends
+    with is replaced if the stem left has m > 0; either way the step ends."""
+    for suffix, repl in rules:
+        if word.endswith(suffix):
+            base = word[: len(word) - len(suffix)]
+            return base + repl if _measure(base) > 0 else word
+    return word
 
 
 # each step tries its suffixes longest first
@@ -85,7 +80,6 @@ _STEP4 = sorted(["ement", "ance", "ence", "able", "ible", "ment", "ant", "ent",
                  "ic", "ou"], key=len, reverse=True)
 
 
-@functools.lru_cache(maxsize=4096)
 def stem(word: str) -> str:
     word = word.lower()
     if len(word) <= 2:
@@ -122,24 +116,15 @@ def stem(word: str) -> str:
     if word.endswith("y") and _contains_vowel(word[:-1]):
         word = word[:-1] + "i"
 
-    # step 2
-    for suffix, repl in _STEP2:
-        if word.endswith(suffix):
-            word = _replace(word, suffix, repl, 1) or word
-            break
-
-    # step 3
-    for suffix, repl in _STEP3:
-        if word.endswith(suffix):
-            word = _replace(word, suffix, repl, 1) or word
-            break
+    # steps 2 and 3
+    word = _step(_step(word, _STEP2), _STEP3)
 
     # step 4
     for suffix in _STEP4:
         if word.endswith(suffix):
             stem_ = word[: len(word) - len(suffix)]
             if _measure(stem_) > 1:
-                if suffix == "ion" and (not stem_ or stem_[-1] not in "st"):
+                if suffix == "ion" and stem_[-1] not in "st":
                     break
                 word = stem_
             break

@@ -48,9 +48,9 @@ from itertools import groupby
 from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .dsynt import ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
-from .lexicon import (ADJECTIVE, COMPLEMENT_KINDS, NOUN, PREPOSITION, VERB, FrameDef, Lexicon,
-                      default_lexicon, words)
+from .dsynt import ATTR, FEATURE_DOMAIN, I, II, III, PRONOUNS
+from .lexicon import (ADJECTIVE, COMPLEMENT_KINDS, INFINITIVE, NOUN, PREPOSITION, VERB, FrameDef,
+                      Lexicon, default_lexicon, words)
 from .metrics import without_bom
 from .record import Record, slot_setters
 
@@ -633,10 +633,10 @@ def line_of(g: StoryGraph, location: str) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # serialization (canonical form; parse(serialize(g)) == g)
 
-def _token(what: str, value: str, form: str) -> str:
+def _token(what: str, value: Optional[str], form: str) -> str:
     """``value``, if the parser reads it back whole in ``form``; else
-    ``ValueError``."""
-    if not re.fullmatch(form, value):
+    ``ValueError``, for no value too."""
+    if value is None or not re.fullmatch(form, value):
         raise ValueError(f"cannot serialize {what} {value!r}: a story file cannot hold it")
     return value
 
@@ -722,7 +722,10 @@ class _Writer:
                 self.add(depth + 1, f"prep {word}: " + ", ".join(map(_format_arg, targets)))
             else:
                 self.add(depth + 1, _word("attachment relation", a.relation, _CLAUSE_HEADS, p.id))
-                self.prop(a.target, depth + 2)  # type: ignore[arg-type]
+                if not isinstance(a.target, Proposition) or a.preposition is not None:
+                    raise ValueError(f"cannot serialize {a!r} of proposition {p.id!r}: a clause "
+                                     "line nests one proposition and names no preposition")
+                self.prop(a.target, depth + 2)
 
 
 def serialize_story(g: StoryGraph) -> str:
@@ -734,8 +737,10 @@ def serialize_story(g: StoryGraph) -> str:
     starts with ``#``; a nested role binding before an inline one; two
     different propositions with one id; a timeline proposition told
     twice, which a file can reuse only in a nested slot; a polarity, adverb
-    position or attachment relation the format has no word for; and a
-    proposition as a ``prep`` target."""
+    position or attachment relation the format has no word for; a
+    proposition as a ``prep`` target; a ``prep`` with no preposition; and a
+    ``purpose`` or ``cause`` attachment with a preposition or with a target
+    that is not a proposition."""
     w = _Writer()
     w.add(0, f"story {_token('story id', g.id, _NAME)} {_quoted('title', g.title)}")
     w.add(0, "")
@@ -793,13 +798,16 @@ MAX_NESTING_DEPTH = 64
 
 @lru_cache(maxsize=256)
 def _frame_rules(lexicon: Lexicon, frame_id: str
-                 ) -> Optional[tuple[FrameDef, dict[str, str], tuple[str, ...]]]:
-    """The frame ``frame_id`` of ``lexicon``, its role to relation map and
-    its mandatory roles, made once per frame; None for an unknown frame."""
+                 ) -> Optional[tuple[FrameDef, dict[str, str], tuple[str, ...], Optional[str]]]:
+    """The frame ``frame_id`` of ``lexicon``, its role to relation map, its
+    mandatory roles and its subject, the role it links to I (None if it
+    links none), made once per frame; None for an unknown frame."""
     if not lexicon.has_frame(frame_id):
         return None
     frame = lexicon.frame(frame_id)
-    return frame, dict(frame.all_roles()), tuple(role for role, _ in frame.mandatory_roles)
+    relations = dict(frame.all_roles())
+    subject = next((role for role, rel in relations.items() if rel == I), None)
+    return frame, relations, tuple(role for role, _ in frame.mandatory_roles), subject
 
 
 def _reference_error(arg: Argument, entity_ids: Container[str], lexicon: Lexicon
@@ -821,7 +829,8 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
 
     The one realizability rule, applied by :func:`validate_story` alone, which
     ``transform.transform_story`` runs before it builds anything. Nested
-    propositions are not descended into; each is checked on its own.
+    propositions are not descended into, past reading the subject of one
+    told as a to-infinitive; each is checked on its own.
     """
     out: list[str] = []
     instance = p.frame
@@ -830,10 +839,10 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
     bound = [role for role, _ in instance.bindings]
     rules = _frame_rules(lexicon, instance.frame_id)
     if rules is None:
-        frame, relations = None, {}
+        frame, relations, subject = None, {}, None
         out.append(f"unknown frame {instance.frame_id!r}")
     else:
-        frame, relations, mandatory = rules
+        frame, relations, mandatory, subject = rules
         if len(bound) != len(set(bound)):
             out.append("role bound twice")
         for role in mandatory:
@@ -858,6 +867,12 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
             out.append(f"role {role} cannot nest a proposition")
         elif isinstance(arg, Proposition) and role not in COMPLEMENT_KINDS:
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
+        elif isinstance(arg, Proposition) and COMPLEMENT_KINDS[role] == INFINITIVE:
+            # subject control: the to-infinitive does not tell its subject, so
+            # that must be this one's; a clause's unknown frame is its own error
+            told = _frame_rules(lexicon, arg.frame.frame_id)
+            if told and told[3] and arg.frame.binding(told[3]) != instance.binding(subject):
+                out.append(f"role {role} must nest a clause with this proposition's subject")
 
     for a in p.attachments:
         if a.relation in CLAUSE_RELATIONS:

@@ -249,15 +249,12 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode], fire: Sequence[boo
     :func:`dsynt.validate_tree` requires.
 
     Returns the sentences, each sentence's sites and, per sentence, whether
-    it holds a clause that :func:`rewrite_unable_to_modal` rewrites; when
-    no gate fired, nothing is walked and every flag is True. A
+    it holds a clause that :func:`rewrite_unable_to_modal` rewrites. A
     sentence's sites are its subject drops, ``(path, "subject-drop")`` in
     post-order (a clause's nested drops before its own), then its pronouns,
     ``(path, pronoun)`` in pre-order. Each path is a position in the
     returned sentence, which :func:`apply_voice` keeps exact as it moves nodes.
     """
-    if not any(fire):
-        return list(sentences), [[] for _ in sentences], [True] * len(sentences)
     counts: dict[tuple[str, str], int] = {}
     pronouns: dict[tuple[str, str, str], d.DSyntNode] = {}
     path: list[int] = []  # from the sentence root to the node being visited

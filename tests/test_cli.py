@@ -491,14 +491,34 @@ JUMP = "    jump jump(Agent=fox)\n"
     (LINES_HEAD + "  1:\n" + JUMP, "error: line 8: t0: timespan has no propositions"),
     (LINES_HEAD + "    jump jump(Agent=fox) adv=now@pre adv=now@pre\n",
      "error: line 9: t0.p0: repeated adverb 'now' at pre_verb"),
+    # the to-infinitive does not tell the crow, so no voice would tell it
+    (LINES_HEAD.replace("  grapes", "  crow character crow\n  grapes")
+     + "    want want(Experiencer=fox)\n      role Action:\n"
+       "        eat eat(Agent=crow, Patient=grapes)\n",
+     "error: line 10: t0.p0: role Action must nest a clause with this proposition's subject"),
 ], ids=["entity-kind", "number", "pronoun", "repeated-modifier", "duplicate-entity",
-        "unknown-frame", "unknown-entity", "empty-timespan", "repeated-adverb"])
+        "unknown-frame", "unknown-entity", "empty-timespan", "repeated-adverb",
+        "uncontrolled-subject"])
 def test_a_validation_error_names_its_line(tmp_path, content, line):
     path = tmp_path / "bad.story"
     path.write_text(content, encoding="utf-8")
     assert invoke("validate", str(path)) == (1, line + "\n", "")
     for argv in (["generate", str(path)], ["pipeline", str(path), "--reference", REFERENCE]):
         assert invoke(*argv) == (1, "", f"{line}\nretold: {path}: story is not valid\n")
+
+
+# rules the parser holds a file to, each one message line at its line
+@pytest.mark.parametrize("content, message", [
+    ('story x "X"\n\nentities\n  fox character fox\n\ntimeline\n  0:\n'
+     "    jump jump(Agent=fox) id=a\n    walk walk(Agent=fox) id=a\n",
+     "line 9: duplicate proposition id 'a'"),
+    (LINES_HEAD + JUMP + "      prep on fox\n", "line 10: bad preposition line 'prep on fox'"),
+], ids=["duplicate-proposition-id", "preposition-line"])
+def test_a_syntax_error_names_its_line(tmp_path, content, message):
+    path = tmp_path / "bad.story"
+    path.write_text(content, encoding="utf-8")
+    for command in ("validate", "generate"):
+        assert invoke(command, str(path)) == (2, "", f"retold: {path}: {message}\n")
 
 
 def test_a_graph_built_in_code_prints_its_diagnostics_as_before(fox_graph):

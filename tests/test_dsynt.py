@@ -3,6 +3,7 @@ import pytest
 
 from retold import dsynt as d
 from retold import transform
+from retold.diagnostics import ERROR, Diagnostic
 from conftest import fixture_text
 
 
@@ -132,6 +133,21 @@ def test_validate_rejects_root_relation_below_root():
     inner = d.DSyntNode("fox", d.COMMON_NOUN, d.ROOT)
     bad = _verb().replace(children=(inner,))
     assert any("ROOT relation below" in e.message for e in d.validate_tree(bad))
+
+
+def _under_verb(*children):
+    return _verb().replace(children=children)
+
+
+@pytest.mark.parametrize("tree, location, message", [
+    (_verb().replace(relation=d.I), "root", "clause root carries relation I, expected ROOT"),
+    (_under_verb(_noun().replace(relation="SUBJ")), "0", "unknown relation 'SUBJ'"),
+    (_under_verb(_noun(tense="past").replace(relation=d.I)), "0", "tense feature on common_noun"),
+    (_under_verb(_noun().replace(relation=d.I, children=(_noun("vine").replace(relation=d.II),))),
+     "0.0", "relation II not allowed under common_noun"),
+], ids=["root-relation", "unknown-relation", "tense-on-noun", "relation-not-allowed"])
+def test_validate_tree_gives_one_diagnostic_at_its_path(tree, location, message):
+    assert d.validate_tree(tree) == [Diagnostic(ERROR, location, message)]
 
 
 def test_attach_rejects_root_relation():

@@ -52,6 +52,14 @@ REFUSED = [
     # Addressee is a prepositional slot: "The fox said the fox jumped to ripe."
     ("say say(Agent=fox, Addressee=@ripe) id=p\n      role Topic:\n        jump jump(Agent=fox)",
      "property argument outside a copular slot"),
+    # a to-infinitive does not tell its subject, so only the matrix subject
+    # may be it: else "The fox wanted to eat the fox." loses the grapes
+    ("want want(Experiencer=fox) id=p\n      role Action:\n"
+     "        eat eat(Agent=grapes, Patient=fox)",
+     "role Action must nest a clause with this proposition's subject"),
+    ("be_able be(Experiencer=fox, Attribute=@able) id=p\n      role Action:\n"
+     "        reach reach(Agent=grapes, Theme=fox)",
+     "role Action must nest a clause with this proposition's subject"),
 ]
 
 
@@ -186,6 +194,15 @@ def test_clean_validation_implies_generation(story_seed, mutation_seed):
         assert realize_document(styled)
 
 
+def subject_role(frame):
+    """The role ``frame`` links to I, or None."""
+    return next((role for role, rel in frame.all_roles() if rel == "I"), None)
+
+
+def first_binding(p, role):
+    return next((arg for name, arg in p.frame.bindings if name == role), None)
+
+
 def reference_errors(p, entity_ids, lexicon):
     """The realizability rule as it read before each frame's rules were made
     once per frame, kept as the reference for :func:`story.proposition_errors`."""
@@ -230,6 +247,13 @@ def reference_errors(p, entity_ids, lexicon):
             out.append(f"role {role} cannot nest a proposition")
         elif isinstance(arg, st.Proposition) and role not in lx.COMPLEMENT_KINDS:
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
+        elif (isinstance(arg, st.Proposition) and lx.COMPLEMENT_KINDS[role] == lx.INFINITIVE
+              and lexicon.has_frame(arg.frame.frame_id)):
+            # the to-infinitive does not tell its subject: it must be p's
+            theirs = subject_role(lexicon.frame(arg.frame.frame_id))
+            if theirs is not None and (first_binding(arg, theirs)
+                                       != first_binding(p, subject_role(frame))):
+                out.append(f"role {role} must nest a clause with this proposition's subject")
 
     for a in p.attachments:
         if a.relation in st.CLAUSE_RELATIONS:
@@ -275,14 +299,14 @@ def _broken(p, rng, entity_ids):
             del bindings[rng.randrange(len(bindings))]
         elif kind == 1:
             role = rng.choice([r for r, _ in bindings]
-                              + ["Agent", "Theme", "Bogus", "Attribute", "Addressee"])
+                              + ["Agent", "Theme", "Bogus", "Attribute", "Addressee", "Action"])
             bindings.insert(rng.randint(0, len(bindings)), (role, rng.choice(arguments)))
         elif kind == 2 and bindings:
             i = rng.randrange(len(bindings))
             bindings[i] = (bindings[i][0], rng.choice(arguments))
         elif kind == 3:
             frame = frame.replace(frame_id=rng.choice(["nope", "obtain", "see", "be_ripe",
-                                                       "give", "say", "want"]))
+                                                       "give", "say", "want", "be_able"]))
         elif kind == 4:
             frame = frame.replace(predicate_lemma=rng.choice(["nope", "be", "obtain"]))
         elif kind == 5:

@@ -55,8 +55,7 @@ def rebuild_drop_coreferent_purpose_subject(sentence):
 
 def rebuild_pronominalize_sentences(sentences, fire):
     """The walk's sentences and sites, and per sentence whether contracting
-    it must rewrite "be able to": every one when no gate fired, which
-    walks nothing."""
+    it must rewrite "be able to"."""
     counts = {}
     out_sentences, out_sites = [], []
     for sentence, hot in zip(sentences, fire):
@@ -81,7 +80,7 @@ def rebuild_pronominalize_sentences(sentences, fire):
         sites.extend(replacements)
         out_sentences.append(sentence)
         out_sites.append(sites)
-    unable = [not any(fire) or rebuild_rewrite_unable_to_modal(s) != s for s in out_sentences]
+    unable = [rebuild_rewrite_unable_to_modal(s) != s for s in out_sentences]
     return out_sentences, out_sites, unable
 
 
@@ -237,12 +236,15 @@ def test_a_nested_able_rewrite_moves_the_sites_after_it():
 
 
 def test_the_walk_notes_every_sentence_the_contractions_rewrite(fixture_sentences):
-    _, _, unable = sty.pronominalize_sentences(fixture_sentences,
-                                               [True] * len(fixture_sentences))
-    assert unable == [sty.rewrite_unable_to_modal(s) is not s for s in fixture_sentences]
-    assert sum(unable) == 1
-    assert sty.pronominalize_sentences(fixture_sentences, [False] * len(fixture_sentences))[2] \
-        == [True] * len(fixture_sentences)
+    expected = [sty.rewrite_unable_to_modal(s) is not s for s in fixture_sentences]
+    assert sum(expected) == 1
+    for gate in (True, False):
+        new, sites, unable = sty.pronominalize_sentences(fixture_sentences,
+                                                         [gate] * len(fixture_sentences))
+        assert unable == expected
+    # with no gate fired, the walk changes no node and notes no site
+    assert all(n is s for n, s in zip(new, fixture_sentences, strict=True))
+    assert sites == [[]] * len(fixture_sentences)
 
 
 # --- sharing: counted in node objects, not timed ---------------------------------

@@ -741,14 +741,22 @@ def test_serializer_refuses_a_graph_it_would_write_back_wrong(g, value):
 
 
 # each graph fails validation, and no story file holds it: the format has no
-# word for its polarity, adverb position or clause relation, and a `prep`
-# line holds no proposition
+# word for its polarity, adverb position or clause relation, a `prep` line
+# holds no proposition and needs a preposition, and a clause line nests a
+# proposition and takes no preposition
 @pytest.mark.parametrize("g, value", [
     (_jump(polarity="maybe"), "maybe"),
     (_jump(adverbs=(("now", "mid"),)), "mid"),
     (_jump(attachments=(st.Attachment("complement", _JUMP.replace(id="p1")),)), "complement"),
     (_obtain(st.EntityRef("grapes"), prep=_JUMP.replace(id="p1")), "p1"),
-], ids=["polarity", "adverb-position", "attachment-relation", "proposition-prep-target"])
+    (_jump(attachments=(st.Attachment(st.PREPOSITIONAL, st.EntityRef("grapes")),)), None),
+    (_jump(attachments=(st.Attachment(st.PURPOSE, st.EntityRef("grapes")),)),
+     st.EntityRef("grapes")),
+    (_jump(attachments=(st.Attachment(st.CAUSE, st.Text("dignity")),)), st.Text("dignity")),
+    (_jump(attachments=(st.Attachment(st.PURPOSE, _JUMP.replace(id="p1"), "with"),)), "with"),
+], ids=["polarity", "adverb-position", "attachment-relation", "proposition-prep-target",
+        "prep-without-preposition", "purpose-entity-target", "cause-literal-target",
+        "purpose-preposition"])
 def test_serializer_refuses_a_value_the_format_has_no_word_for(g, value):
     assert [d for d in st.validate_story(g) if d.severity == ERROR]
     with pytest.raises(ValueError) as exc:

@@ -225,55 +225,84 @@ def test_neutral_output_has_no_pronouns(fox_graph, lion_graph):
 
 def _expected_lemma_multiset(g, p, lexicon):
     """Entity-head (plus collective-member and literal) lemmas a clause must
-    surface; subjects of infinitive complements are controlled away."""
+    surface: every argument the graph gives ``p`` and what nests in it, less
+    the subject of each infinitive complement that is its controller, the
+    subject of the clause over it, which that clause tells already."""
     counts = Counter()
     entities = {e.id: e for e in g.entities}
 
-    def add_ref(ref):
-        e = entities[ref.entity_id]
-        counts[e.head_lemma] += 1
-        if e.group_of:
-            counts[e.group_of] += 1
+    def lemmas(arg):
+        if isinstance(arg, st.EntityRef):
+            e = entities[arg.entity_id]
+            return [e.head_lemma] + ([e.group_of] if e.group_of else [])
+        return [arg.value] if isinstance(arg, st.Text) else []
+
+    def subject(p):
+        roles = [role for role, rel in lexicon.frame(p.frame.frame_id).all_roles()
+                 if rel == d.I]
+        return p.frame.binding(roles[0]) if roles else None
 
     def walk_prop(p):
         for role, arg in p.frame.bindings:
-            if isinstance(arg, st.EntityRef):
-                add_ref(arg)
-            elif isinstance(arg, st.Text):
-                counts[arg.value] += 1
-            elif isinstance(arg, st.Proposition):
-                walk_prop(arg)
-                if COMPLEMENT_KINDS[role] == INFINITIVE:
-                    subjects = [role for role, rel in lexicon.frame(arg.frame.frame_id).all_roles()
-                                if rel == d.I]
-                    subj = arg.frame.binding(subjects[0]) if subjects else None
-                    if isinstance(subj, st.EntityRef):
-                        e = entities[subj.entity_id]
-                        counts[e.head_lemma] -= 1
-                        if e.group_of:
-                            counts[e.group_of] -= 1
+            if not isinstance(arg, st.Proposition):
+                counts.update(lemmas(arg))
+                continue
+            walk_prop(arg)
+            if COMPLEMENT_KINDS[role] == INFINITIVE and subject(arg) == subject(p):
+                counts.subtract(lemmas(subject(arg)))
         for a in p.attachments:
             if isinstance(a.target, st.Proposition):
                 walk_prop(a.target)
-            elif isinstance(a.target, st.EntityRef):
-                add_ref(a.target)
-            elif isinstance(a.target, st.Text):
-                counts[a.target.value] += 1
+            else:
+                counts.update(lemmas(a.target))
 
     walk_prop(p)
     return Counter({k: v for k, v in counts.items() if v})
 
 
+def _told_lemmas(sentence):
+    return Counter(node.lexeme for _, node in d.walk(sentence) if node.cls == d.COMMON_NOUN)
+
+
+def _assert_no_argument_lost(g, lexicon):
+    """Each sentence of the NEUTRAL telling surfaces exactly the lemmas the
+    graph gives its proposition."""
+    styled, _ = apply_voice(tr.transform_story(g), BUILTIN_VOICES["NEUTRAL"], 0)
+    props = st.timeline_propositions(g)
+    assert len(styled.sentences) == len(props), g.id
+    for p, sentence in zip(props, styled.sentences):
+        assert _told_lemmas(sentence) == _expected_lemma_multiset(g, p, lexicon), (g.id, p.id)
+
+
 def test_content_preservation_on_random_stories(lexicon):
-    for seed in range(50):
-        g = random_story(random.Random(seed))
-        doc = tr.transform_story(g)
-        props = st.timeline_propositions(g)
-        assert len(doc.sentences) == len(props), f"seed {seed}"
-        for p, sentence in zip(props, doc.sentences):
-            got = Counter(node.lexeme for _, node in d.walk(sentence)
-                          if node.cls == d.COMMON_NOUN)
-            assert got == _expected_lemma_multiset(g, p, lexicon), f"seed {seed} {p.id}"
+    for seed in range(300):
+        _assert_no_argument_lost(random_story(random.Random(seed)), lexicon)
+
+
+def test_content_preservation_on_the_fixtures(fox_graph, lion_graph, lexicon):
+    for g in (fox_graph, lion_graph):
+        _assert_no_argument_lost(g, lexicon)
+
+
+@pytest.mark.parametrize("frame_id, predicate, extra", [
+    ("want", "want", ()),
+    ("be_able", "be", (("Attribute", st.Property("able")),)),
+])
+def test_the_content_oracle_sees_a_subject_no_controller_tells(frame_id, predicate, extra,
+                                                                lexicon):
+    # the crow is the subject of the infinitive, which does not tell it; the
+    # validator refuses such a story, so the clause is built here past it
+    crow = st.Entity("crow", st.CHARACTER, "crow")
+    eat = prop("q", "eat", "eat", [("Agent", st.EntityRef("crow")),
+                                   ("Patient", st.EntityRef("grapes"))])
+    p = prop("p", frame_id, predicate,
+             [("Experiencer", st.EntityRef("fox")), *extra, ("Action", eat)])
+    g = graph([FOX, crow, GRAPES], p)
+    assert [x.message for x in st.validate_story(g)] == [
+        "role Action must nest a clause with this proposition's subject"]
+    ctx = tr.DiscourseContext({e.id: e for e in g.entities})
+    told = _told_lemmas(tr.build_clause(p, ctx))
+    assert _expected_lemma_multiset(g, p, lexicon) - told == Counter({"crow": 1})
 
 
 def test_each_sentence_is_transformed_on_its_own():
