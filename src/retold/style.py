@@ -5,7 +5,9 @@ After the document-level pronominalization pass, each sentence is styled
 in one loop over the active transforms: each fires with probability equal
 to its activation, drawing from a random stream derived from (seed,
 sentence index), so sentences are independent and the whole application
-is reproducible. :func:`apply_voice` is the only way in, so every applied
+is reproducible. A stream is made when its sentence is styled and dropped
+after it, unless a fractional pronominalization draws from every stream
+before the pass. :func:`apply_voice` is the only way in, so every applied
 transform is recorded as a StyleDecision, whose site is a path into the
 final styled sentence: at the end of each sentence, every site is carried
 through the moves of the rewrites after it, in one place. No rewrite
@@ -675,7 +677,11 @@ def apply_voice(doc: d.Document, model: VoiceModel,
     A voice draws if it has an activation strictly between 0 and 1 or an
     active sentence transform other than the contractions. Then sentence
     ``i`` draws from ``random.Random(f"{seed}:{i}")``, every active gate
-    included, a gate at 1.0 too; otherwise (FORMAL) no stream is made.
+    included, a gate at 1.0 too; otherwise (FORMAL) no stream is made. The
+    stream is made when the loop reaches sentence ``i`` and dropped when
+    that sentence is done, so one is alive at a time; only a
+    pronominalization gate strictly between 0 and 1 makes every stream
+    first, in sentence order, since the pass needs its draws.
 
     Each decision's site is a path into its final styled sentence: at the
     end of each sentence, every site is carried through the moves of the
@@ -694,9 +700,16 @@ def apply_voice(doc: d.Document, model: VoiceModel,
               if model.activation(param) > 0.0]
     draws = (any(0.0 < float(a) < 1.0 for a in model.params.values())
              or any(transform is not _contractions for _, transform, _ in active))
-    rngs = [Random(f"{seed}:{i}") if draws else None for i in range(len(doc.sentences))]
-    a = model.activation(PRONOMINALIZATION)
-    fire = tuple(a > 0.0 and (rng is None or rng.random() < a) for rng in rngs)
+    pronouns = model.activation(PRONOMINALIZATION)
+    n = len(doc.sentences)
+    if 0.0 < pronouns < 1.0:
+        # the pass needs each sentence's gate draw, so every stream is made first
+        rngs = [Random(f"{seed}:{i}") for i in range(n)]
+        fire = tuple(rng.random() < pronouns for rng in rngs)
+    else:
+        # a gate at 0 or 1.0 fires whatever it draws: the loop makes each stream
+        rngs = [None] * n
+        fire = (pronouns > 0.0,) * n
     shared = doc.memo(fire, lambda: _SharedPrefix(doc.sentences, fire))
     # each active parameter's decisions, in sentence order
     applied: list[list[StyleDecision]] = [[] for _ in active]
@@ -704,7 +717,11 @@ def apply_voice(doc: d.Document, model: VoiceModel,
     # the pronominalization pass runs first, so its decisions come first
     sentences, decisions = [], []
     for i, sentence in enumerate(shared.sentences):
-        rng, memo = rngs[i], {}
+        rng, memo = rngs[i], {}  # drops the last sentence's stream
+        if rng is None and draws:
+            rng = Random(f"{seed}:{i}")
+            if pronouns > 0.0:
+                rng.random()  # the gate's draw, which fires at 1.0
         moves = []  # where the sentence's rewrites moved nodes, in order
         mine = []  # (its parameter's decisions, parameter, site, payload, moves made by then)
         for (param, transform, a), made in zip(active, applied):

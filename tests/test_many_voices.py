@@ -3,11 +3,13 @@ contractions it leaves and its decisions are made once per document and
 fire vector and kept on the document; telling a document in any order of
 voices, or twice, must give what a fresh document per voice gives. A
 voice that draws makes every sentence's random stream once, and any other
-voice makes none."""
+voice makes none; unless its pronominalization is fractional, it holds one
+stream at a time."""
 
 import copy
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -122,14 +124,27 @@ def test_memo_holds_one_value():
     assert made == ["a", "c", "d"]
 
 
+class _Streams(list):
+    """The seed of each random stream made, in order, with how many of the
+    streams are alive now and the most that were alive at once."""
+    alive = most_alive = 0
+
+    def died(self):
+        self.alive -= 1
+
+
 @pytest.fixture
 def streams_made(monkeypatch):
-    """The seed of each random stream the style engine makes, in order."""
-    seeds = []
+    """The seed of each random stream the style engine makes, in order, and
+    how many of them were alive at once."""
+    seeds = _Streams()
 
     class Counting(random.Random):
         def __init__(self, seed=None):
             seeds.append(seed)
+            seeds.alive += 1
+            seeds.most_alive = max(seeds.most_alive, seeds.alive)
+            weakref.finalize(self, seeds.died)
             super().__init__(seed)
 
     monkeypatch.setattr(style, "Random", Counting)
@@ -158,6 +173,31 @@ def test_a_voice_makes_only_the_streams_it_draws_from(fox_graph, lion_graph, str
             style.apply_voice(doc, model, k)
             expected = [f"{k}:{i}" for i in range(n)] if _draws(model) else []
             assert streams_made == expected, (g.id, model.name)
+
+
+def test_a_voice_with_a_whole_gate_holds_one_stream_at_a_time(fox_graph, lion_graph,
+                                                               streams_made):
+    # pronominalization at 0 or 1.0 fires whatever it draws, so no stream
+    # is needed before the pass, and each is made when its sentence is styled
+    fractional = _random_voices(random.Random(18), 4)
+    whole = ([style.BUILTIN_VOICES[v] for v in VOICES]
+             + [m for m in DRAW_VOICES if m.activation(style.PRONOMINALIZATION) in (0.0, 1.0)]
+             + [style.VoiceModel(f"{m.name}@{a}", {**m.params, style.PRONOMINALIZATION: a})
+                for m in fractional for a in (0.0, 1.0)])
+    held = 0
+    for k, g in enumerate(_graphs(fox_graph, lion_graph, stories=6)):
+        doc = tr.transform_story(g)
+        for model in whole + [HALF] + fractional:
+            streams_made.most_alive = 0
+            style.apply_voice(doc, model, k)
+            # no stream outlives its voice's application
+            assert streams_made.alive == 0, (g.id, model.name)
+            if 0.0 < model.activation(style.PRONOMINALIZATION) < 1.0:
+                held = max(held, streams_made.most_alive)
+            else:
+                assert streams_made.most_alive == _draws(model), (g.id, model.name)
+    # a fractional gate draws before the pass, so it holds every stream
+    assert held > 1
 
 
 def test_sentences_left_as_the_prefix_made_them_share_its_decisions(fox_graph, lion_graph):
