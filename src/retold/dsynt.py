@@ -3,10 +3,13 @@
 Nodes pair a lexeme with a lexico-syntactic class and hang off their
 governor under a labelled relation: I/II/III for arguments, ATTR for
 modifiers, APPEND for adjuncts and function-word structure. Grammatical
-features ride along as a small string map. Trees are immutable values,
-which the record base enforces (see :mod:`retold.record`). :func:`build`
-makes each node once from its full list of ``(child, relation)`` pairs,
-under the one set of rules on what may hang under what.
+features ride along as a small string map, each value from its closed
+vocabulary in :data:`FEATURE_DOMAIN`; the pronouns (:data:`ACCUSATIVE`)
+and the end marks (:data:`END_MARKS`) are tables the realizer reads too.
+Trees are immutable values, which the record base enforces (see
+:mod:`retold.record`). :func:`build` makes each node once from its full
+list of ``(child, relation)`` pairs, under the one set of rules on what
+may hang under what.
 
 Rewrites are copy-on-write: they share every unchanged subtree with their
 input, and a node with nothing changed at or under it comes back as the
@@ -48,9 +51,13 @@ ARGUMENT_RELATIONS = (I, II, III)
 IN_ORDER = "in_order"
 BECAUSE = "because"
 
-# the pronouns a character may take, in a story file and in the ``pron``
-# feature of its noun phrases
-PRONOUNS = frozenset({"he", "she", "it", "they"})
+# each pronoun a character may take, in a story file and in the ``pron``
+# feature of its noun phrases, to its object form
+ACCUSATIVE = {"he": "him", "she": "her", "it": "it", "they": "them"}
+PRONOUNS = frozenset(ACCUSATIVE)
+
+# each ``punct`` value of a sentence root to the mark that ends the sentence
+END_MARKS = {"period": ".", "exclaim": "!", "question": "?"}
 
 # relations a child may carry, per governor class
 ALLOWED_CHILD_RELATIONS = {
@@ -70,7 +77,7 @@ FEATURE_DOMAIN: dict[str, frozenset[str]] = {
     "article": frozenset({"def", "indef", "none"}),
     "polarity": frozenset({"aff", "neg"}),
     "person": frozenset({"3rd"}),
-    "punct": frozenset({"period", "exclaim", "question"}),
+    "punct": frozenset(END_MARKS),
     "position": frozenset({"pre", "post"}),
     "contract": frozenset({"on"}),
     "sem_neg": frozenset({"on"}),
@@ -187,6 +194,12 @@ def walk(node: DSyntNode, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[in
         yield from walk(c, path + (i,))
 
 
+def site(path: tuple[int, ...]) -> str:
+    """``path`` as the site a tree diagnostic or a style decision names:
+    "0.2", or "root"; :func:`node_at` reads a path back to its node."""
+    return ".".join(map(str, path)) if path else "root"
+
+
 def node_at(root: DSyntNode, path: tuple[int, ...]) -> DSyntNode:
     node = root
     for i in path:
@@ -207,8 +220,7 @@ def validate_tree(root: DSyntNode) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
     def err(path: tuple[int, ...], message: str) -> None:
-        loc = ".".join(map(str, path)) if path else "root"
-        out.append(Diagnostic(ERROR, loc, message))
+        out.append(Diagnostic(ERROR, site(path), message))
 
     if root.cls != VERB:
         err((), f"clause root must be a verb, got {root.cls}")

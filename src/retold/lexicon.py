@@ -82,22 +82,28 @@ class FrameDef(Record):
     realization order; relations are I/II/III for arguments, ATTR for a
     copular attribute, or ``prep:<word>`` for an oblique realized as a
     prepositional phrase, as the linking table gives them to the loader.
+    Two attributes that are not fields are derived when the frame is made:
+    ``relations`` maps each role to its relation, in that order, and
+    ``subject`` is the role linked to I, or None.
     """
 
-    __slots__ = _fields = ("frame_id", "mandatory_roles", "optional_roles")
+    _fields = ("frame_id", "mandatory_roles", "optional_roles")
+    __slots__ = _fields + ("relations", "subject")
 
     def __init__(self, frame_id: str, mandatory_roles: tuple[tuple[str, str], ...] = (),
                  optional_roles: tuple[tuple[str, str], ...] = ()):
-        set_frame_id, set_mandatory, set_optional = _FRAME_SETTERS
+        set_frame_id, set_mandatory, set_optional, set_relations, set_subject = _FRAME_SETTERS
         set_frame_id(self, frame_id)
         set_mandatory(self, mandatory_roles)
         set_optional(self, optional_roles)
+        set_relations(self, dict(mandatory_roles + optional_roles))
+        set_subject(self, next((role for role, rel in self.relations.items() if rel == I), None))
 
     def all_roles(self) -> tuple[tuple[str, str], ...]:
         return self.mandatory_roles + self.optional_roles
 
 
-_FRAME_SETTERS = slot_setters(FrameDef)
+_FRAME_SETTERS = slot_setters(FrameDef) + (FrameDef.relations.__set__, FrameDef.subject.__set__)
 
 
 class Lexicon:

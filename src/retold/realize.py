@@ -11,8 +11,9 @@ The realizer emits *pieces*: strings that carry their own separator. A
 word is ``" word"``; a comma, an end mark and a stutter's continuation
 (``"tr-"`` and ``"trellis"`` after ``" tr-"``) carry none. A sentence's
 text is its pieces joined, less the first space, with its first letter
-capitalized. The fixed words and the marks are module constants, and
-:func:`_words` hands out one cached tuple of pieces per distinct string
+capitalized. The fixed words are module constants, the end marks and the
+object pronouns are :data:`dsynt.END_MARKS` and :data:`dsynt.ACCUSATIVE`,
+and :func:`_words` hands out one cached tuple of pieces per distinct string
 (the 4,096 most recently used). A list the realizer returns is always its
 own.
 
@@ -39,7 +40,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import dsynt as d
-from .dsynt import BECAUSE, IN_ORDER
+from .dsynt import ACCUSATIVE, BECAUSE, END_MARKS, IN_ORDER
 from .lexicon import NOUN, VERB, Lexicon, default_lexicon, onset, past, plural, words
 
 MODAL_LEMMAS = frozenset({"can"})
@@ -47,9 +48,6 @@ MODAL_LEMMAS = frozenset({"can"})
 # the verbs that carry "not" themselves when negated ("was not", "could
 # not"); every other verb takes do-support ("did not obtain")
 NOT_CARRIERS = MODAL_LEMMAS | {"be"}
-
-# the object form of each pronoun in dsynt.PRONOUNS
-ACCUSATIVE = {"he": "him", "she": "her", "it": "it", "they": "them"}
 
 CONTRACTIBLE = {("did", "not"): "didn't",
                 ("could", "not"): "couldn't",
@@ -76,7 +74,6 @@ class _Literal(str):
 _THE, _A, _AND, _DID, _NOT, _TO, _BECAUSE, _IN, _ORDER, _FOR = (
     " the", " a", " and", " did", " not", " to", " because", " in", " order", " for")
 _COMMA = ","
-_END_MARKS = {"period": ".", "exclaim": "!", "question": "?"}
 
 # the piece before a spaced "not" -> that piece contracted, with or without
 # its leading space
@@ -324,7 +321,7 @@ class _Realizer:
         pieces = self.clause_pieces(root, form="finite")
         if root.features.get("contract") == "on" and _NOT in pieces:
             pieces = apply_contractions(pieces)
-        pieces.append(_END_MARKS[root.features.get("punct", "period")])
+        pieces.append(END_MARKS[root.features.get("punct", "period")])
         return pieces
 
 

@@ -25,7 +25,9 @@ literals; nested propositions bind through indented ``role <Name>:`` blocks
 or through the discourse lines ``purpose:`` and ``cause:``. A finite object
 clause binds through a role the frame links to a clause, as ``role Topic:``.
 A proposition may carry ``id=<pid>`` and be reused later as ``ref <pid>``
-(backward references only, which keeps the nesting graph acyclic).
+(backward references only, which keeps the nesting graph acyclic). Every
+``key=`` field needs a value; a file and a tree spell a polarity and an
+adverb position alike, by :data:`POLARITY_WORDS` and :data:`POSITION_WORDS`.
 The full grammar is documented in the README.
 
 The parser only reads: it refuses what it cannot build a graph from, and
@@ -48,9 +50,9 @@ from itertools import groupby
 from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .dsynt import ATTR, FEATURE_DOMAIN, I, II, III, PRONOUNS
-from .lexicon import (ADJECTIVE, COMPLEMENT_KINDS, INFINITIVE, NOUN, PREPOSITION, VERB, FrameDef,
-                      Lexicon, default_lexicon, words)
+from .dsynt import ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
+from .lexicon import (ADJECTIVE, COMPLEMENT_KINDS, INFINITIVE, NOUN, PREPOSITION, VERB, Lexicon,
+                      default_lexicon, words)
 from .metrics import without_bom
 from .record import Record, slot_setters
 
@@ -61,9 +63,13 @@ ENTITY_KINDS = frozenset({CHARACTER, OBJECT, LOCATION})
 
 AFFIRMATIVE = "affirmative"
 NEGATED = "negated"
+# each polarity's word, in a story file's polarity= field and a clause's feature
+POLARITY_WORDS = {AFFIRMATIVE: "aff", NEGATED: "neg"}
 
 PRE_VERB = "pre_verb"
 POST_VERB = "post_verb"
+# each adverb position's word, in a story file's adv= field and an adverb's feature
+POSITION_WORDS = {PRE_VERB: "pre", POST_VERB: "post"}
 
 PURPOSE = "purpose"
 CAUSE = "cause"
@@ -327,6 +333,10 @@ _FIELD = r"\S+"  # a proposition id, an entity's kind, lemma or field value
 _FIRST = r"[^\s#]\S*"  # an entity id, first on its line, which "#" would make a comment
 _ITEM = r"[^\s,]+"  # a mod= item
 
+# the model value each word of a story file stands for
+_POLARITIES = {word: value for value, word in POLARITY_WORDS.items()}
+_POSITIONS = {word: value for value, word in POSITION_WORDS.items()}
+
 
 @lru_cache(maxsize=1)
 def _patterns() -> tuple[re.Pattern, ...]:
@@ -339,9 +349,9 @@ def _patterns() -> tuple[re.Pattern, ...]:
                        r"\((?P<args>[^)]*)\)(?P<rest>.*)$"),
             re.compile(rf'^(?P<role>{_NAME})\s*=\s*(?P<arg>"[^"]*"|@{_WORD}|{_REF})$'),
             re.compile(rf"{_INDEX}:"),
-            re.compile(rf"({_WORD})@(pre|post)"),
+            re.compile(rf"({_WORD})@({'|'.join(_POSITIONS)})"),
             re.compile(rf"prep\s+({_WORD}):\s*(.+)"),
-            re.compile(rf"role\s+{_NAME}:|purpose:|cause:"))
+            re.compile(rf"role\s+{_NAME}:|(?:{'|'.join(CLAUSE_RELATIONS)}):"))
 
 
 def _outline(encoded_text: str) -> list[tuple]:
@@ -488,21 +498,21 @@ class _Parser:
         pid = auto_id
         seen: set[str] = set()  # the field names given
         for tok in m.group("rest").split():
-            if "=" not in tok:
+            key, eq, value = tok.partition("=")
+            if not eq or (key == "id" and not value):
                 raise StorySyntaxError(f"bad proposition field {tok!r}", lineno)
-            key, value = tok.split("=", 1)
             if key in seen and key != "adv":  # only adv= may repeat
                 raise StorySyntaxError(f"repeated proposition field {key!r}", lineno)
             seen.add(key)
             if key == "polarity":
-                if value not in ("aff", "neg"):
+                polarity = _POLARITIES.get(value)
+                if polarity is None:
                     raise StorySyntaxError(f"bad polarity {value!r}", lineno)
-                polarity = NEGATED if value == "neg" else AFFIRMATIVE
             elif key == "adv":
                 am = self.adverb_re.fullmatch(value)
                 if not am:
                     raise StorySyntaxError(f"bad adverb {value!r}", lineno)
-                adverbs.append((am.group(1), PRE_VERB if am.group(2) == "pre" else POST_VERB))
+                adverbs.append((am.group(1), _POSITIONS[am.group(2)]))
             elif key == "id":
                 pid = value
             else:
@@ -673,9 +683,7 @@ def _word(what: str, value: str, words: dict[str, str], pid: str) -> str:
     return word
 
 
-# what a story file writes for each polarity, adverb position and clause relation
-_POLARITY_FIELDS = {AFFIRMATIVE: "", NEGATED: " polarity=neg"}
-_POSITION_WORDS = {PRE_VERB: "pre", POST_VERB: "post"}
+# what a story file writes for each clause relation
 _CLAUSE_HEADS = {relation: f"{relation}:" for relation in CLAUSE_RELATIONS}
 
 
@@ -707,10 +715,11 @@ class _Writer:
                 f"{_token('predicate', p.frame.predicate_lemma, _NAME)}(")
         head += ", ".join(_token("role", r, _NAME) + "=" + _format_arg(a, '")')
                           for r, a in inline) + ")"
-        head += _word("polarity", p.polarity, _POLARITY_FIELDS, p.id)
+        if p.polarity != AFFIRMATIVE:  # the field's default
+            head += f" polarity={_word('polarity', p.polarity, POLARITY_WORDS, p.id)}"
         for lemma, pos in p.adverbs:
             head += (f" adv={_token('adverb', lemma, _WORD)}"
-                     f"@{_word('adverb position', pos, _POSITION_WORDS, p.id)}")
+                     f"@{_word('adverb position', pos, POSITION_WORDS, p.id)}")
         head += f" id={_token('proposition id', p.id, _FIELD)}"
         self.add(depth, head)
         for role, sub in nested:
@@ -796,20 +805,6 @@ MAX_EXPANDED_PROPOSITIONS = 50_000
 MAX_NESTING_DEPTH = 64
 
 
-@lru_cache(maxsize=256)
-def _frame_rules(lexicon: Lexicon, frame_id: str
-                 ) -> Optional[tuple[FrameDef, dict[str, str], tuple[str, ...], Optional[str]]]:
-    """The frame ``frame_id`` of ``lexicon``, its role to relation map, its
-    mandatory roles and its subject, the role it links to I (None if it
-    links none), made once per frame; None for an unknown frame."""
-    if not lexicon.has_frame(frame_id):
-        return None
-    frame = lexicon.frame(frame_id)
-    relations = dict(frame.all_roles())
-    subject = next((role for role, rel in relations.items() if rel == I), None)
-    return frame, relations, tuple(role for role, _ in frame.mandatory_roles), subject
-
-
 def _reference_error(arg: Argument, entity_ids: Container[str], lexicon: Lexicon
                      ) -> Optional[str]:
     """Why an inline argument names nothing the story or lexicon has, or is a
@@ -837,15 +832,13 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
     if not lexicon.has(instance.predicate_lemma, VERB):
         out.append(f"predicate {instance.predicate_lemma!r} is not a known verb")
     bound = [role for role, _ in instance.bindings]
-    rules = _frame_rules(lexicon, instance.frame_id)
-    if rules is None:
-        frame, relations, subject = None, {}, None
+    frame = lexicon.frame(instance.frame_id) if lexicon.has_frame(instance.frame_id) else None
+    if frame is None:
         out.append(f"unknown frame {instance.frame_id!r}")
     else:
-        frame, relations, mandatory, subject = rules
         if len(bound) != len(set(bound)):
             out.append("role bound twice")
-        for role in mandatory:
+        for role, _ in frame.mandatory_roles:
             if role not in bound:
                 out.append(f"mandatory role {role} unbound")
 
@@ -855,7 +848,7 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
             out.append(problem)
         if frame is None:
             continue
-        rel = relations.get(role)
+        rel = frame.relations.get(role)
         if rel is None:
             out.append(f"unknown role {role} for frame {instance.frame_id!r}")
         elif rel == ATTR:
@@ -870,8 +863,9 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
         elif isinstance(arg, Proposition) and COMPLEMENT_KINDS[role] == INFINITIVE:
             # subject control: the to-infinitive does not tell its subject, so
             # that must be this one's; a clause's unknown frame is its own error
-            told = _frame_rules(lexicon, arg.frame.frame_id)
-            if told and told[3] and arg.frame.binding(told[3]) != instance.binding(subject):
+            frame_id = arg.frame.frame_id
+            subject = lexicon.frame(frame_id).subject if lexicon.has_frame(frame_id) else None
+            if subject and arg.frame.binding(subject) != instance.binding(frame.subject):
                 out.append(f"role {role} must nest a clause with this proposition's subject")
 
     for a in p.attachments:
@@ -897,11 +891,11 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
     for i, (lemma, pos) in enumerate(p.adverbs):
         if not words(lemma):  # else told as nothing
             out.append(f"adverb {lemma!r} has no words")
-        if pos not in (PRE_VERB, POST_VERB):
+        if pos not in POSITION_WORDS:
             out.append(f"bad adverb position {pos!r}")
         if (lemma, pos) in p.adverbs[:i]:  # else told twice: "The fox now now jumped."
             out.append(f"repeated adverb {lemma!r} at {pos}")
-    if p.polarity not in (AFFIRMATIVE, NEGATED):
+    if p.polarity not in POLARITY_WORDS:
         out.append(f"bad polarity {p.polarity!r}")
     return out
 
@@ -942,7 +936,7 @@ def _diagnostics(g: StoryGraph) -> tuple[Diagnostic, ...]:
             err(e.id, f"bad number {e.number!r}")
         if e.pronoun is not None and e.pronoun not in PRONOUNS:
             err(e.id, f"bad pronoun {e.pronoun!r}")
-        if e.group_of:
+        if e.group_of is not None:
             if e.number != "sg":
                 err(e.id, "collective entities take singular agreement")
             if not lex.has(e.group_of, NOUN):

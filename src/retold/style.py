@@ -39,10 +39,10 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from . import dsynt as d
-from .dsynt import IN_ORDER
+from .dsynt import ACCUSATIVE, IN_ORDER
 from .lexicon import ADJECTIVE, NOUN, VERB, default_lexicon, onset, synonym
 from .metrics import without_bom
-from .realize import ACCUSATIVE, CONTRACTIBLE, NOT_CARRIERS, past_form
+from .realize import CONTRACTIBLE, NOT_CARRIERS, past_form
 from .record import Record, slot_setters
 
 # the one document-level parameter: it counts mentions across the whole
@@ -171,7 +171,7 @@ def load_voice(name_or_path: str) -> VoiceModel:
     if name_or_path in BUILTIN_VOICES:
         return BUILTIN_VOICES[name_or_path]
     p = Path(name_or_path)
-    if p.exists():
+    if name_or_path and p.exists():  # Path("") is the working directory
         try:
             # decoded as "utf-8", not "utf-8-sig", so a bad byte's offset counts
             # a byte-order mark; parse_voice drops the mark
@@ -183,10 +183,6 @@ def load_voice(name_or_path: str) -> VoiceModel:
         except VoiceError as exc:
             raise VoiceError(f"{name_or_path}: {exc}") from exc
     raise VoiceError(f"no built-in voice or voice file {name_or_path!r}")
-
-
-def _path_str(path: tuple[int, ...]) -> str:
-    return ".".join(map(str, path)) if path else "root"
 
 
 # --- pronominalization and contractions ---------------------------------------
@@ -654,7 +650,7 @@ class _SharedPrefix:
 
     def site(self, path: tuple[int, ...]) -> str:
         """``path`` as a site, spelled once: a few short paths recur in every sentence."""
-        return self._names.get(path) or self._names.setdefault(path, _path_str(path))
+        return self._names.get(path) or self._names.setdefault(path, d.site(path))
 
     def contracted(self, i: int) -> Optional[tuple]:
         """Sentence ``i`` contracted, as (tree, contractions decision, the

@@ -35,8 +35,8 @@ from .diagnostics import ERROR
 from .dsynt import BECAUSE, IN_ORDER
 from .lexicon import COMPLEMENT_KINDS, INFINITIVE, default_lexicon
 
-# the function word that governs each clause attachment's clause
-_CLAUSE_WORDS = {s.PURPOSE: IN_ORDER, s.CAUSE: BECAUSE}
+# each clause attachment's function word, and whether the clause under it is finite
+_CLAUSE_HEADS = {s.PURPOSE: (IN_ORDER, False), s.CAUSE: (BECAUSE, True)}
 
 
 class TransformError(Exception):
@@ -138,45 +138,39 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
         return hit[1]
     frame = ctx.lexicon.frame(p.frame.frame_id)
 
-    feats = {"polarity": "neg" if p.polarity == s.NEGATED else "aff"}
+    feats = {"polarity": s.POLARITY_WORDS[p.polarity]}
     if finite:
         feats["tense"] = "past"
 
     pairs = []
-    for role, rel in frame.all_roles():
+    for role, rel in frame.relations.items():
         arg = p.frame.binding(role)
         if arg is None or (rel == d.I and skip_subject):
             continue
-        if rel in d.ARGUMENT_RELATIONS:
-            pairs.append((_argument_node(arg, role, rel, ctx), rel))
-        elif rel == d.ATTR:
-            pairs.append((_np_for_target(arg, d.ATTR, ctx), d.ATTR))
+        if isinstance(arg, s.Proposition):  # a to-infinitive drops its (controlled) subject
+            infinitive = COMPLEMENT_KINDS[role] == INFINITIVE
+            pairs.append((build_clause(arg, ctx, finite=not infinitive, skip_subject=infinitive),
+                          rel))
+        elif rel in d.ARGUMENT_RELATIONS or rel == d.ATTR:
+            pairs.append((_np_for_target(arg, rel, ctx), rel))
         else:  # prep:<word>
             pairs.append((_prepositional_phrase(rel.split(":", 1)[1], (arg,), ctx), d.APPEND))
 
     for lemma, pos in p.adverbs:
-        pairs.append((d.DSyntNode(lemma, d.ADVERB, d.ATTR,
-                                  {"position": "pre" if pos == s.PRE_VERB else "post"}), d.ATTR))
+        pairs.append((d.DSyntNode(lemma, d.ADVERB, d.ATTR, {"position": s.POSITION_WORDS[pos]}),
+                      d.ATTR))
 
     for a, targets in s.attachment_groups(p.attachments):
         if a.relation == s.PREPOSITIONAL:
             pairs.append((_prepositional_phrase(a.preposition, targets, ctx), d.APPEND))
-        else:  # "in order (for X) to VP" or "because" + finite clause
-            sub = build_clause(a.target, ctx, finite=a.relation == s.CAUSE)
-            pairs.append((d.build(_CLAUSE_WORDS[a.relation], d.FUNCTION_WORD, d.APPEND, None,
-                                  ((sub, d.APPEND),)), d.APPEND))
+        else:
+            word, finite = _CLAUSE_HEADS[a.relation]
+            clause = ((build_clause(a.target, ctx, finite=finite), d.APPEND),)
+            pairs.append((d.build(word, d.FUNCTION_WORD, d.APPEND, None, clause), d.APPEND))
 
     root = d.build(p.frame.predicate_lemma, d.VERB, d.ROOT, feats, pairs)
     ctx.clauses[key] = (p, root)
     return root
-
-
-def _argument_node(arg, role: str, relation: str, ctx: DiscourseContext) -> d.DSyntNode:
-    if isinstance(arg, s.Proposition):
-        if COMPLEMENT_KINDS[role] == INFINITIVE:
-            return build_clause(arg, ctx, finite=False, skip_subject=True)
-        return build_clause(arg, ctx, finite=True)
-    return _np_for_target(arg, relation, ctx)
 
 
 def transform_story(g: s.StoryGraph) -> d.Document:

@@ -82,6 +82,12 @@ def test_generate_unknown_voice_exits_2():
     assert code == 2
 
 
+def test_an_empty_voice_name_names_no_voice():
+    # Path("") is the working directory, which is no voice file either
+    code, out, err = invoke("generate", FOX, "--voice", "")
+    assert (code, out, err) == (2, "", "retold: no built-in voice or voice file ''\n")
+
+
 def test_generate_voice_file(tmp_path):
     voice = tmp_path / "loud.voice"
     voice.write_text("voice LOUD\nexclamation: 1.0\n", encoding="utf-8")

@@ -122,7 +122,7 @@ def _moved_sites(tree, contracted, removed, sites):
 
 
 def _decisions(i, sites):
-    return [sty.StyleDecision(i, sty.PRONOMINALIZATION, sty._path_str(path), payload)
+    return [sty.StyleDecision(i, sty.PRONOMINALIZATION, d.site(path), payload)
             for path, payload in sites]
 
 
