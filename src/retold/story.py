@@ -39,7 +39,10 @@ base enforces (see :mod:`retold.record`). A proposition reused through
 are built once per parse: every mention of an entity, an ``@adjective`` or
 a literal, and every repeat of a ``prep`` target under one preposition, is
 one object, and an argument list repeated between a predicate's
-parentheses is parsed once. Two parses share no object.
+parentheses is parsed once. So is a line under a proposition, a ``prep``
+line or a slot header, repeated anywhere in the file: the parser's table
+of child lines keeps what each distinct one says. Two parses share no
+object.
 """
 
 from __future__ import annotations
@@ -362,12 +365,14 @@ def _outline(encoded_text: str) -> list[tuple]:
     is an error here, before anything recurses."""
     open_lines = [(-1, "", 0, [])]  # a root, the last line read and its ancestors
     for lineno, raw in enumerate(encoded_text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
         stripped = raw.lstrip(" ")
+        first = stripped[:1]
+        if not first or first == "#" or first.isspace():  # not a plain line
+            if not raw.strip() or raw.lstrip().startswith("#"):
+                continue
+            if first == "\t":
+                raise StorySyntaxError("tabs are not allowed in indentation", lineno)
         indent = len(raw) - len(stripped)
-        if "\t" in raw[: indent + 1]:
-            raise StorySyntaxError("tabs are not allowed in indentation", lineno)
         while open_lines[-1][0] >= indent:
             open_lines.pop()
         # the new line's ancestors after the root: a section, a timespan, a
@@ -391,12 +396,10 @@ def _lines_under(lines: list[tuple]) -> list[tuple]:
     return out
 
 
-def _siblings(lines: list[tuple]) -> Iterator[tuple]:
-    """``lines`` in order, each checked to share the first one's indent."""
-    for line in lines:
-        if line[0] != lines[0][0]:
-            raise StorySyntaxError(f"unexpected indentation in {line[1]!r}", line[2])
-        yield line
+def _misindented(line: tuple) -> StorySyntaxError:
+    """The error for ``line``, indented other than the lines beside it or
+    under a line that takes none."""
+    return StorySyntaxError(f"unexpected indentation in {line[1]!r}", line[2])
 
 
 class _Parser:
@@ -415,6 +418,9 @@ class _Parser:
         self.args: dict[str, Argument] = {}
         self.bindings: dict[str, tuple[tuple[str, Argument], ...]] = {}
         self.preps: dict[tuple[str, str], Attachment] = {}
+        # what each distinct line under a proposition says, by its text: a `prep`
+        # line's (PREPOSITIONAL, attachments), a slot's (None, role) or (relation, None)
+        self.child_lines: dict[str, tuple] = {}
 
     # -- top level ----------------------------------------------------------
 
@@ -479,25 +485,30 @@ class _Parser:
                                        lineno)
             index = int(text[:-1])
             self._declare(f"t{index}", lineno)
-            out.append(Timespan(index, tuple(self._parse_prop(line, f"t{index}.p{n}")
-                                             for n, line in enumerate(_siblings(lines)))))
+            props: list[Proposition] = []
+            for line in lines:
+                if line[0] != lines[0][0]:
+                    raise _misindented(line)
+                props.append(self._parse_prop(line, f"t{index}.p", len(props)))
+            out.append(Timespan(index, tuple(props)))
         return tuple(out)
 
     # -- propositions ---------------------------------------------------------
 
-    def _parse_prop(self, line: tuple, auto_id: str) -> Proposition:
+    def _parse_prop(self, line: tuple, auto_prefix: str, n: int) -> Proposition:
+        """The proposition on ``line``, named ``auto_prefix`` + ``n`` if it has no ``id=``."""
         _, text, lineno, children = line
         m = self.prop_re.match(text)
         if not m:
             raise StorySyntaxError(f"expected proposition, got {text!r}", lineno)
-        frame_id, predicate = m.group("frame"), m.group("pred")
-        bindings = list(self._inline_bindings(m.group("args"), lineno))
+        frame_id, predicate, args, rest = m.groups()
+        bindings = self._inline_bindings(args, lineno)
 
         polarity = AFFIRMATIVE
         adverbs: list[tuple[str, str]] = []
-        pid = auto_id
+        pid = None
         seen: set[str] = set()  # the field names given
-        for tok in m.group("rest").split():
+        for tok in rest.split():
             key, eq, value = tok.partition("=")
             if not eq or (key == "id" and not value):
                 raise StorySyntaxError(f"bad proposition field {tok!r}", lineno)
@@ -518,6 +529,8 @@ class _Parser:
             else:
                 raise StorySyntaxError(f"unknown proposition field {key!r}", lineno)
 
+        if pid is None:
+            pid = f"{auto_prefix}{n}"
         if pid in self.props:
             raise StorySyntaxError(f"duplicate proposition id {pid!r}", lineno)
         self.props[pid] = None  # open
@@ -525,38 +538,52 @@ class _Parser:
 
         attachments: list[Attachment] = []
         nested_n = 0
-        for _, head, child_lineno, inner in _siblings(children):
-            if head.startswith("prep "):
-                pm = self.prep_re.fullmatch(head)
-                if not pm:
-                    raise StorySyntaxError(f"bad preposition line {head!r}", child_lineno)
-                word = pm.group(1)
-                for piece in self._split_args(pm.group(2), child_lineno):
-                    key = (word, piece.strip())
-                    attachment = self.preps.get(key)
-                    if attachment is None:
-                        target = self._parse_inline_arg(key[1])
-                        attachment = self.preps[key] = Attachment(PREPOSITIONAL, target, word)
-                    attachments.append(attachment)
+        for child in children:
+            if child[0] != children[0][0]:
+                raise _misindented(child)
+            _, head, child_lineno, inner = child
+            relation, value = self.child_lines.get(head) or self._child_line(head, child_lineno)
+            if relation == PREPOSITIONAL:
+                attachments += value
                 if inner:
-                    raise StorySyntaxError(f"unexpected indentation in {inner[0][1]!r}",
-                                           inner[0][2])
-            elif self.slot_re.fullmatch(head):
-                nested = self._parse_nested(inner, f"{pid}.n{nested_n}", child_lineno)
-                nested_n += 1
-                if head.startswith("role"):
-                    bindings.append((head.split()[1][:-1], nested))
-                else:
-                    attachments.append(Attachment(head[:-1], nested))
+                    raise _misindented(inner[0])
             else:
-                raise StorySyntaxError(f"unexpected line {head!r} under proposition", child_lineno)
+                nested = self._parse_nested(inner, pid + ".n", nested_n, child_lineno)
+                nested_n += 1
+                if relation is None:
+                    bindings += ((value, nested),)
+                else:
+                    attachments.append(Attachment(relation, nested))
 
-        prop = Proposition(pid, FrameInstance(predicate, frame_id, tuple(bindings)),
+        prop = Proposition(pid, FrameInstance(predicate, frame_id, bindings),
                            polarity, tuple(adverbs), tuple(attachments))
         self.props[pid] = prop
         return prop
 
-    def _parse_nested(self, inner: list[tuple], auto_id: str, header_line: int) -> Proposition:
+    def _child_line(self, head: str, lineno: int) -> tuple:
+        """The :attr:`child_lines` entry for ``head``, a line under a proposition."""
+        if head.startswith("prep "):
+            pm = self.prep_re.fullmatch(head)
+            pieces = pm and [piece.strip() for piece in self._split_args(pm.group(2), lineno)]
+            if not pieces:  # no match, or a list of no targets
+                raise StorySyntaxError(f"bad preposition line {head!r}", lineno)
+            word, attachments = pm.group(1), []
+            for piece in pieces:
+                attachment = self.preps.get((word, piece))
+                if attachment is None:
+                    target = self._parse_inline_arg(piece)
+                    attachment = self.preps[word, piece] = Attachment(PREPOSITIONAL, target, word)
+                attachments.append(attachment)
+            entry = (PREPOSITIONAL, tuple(attachments))
+        elif self.slot_re.fullmatch(head):
+            entry = (None, head.split()[1][:-1]) if head.startswith("role") else (head[:-1], None)
+        else:
+            raise StorySyntaxError(f"unexpected line {head!r} under proposition", lineno)
+        self.child_lines[head] = entry
+        return entry
+
+    def _parse_nested(self, inner: list[tuple], auto_prefix: str, n: int,
+                      header_line: int) -> Proposition:
         if not inner:
             raise StorySyntaxError("expected an indented proposition", header_line)
         _, text, lineno, children = inner[0]
@@ -567,7 +594,7 @@ class _Parser:
             if self.props[target] is None:
                 raise StoryCycleError(f"proposition {target!r} nests inside itself", lineno)
             return self.props[target]
-        prop = self._parse_prop(inner[0], auto_id)
+        prop = self._parse_prop(inner[0], auto_prefix, n)
         if len(inner) > 1:
             raise StorySyntaxError(f"unexpected line {inner[1][1]!r}: "
                                    "a nested slot holds exactly one proposition",
@@ -809,10 +836,11 @@ def _reference_error(arg: Argument, entity_ids: Container[str], lexicon: Lexicon
                      ) -> Optional[str]:
     """Why an inline argument names nothing the story or lexicon has, or is a
     literal with no words once an underscore reads as a space, or None."""
-    if isinstance(arg, EntityRef) and arg.entity_id not in entity_ids:
-        return f"unknown entity {arg.entity_id!r}"
-    if isinstance(arg, Property) and not lexicon.has(arg.adjective, ADJECTIVE):
-        return f"property {arg.adjective!r} is not a known adjective"
+    if isinstance(arg, EntityRef):
+        return None if arg.entity_id in entity_ids else f"unknown entity {arg.entity_id!r}"
+    if isinstance(arg, Property):
+        return (None if lexicon.has(arg.adjective, ADJECTIVE)
+                else f"property {arg.adjective!r} is not a known adjective")
     if isinstance(arg, Text) and not words(arg.value):
         return f"literal {arg.value!r} has no words"
     return None
@@ -831,19 +859,20 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
     instance = p.frame
     if not lexicon.has(instance.predicate_lemma, VERB):
         out.append(f"predicate {instance.predicate_lemma!r} is not a known verb")
-    bound = [role for role, _ in instance.bindings]
+    bound = dict(instance.bindings)
     frame = lexicon.frame(instance.frame_id) if lexicon.has_frame(instance.frame_id) else None
     if frame is None:
         out.append(f"unknown frame {instance.frame_id!r}")
     else:
-        if len(bound) != len(set(bound)):
+        if len(bound) != len(instance.bindings):
             out.append("role bound twice")
         for role, _ in frame.mandatory_roles:
             if role not in bound:
                 out.append(f"mandatory role {role} unbound")
 
     for role, arg in instance.bindings:
-        problem = _reference_error(arg, entity_ids, lexicon)
+        nested = isinstance(arg, Proposition)
+        problem = None if nested else _reference_error(arg, entity_ids, lexicon)
         if problem:
             out.append(problem)
         if frame is None:
@@ -854,13 +883,14 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
         elif rel == ATTR:
             if not isinstance(arg, Property):
                 out.append(f"role {role} expects an adjective property")
-        elif isinstance(arg, Property):
-            out.append("property argument outside a copular slot")
-        elif isinstance(arg, Proposition) and rel not in (II, III):
+        elif not nested:
+            if isinstance(arg, Property):
+                out.append("property argument outside a copular slot")
+        elif rel not in (II, III):
             out.append(f"role {role} cannot nest a proposition")
-        elif isinstance(arg, Proposition) and role not in COMPLEMENT_KINDS:
+        elif role not in COMPLEMENT_KINDS:
             out.append(f"frame {frame.frame_id!r} does not take a propositional argument")
-        elif isinstance(arg, Proposition) and COMPLEMENT_KINDS[role] == INFINITIVE:
+        elif COMPLEMENT_KINDS[role] == INFINITIVE:
             # subject control: the to-infinitive does not tell its subject, so
             # that must be this one's; a clause's unknown frame is its own error
             frame_id = arg.frame.frame_id

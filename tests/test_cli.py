@@ -519,7 +519,8 @@ def test_a_validation_error_names_its_line(tmp_path, content, line):
      "    jump jump(Agent=fox) id=a\n    walk walk(Agent=fox) id=a\n",
      "line 9: duplicate proposition id 'a'"),
     (LINES_HEAD + JUMP + "      prep on fox\n", "line 10: bad preposition line 'prep on fox'"),
-], ids=["duplicate-proposition-id", "preposition-line"])
+    (LINES_HEAD + JUMP + "      prep with: ,\n", "line 10: bad preposition line 'prep with: ,'"),
+], ids=["duplicate-proposition-id", "preposition-line", "preposition-line-with-no-target"])
 def test_a_syntax_error_names_its_line(tmp_path, content, message):
     path = tmp_path / "bad.story"
     path.write_text(content, encoding="utf-8")

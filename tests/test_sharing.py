@@ -164,6 +164,35 @@ def test_a_parse_builds_each_inline_argument_once(text):
     assert len(refs) == len({a.entity_id for a in refs})
 
 
+@pytest.mark.parametrize("text", [fixture_text("fox_and_grapes.story"),
+                                  fixture_text("lion_and_boar.story"), LITERALS,
+                                  st.serialize_story(random_story(random.Random(6)))],
+                         ids=["fox", "lion", "literals", "random-6"])
+def test_a_parse_reads_each_prep_line_once(text, monkeypatch):
+    # a prep line repeated under another proposition, at any depth, is
+    # split into its targets once; a split for an argument list is not one
+    splits, in_bindings = [], []
+    split, inline_bindings = st._Parser._split_args, st._Parser._inline_bindings
+
+    def record_split(self, args, lineno):
+        if not in_bindings:
+            splits.append(args)
+        return split(self, args, lineno)
+
+    def mark_bindings(self, args, lineno):
+        in_bindings.append(args)
+        try:
+            return inline_bindings(self, args, lineno)
+        finally:
+            in_bindings.pop()
+
+    monkeypatch.setattr(st._Parser, "_split_args", record_split)
+    monkeypatch.setattr(st._Parser, "_inline_bindings", mark_bindings)
+    st.parse_story(text)
+    prep_lines = [line.strip() for line in text.splitlines() if line.strip().startswith("prep ")]
+    assert len(splits) == len(set(prep_lines))
+
+
 def _records(value, out):
     """Every record object reachable from ``value``, by id."""
     if isinstance(value, tuple):

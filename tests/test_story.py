@@ -7,7 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from retold import default_lexicon
 from retold import story as st
 from retold.diagnostics import ERROR, WARNING
 from retold.transform import TransformError, transform_story
@@ -456,6 +459,57 @@ def test_complement_line_is_a_syntax_error_at_its_line():
     assert exc.value.line == 8
 
 
+@pytest.mark.parametrize("line", ["prep with:", "prep with: ,", "prep with: , ,", "prep with:,,"])
+def test_a_prep_line_with_no_target_is_a_syntax_error_at_its_line(line):
+    # a list of no targets was once read as no attachment, and the
+    # proposition told without it
+    with pytest.raises(st.StorySyntaxError) as exc:
+        st.parse_story(HEAD + "  0:\n" + PROP + f"      {line}\n")
+    assert str(exc.value) == f"line 8: bad preposition line {line!r}"
+
+
+def _reference_outline(encoded_text):
+    """``st._outline`` as it read every line before plain lines had a fast
+    path: the oracle for that path."""
+    open_lines = [(-1, "", 0, [])]
+    for lineno, raw in enumerate(encoded_text.splitlines(), start=1):
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        stripped = raw.lstrip(" ")
+        indent = len(raw) - len(stripped)
+        if "\t" in raw[: indent + 1]:
+            raise st.StorySyntaxError("tabs are not allowed in indentation", lineno)
+        while open_lines[-1][0] >= indent:
+            open_lines.pop()
+        if len(open_lines) > 2 * st.MAX_NESTING_DEPTH + 4:
+            raise st.StorySyntaxError(f"nested too deep: propositions nest at most "
+                                      f"{st.MAX_NESTING_DEPTH} levels", lineno)
+        line = (indent, stripped.rstrip(), lineno, [])
+        open_lines[-1][3].append(line)
+        open_lines.append(line)
+    return open_lines[0][3]
+
+
+def _outline_or_error(outline, text):
+    try:
+        return outline(text)
+    except st.StorySyntaxError as exc:
+        return str(exc), exc.line
+
+
+# spaces, a tab, other whitespace (some of it a line break to splitlines),
+# a comment mark and letters
+_OUTLINE_PIECES = [" ", "  ", "\t", "\xa0", "\x0b", "\x0c", "\u3000", "\r", "\n", "#", "a", "b"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(text=hst.lists(hst.sampled_from(_OUTLINE_PIECES), max_size=80).map("".join))
+@example(text=(FIXTURES / "fox_and_grapes.story").read_text(encoding="utf-8"))
+@example(text=nested_story(st.MAX_NESTING_DEPTH + 1))
+def test_the_outline_reads_every_text_as_its_reference_does(text):
+    assert _outline_or_error(st._outline, text) == _outline_or_error(_reference_outline, text)
+
+
 def test_nesting_bound_is_a_syntax_error_at_the_first_line_too_deep():
     st.parse_story(nested_story(st.MAX_NESTING_DEPTH))
     # line 8 is the top-level proposition; each level adds a slot line and
@@ -637,6 +691,26 @@ def test_a_repeated_modifier_is_a_validation_error_at_its_line(mods, modifier):
     g = st.parse_story(text.replace("fox character fox", "fox character fox mod=hot,hungry"))
     assert g.entities[0].fixed_modifiers == ("hot", "hungry")
     assert _found(g) == []
+
+
+def test_a_proposition_breaking_many_rules_gets_every_message_in_order():
+    # one message per rule broken, in the order of the bindings, then the
+    # attachments, then the adverbs
+    fox = st.EntityRef("fox")
+    jump = st.Proposition("j", st.FrameInstance("jump", "jump", (("Agent", fox),)))
+    p = st.Proposition("p", st.FrameInstance("say", "say", (
+        ("Agent", jump), ("Mood", st.Text("x")), ("Addressee", st.Property("ripe")),
+        ("Topic", st.EntityRef("wolf")))),
+        adverbs=(("now", st.PRE_VERB), ("now", st.PRE_VERB)),
+        attachments=(st.Attachment(st.PREPOSITIONAL, fox, "betwixt"),))
+    assert st.proposition_errors(p, {"fox"}, default_lexicon()) == [
+        "role Agent cannot nest a proposition",
+        "unknown role Mood for frame 'say'",
+        "property argument outside a copular slot",
+        "unknown entity 'wolf'",
+        "unknown preposition 'betwixt'",
+        "repeated adverb 'now' at pre_verb",
+    ]
 
 
 def _with(g, entities=None, timeline=None):
