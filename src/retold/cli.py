@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import dsynt, metrics, realize, story, style, transform
+from . import dsynt, metrics, story, style, transform
 from .diagnostics import ERROR
 
 
@@ -94,16 +94,15 @@ def cmd_generate(args, out, err) -> int:
         model = style.load_voice(args.voice)
     except style.VoiceError as exc:
         raise _CliError(str(exc), 2) from exc
-    styled, _decisions = style.apply_voice(doc, model, args.seed)
-    text = realize.realize_document(styled)
+    told = style.tell(doc, model, args.seed)
     if args.output:
-        _write_file(args.output, text + "\n")
+        _write_file(args.output, told.text + "\n")
     else:
-        print(text, file=out)
+        print(told.text, file=out)
     if args.emit_dsynts:
         if not args.output:
             print(file=out)
-        print(dsynt.serialize(styled), end="", file=out)
+        print(dsynt.serialize(told.document), end="", file=out)
     return 0
 
 
@@ -135,7 +134,7 @@ def cmd_pipeline(args, out, err) -> int:
     if not metrics.tokenize(reference):
         raise _CliError(f"{args.reference}: reference text has no words", 2)
     graph, doc = _transformed_story(args.story, err)
-    text = realize.realize_document(doc)
+    text = style.tell(doc, style.BUILTIN_VOICES["NEUTRAL"], 0).text
     _score(metrics.EvalPair(text, reference, label=graph.id), args, out, telling=text)
     return 0
 

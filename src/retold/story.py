@@ -336,6 +336,19 @@ _FIELD = r"\S+"  # a proposition id, an entity's kind, lemma or field value
 _FIRST = r"[^\s#]\S*"  # an entity id, first on its line, which "#" would make a comment
 _ITEM = r"[^\s,]+"  # a mod= item
 
+
+def _id_clash(pid: str, entity_ids: Container[str]) -> Optional[str]:
+    """The other kind of name proposition id ``pid`` is in a story file with
+    entities ``entity_ids``, or None. A name of two kinds would have no line
+    (see :func:`line_of`), so a file may not give one."""
+    if pid in entity_ids:
+        return "an entity id"
+    if pid in SECTIONS:
+        return "a section name"
+    # a timespan name is `t` and the index's ASCII digits (see _INDEX)
+    return "a timespan name" if pid[1:].isdecimal() and pid[0] == "t" and pid.isascii() else None
+
+
 # the model value each word of a story file stands for
 _POLARITIES = {word: value for value, word in POLARITY_WORDS.items()}
 _POSITIONS = {word: value for value, word in POSITION_WORDS.items()}
@@ -408,6 +421,7 @@ class _Parser:
          self.prep_re, self.slot_re) = _patterns()
         # the line of each name a diagnostic may name; None if on two lines
         self.lines: dict[str, Optional[int]] = {}
+        self.entity_ids: set[str] = set()  # which no proposition id may be
         # proposition id registry; None marks a block still being parsed,
         # which is how a `ref` to an ancestor (a nesting cycle) is caught
         self.props: dict[str, Optional[Proposition]] = {}
@@ -447,7 +461,10 @@ class _Parser:
 
         entities = tuple(self._parse_entity(text, lineno)
                          for _, text, lineno, _ in _lines_under(sections.get("entities", [])))
-        original = "\n".join(line[1] for line in _lines_under(sections.get("original", [])))
+        self.entity_ids = {e.id for e in entities}
+        # an `original` line is kept without the whitespace at its edges
+        original = "\n".join(line[1].lstrip()
+                             for line in _lines_under(sections.get("original", [])))
         timeline = self._parse_timeline(sections.get("timeline", []))
         g = StoryGraph(m.group("id"), m.group("title"), entities, timeline, original or None)
         _set_graph_lines(g, self.lines)
@@ -531,6 +548,8 @@ class _Parser:
 
         if pid is None:
             pid = f"{auto_prefix}{n}"
+        elif clash := _id_clash(pid, self.entity_ids):
+            raise StorySyntaxError(f"proposition id {pid!r} is {clash}", lineno)
         if pid in self.props:
             raise StorySyntaxError(f"duplicate proposition id {pid!r}", lineno)
         self.props[pid] = None  # open
@@ -715,7 +734,8 @@ _CLAUSE_HEADS = {relation: f"{relation}:" for relation in CLAUSE_RELATIONS}
 
 
 class _Writer:
-    def __init__(self) -> None:
+    def __init__(self, entity_ids: set[str]) -> None:
+        self.entity_ids = entity_ids
         self.lines: list[str] = []
         self.emitted: dict[str, Proposition] = {}  # by id, each written out once
 
@@ -731,6 +751,10 @@ class _Writer:
             self.add(depth, f"ref {p.id}")
             return
         self.emitted[p.id] = p
+        clash = _id_clash(p.id, self.entity_ids)
+        if clash:
+            raise ValueError(f"cannot serialize proposition id {p.id!r}: it is {clash}, "
+                             "which a story file refuses")
         bindings = p.frame.bindings
         inline = [(r, a) for r, a in bindings if not isinstance(a, Proposition)]
         nested = [(r, a) for r, a in bindings if isinstance(a, Proposition)]
@@ -771,13 +795,14 @@ def serialize_story(g: StoryGraph) -> str:
     line break, or in a role ``)``; a token the parser would split or
     misread; an original text line that is blank, edged with whitespace or
     starts with ``#``; a nested role binding before an inline one; two
-    different propositions with one id; a timeline proposition told
-    twice, which a file can reuse only in a nested slot; a polarity, adverb
+    different propositions with one id; a proposition id that is an entity
+    id, a section name or of the form ``t<digits>``; a timeline proposition
+    told twice, which a file can reuse only in a nested slot; a polarity, adverb
     position or attachment relation the format has no word for; a
     proposition as a ``prep`` target; a ``prep`` with no preposition; and a
     ``purpose`` or ``cause`` attachment with a preposition or with a target
     that is not a proposition."""
-    w = _Writer()
+    w = _Writer({e.id for e in g.entities})
     w.add(0, f"story {_token('story id', g.id, _NAME)} {_quoted('title', g.title)}")
     w.add(0, "")
     w.add(0, "entities")
@@ -930,6 +955,16 @@ def proposition_errors(p: Proposition, entity_ids: Container[str],
     return out
 
 
+def _nested(p: Proposition) -> Iterator[Proposition]:
+    """The propositions ``p`` nests, in its bindings and then its attachments."""
+    for _, arg in p.frame.bindings:
+        if isinstance(arg, Proposition):
+            yield arg
+    for a in p.attachments:
+        if isinstance(a.target, Proposition):
+            yield a.target
+
+
 def validate_story(g: StoryGraph) -> list[Diagnostic]:
     """Cross-reference checks over a structurally well-formed graph.
 
@@ -1015,11 +1050,10 @@ def _diagnostics(g: StoryGraph) -> tuple[Diagnostic, ...]:
             err(p.id, message)
         on_path.add(id(p))
         size = height = 1
-        for child in [a for _, a in p.frame.bindings] + [a.target for a in p.attachments]:
-            if isinstance(child, Proposition):
-                child_size, child_height = visit(child)
-                size += child_size
-                height = max(height, child_height + 1)
+        for child in _nested(p):
+            child_size, child_height = visit(child)
+            size += child_size
+            height = max(height, child_height + 1)
         on_path.discard(id(p))
         expanded[id(p)] = size, height
         return size, height

@@ -39,6 +39,7 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from . import dsynt as d
+from . import realize
 from .dsynt import ACCUSATIVE, IN_ORDER
 from .lexicon import ADJECTIVE, NOUN, VERB, default_lexicon, onset, synonym
 from .metrics import without_bom
@@ -752,3 +753,26 @@ def apply_voice(doc: d.Document, model: VoiceModel,
     for made in applied:
         decisions += made
     return d.Document(tuple(sentences)), decisions
+
+
+class Telling(Record):
+    """One document told in one voice: the styled document, its text and
+    the decisions as a tuple, in :func:`apply_voice`'s order."""
+
+    __slots__ = _fields = ("document", "text", "decisions")
+
+    def __init__(self, document: d.Document, text: str, decisions: tuple[StyleDecision, ...]):
+        set_document, set_text, set_decisions = _TELLING_SETTERS
+        set_document(self, document)
+        set_text(self, text)
+        set_decisions(self, decisions)
+
+
+_TELLING_SETTERS = slot_setters(Telling)
+
+
+def tell(doc: d.Document, model: VoiceModel, seed: int) -> Telling:
+    """``doc`` told in ``model``'s voice: :func:`apply_voice`, then
+    :func:`realize.realize_document`, each looked up at the call."""
+    styled, decisions = apply_voice(doc, model, seed)
+    return Telling(styled, realize.realize_document(styled), tuple(decisions))

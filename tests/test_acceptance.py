@@ -12,7 +12,6 @@ from retold import style
 from retold import transform as tr
 from retold.cli import run
 from retold.lexicon import NOUN, VERB, default_lexicon, past, plural
-from retold.realize import realize_document
 
 from conftest import FIXTURES, fixture_text, random_story
 
@@ -26,7 +25,7 @@ def check(name: str, ok: bool) -> None:
 
 def _generate(story_name: str) -> str:
     graph = st.parse_story(fixture_text(story_name))
-    return realize_document(tr.transform_story(graph))
+    return style.tell(tr.transform_story(graph), style.BUILTIN_VOICES["NEUTRAL"], 0).text
 
 
 def test_criterion_1_development_story_regeneration():

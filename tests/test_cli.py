@@ -7,9 +7,11 @@ import random
 import pytest
 
 from retold import cli, metrics
+from retold import dsynt as d
 from retold import story as st
+from retold import transform as tr
 from retold.cli import run
-from retold.style import BUILTIN_VOICES
+from retold.style import BUILTIN_VOICES, apply_voice, tell
 from conftest import FIXTURES, fixture_text, nested_story, ref_chain_story
 
 FOX = str(FIXTURES / "fox_and_grapes.story")
@@ -67,6 +69,22 @@ def test_generate_emit_dsynts_appends_trees():
     assert code == 0
     assert "<document>" in out
     assert out.index("The group of grapes") < out.index("<document>")
+
+
+@pytest.mark.parametrize("name", ["fox_and_grapes", "lion_and_boar"])
+@pytest.mark.parametrize("voice", list(BUILTIN_VOICES))
+def test_generate_prints_the_telling(name, voice):
+    # the text, then with --emit-dsynts a blank line and the styled trees;
+    # the telling keeps the decisions apply_voice makes, in its order
+    model = BUILTIN_VOICES[voice]
+    doc = tr.transform_story(st.parse_story(fixture_text(f"{name}.story")))
+    for seed in range(3):
+        told = tell(doc, model, seed)
+        argv = ["generate", str(FIXTURES / f"{name}.story"), "--voice", voice, "--seed", str(seed)]
+        assert invoke(*argv) == (0, told.text + "\n", "")
+        assert invoke(*argv, "--emit-dsynts") == (
+            0, told.text + "\n\n" + d.serialize(told.document), "")
+        assert told.decisions == tuple(apply_voice(doc, model, seed)[1])
 
 
 def test_generate_styled_output_differs_and_is_deterministic():
@@ -520,7 +538,10 @@ def test_a_validation_error_names_its_line(tmp_path, content, line):
      "line 9: duplicate proposition id 'a'"),
     (LINES_HEAD + JUMP + "      prep on fox\n", "line 10: bad preposition line 'prep on fox'"),
     (LINES_HEAD + JUMP + "      prep with: ,\n", "line 10: bad preposition line 'prep with: ,'"),
-], ids=["duplicate-proposition-id", "preposition-line", "preposition-line-with-no-target"])
+    (LINES_HEAD + JUMP.replace(")", ") id=fox"), "line 9: proposition id 'fox' is an entity id"),
+    (LINES_HEAD + JUMP.replace(")", ") id=t0"), "line 9: proposition id 't0' is a timespan name"),
+], ids=["duplicate-proposition-id", "preposition-line", "preposition-line-with-no-target",
+        "proposition-id-of-an-entity", "proposition-id-of-a-timespan"])
 def test_a_syntax_error_names_its_line(tmp_path, content, message):
     path = tmp_path / "bad.story"
     path.write_text(content, encoding="utf-8")

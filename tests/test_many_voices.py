@@ -16,7 +16,6 @@ import pytest
 from retold import dsynt as d
 from retold import style
 from retold import transform as tr
-from retold.realize import realize_document
 
 from conftest import random_story
 from test_output_pin import DRAW_VOICES, EVERYTHING
@@ -25,11 +24,6 @@ VOICES = ("NEUTRAL", "FORMAL", "SHY", "LAID-BACK")
 # forwards, backwards, then each voice twice in a row
 ORDER = VOICES + VOICES[::-1] + tuple(v for v in VOICES for _ in range(2))
 HALF = style.parse_voice("voice HALF\npronominalization: 0.5\ncontractions: 0.7\n")
-
-
-def _telling(doc, model, seed):
-    styled, decisions = style.apply_voice(doc, model, seed)
-    return realize_document(styled), list(map(repr, decisions)), d.serialize(styled)
 
 
 def _graphs(fox_graph, lion_graph, stories=30):
@@ -47,10 +41,10 @@ def pronominalize_calls(monkeypatch):
 
 def test_any_order_of_voices_on_one_document_tells_as_fresh_ones(fox_graph, lion_graph):
     for k, g in enumerate(_graphs(fox_graph, lion_graph)):
-        fresh = {v: _telling(tr.transform_story(g), style.BUILTIN_VOICES[v], k) for v in VOICES}
+        fresh = {v: style.tell(tr.transform_story(g), style.BUILTIN_VOICES[v], k) for v in VOICES}
         doc = tr.transform_story(g)
         for v in ORDER:
-            assert _telling(doc, style.BUILTIN_VOICES[v], k) == fresh[v], (k, v)
+            assert style.tell(doc, style.BUILTIN_VOICES[v], k) == fresh[v], (k, v)
 
 
 def test_voices_with_other_fire_vectors_replace_the_prefix(fox_graph, lion_graph,
@@ -59,13 +53,13 @@ def test_voices_with_other_fire_vectors_replace_the_prefix(fox_graph, lion_graph
     for g in _graphs(fox_graph, lion_graph, stories=4):
         doc = tr.transform_story(g)
         n = len(doc.sentences)
-        fresh = {(model.name, seed): _telling(tr.transform_story(g), model, seed)
+        fresh = {(model.name, seed): style.tell(tr.transform_story(g), model, seed)
                  for model in (HALF, formal) for seed in range(6)}
         del pronominalize_calls[:]
         keys = []
         for seed in range(6):
             for model in (HALF, formal):
-                assert _telling(doc, model, seed) == fresh[(model.name, seed)], (g.id, seed)
+                assert style.tell(doc, model, seed) == fresh[(model.name, seed)], (g.id, seed)
                 a = model.activation("pronominalization")
                 keys.append(tuple(random.Random(f"{seed}:{i}").random() < a for i in range(n)))
         # one pass each time the fire vector differs from the one before

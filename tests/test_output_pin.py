@@ -21,7 +21,6 @@ import random
 
 from retold import dsynt as d
 from retold import style
-from retold.realize import realize_document
 from retold.story import serialize_story, validate_story
 from retold.transform import transform_story
 
@@ -57,10 +56,10 @@ def _digest(graphs, voices) -> str:
         doc = transform_story(g)
         for model in voices:
             for seed in range(4):
-                styled, decisions = style.apply_voice(doc, model, seed)
-                add(realize_document(styled))
-                add("\n".join(map(repr, decisions)))
-                add(d.serialize(styled))
+                told = style.tell(doc, model, seed)
+                add(told.text)
+                add("\n".join(map(repr, told.decisions)))
+                add(d.serialize(told.document))
     return h.hexdigest()
 
 

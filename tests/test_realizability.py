@@ -14,7 +14,6 @@ from retold import story as st
 from retold import style
 from retold import transform as tr
 from retold.diagnostics import ERROR
-from retold.realize import realize_document
 
 from conftest import random_story, ref_chain_story
 
@@ -190,8 +189,7 @@ def test_clean_validation_implies_generation(story_seed, mutation_seed):
         return
     assert not errors
     for model in style.BUILTIN_VOICES.values():
-        styled, _ = style.apply_voice(doc, model, story_seed)
-        assert realize_document(styled)
+        assert style.tell(doc, model, story_seed).text
 
 
 def subject_role(frame):

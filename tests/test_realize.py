@@ -6,7 +6,7 @@ from retold import dsynt as d
 from retold import realize as rz
 from retold import story as st
 from retold import transform as tr
-from retold.style import BUILTIN_VOICES, VoiceModel, apply_voice
+from retold.style import BUILTIN_VOICES, VoiceModel, apply_voice, tell
 
 from conftest import fixture_text, random_story
 from test_output_pin import DRAW_VOICES
@@ -173,9 +173,7 @@ def test_styled_fixture_sentences_have_no_double_spaces(fox_graph):
     doc = tr.transform_story(fox_graph)
     for name, model in BUILTIN_VOICES.items():
         for seed in range(5):
-            styled, _ = apply_voice(doc, model, seed)
-            text = rz.realize_document(styled)
-            assert "  " not in text, (name, seed)
+            assert "  " not in tell(doc, model, seed).text, (name, seed)
 
 
 def test_indefinite_article_path():
@@ -211,8 +209,7 @@ def test_word_token_cache_is_bounded():
 
 
 def _told(g, voice, seed=0):
-    styled, _ = apply_voice(tr.transform_story(g), BUILTIN_VOICES[voice], seed)
-    return rz.realize_document(styled)
+    return tell(tr.transform_story(g), BUILTIN_VOICES[voice], seed).text
 
 
 GRAPES = st.Entity("grapes", st.OBJECT, "group", group_of="grape")
@@ -261,8 +258,7 @@ def test_be_able_without_an_attribute_contracts_its_verb_and_the_infinitive_not(
 
 def test_a_tag_question_reads_the_not_of_a_negated_infinitive():
     def told(g, params):
-        styled, _ = apply_voice(tr.transform_story(g), VoiceModel("TAG", params), 0)
-        return rz.realize_document(styled)
+        return tell(tr.transform_story(g), VoiceModel("TAG", params), 0).text
 
     tag, contracted = {"tag_question": 1.0}, {"tag_question": 1.0, "contractions": 1.0}
     g = _able_to_reach(st.NEGATED)
@@ -294,6 +290,5 @@ def test_the_document_is_its_sentences_joined():
         doc = tr.transform_story(g)
         for model in voices:
             for seed in range(2):
-                styled, _ = apply_voice(doc, model, seed)
-                assert rz.realize_document(styled) == \
-                    " ".join(rz.realize_sentence(s) for s in styled.sentences)
+                told = tell(doc, model, seed)
+                assert told.text == " ".join(map(rz.realize_sentence, told.document.sentences))

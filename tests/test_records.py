@@ -46,6 +46,8 @@ SAMPLES = [
                      (st.Timespan(0, (_PROP,)),), "Once.")),
     (sty.VoiceModel, ("V", {"contractions": 1.0})),
     (sty.StyleDecision, (3, "contractions", "root", "didn't")),
+    (sty.Telling, (d.Document((d.DSyntNode("jump", d.VERB),)), "It jumped.",
+                   (sty.StyleDecision(0, "pronominalization", "0", "it"),))),
 ]
 IDS = [cls.__name__ for cls, _ in SAMPLES]
 

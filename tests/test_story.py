@@ -156,12 +156,16 @@ def test_round_trip_random_stories():
 
 
 def _mutants(text):
-    """``text`` with one line dropped or doubled, or one ``key=`` field
-    emptied or dropped, each way once."""
+    """``text`` with one line dropped or doubled, one line's text begun
+    after its indent with a no-break space, an ideographic space or a unit
+    separator, or one ``key=`` field emptied or dropped, each way once."""
     lines = text.split("\n")
     for i, line in enumerate(lines):
         yield lines[:i] + lines[i + 1:]
         yield lines[:i + 1] + lines[i:]
+        indent = len(line) - len(line.lstrip(" "))
+        for space in ("\xa0", "\u3000", "\x1f"):
+            yield lines[:i] + [line[:indent] + space + line[indent:]] + lines[i + 1:]
         for m in re.finditer(r"(?<=\s)(\w+=)\S*", line):
             for field in (m.group(1), ""):
                 yield lines[:i] + [line[:m.start()] + field + line[m.end():]] + lines[i + 1:]
@@ -466,6 +470,23 @@ def test_a_prep_line_with_no_target_is_a_syntax_error_at_its_line(line):
     with pytest.raises(st.StorySyntaxError) as exc:
         st.parse_story(HEAD + "  0:\n" + PROP + f"      {line}\n")
     assert str(exc.value) == f"line 8: bad preposition line {line!r}"
+
+
+@pytest.mark.parametrize("pid, kind", [
+    ("fox", "an entity id"), ("grapes", "an entity id"), ("t0", "a timespan name"),
+    ("t12", "a timespan name"), ("timeline", "a section name"), ("original", "a section name"),
+])
+def test_a_proposition_id_of_another_kind_of_name_is_a_syntax_error_at_its_line(pid, kind):
+    # a name of two kinds has no line, so its diagnostics would print without one
+    entities_last = ('story demo "Demo"\ntimeline\n  0:\n' + PROP
+                     + "entities\n  fox character fox\n  grapes object group group_of=grape\n")
+    for text, line in ((HEAD + "  0:\n" + PROP, 7), (entities_last, 4)):
+        with pytest.raises(st.StorySyntaxError) as exc:
+            st.parse_story(text.replace("(Agent=fox)", f"(Agent=fox) id={pid}"))
+        assert str(exc.value) == f"line {line}: proposition id {pid!r} is {kind}"
+    # an id of another form, and an entity id's extension, are ids like any
+    for other in ("fox2", "t0x", "t0.p0", "t\u0660", "timelines"):
+        st.parse_story(HEAD + "  0:\n" + PROP.replace("(Agent=fox)", f"(Agent=fox) id={other}"))
 
 
 def _reference_outline(encoded_text):
@@ -844,10 +865,14 @@ def _jump(**fields):
     (_jump(adverbs=(("a@b", st.POST_VERB),)), "a@b"),
     (_jump(id="p x"), "p x"),
     (_BASE.replace(id="fox grapes"), "fox grapes"),
+    (_jump(id="fox"), "fox"),
+    (_jump(id="t3"), "t3"),
+    (_jump(id="original"), "original"),
 ], ids=["nested-before-inline", "original-comment", "original-blank-line",
         "original-trailing-newline", "original-empty", "original-leading-space",
         "original-trailing-space", "original-return", "modifier-space", "modifier-comma",
-        "adverb-space", "adverb-at", "proposition-id-space", "story-id-space"])
+        "adverb-space", "adverb-at", "proposition-id-space", "story-id-space",
+        "proposition-id-entity", "proposition-id-timespan", "proposition-id-section"])
 def test_serializer_refuses_a_graph_it_would_write_back_wrong(g, value):
     assert [d for d in st.validate_story(g) if d.severity == ERROR] == []
     with pytest.raises(ValueError) as exc:

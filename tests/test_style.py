@@ -51,7 +51,7 @@ def test_apply_voice_is_reproducible(fox_doc):
 
 def test_different_seeds_vary_output(fox_doc):
     model = style.BUILTIN_VOICES["SHY"]
-    texts = {realize_document(style.apply_voice(fox_doc, model, s)[0]) for s in range(6)}
+    texts = {style.tell(fox_doc, model, s).text for s in range(6)}
     assert len(texts) > 1
 
 
@@ -70,23 +70,20 @@ def test_sentence_count_preserved_by_every_voice(fox_doc):
             assert len(styled.sentences) == len(fox_doc.sentences)
 
 
-def _single_param_doc(fox_doc, param, seed=0):
-    model = style.VoiceModel("probe", {param: 1.0})
-    return style.apply_voice(fox_doc, model, seed)
+def _single_param(fox_doc, param, seed=0):
+    return style.tell(fox_doc, style.VoiceModel("probe", {param: 1.0}), seed)
 
 
 def test_marker_params_fire_on_every_sentence(fox_doc):
     for param in ("softener_hedges", "emphasizer_hedges", "filled_pauses",
                   "initial_interjection", "expletives", "stuttering",
                   "tag_question", "exclamation", "contractions"):
-        _, decisions = _single_param_doc(fox_doc, param)
-        fired = {dec.sentence_index for dec in decisions}
+        fired = {dec.sentence_index for dec in _single_param(fox_doc, param).decisions}
         assert fired == set(range(len(fox_doc.sentences))), param
 
 
 def test_lexical_variation_fires_exactly_on_eligible_sentences(fox_doc, lexicon):
-    _, decisions = _single_param_doc(fox_doc, "lexical_variation")
-    fired = {dec.sentence_index for dec in decisions}
+    fired = {dec.sentence_index for dec in _single_param(fox_doc, "lexical_variation").decisions}
     eligible = set()
     for i, sentence in enumerate(fox_doc.sentences):
         lemmas = {node.lexeme for _, node in d.walk(sentence)}
@@ -96,19 +93,18 @@ def test_lexical_variation_fires_exactly_on_eligible_sentences(fox_doc, lexicon)
 
 
 def test_negation_paraphrase_fires_only_on_negated_clauses(fox_doc):
-    _, decisions = _single_param_doc(fox_doc, "negation_paraphrase")
+    decisions = _single_param(fox_doc, "negation_paraphrase").decisions
     assert {dec.sentence_index for dec in decisions} == {4}
 
 
 def test_restatement_alone_never_fires(fox_doc):
-    _, decisions = _single_param_doc(fox_doc, "restatement")
-    assert decisions == []
+    assert _single_param(fox_doc, "restatement").decisions == ()
 
 
 def test_pronominalization_rewrites_repeat_character_mentions(fox_doc):
-    styled, decisions = _single_param_doc(fox_doc, "pronominalization")
-    assert {dec.sentence_index for dec in decisions} == {3, 4, 5, 6, 7}
-    text = realize_document(styled)
+    told = _single_param(fox_doc, "pronominalization")
+    assert {dec.sentence_index for dec in told.decisions} == {3, 4, 5, 6, 7}
+    text = told.text
     assert "He did not obtain the group of grapes because he was not able" in text
     assert "in order to obtain" in text  # coreferent purpose subject dropped
     # objects keep their full noun phrases
@@ -134,10 +130,10 @@ def test_softener_wraps_clause_as_seeming():
 
 def test_adverbial_softener_sits_before_verb(fox_doc):
     for seed in range(60):
-        styled, decisions = _single_param_doc(fox_doc, "softener_hedges", seed)
-        by_payload = {dec.payload for dec in decisions if dec.sentence_index == 2}
+        told = _single_param(fox_doc, "softener_hedges", seed)
+        by_payload = {dec.payload for dec in told.decisions if dec.sentence_index == 2}
         if by_payload & set(style.SOFTENER_ADVERBIAL):
-            text = realize_sentence(styled.sentences[2])
+            text = realize_sentence(told.document.sentences[2])
             marker = (by_payload & set(style.SOFTENER_ADVERBIAL)).pop()
             assert f"The fox {marker} saw" in text
             return
@@ -302,12 +298,12 @@ def test_no_punctuation_collisions_under_any_voice():
     for seed in range(12):
         doc = tr.transform_story(random_story(random.Random(seed)))
         for model in models:
-            styled, _ = style.apply_voice(doc, model, seed)
-            for sentence in styled.sentences:
+            told = style.tell(doc, model, seed)
+            for sentence in told.document.sentences:
                 assert d.validate_tree(sentence) == [], (model.name, seed)
-            text = realize_document(styled)
+            text = told.text.replace("...", "…")
             for bad in bad_bits:
-                assert bad not in text.replace("...", "…"), (model.name, seed, bad, text)
+                assert bad not in text, (model.name, seed, bad, told.text)
 
 
 def test_every_decision_site_resolves_in_the_styled_output():
@@ -482,12 +478,13 @@ def test_content_superset_after_styling(fox_doc, lexicon):
     neutral_stems = Counter(tokenize_and_stem(realize_document(fox_doc)))
     model = style.BUILTIN_VOICES["LAID-BACK"]
     for seed in range(6):
-        styled, decisions = style.apply_voice(fox_doc, model, seed)
+        told = style.tell(fox_doc, model, seed)
         expected = Counter(neutral_stems)
-        for dec in decisions:
+        for dec in told.decisions:
             if dec.param == "lexical_variation":
                 old, sub = dec.payload.split("->")
-                node = d.node_at(styled.sentences[dec.sentence_index], _site_path(dec.site))
+                node = d.node_at(told.document.sentences[dec.sentence_index],
+                                 _site_path(dec.site))
                 assert dec.site == "root" or node.lexeme == sub, (seed, dec)
                 surface = old
                 if node.cls == d.VERB and "tense" in node.features:
@@ -506,7 +503,7 @@ def test_content_superset_after_styling(fox_doc, lexicon):
                             and any(c.relation == d.ATTR and c.lexeme == "able"
                                     for c in node.children)):
                         expected[tokenize_and_stem("able")[0]] -= 1
-        styled_stems = Counter(tokenize_and_stem(realize_document(styled)))
+        styled_stems = Counter(tokenize_and_stem(told.text))
         for stemmed, count in expected.items():
             if count > 0 and stemmed not in FUNCTION_STEMS:
                 assert styled_stems[stemmed] >= count, (seed, stemmed)
@@ -595,14 +592,14 @@ def test_negated_plural_copula_contracts_to_werent():
 
     g = _story([FOX, wolves], hungry("p0", "fox", polarity=st.NEGATED),
                hungry("p1", "wolves", polarity=st.NEGATED))
-    styled, _ = style.apply_voice(tr.transform_story(g), style.BUILTIN_VOICES["FORMAL"], 0)
-    assert realize_document(styled) == "The fox wasn't hungry. The wolves weren't hungry."
+    assert style.tell(tr.transform_story(g), style.BUILTIN_VOICES["FORMAL"], 0).text == \
+        "The fox wasn't hungry. The wolves weren't hungry."
     affirmative = tr.transform_story(_story([wolves], hungry("p", "wolves")))
     model = style.VoiceModel("probe", {"tag_question": 1.0})
     for seed in range(40):
-        styled, decisions = style.apply_voice(affirmative, model, seed)
-        if decisions[0].payload == "weren't they?":
-            assert realize_document(styled) == "The wolves were hungry, weren't they?"
+        told = style.tell(affirmative, model, seed)
+        if told.decisions[0].payload == "weren't they?":
+            assert told.text == "The wolves were hungry, weren't they?"
             return
     pytest.fail("auxiliary tag never chosen for the plural copular clause")
 
@@ -643,12 +640,11 @@ def test_a_contracting_voice_keeps_a_negated_infinitive_under_not_able():
     assert {v.name for v in contracting} == {"FORMAL", "SHY", "LAID-BACK"}
     for model in contracting:
         for seed in range(10):
-            styled, _ = style.apply_voice(doc, model, seed)
-            text = realize_document(styled)
+            text = style.tell(doc, model, seed).text
             assert "wasn't able not to reach" in text, (model.name, seed, text)
             assert "couldn't" not in text and "could not" not in text
-    styled, _ = style.apply_voice(doc, style.BUILTIN_VOICES["FORMAL"], 0)
-    assert realize_document(styled) == "The fox wasn't able not to reach the group of grapes."
+    assert style.tell(doc, style.BUILTIN_VOICES["FORMAL"], 0).text == \
+        "The fox wasn't able not to reach the group of grapes."
 
 
 def test_tag_auxiliary_is_the_word_the_realizer_negates(fox_graph, lion_graph):

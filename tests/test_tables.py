@@ -12,7 +12,7 @@ from retold import transform as tr
 from retold.diagnostics import ERROR
 from retold.lexicon import COMPLEMENT_KINDS, INFINITIVE, default_lexicon
 from retold.realize import realize_document
-from retold.style import BUILTIN_VOICES, VoiceModel, apply_voice
+from retold.style import BUILTIN_VOICES, VoiceModel, tell
 
 FRAME_IDS = [line.split()[1] for line in resources.files("retold").joinpath("data/frames.txt")
              .read_text(encoding="utf-8").splitlines() if line.startswith("frame ")]
@@ -48,10 +48,10 @@ def test_every_pronoun_is_told_in_both_cases():
         _, doc = _told("    jump jump(Agent=fox)\n    attack attack(Agent=wolf, Patient=fox)\n"
                        "    jump jump(Agent=fox)\n", f" pronoun={pronoun}")
         assert doc.sentences[1].child(d.II).features["pron"] == pronoun
-        styled, _ = apply_voice(doc, BUILTIN_VOICES["FORMAL"], 0)
-        assert styled.sentences[1].child(d.II).lexeme == pronoun
-        assert realize_document(styled) == (f"The fox jumped. The wolf attacked {object_form}. "
-                                            f"{pronoun.capitalize()} jumped.")
+        told = tell(doc, BUILTIN_VOICES["FORMAL"], 0)
+        assert told.document.sentences[1].child(d.II).lexeme == pronoun
+        assert told.text == (f"The fox jumped. The wolf attacked {object_form}. "
+                             f"{pronoun.capitalize()} jumped.")
 
 
 def test_every_end_mark_ends_its_sentence():
@@ -61,10 +61,10 @@ def test_every_end_mark_ends_its_sentence():
     assert set(voices) == set(d.END_MARKS)
     _, doc = _told("    jump jump(Agent=fox)\n")
     for punct, mark in d.END_MARKS.items():
-        styled, _ = apply_voice(doc, VoiceModel(punct, voices[punct]), 0)
-        assert styled.sentences[0].features["punct"] == punct
-        assert d.validate_tree(styled.sentences[0]) == []
-        assert realize_document(styled).endswith(mark)
+        told = tell(doc, VoiceModel(punct, voices[punct]), 0)
+        assert told.document.sentences[0].features["punct"] == punct
+        assert d.validate_tree(told.document.sentences[0]) == []
+        assert told.text.endswith(mark)
 
 
 def test_every_polarity_is_read_built_and_told():
@@ -101,8 +101,7 @@ def test_every_clause_relation_is_read_built_and_told():
         head = doc.sentences[0].child(d.APPEND)
         assert (head.lexeme, head.cls) == (word, d.FUNCTION_WORD)
         assert ("tense" in head.children[0].features) == finite
-        styled, _ = apply_voice(doc, BUILTIN_VOICES["FORMAL"], 0)
-        assert realize_document(styled) == text
+        assert tell(doc, BUILTIN_VOICES["FORMAL"], 0).text == text
 
 
 @pytest.mark.parametrize("frame_id", FRAME_IDS)
@@ -153,6 +152,6 @@ def test_every_diagnostic_and_decision_site_spells_its_path():
         assert d.node_at(root, back) is node
         broken = d.replace_at(root, path, node.with_feature("contract", "off"))
         assert (ERROR, spelled) in [(x.severity, x.location) for x in d.validate_tree(broken)]
-    styled, decisions = apply_voice(doc, BUILTIN_VOICES["FORMAL"], 0)
+    decisions = tell(doc, BUILTIN_VOICES["FORMAL"], 0).decisions
     assert [(x.site, x.payload) for x in decisions] == [("1.0", "subject-drop"),
                                                         ("root", "on")]
