@@ -37,15 +37,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _read_file(path: str) -> str:
-    """The text of ``path``. It is decoded as "utf-8", not "utf-8-sig", so a
-    bad byte's offset counts a byte-order mark; the story parser and the
-    tokenizer drop the mark (see :func:`metrics.without_bom`)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror or exc}", 2) from exc
-    except UnicodeDecodeError as exc:
-        raise _CliError(f"{path}: not UTF-8 text (byte {exc.start})", 2) from exc
+        return metrics.read_text(path)
+    except ValueError as exc:
+        raise _CliError(str(exc), 2) from exc
 
 
 def _write_file(path: str, text: str) -> None:

@@ -3,9 +3,11 @@
 Nodes pair a lexeme with a lexico-syntactic class and hang off their
 governor under a labelled relation: I/II/III for arguments, ATTR for
 modifiers, APPEND for adjuncts and function-word structure. Grammatical
-features ride along as a small string map, each value from its closed
-vocabulary in :data:`FEATURE_DOMAIN`; the pronouns (:data:`ACCUSATIVE`)
-and the end marks (:data:`END_MARKS`) are tables the realizer reads too.
+features ride along as a small string map, read as ``features.get(key)``,
+each value from its closed vocabulary in :data:`FEATURE_DOMAIN`, whose
+words are named here (:data:`NEG`, :data:`PERIOD`, ...) and imported by
+name everywhere else; the pronouns (:data:`ACCUSATIVE`) and the end marks
+(:data:`END_MARKS`) are tables the realizer reads too.
 Trees are immutable values, which the record base enforces (see
 :mod:`retold.record`). :func:`build` makes each node once from its full
 list of ``(child, relation)`` pairs, under the one set of rules on what
@@ -56,8 +58,17 @@ BECAUSE = "because"
 ACCUSATIVE = {"he": "him", "she": "her", "it": "it", "they": "them"}
 PRONOUNS = frozenset(ACCUSATIVE)
 
+# the closed words of the features (see FEATURE_DOMAIN), spelled here only
+PAST = "past"
+SG, PL = "sg", "pl"
+DEF, INDEF, NO_ARTICLE = "def", "indef", "none"
+AFF, NEG = "aff", "neg"
+PRE, POST = "pre", "post"
+ON = "on"  # a flag's one value
+PERIOD, EXCLAIM, QUESTION = "period", "exclaim", "question"
+
 # each ``punct`` value of a sentence root to the mark that ends the sentence
-END_MARKS = {"period": ".", "exclaim": "!", "question": "?"}
+END_MARKS = {PERIOD: ".", EXCLAIM: "!", QUESTION: "?"}
 
 # relations a child may carry, per governor class
 ALLOWED_CHILD_RELATIONS = {
@@ -69,18 +80,17 @@ ALLOWED_CHILD_RELATIONS = {
     ADVERB: frozenset(),
 }
 
-# feature domains; the last four carry style/realization decisions made
-# upstream of the realizer
+# feature domains; `contract`, `sem_neg` and `stutter` carry style
+# decisions, and `pron` a character's pronoun for the style engine
 FEATURE_DOMAIN: dict[str, frozenset[str]] = {
-    "tense": frozenset({"past"}),
-    "number": frozenset({"sg", "pl"}),
-    "article": frozenset({"def", "indef", "none"}),
-    "polarity": frozenset({"aff", "neg"}),
-    "person": frozenset({"3rd"}),
+    "tense": frozenset({PAST}),
+    "number": frozenset({SG, PL}),
+    "article": frozenset({DEF, INDEF, NO_ARTICLE}),
+    "polarity": frozenset({AFF, NEG}),
     "punct": frozenset(END_MARKS),
-    "position": frozenset({"pre", "post"}),
-    "contract": frozenset({"on"}),
-    "sem_neg": frozenset({"on"}),
+    "position": frozenset({PRE, POST}),
+    "contract": frozenset({ON}),
+    "sem_neg": frozenset({ON}),
     "stutter": frozenset({"1", "2"}),
     "pron": PRONOUNS,
 }
@@ -110,9 +120,6 @@ class DSyntNode(Record):
         set_relation(self, relation)
         set_features(self, {} if features is None else features)
         set_children(self, children)
-
-    def feature(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.features.get(key, default)
 
     def with_feature(self, key: str, value: str) -> "DSyntNode":
         if self.features.get(key) == value:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Mapping, Optional
 
-from .dsynt import ARGUMENT_RELATIONS, ATTR, I, II, III
+from .dsynt import ARGUMENT_RELATIONS, ATTR, I, II, III, PL
 from .record import Record, slot_setters
 
 NOUN = "noun"
@@ -210,9 +210,9 @@ def regular_plural(lemma: str) -> str:
 
 def past(entry: LexemeEntry, number: str) -> str:
     """The past tense of the verb ``entry`` that agrees with a subject of
-    ``number``, "sg" or "pl" ("was", "were", "ate"); the irregular table wins
-    over the regular rule."""
-    if number == "pl" and "past_plural" in entry.irregular:
+    ``number``, :data:`dsynt.SG` or :data:`dsynt.PL` ("was", "were",
+    "ate"); the irregular table wins over the regular rule."""
+    if number == PL and "past_plural" in entry.irregular:
         return entry.irregular["past_plural"]
     if "past" in entry.irregular:
         return entry.irregular["past"]

@@ -23,6 +23,7 @@ import functools
 import math
 from collections import Counter
 from itertools import repeat
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .porter import stem
@@ -38,6 +39,18 @@ def without_bom(text: str) -> str:
     at the start of a UTF-8 file; the story, voice and text readers all drop
     it here."""
     return text.removeprefix("\ufeff")
+
+
+def read_text(path: str) -> str:
+    """The text of the file ``path``, or ``ValueError`` saying why it cannot
+    be read. It is decoded as "utf-8", not "utf-8-sig", so a bad byte's
+    offset counts a byte-order mark, which each reader then drops."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def tokenize(text: str) -> list[str]:

@@ -13,7 +13,8 @@ word is ``" word"``; a comma, an end mark and a stutter's continuation
 text is its pieces joined, less the first space, with its first letter
 capitalized. The fixed words are module constants, the end marks and the
 object pronouns are :data:`dsynt.END_MARKS` and :data:`dsynt.ACCUSATIVE`,
-and :func:`_words` hands out one cached tuple of pieces per distinct string
+the feature values it tests are :mod:`dsynt`'s named words, and
+:func:`_words` hands out one cached tuple of pieces per distinct string
 (the 4,096 most recently used). A list the realizer returns is always its
 own.
 
@@ -40,7 +41,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import dsynt as d
-from .dsynt import ACCUSATIVE, BECAUSE, END_MARKS, IN_ORDER
+from .dsynt import (ACCUSATIVE, BECAUSE, DEF, END_MARKS, IN_ORDER, INDEF, NEG, NO_ARTICLE, ON,
+                    PERIOD, PL, POST, PRE, SG)
 from .lexicon import NOUN, VERB, Lexicon, default_lexicon, onset, past, plural, words
 
 MODAL_LEMMAS = frozenset({"can"})
@@ -142,10 +144,10 @@ class _Realizer:
 
     def _noun_phrase(self, node: d.DSyntNode) -> list[str]:
         pieces: list[str] = []
-        article = node.features.get("article", "none")
-        if article == "def":
+        article = node.features.get("article", NO_ARTICLE)
+        if article == DEF:
             pieces.append(_THE)
-        elif article == "indef":
+        elif article == INDEF:
             pieces.append(_A)
         for c in node.children:
             if c.relation == d.ATTR:
@@ -175,7 +177,7 @@ class _Realizer:
                 return self._stuttered(node, _Literal(surface))
             text = words(surface)
             return (_Literal(" " + " ".join(text)),) if text else ()
-        if node.features.get("number") == "pl":
+        if node.features.get("number") == PL:
             surface = plural(self.lexicon.lookup(surface, NOUN))
         if not node.features.get("stutter"):
             return _words(surface)
@@ -222,15 +224,15 @@ class _Realizer:
             elif rel == d.III:
                 obj3 = c
             elif rel == d.ATTR and c.cls == d.ADVERB:
-                (post_advs if c.features.get("position") == "post" else pre_advs).extend(
+                (post_advs if c.features.get("position") == POST else pre_advs).extend(
                     _words(c.lexeme))
             elif rel == d.ATTR:
                 attrs.append(c)
             elif rel == d.APPEND:
                 position = c.features.get("position") if c.cls == d.FUNCTION_WORD else None
-                if position == "pre":
+                if position == PRE:
                     markers.extend(_words(c.lexeme))
-                elif position == "post":
+                elif position == POST:
                     tags.append(_COMMA)
                     tags.extend(_words(c.lexeme))
                 else:
@@ -239,9 +241,9 @@ class _Realizer:
                 raise RealizationError(f"cannot linearize {c.cls} under verb via {rel}")
 
         pieces = markers
-        number = "sg"
+        number = SG
         if subject is not None:
-            number = subject.features.get("number", "sg")
+            number = subject.features.get("number", SG)
             if include_subject:
                 pieces.extend(self.np_pieces(subject, case="nom"))
         pieces.extend(pre_advs)
@@ -259,7 +261,7 @@ class _Realizer:
         return pieces
 
     def _verb_group(self, v: d.DSyntNode, number: str, form: str) -> list[str]:
-        negated = v.features.get("polarity") == "neg"
+        negated = v.features.get("polarity") == NEG
         lemma = v.lexeme
         if form == "bare":
             return [" " + lemma]
@@ -319,9 +321,9 @@ class _Realizer:
         if "tense" not in root.features:
             raise RealizationError("sentence root must be finite")
         pieces = self.clause_pieces(root, form="finite")
-        if root.features.get("contract") == "on" and _NOT in pieces:
+        if root.features.get("contract") == ON and _NOT in pieces:
             pieces = apply_contractions(pieces)
-        pieces.append(END_MARKS[root.features.get("punct", "period")])
+        pieces.append(END_MARKS[root.features.get("punct", PERIOD)])
         return pieces
 
 

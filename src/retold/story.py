@@ -53,7 +53,7 @@ from itertools import groupby
 from typing import Container, Iterator, Optional, Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .dsynt import ATTR, FEATURE_DOMAIN, II, III, PRONOUNS
+from .dsynt import AFF, ATTR, FEATURE_DOMAIN, II, III, NEG, POST, PRE, PRONOUNS, SG
 from .lexicon import (ADJECTIVE, COMPLEMENT_KINDS, INFINITIVE, NOUN, PREPOSITION, VERB, Lexicon,
                       default_lexicon, words)
 from .metrics import without_bom
@@ -67,12 +67,12 @@ ENTITY_KINDS = frozenset({CHARACTER, OBJECT, LOCATION})
 AFFIRMATIVE = "affirmative"
 NEGATED = "negated"
 # each polarity's word, in a story file's polarity= field and a clause's feature
-POLARITY_WORDS = {AFFIRMATIVE: "aff", NEGATED: "neg"}
+POLARITY_WORDS = {AFFIRMATIVE: AFF, NEGATED: NEG}
 
 PRE_VERB = "pre_verb"
 POST_VERB = "post_verb"
 # each adverb position's word, in a story file's adv= field and an adverb's feature
-POSITION_WORDS = {PRE_VERB: "pre", POST_VERB: "post"}
+POSITION_WORDS = {PRE_VERB: PRE, POST_VERB: POST}
 
 PURPOSE = "purpose"
 CAUSE = "cause"
@@ -110,7 +110,7 @@ class Entity(Record):
                            "fixed_modifiers", "pronoun")
 
     def __init__(self, id: str, kind: str, head_lemma: str, group_of: Optional[str] = None,
-                 number: str = "sg", fixed_modifiers: tuple[str, ...] = (),
+                 number: str = SG, fixed_modifiers: tuple[str, ...] = (),
                  pronoun: Optional[str] = None):
         (set_id, set_kind, set_head_lemma, set_group_of, set_number, set_fixed_modifiers,
          set_pronoun) = _ENTITY_SETTERS
@@ -339,8 +339,9 @@ _ITEM = r"[^\s,]+"  # a mod= item
 
 def _id_clash(pid: str, entity_ids: Container[str]) -> Optional[str]:
     """The other kind of name proposition id ``pid`` is in a story file with
-    entities ``entity_ids``, or None. A name of two kinds would have no line
-    (see :func:`line_of`), so a file may not give one."""
+    entities ``entity_ids``, or None; with no ``entity_ids``, the other kind
+    an entity id is. A name of two kinds would have no line (see
+    :func:`line_of`), so a file may not give one."""
     if pid in entity_ids:
         return "an entity id"
     if pid in SECTIONS:
@@ -477,6 +478,8 @@ class _Parser:
         parts = text.split()
         if len(parts) < 3:
             raise StorySyntaxError("entity line needs '<id> <kind> <head_lemma>'", lineno)
+        if clash := _id_clash(parts[0], ()):
+            raise StorySyntaxError(f"entity id {parts[0]!r} is {clash}", lineno)
         self._declare(parts[0], lineno)
         fields: dict[str, str] = {}
         for tok in parts[3:]:
@@ -492,7 +495,7 @@ class _Parser:
             fields[key] = value
         mods = tuple(m for m in fields.get("mod", "").split(",") if m)
         return Entity(parts[0], parts[1], parts[2], fields.get("group_of"),
-                      fields.get("number", "sg"), mods, fields.get("pronoun"))
+                      fields.get("number", SG), mods, fields.get("pronoun"))
 
     def _parse_timeline(self, spans: list[tuple]) -> tuple[Timespan, ...]:
         out = []
@@ -546,9 +549,12 @@ class _Parser:
             else:
                 raise StorySyntaxError(f"unknown proposition field {key!r}", lineno)
 
-        if pid is None:
+        if pid is None:  # a name of the auto form can only clash with an entity id
             pid = f"{auto_prefix}{n}"
-        elif clash := _id_clash(pid, self.entity_ids):
+            clash = "an entity id" if pid in self.entity_ids else None
+        else:
+            clash = _id_clash(pid, self.entity_ids)
+        if clash:
             raise StorySyntaxError(f"proposition id {pid!r} is {clash}", lineno)
         if pid in self.props:
             raise StorySyntaxError(f"duplicate proposition id {pid!r}", lineno)
@@ -795,23 +801,27 @@ def serialize_story(g: StoryGraph) -> str:
     line break, or in a role ``)``; a token the parser would split or
     misread; an original text line that is blank, edged with whitespace or
     starts with ``#``; a nested role binding before an inline one; two
-    different propositions with one id; a proposition id that is an entity
-    id, a section name or of the form ``t<digits>``; a timeline proposition
-    told twice, which a file can reuse only in a nested slot; a polarity, adverb
-    position or attachment relation the format has no word for; a
-    proposition as a ``prep`` target; a ``prep`` with no preposition; and a
-    ``purpose`` or ``cause`` attachment with a preposition or with a target
-    that is not a proposition."""
+    different propositions with one id; an entity id that is a section name
+    or of the form ``t<digits>``, and a proposition id that is one of these
+    or an entity id; a timeline proposition told twice, which a file can
+    reuse only in a nested slot; a polarity, adverb position or attachment
+    relation the format has no word for; a proposition as a ``prep``
+    target; a ``prep`` with no preposition; and a ``purpose`` or ``cause``
+    attachment with a preposition or with a target that is not a
+    proposition."""
     w = _Writer({e.id for e in g.entities})
     w.add(0, f"story {_token('story id', g.id, _NAME)} {_quoted('title', g.title)}")
     w.add(0, "")
     w.add(0, "entities")
     for e in g.entities:
+        if clash := _id_clash(e.id, ()):
+            raise ValueError(f"cannot serialize entity id {e.id!r}: it is {clash}, "
+                             "which a story file refuses")
         line = (f"{_token('entity id', e.id, _FIRST)} {_token('entity kind', e.kind, _FIELD)} "
                 f"{_token('head lemma', e.head_lemma, _FIELD)}")
         if e.group_of is not None:
             line += f" group_of={_token('member lemma', e.group_of, _FIELD)}"
-        if e.number != "sg":
+        if e.number != SG:
             line += f" number={_token('number', e.number, _FIELD)}"
         if e.pronoun is not None:
             line += f" pronoun={_token('pronoun', e.pronoun, _FIELD)}"
@@ -1002,7 +1012,7 @@ def _diagnostics(g: StoryGraph) -> tuple[Diagnostic, ...]:
         if e.pronoun is not None and e.pronoun not in PRONOUNS:
             err(e.id, f"bad pronoun {e.pronoun!r}")
         if e.group_of is not None:
-            if e.number != "sg":
+            if e.number != SG:
                 err(e.id, "collective entities take singular agreement")
             if not lex.has(e.group_of, NOUN):
                 err(e.id, f"member lemma {e.group_of!r} is not a known noun")

@@ -40,9 +40,10 @@ from typing import Mapping, Optional, Sequence
 
 from . import dsynt as d
 from . import realize
-from .dsynt import ACCUSATIVE, IN_ORDER
+from .dsynt import (ACCUSATIVE, AFF, EXCLAIM, IN_ORDER, NEG, ON, PAST, PERIOD, PL, POST, PRE,
+                    QUESTION, SG)
 from .lexicon import ADJECTIVE, NOUN, VERB, default_lexicon, onset, synonym
-from .metrics import without_bom
+from .metrics import read_text, without_bom
 from .realize import CONTRACTIBLE, NOT_CARRIERS, past_form
 from .record import Record, slot_setters
 
@@ -174,15 +175,11 @@ def load_voice(name_or_path: str) -> VoiceModel:
     p = Path(name_or_path)
     if name_or_path and p.exists():  # Path("") is the working directory
         try:
-            # decoded as "utf-8", not "utf-8-sig", so a bad byte's offset counts
-            # a byte-order mark; parse_voice drops the mark
-            return parse_voice(p.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise VoiceError(f"cannot read {name_or_path}: {exc.strerror or exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise VoiceError(f"{name_or_path}: not UTF-8 text (byte {exc.start})") from exc
+            return parse_voice(read_text(name_or_path))
         except VoiceError as exc:
             raise VoiceError(f"{name_or_path}: {exc}") from exc
+        except ValueError as exc:  # from read_text: the file cannot be read as text
+            raise VoiceError(str(exc)) from exc
     raise VoiceError(f"no built-in voice or voice file {name_or_path!r}")
 
 
@@ -212,18 +209,23 @@ def _drops_subject(matrix: d.DSyntNode, emb: d.DSyntNode) -> bool:
             and coref_head(emb_subject) == coref_head(subject))
 
 
+def _to_infinitive(clause: d.DSyntNode) -> Optional[d.DSyntNode]:
+    """``clause``'s to-infinitive complement, its II verb with no ``tense``, or None."""
+    vp = clause.child(d.II)
+    return vp if vp is not None and vp.cls == d.VERB and "tense" not in vp.features else None
+
+
 def _able_child(node: d.DSyntNode) -> Optional[int]:
     """The index of the ``able`` child of a negated "be able to VP" clause
     whose VP is affirmative, the one clause :func:`rewrite_unable_to_modal`
     rewrites; None for any other node. A modal's bare VP has no place for
     a "not", so "not able not to VP" keeps its "able"."""
-    if node.cls != d.VERB or node.lexeme != "be" or node.features.get("polarity") != "neg":
+    if node.cls != d.VERB or node.lexeme != "be" or node.features.get("polarity") != NEG:
         return None
     able = next((i for i, c in enumerate(node.children) if c.relation == d.ATTR
                  and c.cls == d.ADJECTIVE and c.lexeme == "able"), None)
-    if able is not None and any(c.relation == d.II and c.cls == d.VERB
-                                and "tense" not in c.features
-                                and c.features.get("polarity") != "neg" for c in node.children):
+    vp = _to_infinitive(node)
+    if able is not None and vp is not None and vp.features.get("polarity") != NEG:
         return able
     return None
 
@@ -288,7 +290,7 @@ def pronominalize_sentences(sentences: Sequence[d.DSyntNode], fire: Sequence[boo
             node = d.DSyntNode(node.lexeme, node.cls, node.relation, node.features,
                                tuple(new_children))
         if site:
-            key = (pron, node.relation, node.features.get("number", "sg"))
+            key = (pron, node.relation, node.features.get("number", SG))
             pronoun = pronouns.get(key)
             if pronoun is None:
                 pronoun = pronouns[key] = d.DSyntNode(pron, d.FUNCTION_WORD, key[1],
@@ -384,7 +386,7 @@ def enable_contractions(sentence: d.DSyntNode, unable: bool = True,
     skips that walk."""
     if unable:
         sentence = rewrite_unable_to_modal(sentence, moves)
-    return sentence.with_feature("contract", "on")
+    return sentence.with_feature("contract", ON)
 
 
 # --- individual transforms --------------------------------------------------
@@ -399,13 +401,13 @@ _OPENED = (((), lambda k: (k + 1,)),)
 
 def _adverb(sent, word):
     """``sent`` with the pre-verbal adverb ``word`` as its last child."""
-    adverb = d.DSyntNode(word, d.ADVERB, d.ATTR, {"position": "pre"})
+    adverb = d.DSyntNode(word, d.ADVERB, d.ATTR, {"position": PRE})
     return sent.with_children(sent.children + (adverb,)), (len(sent.children),), word, ()
 
 
 def _opener(sent, text, payload):
     """``sent`` with ``text`` said before it, as its first child."""
-    marker = d.DSyntNode(text, d.FUNCTION_WORD, d.APPEND, {"position": "pre"})
+    marker = d.DSyntNode(text, d.FUNCTION_WORD, d.APPEND, {"position": PRE})
     return sent.with_children((marker,) + sent.children), (0,), payload, _OPENED
 
 
@@ -437,7 +439,7 @@ def _expletive(sent, rng, lex, memo):
 def _stutter_sites(sent):
     sites = []
     for path, node in d.walk(sent):
-        if node.cls not in (d.COMMON_NOUN, d.ADJECTIVE) or node.feature("stutter"):
+        if node.cls not in (d.COMMON_NOUN, d.ADJECTIVE) or node.features.get("stutter"):
             continue
         head = onset(node.lexeme)
         if head:
@@ -461,7 +463,7 @@ def _pronoun(np: d.DSyntNode) -> str:
     """The nominative pronoun that stands for the noun phrase ``np``."""
     if np.cls == d.FUNCTION_WORD:
         return np.lexeme
-    return np.feature("pron") or ("they" if np.feature("number") == "pl" else "it")
+    return np.features.get("pron") or ("they" if np.features.get("number") == PL else "it")
 
 
 def _tag_question(sent, rng, lex, memo):
@@ -471,33 +473,31 @@ def _tag_question(sent, rng, lex, memo):
     clause is affirmative, and its subject's pronoun: "wasn't it?", "did
     he?". A clause whose verb carries the "not" of its negated
     to-infinitive ("was not to reach") reads as negated."""
-    if sent.feature("punct", "period") != "period":
+    if sent.features.get("punct", PERIOD) != PERIOD:
         return None
     if rng.random() < 0.5:
         tag = rng.choice(EXTERNAL_TAGS)
     else:
         subject = sent.child(d.I)
         aux = "did"
-        negated = sent.feature("polarity") == "neg"
+        negated = sent.features.get("polarity") == NEG
         if sent.lexeme in NOT_CARRIERS:
-            number = "sg" if subject is None else subject.feature("number", "sg")
+            number = SG if subject is None else subject.features.get("number", SG)
             aux = past_form(lex, sent.lexeme, number)
-            complement = sent.child(d.II)
-            negated = negated or (complement is not None and complement.cls == d.VERB
-                                  and "tense" not in complement.features
-                                  and complement.feature("polarity") == "neg")
+            vp = _to_infinitive(sent)
+            negated = negated or (vp is not None and vp.features.get("polarity") == NEG)
         if not negated:
             aux = CONTRACTIBLE.get((aux, "not"), aux)
         tag = f"{aux} {'it' if subject is None else _pronoun(subject)}"
-    node = d.DSyntNode(tag, d.FUNCTION_WORD, d.APPEND, {"position": "post"})
-    new = sent.with_children(sent.children + (node,)).with_feature("punct", "question")
+    node = d.DSyntNode(tag, d.FUNCTION_WORD, d.APPEND, {"position": POST})
+    new = sent.with_children(sent.children + (node,)).with_feature("punct", QUESTION)
     return new, (len(sent.children),), tag + "?", ()
 
 
 def _exclamation(sent, rng, lex, memo):
-    if sent.feature("punct", "period") != "period":
+    if sent.features.get("punct", PERIOD) != PERIOD:
         return None
-    return sent.with_feature("punct", "exclaim"), (), "!", ()
+    return sent.with_feature("punct", EXCLAIM), (), "!", ()
 
 
 def _lexical_variation(sent, rng, lex, memo):
@@ -522,7 +522,7 @@ def _negation_paraphrase(sent, rng, lex, memo):
     """Rewrite "did not V ..." as affirmative "failed to V' ...", leaving
     (original lemma, direct object node or None) in the memo for the
     restatement that may follow."""
-    if sent.feature("polarity") != "neg" or not lex.has(sent.lexeme, VERB):
+    if sent.features.get("polarity") != NEG or not lex.has(sent.lexeme, VERB):
         return None
     if sent.lexeme in NOT_CARRIERS or sent.lexeme in ("do", "fail"):
         return None
@@ -539,10 +539,10 @@ def _negation_paraphrase(sent, rng, lex, memo):
         group.append(c)
         if down and c.relation == d.II and c.cls != d.VERB:
             direct_object = c
-    infinitive = d.DSyntNode(sub, d.VERB, d.II, {"polarity": "aff"}, tuple(moved))
+    infinitive = d.DSyntNode(sub, d.VERB, d.II, {"polarity": AFF}, tuple(moved))
     feats = dict(sent.features)
-    feats["polarity"] = "aff"
-    feats["sem_neg"] = "on"
+    feats["polarity"] = AFF
+    feats["sem_neg"] = ON
     new = d.DSyntNode("fail", sent.cls, sent.relation, feats, tuple(kept) + (infinitive,))
     memo["paraphrased"] = (sent.lexeme, direct_object)
     where = tuple((len(kept), k) if down else (k,) for down, k in places)
@@ -558,9 +558,9 @@ def _restatement(sent, rng, lex, memo):
     children = ()
     if obj is not None:
         children = (d.DSyntNode(ACCUSATIVE.get(_pronoun(obj), "it"), d.FUNCTION_WORD, d.II,
-                                {"number": obj.feature("number", "sg")}),)
+                                {"number": obj.features.get("number", SG)}),)
     restate = d.DSyntNode(orig_lemma, d.VERB, d.APPEND,
-                          {"polarity": "neg", "tense": "past"}, children)
+                          {"polarity": NEG, "tense": PAST}, children)
     insert_at = len(sent.children)
     for i, c in enumerate(sent.children):
         if c.relation == d.APPEND and c.cls == d.FUNCTION_WORD:
@@ -574,7 +574,7 @@ def _restatement(sent, rng, lex, memo):
 def _contractions(sent, rng, lex, memo):
     moves = []
     new = enable_contractions(sent, True, moves)
-    return None if new is sent else (new, (), "on", moves)
+    return None if new is sent else (new, (), ON, moves)
 
 
 # (parameter, transform), in application order after the document-level
@@ -660,7 +660,7 @@ class _SharedPrefix:
             sentence, moves = self.sentences[i], []
             new = enable_contractions(sentence, self._unable[i], moves)
             self._contracted[i] = None if new is sentence else (
-                new, StyleDecision(i, CONTRACTIONS, "root", "on"), tuple(moves))
+                new, StyleDecision(i, CONTRACTIONS, self.site(()), ON), tuple(moves))
         return self._contracted[i]
 
 

@@ -32,7 +32,7 @@ from typing import Optional
 from . import dsynt as d
 from . import story as s
 from .diagnostics import ERROR
-from .dsynt import BECAUSE, IN_ORDER
+from .dsynt import BECAUSE, DEF, IN_ORDER, NO_ARTICLE, PAST, PERIOD, PL
 from .lexicon import COMPLEMENT_KINDS, INFINITIVE, default_lexicon
 
 # each clause attachment's function word, and whether the clause under it is finite
@@ -82,13 +82,13 @@ def realize_entity_np(e: s.Entity, relation: str) -> d.DSyntNode:
     ``pron`` feature, which the style prefix's walk reads
     (:func:`style.pronominalize_sentences`).
     """
-    feats = {"article": "def", "number": e.number}
+    feats = {"article": DEF, "number": e.number}
     if e.kind == s.CHARACTER:
-        feats["pron"] = e.pronoun or ("they" if e.number == "pl" else "he")
+        feats["pron"] = e.pronoun or ("they" if e.number == PL else "he")
     pairs = [(d.DSyntNode(adj, d.ADJECTIVE, d.ATTR), d.ATTR) for adj in e.fixed_modifiers]
     if e.group_of:
         member = d.DSyntNode(e.group_of, d.COMMON_NOUN, d.APPEND,
-                             {"article": "none", "number": "pl"})
+                             {"article": NO_ARTICLE, "number": PL})
         pairs.append((d.build("of", d.PREPOSITION, d.APPEND, None, ((member, d.APPEND),)),
                       d.APPEND))
     return d.build(e.head_lemma, d.COMMON_NOUN, relation, feats, pairs)
@@ -101,7 +101,7 @@ def _np_for_target(arg, relation: str, ctx: DiscourseContext) -> d.DSyntNode:
         if isinstance(arg, s.EntityRef):
             node = realize_entity_np(ctx.entities[arg.entity_id], relation)
         elif isinstance(arg, s.Text):
-            node = d.DSyntNode(arg.value, d.COMMON_NOUN, relation, {"article": "none"})
+            node = d.DSyntNode(arg.value, d.COMMON_NOUN, relation, {"article": NO_ARTICLE})
         else:
             node = d.DSyntNode(arg.adjective, d.ADJECTIVE, relation)
         ctx.nps[key] = node
@@ -140,7 +140,7 @@ def build_clause(p: s.Proposition, ctx: DiscourseContext, *,
 
     feats = {"polarity": s.POLARITY_WORDS[p.polarity]}
     if finite:
-        feats["tense"] = "past"
+        feats["tense"] = PAST
 
     pairs = []
     for role, rel in frame.relations.items():
@@ -187,6 +187,6 @@ def transform_story(g: s.StoryGraph) -> d.Document:
     if first is not None:
         raise TransformError(first.message, first.location, diagnostics)
     ctx = DiscourseContext({e.id: e for e in g.entities})
-    return d.Document(tuple(build_clause(p, ctx).with_feature("punct", "period")
+    return d.Document(tuple(build_clause(p, ctx).with_feature("punct", PERIOD)
                             for p in s.timeline_propositions(g)))
 

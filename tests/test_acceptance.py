@@ -71,13 +71,13 @@ def _eligible_sentences(param, doc, lex):
                 if {node.lexeme for _, node in d.walk(s)} & {"hang", "obtain"}}
     if param == "negation_paraphrase":
         return {i for i, s in enumerate(doc.sentences)
-                if s.feature("polarity") == "neg" and s.lexeme == "obtain"}
+                if s.features.get("polarity") == "neg" and s.lexeme == "obtain"}
     if param == "pronominalization":
         counts: dict[str, int] = {}
         eligible = set()
         for i, s in enumerate(doc.sentences):
             for _, node in d.walk(s):
-                if node.feature("pron"):
+                if node.features.get("pron"):
                     counts[node.lexeme] = counts.get(node.lexeme, 0) + 1
                     if counts[node.lexeme] > 1:
                         eligible.add(i)

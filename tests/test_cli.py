@@ -540,8 +540,13 @@ def test_a_validation_error_names_its_line(tmp_path, content, line):
     (LINES_HEAD + JUMP + "      prep with: ,\n", "line 10: bad preposition line 'prep with: ,'"),
     (LINES_HEAD + JUMP.replace(")", ") id=fox"), "line 9: proposition id 'fox' is an entity id"),
     (LINES_HEAD + JUMP.replace(")", ") id=t0"), "line 9: proposition id 't0' is a timespan name"),
+    (LINES_HEAD.replace("  grapes", "  t0 character fox mod=purple\n  grapes") + JUMP,
+     "line 5: entity id 't0' is a timespan name"),
+    (LINES_HEAD.replace("  grapes", "  t0.p0 character fox mod=purple\n  grapes") + JUMP,
+     "line 10: proposition id 't0.p0' is an entity id"),
 ], ids=["duplicate-proposition-id", "preposition-line", "preposition-line-with-no-target",
-        "proposition-id-of-an-entity", "proposition-id-of-a-timespan"])
+        "proposition-id-of-an-entity", "proposition-id-of-a-timespan", "entity-id-of-a-timespan",
+        "unnamed-proposition-of-an-entity-id"])
 def test_a_syntax_error_names_its_line(tmp_path, content, message):
     path = tmp_path / "bad.story"
     path.write_text(content, encoding="utf-8")

@@ -147,7 +147,7 @@ def test_only_a_plural_noun_is_looked_up(fox_graph, lion_graph, monkeypatch):
         rz.realize_document(doc)
     plurals = {node.lexeme for doc in docs for sentence in doc.sentences
                for _, node in d.walk(sentence)
-               if node.cls == d.COMMON_NOUN and node.feature("number") == "pl"}
+               if node.cls == d.COMMON_NOUN and node.features.get("number") == "pl"}
     nouns = {lemma for lemma, pos in looked if pos == NOUN}
     assert nouns == plurals and nouns
 
@@ -162,7 +162,7 @@ def test_content_words_realized_exactly_once_per_node(fox_graph, lexicon):
         for _, node in d.walk(sentence):
             if node.cls == d.COMMON_NOUN and lexicon.has(node.lexeme, NOUN):
                 surface = node.lexeme
-                if node.feature("number") == "pl":
+                if node.features.get("number") == "pl":
                     surface = plural(lexicon.lookup(node.lexeme, NOUN))
                 expected[surface] = expected.get(surface, 0) + 1
         for surface, count in expected.items():

@@ -65,7 +65,7 @@ def rebuild_pronominalize_sentences(sentences, fire):
             sites.extend((path, "subject-drop") for path in dropped)
         replacements = []
         for path, node in d.walk(sentence):
-            pron = node.feature("pron")
+            pron = node.features.get("pron")
             if node.cls != d.COMMON_NOUN or pron is None:
                 continue
             key = (node.lexeme, pron)
@@ -75,7 +75,7 @@ def rebuild_pronominalize_sentences(sentences, fire):
         for path, pron in reversed(replacements):
             old = d.node_at(sentence, path)
             new = d.DSyntNode(pron, d.FUNCTION_WORD, old.relation,
-                              {"number": old.feature("number", "sg")})
+                              {"number": old.features.get("number", "sg")})
             sentence = d.replace_at(sentence, path, new)
         sites.extend(replacements)
         out_sentences.append(sentence)
@@ -90,13 +90,13 @@ def rebuild_rewrite_unable_to_modal(node, removed=None, path=()):
     node = node.replace(children=tuple(rebuild_rewrite_unable_to_modal(c, removed, path + (i,))
                                        for i, c in enumerate(node.children)))
     if (node.cls == d.VERB and node.lexeme == "be"
-            and node.feature("polarity") == "neg"):
+            and node.features.get("polarity") == "neg"):
         able = [c for c in node.children
                 if c.relation == d.ATTR and c.cls == d.ADJECTIVE and c.lexeme == "able"]
         # a negated VP keeps "able": the modal's bare VP cannot say its "not"
         inf = [c for c in node.children
                if c.relation == d.II and c.cls == d.VERB and "tense" not in c.features
-               and c.feature("polarity") != "neg"]
+               and c.features.get("polarity") != "neg"]
         if able and inf:
             if removed is not None:
                 removed.append(path + (next(i for i, c in enumerate(node.children)

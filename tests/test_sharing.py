@@ -221,7 +221,7 @@ def test_one_pronoun_node_per_pronoun_relation_and_number(fox_graph):
                 for path, kind in at if kind != "subject-drop"]
     by_key = {}
     for node in pronouns:
-        key = (node.lexeme, node.relation, node.feature("number"))
+        key = (node.lexeme, node.relation, node.features.get("number"))
         assert by_key.setdefault(key, node) is node
     assert len(by_key) < len(pronouns)
 

@@ -484,9 +484,24 @@ def test_a_proposition_id_of_another_kind_of_name_is_a_syntax_error_at_its_line(
         with pytest.raises(st.StorySyntaxError) as exc:
             st.parse_story(text.replace("(Agent=fox)", f"(Agent=fox) id={pid}"))
         assert str(exc.value) == f"line {line}: proposition id {pid!r} is {kind}"
-    # an id of another form, and an entity id's extension, are ids like any
+    if kind == "an entity id":
+        # nor may the id an unnamed proposition takes from its place: here
+        # the entity `pid` is renamed `t0.p0`
+        with pytest.raises(st.StorySyntaxError) as exc:
+            st.parse_story(HEAD.replace(f"  {pid} ", "  t0.p0 ") + "  0:\n" + PROP)
+        assert str(exc.value) == "line 7: proposition id 't0.p0' is an entity id"
+    else:
+        # nor may an entity take a section's or a timespan's name
+        with pytest.raises(st.StorySyntaxError) as exc:
+            st.parse_story(HEAD.replace("  grapes", f"  {pid} character fox\n  grapes")
+                           + "  0:\n" + PROP)
+        assert str(exc.value) == f"line 4: entity id {pid!r} is {kind}"
+    # an id of another form, and an entity id's extension, are ids like any,
+    # of a proposition and of an entity beside a proposition with its own id
     for other in ("fox2", "t0x", "t0.p0", "t\u0660", "timelines"):
         st.parse_story(HEAD + "  0:\n" + PROP.replace("(Agent=fox)", f"(Agent=fox) id={other}"))
+        st.parse_story(HEAD.replace("  grapes", f"  {other} character fox\n  grapes") + "  0:\n"
+                       + PROP.replace("(Agent=fox)", "(Agent=fox) id=a"))
 
 
 def _reference_outline(encoded_text):
@@ -868,11 +883,14 @@ def _jump(**fields):
     (_jump(id="fox"), "fox"),
     (_jump(id="t3"), "t3"),
     (_jump(id="original"), "original"),
+    (_with(_BASE, entities=(_FOX, _GRAPES, _FOX.replace(id="t3"))), "t3"),
+    (_with(_BASE, entities=(_FOX, _GRAPES, _FOX.replace(id="timeline"))), "timeline"),
 ], ids=["nested-before-inline", "original-comment", "original-blank-line",
         "original-trailing-newline", "original-empty", "original-leading-space",
         "original-trailing-space", "original-return", "modifier-space", "modifier-comma",
         "adverb-space", "adverb-at", "proposition-id-space", "story-id-space",
-        "proposition-id-entity", "proposition-id-timespan", "proposition-id-section"])
+        "proposition-id-entity", "proposition-id-timespan", "proposition-id-section",
+        "entity-id-timespan", "entity-id-section"])
 def test_serializer_refuses_a_graph_it_would_write_back_wrong(g, value):
     assert [d for d in st.validate_story(g) if d.severity == ERROR] == []
     with pytest.raises(ValueError) as exc:

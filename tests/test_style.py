@@ -234,8 +234,8 @@ def test_negation_paraphrase_produces_failed_to():
         doc, style.VoiceModel("probe", {"negation_paraphrase": 1.0}), 0)
     text = realize_sentence(styled.sentences[0])
     assert text.startswith("The fox failed to ")
-    assert styled.sentences[0].feature("polarity") == "aff"
-    assert styled.sentences[0].feature("sem_neg") == "on"
+    assert styled.sentences[0].features.get("polarity") == "aff"
+    assert styled.sentences[0].features.get("sem_neg") == "on"
     assert decisions[0].payload in ("fail to get", "fail to collect")
 
 
@@ -463,7 +463,7 @@ def test_apply_stuttering_public_op(fox_doc):
     one = d.Document((fox_doc.sentences[1],))
     styled, decisions = style.apply_voice(one, style.VoiceModel("s", {"stuttering": 1.0}), 5)
     assert [dec.param for dec in decisions] == ["stuttering"]
-    assert any(node.feature("stutter") for _, node in d.walk(styled.sentences[0]))
+    assert any(node.features.get("stutter") for _, node in d.walk(styled.sentences[0]))
 
 
 def _site_path(site):
@@ -499,7 +499,7 @@ def test_content_superset_after_styling(fox_doc, lexicon):
                 # "was not able to VP" collapses to "couldn't VP"
                 for _, node in d.walk(fox_doc.sentences[dec.sentence_index]):
                     if (node.cls == d.VERB and node.lexeme == "be"
-                            and node.feature("polarity") == "neg"
+                            and node.features.get("polarity") == "neg"
                             and any(c.relation == d.ATTR and c.lexeme == "able"
                                     for c in node.children)):
                         expected[tokenize_and_stem("able")[0]] -= 1
@@ -677,7 +677,7 @@ def test_tag_auxiliary_is_the_word_the_realizer_negates(fox_graph, lion_graph):
                         "polarity": "neg"})
                     words = tokenize(realize_sentence(negated))
                     aux = words[words.index("not") - 1]
-                    if clause.feature("polarity") != "neg":
+                    if clause.features.get("polarity") != "neg":
                         aux = CONTRACTIBLE[(aux, "not")]
                     assert tag.split()[0] == aux, (k, seed, tag, words)
                     auxiliaries.add(aux)

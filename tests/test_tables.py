@@ -1,18 +1,20 @@
 """Each grammar table, entry by entry, from a story file through the tree to
 the text: pronouns, end marks, polarity, adverb positions, clause heads,
-frame links and site paths."""
+frame links and site paths; and the tree's feature vocabulary, word by word."""
 
+import random
 from importlib import resources
 
 import pytest
 
+from conftest import random_story
 from retold import dsynt as d
 from retold import story as st
 from retold import transform as tr
 from retold.diagnostics import ERROR
 from retold.lexicon import COMPLEMENT_KINDS, INFINITIVE, default_lexicon
 from retold.realize import realize_document
-from retold.style import BUILTIN_VOICES, VoiceModel, tell
+from retold.style import BUILTIN_VOICES, PARAM_NAMES, VoiceModel, tell
 
 FRAME_IDS = [line.split()[1] for line in resources.files("retold").joinpath("data/frames.txt")
              .read_text(encoding="utf-8").splitlines() if line.startswith("frame ")]
@@ -155,3 +157,26 @@ def test_every_diagnostic_and_decision_site_spells_its_path():
     decisions = tell(doc, BUILTIN_VOICES["FORMAL"], 0).decisions
     assert [(x.site, x.payload) for x in decisions] == [("1.0", "subject-drop"),
                                                         ("root", "on")]
+
+
+def test_the_feature_vocabulary_is_what_the_pipeline_makes(fox_graph, lion_graph):
+    # every feature a telling makes is in the domain, and every word of the
+    # domain is made but the indefinite article: the transform makes no
+    # first-mention indefinite yet, and test_indefinite_article_path keeps
+    # the realizer's path for it tested
+    graphs = [fox_graph, lion_graph] + [random_story(random.Random(k)) for k in range(20)]
+    docs = [tr.transform_story(g) for g in graphs]
+    docs += [_told("    jump jump(Agent=fox)\n    jump jump(Agent=fox)\n", f" pronoun={p}")[1]
+             for p in sorted(d.PRONOUNS)]
+    everything = VoiceModel("EVERYTHING", dict.fromkeys(sorted(PARAM_NAMES), 1.0))
+    voices = [*BUILTIN_VOICES.values(), everything]
+    made = set()
+    for doc in docs:
+        for voice in voices:
+            for seed in range(3):  # LAID-BACK paraphrases a negation at seed 2
+                for sentence in tell(doc, voice, seed).document.sentences:
+                    for _, node in d.walk(sentence):
+                        made.update(node.features.items())
+    domain = {(key, value) for key, values in d.FEATURE_DOMAIN.items() for value in values}
+    assert made <= domain, made - domain
+    assert domain - made == {("article", d.INDEF)}

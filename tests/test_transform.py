@@ -43,9 +43,9 @@ def test_intransitive_clause_shape():
     clause = one_sentence(graph([FOX], prop("p", "jump", "jump",
                                             [("Agent", st.EntityRef("fox"))])))
     assert clause.cls == d.VERB and clause.lexeme == "jump"
-    assert clause.feature("tense") == "past"
+    assert clause.features.get("tense") == "past"
     subject = clause.child(d.I)
-    assert subject.lexeme == "fox" and subject.feature("article") == "def"
+    assert subject.lexeme == "fox" and subject.features.get("article") == "def"
     assert realize_sentence(clause) == "The fox jumped."
 
 
@@ -55,7 +55,7 @@ def test_negated_transitive_clause():
                                    ("Theme", st.EntityRef("grapes"))],
                                   polarity=st.NEGATED))
     clause = one_sentence(g)
-    assert clause.feature("polarity") == "neg"
+    assert clause.features.get("polarity") == "neg"
     assert realize_sentence(clause) == "The fox did not obtain the group of grapes."
 
 
@@ -64,11 +64,11 @@ def test_collective_noun_phrase_structure():
                                   [("Agent", st.EntityRef("fox")),
                                    ("Theme", st.EntityRef("grapes"))]))
     np = one_sentence(g).child(d.II)
-    assert np.lexeme == "group" and np.feature("number") == "sg"
+    assert np.lexeme == "group" and np.features.get("number") == "sg"
     of = np.children[0]
     assert of.cls == d.PREPOSITION and of.lexeme == "of"
     member = of.children[0]
-    assert member.lexeme == "grape" and member.feature("number") == "pl"
+    assert member.lexeme == "grape" and member.features.get("number") == "pl"
 
 
 def test_fixed_modifiers_become_prenominal_adjectives():
@@ -339,7 +339,7 @@ def test_attach_discourse_normalizes_clause_tense(fox_graph):
                for _, node in d.walk(sentence) if node.cls == d.FUNCTION_WORD}
     assert clauses.keys() == {d.IN_ORDER, d.BECAUSE}
     assert "tense" not in clauses[d.IN_ORDER].features
-    assert clauses[d.BECAUSE].feature("tense") == "past"
+    assert clauses[d.BECAUSE].features.get("tense") == "past"
 
 
 def test_role_argument_type_errors():
